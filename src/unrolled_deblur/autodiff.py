@@ -2,12 +2,15 @@
 
 The unrolled solver is built from a small, closed set of primitives: the
 two DFTs, elementwise complex algebra, soft-thresholding, clamping, the l1
-projection, origin embedding/windowing, full convolution of small filters,
-and mean-squared losses. Each primitive computes directly on numpy arrays
+projection, origin embedding/windowing, basic indexing, full convolution of
+small filters and its batched form for one filter-cascade generation, and
+mean-squared losses. Each primitive computes directly on numpy arrays
 when no input is tracked, and records itself on a Tape when any input is a
 Var, so the same forward code serves inference and training. Creation order
-on the tape is topological by construction, so backward() is a single
-reverse sweep with no sorting.
+on the tape is topological by construction, so backward() is one sweep over
+the nodes reachable from the loss in reverse creation order. Nodes point to
+their parents and never the other way round, so a recorded graph holds no
+reference cycle and is freed as soon as its last Var is dropped.
 
 Adjoint conventions, for a real-valued loss L:
 
@@ -33,20 +36,25 @@ from .errors import ShapeMismatch, UnrecordedNode
 
 
 class Tape:
-    """Recorded forward computation: a topologically ordered node list."""
+    """Recording context: numbers its nodes in creation order.
 
-    __slots__ = ("nodes",)
+    It counts its nodes but holds none of them; a node list here would close
+    a cycle with every Var's tape reference and leave each recorded graph to
+    the cycle collector.
+    """
+
+    __slots__ = ("count",)
 
     def __init__(self):
-        self.nodes = []
+        self.count = 0
 
     def _add(self, var):
-        var.idx = len(self.nodes)
-        self.nodes.append(var)
+        var.idx = self.count
+        self.count += 1
         return var
 
     def __len__(self):
-        return len(self.nodes)
+        return self.count
 
 
 class Var:
@@ -329,6 +337,61 @@ def conv_full(a, b):
     return _record(tape, out, pairs)
 
 
+def take(x, idx):
+    """x[idx] for a basic index; the adjoint scatters into zeros."""
+    vx = value(x)
+    out = vx[idx]
+    if not isinstance(x, Var):
+        return out
+
+    def pull(g):
+        full = np.zeros(vx.shape, dtype=np.result_type(vx, g))
+        full[idx] = g
+        return full
+
+    return _record(x.tape, out, [(x, pull)])
+
+
+def cascade(mix, above):
+    """One filter-cascade generation: out[i] = sum_j mix[i, j] (*) above[j].
+
+    mix is (C, C, 3, 3), above is (C, s, s) and out is (C, s+2, s+2), with
+    zero-padded full convolution. Tap (u, v) of every mixing filter shifts
+    the whole bank by (u, v), so the layer is nine channel-mixing products
+    of shifted windows instead of C^2 separate convolutions.
+    """
+    vm, va = np.asarray(value(mix)), np.asarray(value(above))
+    c, s = va.shape[0], va.shape[-1]
+    out = np.zeros((vm.shape[0], s + 2, s + 2))
+    for u in range(3):
+        for v in range(3):
+            out[:, u:u + s, v:v + s] += np.einsum("ij,jpq->ipq", vm[:, :, u, v], va)
+    tape = _tape_of(mix, above)
+    if tape is None:
+        return out
+
+    def pull_mix(g):
+        gm = np.empty(vm.shape)
+        for u in range(3):
+            for v in range(3):
+                gm[:, :, u, v] = np.einsum("ipq,jpq->ij", g[:, u:u + s, v:v + s], va)
+        return gm
+
+    def pull_above(g):
+        ga = np.zeros((c, s, s))
+        for u in range(3):
+            for v in range(3):
+                ga += np.einsum("ij,ipq->jpq", vm[:, :, u, v], g[:, u:u + s, v:v + s])
+        return ga
+
+    pairs = []
+    if isinstance(mix, Var):
+        pairs.append((mix, pull_mix))
+    if isinstance(above, Var):
+        pairs.append((above, pull_above))
+    return _record(tape, out, pairs)
+
+
 def mse(a, target):
     """Mean squared error against a constant target."""
     va = value(a)
@@ -352,30 +415,36 @@ def backward(loss, wrt):
     """Adjoints of a scalar real loss with respect to the listed leaf Vars.
 
     Returns one gradient array per entry of `wrt` (zeros when the loss does
-    not depend on it). The tape is read, never written, so repeated calls
+    not depend on it). The graph is read, never written, so repeated calls
     agree bitwise.
     """
     if not isinstance(loss, Var):
         raise UnrecordedNode("loss is not a tape node")
     if loss.value.shape != ():
         raise ShapeMismatch("loss must be scalar, got %s" % (loss.value.shape,))
-    tape = loss.tape
+    reachable = {}
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if node.idx not in reachable:
+            reachable[node.idx] = node
+            stack.extend(node.parents)
     grads = {loss.idx: np.ones((), dtype=np.float64)}
-    for node in reversed(tape.nodes[:loss.idx + 1]):
-        g = grads.get(node.idx)
-        if g is None:
-            continue
+    # every parent was created before its children, so descending creation
+    # index reaches each node only after all of its consumers
+    for idx in sorted(reachable, reverse=True):
+        node = reachable[idx]
         if not node.parents:
             continue  # leaf: keep its accumulated adjoint
         if len(node.pulls) != len(node.parents):
             raise UnrecordedNode("node %r has no adjoint rule" % node)
+        g = grads.pop(idx)
         for parent, pull in zip(node.parents, node.pulls):
             pg = pull(g)
             if np.iscomplexobj(pg) and not np.iscomplexobj(parent.value):
                 pg = pg.real
             acc = grads.get(parent.idx)
             grads[parent.idx] = pg if acc is None else acc + pg
-        del grads[node.idx]
 
     out = []
     for v in wrt:

@@ -61,6 +61,10 @@ class NoUsableImages(DeblurError):
     """An input directory holds candidates but none are usable."""
 
 
+class NonFiniteInput(DeblurError):
+    """An input array holds NaN or Inf where finite values are required."""
+
+
 class ImageTooSmall(DeblurError):
     """An image is smaller than the requested patch or window."""
 

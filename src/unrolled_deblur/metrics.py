@@ -4,12 +4,16 @@ PSNR uses peak 1.0 and returns +inf on an exact match. SSIM follows the
 standard single-scale form: 11x11 gaussian window (sigma 1.5), K1 = 0.01,
 K2 = 0.03, dynamic range 1, averaged over valid window positions only.
 Kernel RMSE pads both kernels to a common support and searches circular
-shifts exhaustively, because the estimate lives on a torus and its absolute
-phase is unobservable. The same search aligns reconstructed images to their
+shifts, because the estimate lives on a torus and its absolute phase is
+unobservable. The same search aligns reconstructed images to their
 references before the image metrics; the shift found is reported alongside.
 
-Shift-search sums are computed with math.fsum, which is exact, so MSE ties
-resolve identically regardless of how the inputs were rolled.
+The shift search ranks every candidate at once from one FFT
+cross-correlation, then re-scores with math.fsum, which is exact, only the
+candidates that rounding cannot separate from the best. The exact scores
+decide in the fixed candidate order, so the result is the one an exhaustive
+exact scan returns, and MSE ties resolve identically regardless of how the
+inputs were rolled. Every metric rejects non-finite pixels.
 """
 
 import csv
@@ -22,7 +26,7 @@ import numpy as np
 from scipy import signal
 
 from . import imaging, kernelgen, training, unroll
-from .errors import ImageTooSmall, ShapeMismatch
+from .errors import ImageTooSmall, NonFiniteInput, ShapeMismatch
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -33,11 +37,18 @@ EVAL_FIELDS = ["record", "psnr_db", "isnr_db", "ssim",
                "kernel_rmse", "shift_dy", "shift_dx"]
 
 
+def _check_finite(*arrays):
+    for x in arrays:
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteInput("metric input holds NaN or Inf")
+
+
 def _check_pair(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeMismatch("images %s vs %s" % (a.shape, b.shape))
+    _check_finite(a, b)
     return a, b
 
 
@@ -90,6 +101,13 @@ def _mse_exact(a, b):
     return math.fsum(diff * diff) / diff.size
 
 
+# Rounding slack of the FFT-ranked MSE, in units of eps * energy / n (see
+# align_shift): a generous constant on the normwise FFT bound, plus the
+# rounding of the exact re-score itself.
+_FFT_SLACK = 64.0
+_EXACT_SLACK = 16.0
+
+
 def align_shift(estimate, reference, max_shift):
     """Circular shift (dy, dx) of the estimate minimizing exact MSE.
 
@@ -97,18 +115,45 @@ def align_shift(estimate, reference, max_shift):
     smallest |dy| + |dx|, then lexicographically on (dy, dx).
     """
     estimate, reference = _check_pair(estimate, reference)
-    candidates = sorted(
-        ((dy, dx)
-         for dy in range(-max_shift, max_shift + 1)
-         for dx in range(-max_shift, max_shift + 1)),
-        key=lambda s: (abs(s[0]) + abs(s[1]), s))
+    h, w = reference.shape
+    n = reference.size
+    span = np.arange(-max_shift, max_shift + 1)
+    dy, dx = (a.ravel() for a in np.meshgrid(span, span, indexing="ij"))
+    order = np.lexsort((dx, dy, np.abs(dy) + np.abs(dx)))
+    dy, dx = dy[order], dx[order]
+
+    # Rolling the estimate by s gives MSE(s) = (E - 2 corr(s)) / n with
+    # E = sum a^2 + sum b^2 and corr(s) = sum_p b[p] a[p - s], which one
+    # circular cross-correlation yields for every s at once.
+    energy = float(np.sum(estimate * estimate) + np.sum(reference * reference))
+    corr = np.fft.ifft2(np.fft.fft2(reference)
+                        * np.conj(np.fft.fft2(estimate))).real
+    approx = (energy - 2.0 * corr[dy % h, dx % w]) / n
+    # Error bound. The computed DFT of x has 2-norm error at most
+    # c u log2(n) ||DFT x||_2 (u the unit roundoff), and |DFT x| <= sqrt(n)
+    # ||x||_2 at every frequency, so every computed corr(s) is within
+    # c' u log2(n) sqrt(n) ||a|| ||b|| <= c' u log2(n) sqrt(n) E / 2 of the
+    # true value; the DC-dominated image attains the sqrt(n). Computing E
+    # and dividing by n add O(u log2(n) E / n), and _mse_exact rounds each
+    # squared difference and the fsum total, at most a few u * 2E / n. So
+    # |approx(s) - _mse_exact(s)| <= slack for every s. A shift s whose
+    # approx exceeds min(approx) + 2 slack then has _mse_exact(s) >
+    # min(approx) + slack >= _mse_exact at the argmin of approx >= the
+    # exact minimum: it can neither win nor tie, and dropping it cannot
+    # change what the ordered strict-< scan below returns.
+    eps = np.finfo(np.float64).eps
+    slack = (_FFT_SLACK * max(math.log2(n), 1.0) * math.sqrt(n)
+             + _EXACT_SLACK) * eps * energy / n
+    keep = np.flatnonzero(approx <= approx.min() + 2.0 * slack)
+
     best = None
     best_mse = math.inf
-    for dy, dx in candidates:
-        mse = _mse_exact(np.roll(estimate, (dy, dx), axis=(0, 1)), reference)
+    for s in keep:
+        shift = (int(dy[s]), int(dx[s]))
+        mse = _mse_exact(np.roll(estimate, shift, axis=(0, 1)), reference)
         if mse < best_mse:
             best_mse = mse
-            best = (dy, dx)
+            best = shift
     return best
 
 
@@ -116,6 +161,7 @@ def kernel_rmse(estimate, truth):
     """RMSE between kernels after centered padding and circular alignment."""
     estimate = np.asarray(estimate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
+    _check_finite(estimate, truth)
     size = max(estimate.shape[0], truth.shape[0])
 
     def pad(k):
@@ -178,11 +224,11 @@ def evaluate(manifest_path, checkpoint, out_csv, forward_fn=None, threads=1):
         max_shift = kernel.shape[0] // 2
         dy, dx = align_shift(x_hat, record.sharp, max_shift)
         aligned = np.roll(x_hat, (dy, dx), axis=(0, 1))
+        psnr_db = psnr(aligned, record.sharp)
         return EvalRow(
             record=record.blurred_path,
-            psnr_db=psnr(aligned, record.sharp),
-            isnr_db=psnr(aligned, record.sharp) - psnr(record.blurred,
-                                                       record.sharp),
+            psnr_db=psnr_db,
+            isnr_db=psnr_db - psnr(record.blurred, record.sharp),
             ssim=ssim(aligned, record.sharp),
             kernel_rmse=kernel_rmse(kernel, record.kernel),
             shift_dy=dy, shift_dx=dx)

@@ -150,22 +150,17 @@ def tv_prewitt_params(layers=30, kernel_support=31):
 def build_filters(w_top, w_mix):
     """Compose the per-layer filter banks from 3x3 generations.
 
-    w_top is a sequence of C filters for the last layer; w_mix is a
-    sequence of L-1 CxC filter grids, ordered from layer 1 to layer L-1.
-    Returns banks[l] for l = 0..L-1 where banks[-1] is w_top itself and
-    banks[l][i] = sum_j w_mix[l][i][j] (*) banks[l+1][j] with full
-    zero-padded convolution. Accepts arrays or tape Vars.
+    w_top is the (C, 3, 3) bank of the last layer; w_mix is the
+    (L-1, C, C, 3, 3) stack of mixing grids, ordered from layer 1 to layer
+    L-1 (empty for L = 1). Returns banks[l] for l = 0..L-1, each a
+    (C, s_l, s_l) array with s_l = 3 + 2 (L-1-l), where banks[-1] is w_top
+    itself and banks[l][i] = sum_j w_mix[l][i][j] (*) banks[l+1][j] with
+    full zero-padded convolution. Each generation is one ad.cascade call;
+    arrays give arrays and tape Vars give Vars.
     """
-    banks = [list(w_top)]
-    for mix in reversed(list(w_mix)):
-        above = banks[0]
-        bank = []
-        for row in mix:
-            acc = ad.conv_full(row[0], above[0])
-            for j in range(1, len(above)):
-                acc = ad.add(acc, ad.conv_full(row[j], above[j]))
-            bank.append(acc)
-        banks.insert(0, bank)
+    banks = [w_top]
+    for l in reversed(range(len(ad.value(w_mix)))):
+        banks.insert(0, ad.cascade(ad.take(w_mix, l), banks[0]))
     return banks
 
 
@@ -228,8 +223,9 @@ def reconstruct(y, k_plane, g, bank, eta, y_spec=None, f_specs=None):
     k_spec = ad.fft2(k_plane)
     num = ad.mul(ad.conj(k_spec), y_spec)
     den = ad.abs2(k_spec)
-    for i, (gi, fi) in enumerate(zip(g, bank)):
-        fs = f_specs[i] if f_specs is not None else ad.fft2(ad.embed_plane(fi, h, w))
+    for i, gi in enumerate(g):
+        fs = f_specs[i] if f_specs is not None \
+            else ad.fft2(ad.embed_plane(ad.take(bank, i), h, w))
         gs = ad.fft2(gi)
         num = ad.add(num, ad.mul(eta[i], ad.mul(ad.conj(fs), gs)))
         den = ad.add(den, ad.mul(eta[i], ad.abs2(fs)))
@@ -240,15 +236,15 @@ def reconstruct(y, k_plane, g, bank, eta, y_spec=None, f_specs=None):
 
 
 def _leaf_params(params, tape):
-    """Wrap every trainable scalar/filter in its own tape leaf."""
+    """Wrap each trainable scalar in its own tape leaf, each filter array in one."""
     L, C = params.b.shape
     pv = {"b": [[ad.leaf(tape, params.b[l, i]) for i in range(C)] for l in range(L)],
           "lam": [[ad.leaf(tape, params.lam[l, i]) for i in range(C)] for l in range(L)],
           "eta": [ad.leaf(tape, params.eta[i]) for i in range(C)]}
     if params.fixed_banks is None:
-        pv["w_top"] = [ad.leaf(tape, params.w_top[i]) for i in range(C)]
-        pv["w_mix"] = [[[ad.leaf(tape, params.w_mix[l, i, j]) for j in range(C)]
-                        for i in range(C)] for l in range(L - 1)]
+        pv["w_top"] = ad.leaf(tape, params.w_top)
+        if L > 1:
+            pv["w_mix"] = ad.leaf(tape, params.w_mix)
     return pv
 
 
@@ -267,12 +263,6 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     L, C = params.b.shape
 
     pv = _leaf_params(params, tape) if tape is not None else None
-    if params.fixed_banks is not None:
-        banks = params.fixed_banks
-    elif tape is not None:
-        banks = build_filters(pv["w_top"], pv["w_mix"])
-    else:
-        banks = build_filters(params.w_top, params.w_mix if L > 1 else [])
 
     def par(name, *idx):
         if pv is not None and name in pv:
@@ -284,6 +274,11 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
         for k in idx:
             arr = arr[k]
         return arr
+
+    if params.fixed_banks is not None:
+        banks = params.fixed_banks
+    else:
+        banks = build_filters(par("w_top"), par("w_mix") if L > 1 else [])
 
     y_spec = spectral.fft2(y)
     k_plane = spectral.embed_kernel(np.array([[1.0]]), h, w)  # identity init
@@ -298,8 +293,8 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
         k_spec = ad.fft2(k_plane)
         f_specs = []
         y_specs = []
-        for f in banks[l]:
-            fs = ad.fft2(ad.embed_plane(f, h, w))
+        for i in range(C):
+            fs = ad.fft2(ad.embed_plane(ad.take(banks[l], i), h, w))
             f_specs.append(fs)
             y_specs.append(ad.mul(fs, y_spec))
         for i in range(C):
@@ -338,39 +333,15 @@ def collect_gradients(loss_var, state, params):
     """Run backward and pack the leaf adjoints into a GradientSet."""
     pv = state.param_vars
     L, C = params.b.shape
-    order = []
-    if "w_top" in pv:
-        order.extend(pv["w_top"])
-        for l in range(L - 1):
-            for i in range(C):
-                order.extend(pv["w_mix"][l][i])
-    for l in range(L):
-        for i in range(C):
-            order.append(pv["b"][l][i])
-    for l in range(L):
-        for i in range(C):
-            order.append(pv["lam"][l][i])
-    for i in range(C):
-        order.append(pv["eta"][i])
-
-    grads = ad.backward(loss_var, order)
-
-    pos = 0
-    if "w_top" in pv:
-        w_top = np.stack(grads[pos:pos + C]).reshape(C, 3, 3)
-        pos += C
-        n_mix = (L - 1) * C * C
-        if n_mix:
-            w_mix = np.stack(grads[pos:pos + n_mix]).reshape(L - 1, C, C, 3, 3)
-        else:
-            w_mix = np.zeros((0, C, C, 3, 3))
-        pos += n_mix
-    else:
-        w_top = np.zeros((C, 3, 3))
-        w_mix = np.zeros((max(L - 1, 0), C, C, 3, 3))
-    b = np.array(grads[pos:pos + L * C]).reshape(L, C)
-    pos += L * C
-    lam = np.array(grads[pos:pos + L * C]).reshape(L, C)
-    pos += L * C
-    eta = np.array(grads[pos:pos + C]).reshape(C)
-    return GradientSet(w_top=w_top, w_mix=w_mix, b=b, lam=lam, eta=eta)
+    filters = {"w_top": (C, 3, 3), "w_mix": (max(L - 1, 0), C, C, 3, 3)}
+    tracked = [name for name in filters if name in pv]
+    scalars = [v for name in ("b", "lam") for row in pv[name] for v in row]
+    grads = ad.backward(loss_var, [pv[name] for name in tracked]
+                        + scalars + pv["eta"])
+    out = {name: grads.pop(0) if name in tracked else np.zeros(shape)
+           for name, shape in filters.items()}
+    b = np.array(grads[:L * C]).reshape(L, C)
+    lam = np.array(grads[L * C:2 * L * C]).reshape(L, C)
+    eta = np.array(grads[2 * L * C:])
+    return GradientSet(w_top=out["w_top"], w_mix=out["w_mix"],
+                       b=b, lam=lam, eta=eta)

@@ -6,6 +6,9 @@ nothing is tracked, so the same callable drives both the tape gradient and
 the finite-difference reference.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -233,6 +236,41 @@ def test_conv_full_gradients(rng):
     check(lambda v: ad.mse(ad.conv_full(a, v), t), b)
 
 
+def test_cascade_matches_summed_conv_full(rng):
+    mix = rng.standard_normal((3, 2, 3, 3))
+    above = rng.standard_normal((2, 5, 5))
+    out = ad.cascade(mix, above)
+    assert out.shape == (3, 7, 7)
+    for i in range(3):
+        want = ad.conv_full(mix[i, 0], above[0]) + ad.conv_full(mix[i, 1], above[1])
+        assert np.max(np.abs(out[i] - want)) < 1e-13
+
+
+def test_cascade_gradients(rng):
+    mix = rng.standard_normal((3, 2, 3, 3))
+    above = rng.standard_normal((2, 5, 5))
+    t = rng.standard_normal((3, 7, 7))
+
+    check(lambda v: ad.mse(ad.cascade(v, above), t), mix)
+    check(lambda v: ad.mse(ad.cascade(mix, v), t), above)
+    # both inputs tracked at once, as in a cascade of two generations
+    tape = ad.Tape()
+    vm, va = ad.leaf(tape, mix), ad.leaf(tape, above)
+    gm, ga = ad.backward(ad.mse(ad.cascade(vm, va), t), [vm, va])
+    assert np.array_equal(gm, tape_grad(lambda v: ad.mse(ad.cascade(v, above), t), mix))
+    assert np.array_equal(ga, tape_grad(lambda v: ad.mse(ad.cascade(mix, v), t), above))
+
+
+def test_take_gradient_scatters_into_zeros(rng):
+    x = rng.standard_normal((3, 4, 4))
+    t = rng.standard_normal((4, 4))
+    check(lambda v: ad.mse(ad.take(v, 1), t), x)
+    g = tape_grad(lambda v: ad.mse(ad.take(v, 1), t), x)
+    assert np.all(g[0] == 0.0) and np.all(g[2] == 0.0)
+    bank = [x[0], x[1]]
+    assert ad.take(bank, 1) is bank[1]
+
+
 def test_mse_gradient_and_shape_check(rng):
     x = rng.standard_normal((4, 4))
     t = rng.standard_normal((4, 4))
@@ -300,3 +338,18 @@ def test_untracked_inputs_compute_plain_arrays(rng):
     out = ad.ifft2(ad.mul(ad.fft2(x), 1.0))
     assert isinstance(out, np.ndarray)
     assert np.max(np.abs(out - x)) < 1e-12
+
+
+def test_recorded_graph_is_freed_without_the_cycle_collector(rng):
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        x = ad.leaf(tape, rng.standard_normal((4, 4)))
+        spec = ad.fft2(x)
+        loss = ad.mse(ad.abs2(ad.mul(spec, 2.0)), np.zeros((4, 4)))
+        ad.backward(loss, [x])
+        probe = weakref.ref(spec.value)
+        del tape, x, spec, loss
+        assert probe() is None
+    finally:
+        gc.enable()

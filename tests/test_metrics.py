@@ -8,7 +8,43 @@ import numpy as np
 import pytest
 
 from unrolled_deblur import imaging, metrics
-from unrolled_deblur.errors import ImageTooSmall, ShapeMismatch
+from unrolled_deblur.errors import ImageTooSmall, NonFiniteInput, ShapeMismatch
+
+
+def align_shift_reference(estimate, reference, max_shift):
+    """Exhaustive exact scan: every candidate in tie-break order, strict <."""
+    candidates = sorted(
+        ((dy, dx)
+         for dy in range(-max_shift, max_shift + 1)
+         for dx in range(-max_shift, max_shift + 1)),
+        key=lambda s: (abs(s[0]) + abs(s[1]), s))
+    best = None
+    best_mse = math.inf
+    for dy, dx in candidates:
+        mse = metrics._mse_exact(np.roll(estimate, (dy, dx), axis=(0, 1)),
+                                 reference)
+        if mse < best_mse:
+            best_mse = mse
+            best = (dy, dx)
+    return best
+
+
+def kernel_rmse_reference(estimate, truth):
+    size = max(estimate.shape[0], truth.shape[0])
+
+    def pad(k):
+        margin = (size - k.shape[0]) // 2
+        out = np.zeros((size, size))
+        out[margin:margin + k.shape[0], margin:margin + k.shape[0]] = k
+        return out
+
+    a, b = pad(estimate), pad(truth)
+    shift = align_shift_reference(a, b, size // 2)
+    return math.sqrt(metrics._mse_exact(np.roll(a, shift, axis=(0, 1)), b))
+
+
+def stripes(h, w):
+    return np.tile(np.array([[0.0], [1.0]]), (h // 2 + 1, w))[:h]
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +176,87 @@ def test_align_shift_respects_bound(rng):
     assert abs(dy) <= 2 and abs(dx) <= 2
 
 
+ALIGN_SHAPES = [(8, 8), (9, 9), (7, 12), (13, 6), (16, 16)]
+
+
+def _align_cases(rng):
+    for h, w in ALIGN_SHAPES:
+        for radius in (1, 3, min(h, w) // 2, max(h, w), max(h, w) + 3):
+            ref = rng.random((h, w))
+            est = np.roll(ref, (2, -1), axis=(0, 1)) + 0.05 * rng.random((h, w))
+            yield "random", est, ref, radius
+            yield "dc-offset", est + 1e3, ref + 1e3, radius
+            yield "noise-only", rng.random((h, w)), rng.random((h, w)), radius
+            yield "constant", np.full((h, w), 0.3), np.full((h, w), 0.3), radius
+            yield ("stripes", np.roll(stripes(h, w), (1, 0), axis=(0, 1)),
+                   stripes(h, w), radius)
+            columns = stripes(w, h).T
+            yield ("stripes-dc", np.roll(columns, (0, 1), axis=(0, 1)) + 1e3,
+                   columns + 1e3, radius)
+    # a repeated random tile: shifts by whole periods tie exactly, while
+    # their FFT estimates differ by rounding
+    for tile, reps in (((3, 4), (4, 3)), ((3, 5), (5, 3)), ((4, 3), (2, 5))):
+        for _ in range(4):
+            tiled = np.tile(rng.random(tile), reps)
+            for radius in (max(tiled.shape) // 2, max(tiled.shape)):
+                for dc in (0.0, 1e3):
+                    yield ("periodic", np.roll(tiled, (1, 1), axis=(0, 1)) + dc,
+                           tiled + dc, radius)
+
+
+def test_align_shift_matches_exhaustive_scan(rng):
+    for name, est, ref, radius in _align_cases(rng):
+        want = align_shift_reference(est, ref, radius)
+        assert metrics.align_shift(est, ref, radius) == want, (name, est.shape,
+                                                               radius)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the exact re-scores align_shift makes."""
+    calls = []
+    exact = metrics._mse_exact
+
+    def counting(a, b):
+        calls.append(1)
+        return exact(a, b)
+
+    monkeypatch.setattr(metrics, "_mse_exact", counting)
+    return calls
+
+
+def test_align_shift_rescores_only_a_handful(exact_calls, rng):
+    ref = rng.random((64, 64))
+    est = np.roll(ref, (5, -7), axis=(0, 1)) + 0.05 * rng.random((64, 64))
+    assert metrics.align_shift(est, ref, 15) == (-5, 7)
+    assert 1 <= len(exact_calls) <= 4  # of 31^2 = 961 candidates
+
+
+def test_align_shift_constant_image_falls_back_to_full_scan(exact_calls):
+    flat = np.full((16, 16), 0.7)
+    assert metrics.align_shift(flat, flat, 3) == (0, 0)
+    assert len(exact_calls) == 49
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metrics_reject_non_finite(rng, bad):
+    img = rng.random((12, 12))
+    broken = img.copy()
+    broken[3, 4] = bad
+    for a, b in ((broken, img), (img, broken)):
+        with pytest.raises(NonFiniteInput):
+            metrics.align_shift(a, b, 2)
+        with pytest.raises(NonFiniteInput):
+            metrics.psnr(a, b)
+    kern = np.full((5, 5), 1.0 / 25)
+    bad_kern = kern.copy()
+    bad_kern[2, 2] = bad
+    with pytest.raises(NonFiniteInput):
+        metrics.kernel_rmse(bad_kern, kern)
+    with pytest.raises(NonFiniteInput):
+        metrics.kernel_rmse(kern, bad_kern)
+
+
 # ---------------------------------------------------------------------------
 # kernel RMSE
 
@@ -178,6 +295,18 @@ def test_kernel_rmse_matches_exhaustive_oracle(rng, make_kernel):
             diff = np.roll(pad, (dy, dx), axis=(0, 1)) - b
             best = min(best, float(np.mean(diff ** 2)))
     assert abs(metrics.kernel_rmse(a, b) - math.sqrt(best)) < 1e-12
+
+
+def test_kernel_rmse_matches_exhaustive_reference(rng):
+    for size_a in range(7, 32, 2):
+        for size_b in (size_a, 7, 31, int(rng.integers(3, 16)) * 2 + 1):
+            a = rng.random((size_a, size_a))
+            b = rng.random((size_b, size_b))
+            a /= a.sum()
+            b /= b.sum()
+            assert metrics.kernel_rmse(a, b) == kernel_rmse_reference(a, b)
+            shifted = np.roll(a, (int(rng.integers(-3, 4)), 2), axis=(0, 1))
+            assert metrics.kernel_rmse(shifted, a) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +429,15 @@ def test_evaluate_threads_match_serial(tmp_path, rng):
     threaded = metrics.evaluate(man, None, None, forward_fn=identity, threads=3)
     assert [r.record for r in serial.rows] == [r.record for r in threaded.rows]
     assert [r.psnr_db for r in serial.rows] == [r.psnr_db for r in threaded.rows]
+
+
+def test_evaluate_rejects_non_finite_reconstruction(tmp_path, rng):
+    man, _ = make_manifest(tmp_path, rng)
+
+    def broken(blurred):
+        x_hat = blurred.copy()
+        x_hat[0, 0] = math.nan
+        return imaging.impulse_kernel(5), x_hat
+
+    with pytest.raises(NonFiniteInput):
+        metrics.evaluate(man, None, None, forward_fn=broken)

@@ -490,3 +490,56 @@ def test_forward_tracks_kink_signature(rng):
     _, _, _, s2 = unroll.forward(y, params, track_kinks=True)
     assert s1.kink_signature is not None
     assert s1.kink_signature == s2.kink_signature
+
+
+def _taped_forward(layers, channels, y):
+    params = small_params(layers=layers, channels=channels)
+    params.b = np.full((layers, channels), 0.02)
+    params.lam = np.full((layers, channels), 1e-3)
+    tape = ad.Tape()
+    _, _, _, state = unroll.forward(y, params, tape=tape)
+    return state
+
+
+def _graph(*outputs):
+    """Every node the outputs depend on."""
+    seen = {}
+    stack = list(outputs)
+    while stack:
+        node = stack.pop()
+        if node.idx not in seen:
+            seen[node.idx] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def test_taped_forward_records_no_per_filter_convolutions(rng):
+    state = _taped_forward(3, 4, rng.random((16, 16)))
+    nodes = _graph(state.x_hat, state.kernel_plane)
+    pulls = [p.__qualname__ for node in nodes for p in node.pulls]
+    assert pulls and not any(q.startswith("conv_full.") for q in pulls)
+    assert sum(q.startswith("cascade.") for q in pulls) == 2 * 2  # mix, above
+
+
+def test_tape_grows_linearly_in_channels(rng):
+    # the cascade is one node per layer, so the nodes one more layer adds
+    # are affine in C; C^2 per-filter nodes would give a nonzero second
+    # difference
+    y = rng.random((16, 16))
+    per_layer = [len(_taped_forward(3, c, y).tape)
+                 - len(_taped_forward(2, c, y).tape) for c in (2, 4, 6)]
+    assert per_layer[2] - per_layer[1] == per_layer[1] - per_layer[0]
+    assert len(_taped_forward(3, 4, y).tape) < 40 * 3 * 4
+
+
+def test_collect_gradients_reads_filter_arrays_whole(rng):
+    params = small_params(layers=3, channels=2)
+    params.b = np.full((3, 2), 0.02)
+    params.lam = np.full((3, 2), 1e-3)
+    tape = ad.Tape()
+    _, _, _, state = unroll.forward(rng.random((12, 12)), params, tape=tape)
+    assert state.param_vars["w_top"].shape == (2, 3, 3)
+    assert state.param_vars["w_mix"].shape == (2, 2, 2, 3, 3)
+    loss = ad.mse(state.x_hat, rng.random((12, 12)))
+    grads = unroll.collect_gradients(loss, state, params)
+    assert np.any(grads.w_top != 0.0) and np.any(grads.w_mix != 0.0)
