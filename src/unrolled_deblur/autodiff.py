@@ -1,12 +1,14 @@
 """Reverse-mode differentiation on an explicit tape of array primitives.
 
 The unrolled solver is built from a small, closed set of primitives: the
-two DFTs, elementwise complex algebra, soft-thresholding, clamping, the l1
-projection, origin embedding/windowing, basic indexing, full convolution of
-small filters and its batched form for one filter-cascade generation, and
-mean-squared losses. Each primitive computes directly on numpy arrays
-when no input is tracked, and records itself on a Tape when any input is a
-Var, so the same forward code serves inference and training. Creation order
+two DFTs, elementwise complex algebra, the sum over channels,
+soft-thresholding, clamping, the l1 projection, origin embedding/windowing,
+basic indexing, full convolution of small filters and its batched form for
+one filter-cascade generation, and mean-squared losses. DFTs and embedding
+act on the last two axes, so a (C, H, W) stack is one node. Each primitive
+computes directly on numpy arrays when no input is tracked, and records
+itself on a Tape when any input is a Var, so the same forward code serves
+inference and training. Creation order
 on the tape is topological by construction, so backward() is one sweep over
 the nodes reachable from the loss in reverse creation order. Nodes point to
 their parents and never the other way round, so a recorded graph holds no
@@ -211,10 +213,20 @@ def real(a):
     return _record(a.tape, a.value.real.copy(), [(a, lambda g: g)])
 
 
+def channel_sum(a):
+    """Sum over the leading axis; the adjoint broadcasts back along it."""
+    va = np.asarray(value(a))
+    out = np.sum(va, axis=0)
+    if not isinstance(a, Var):
+        return out
+    return _record(a.tape, out, [(a, lambda g: np.broadcast_to(g, va.shape))])
+
+
 def abs2(a):
     """|a|^2 as a real plane."""
     va = value(a)
-    out = (va * np.conj(va)).real if np.iscomplexobj(va) else va * va
+    # the copy keeps a real plane, not a view holding the complex product
+    out = (va * np.conj(va)).real.copy() if np.iscomplexobj(va) else va * va
     if not isinstance(a, Var):
         return out
     return _record(a.tape, out, [(a, lambda g: 2.0 * g * va)])
@@ -230,7 +242,8 @@ def fft2(a):
     if not isinstance(a, Var):
         return out
     scale = float(va.shape[-2] * va.shape[-1])
-    return _record(a.tape, out, [(a, lambda g: np.fft.ifft2(g) * scale)])
+    return _record(a.tape, out,
+                   [(a, lambda g: spectral.planewise(np.fft.ifft2, g) * scale)])
 
 
 def ifft2(a):
@@ -240,7 +253,7 @@ def ifft2(a):
     if not isinstance(a, Var):
         return out
     scale = float(va.shape[-2] * va.shape[-1])
-    return _record(a.tape, out, [(a, lambda g: np.fft.fft2(g) / scale)])
+    return _record(a.tape, out, [(a, lambda g: spectral.fft2(g) / scale)])
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +263,10 @@ def ifft2(a):
 def soft_threshold(x, thresh):
     """sign(x) * max(|x| - thresh, 0); zero subgradient on the kink."""
     vx, vt = value(x), value(thresh)
-    mask = np.abs(vx) > vt
-    out = np.sign(vx) * np.maximum(np.abs(vx) - vt, 0.0)
+    out = np.abs(vx) - vt
+    mask = out > 0  # the same as |x| > thresh: a difference is 0 only for equal operands
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(vx)
     tape = _tape_of(x, thresh)
     if tape is None:
         return out
@@ -303,12 +318,15 @@ def l1_normalize(x):
 
 
 def embed_plane(x, height, width):
-    """Scatter an odd square filter onto a grid, center wrapped to (0, 0)."""
+    """Scatter odd square filters (..., k, k) onto (..., height, width) grids.
+
+    Each filter's center wraps to (0, 0), as spectral.embed_kernel does.
+    """
     vx = value(x)
-    out = spectral.embed_kernel(vx, height, width)
+    out = spectral.embed_kernels(vx, height, width)
     if not isinstance(x, Var):
         return out
-    k = vx.shape[0]
+    k = vx.shape[-1]
     return _record(x.tape, out, [(x, lambda g: spectral.wrap_window(g, k))])
 
 

@@ -20,25 +20,46 @@ from .errors import DimensionMismatch, EvenSize, ImaginaryResidue, KernelTooLarg
 IMAG_ENERGY_TOL = 1e-6
 
 
+def planewise(transform, planes):
+    """Apply a numpy 2-D transform to each plane of a (..., H, W) stack.
+
+    Bitwise the stacked call, but about twice as fast: numpy's column pass
+    over a whole stack leaves cache, one 128x128 plane (256 KiB) does not.
+    """
+    planes = np.asarray(planes)
+    if planes.ndim == 2:
+        return transform(planes)
+    out = np.empty(planes.shape, dtype=np.complex128)
+    for idx in np.ndindex(planes.shape[:-2]):
+        out[idx] = transform(planes[idx])
+    return out
+
+
 def fft2(plane):
-    """Unnormalized forward 2-D DFT."""
-    return np.fft.fft2(np.asarray(plane))
+    """Unnormalized forward 2-D DFT over the last two axes."""
+    return planewise(np.fft.fft2, plane)
 
 
 def ifft2(spectrum):
     """Inverse 2-D DFT (with the 1/(H*W) factor), returning the real part.
 
-    Raises ImaginaryResidue when the discarded imaginary energy exceeds
-    IMAG_ENERGY_TOL of the total energy.
+    Transforms the last two axes, so a (C, H, W) stack gives C planes.
+    Raises ImaginaryResidue when the discarded imaginary energy of any
+    plane exceeds IMAG_ENERGY_TOL of that plane's total energy; a stack is
+    held to the same bound plane by plane, never diluted across planes.
     """
-    out = np.fft.ifft2(np.asarray(spectrum, dtype=np.complex128))
-    imag_energy = float(np.sum(out.imag * out.imag))
-    total = float(np.sum(out.real * out.real)) + imag_energy
-    if total > 0.0 and imag_energy > IMAG_ENERGY_TOL * total:
-        raise ImaginaryResidue(
-            "imaginary energy %.3e exceeds %g of total %.3e"
-            % (imag_energy, IMAG_ENERGY_TOL, total))
-    return out.real.copy()
+    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    out = np.empty(spectrum.shape)
+    for idx in np.ndindex(spectrum.shape[:-2]):
+        plane = np.fft.ifft2(spectrum[idx])
+        imag_energy = np.einsum("ij,ij->", plane.imag, plane.imag)
+        total = np.einsum("ij,ij->", plane.real, plane.real) + imag_energy
+        if total > 0.0 and imag_energy > IMAG_ENERGY_TOL * total:
+            raise ImaginaryResidue(
+                "imaginary energy %.3e exceeds %g of total %.3e"
+                % (imag_energy, IMAG_ENERGY_TOL, total))
+        out[idx] = plane.real
+    return out
 
 
 def spectrum_combine(a, b, conjugate_a=False):
@@ -62,32 +83,41 @@ def embed_kernel(kernel, height, width):
     original kernel. Mass and nonnegativity are preserved verbatim.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+    if kernel.ndim != 2:
         raise DimensionMismatch("kernel must be square, got %s" % (kernel.shape,))
-    k = kernel.shape[0]
+    return embed_kernels(kernel, height, width)
+
+
+def embed_kernels(kernels, height, width):
+    """embed_kernel applied to each kernel of a (..., k, k) stack."""
+    kernels = np.asarray(kernels, dtype=np.float64)
+    if kernels.ndim < 2 or kernels.shape[-2] != kernels.shape[-1]:
+        raise DimensionMismatch("kernel must be square, got %s" % (kernels.shape,))
+    k = kernels.shape[-1]
     if k % 2 == 0:
         raise EvenSize("kernel size %d is even" % k)
     if k > min(height, width):
         raise KernelTooLarge("kernel %d exceeds grid %dx%d" % (k, height, width))
     r = (k - 1) // 2
-    plane = np.zeros((height, width))
-    plane[:k, :k] = kernel
-    return np.roll(plane, (-r, -r), axis=(0, 1))
+    planes = np.zeros(kernels.shape[:-2] + (height, width))
+    planes[..., :k, :k] = kernels
+    return np.roll(planes, (-r, -r), axis=(-2, -1))
 
 
 def wrap_window(plane, size):
     """Extract the odd `size` window around the wrapped origin of a plane.
 
-    Exact inverse of embed_kernel on its range.
+    Works on the last two axes, so a (C, H, W) stack gives C windows.
+    Exact inverse of embed_kernels on its range.
     """
     plane = np.asarray(plane)
-    h, w = plane.shape
+    h, w = plane.shape[-2:]
     if size % 2 == 0:
         raise EvenSize("window size %d is even" % size)
     if size > min(h, w):
         raise KernelTooLarge("window %d exceeds grid %dx%d" % (size, h, w))
     r = (size - 1) // 2
-    return np.roll(plane, (r, r), axis=(0, 1))[:size, :size].copy()
+    return np.roll(plane, (r, r), axis=(-2, -1))[..., :size, :size].copy()
 
 
 def circ_conv(a, b):

@@ -29,7 +29,7 @@ from . import autodiff as ad
 from . import kernelgen, spectral
 from .errors import (ConfigMismatch, CorruptCheckpoint, NonFiniteLoss,
                      VersionMismatch)
-from .unroll import GradientSet, ModelParams, collect_gradients, forward
+from .unroll import TRAINABLE, ModelParams, collect_gradients, forward
 
 CHECKPOINT_MAGIC = b"DAUCKPT1"
 CHECKPOINT_VERSION = 1
@@ -123,16 +123,16 @@ def loss(x_hat, kernel_plane, x_target, kernel_target_plane, kappa):
 
 
 def adam_step(params, grads, adam, step, lr, config):
-    """One in-place Adam update (step counts from 1) plus projection."""
+    """One in-place Adam update (step counts from 1) plus projection.
+
+    grads maps each trainable field name to its gradient array.
+    """
     b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-    names = {"w_top": params.w_top, "w_mix": params.w_mix,
-             "b": params.b, "lam": params.lam, "eta": params.eta}
-    gvals = grads.arrays()
     for name, project in _PARAM_FIELDS:
-        p = names[name]
+        p = getattr(params, name)
         if p is None or p.size == 0:
             continue
-        g = gvals[name]
+        g = grads[name]
         m = adam.m[name]
         v = adam.v[name]
         m *= b1
@@ -166,7 +166,7 @@ def save_checkpoint(path, params, adam, step, epoch, lr, config):
     }
     for key in ("m", "v"):
         store = getattr(adam, key)
-        for name in ("w_top", "w_mix", "b", "lam", "eta"):
+        for name in TRAINABLE:
             arrays["%s_%s" % (key, name)] = store[name]
     # write-temp-then-rename so a crash never leaves a truncated checkpoint
     tmp = path + ".tmp"
@@ -244,8 +244,8 @@ def load_checkpoint(path):
         eps=float(arrays["eps"][0]),
         kernel_support=config.kernel_support).validate()
     adam = AdamState(
-        m={n: arrays["m_" + n] for n in ("w_top", "w_mix", "b", "lam", "eta")},
-        v={n: arrays["v_" + n] for n in ("w_top", "w_mix", "b", "lam", "eta")})
+        m={n: arrays["m_" + n] for n in TRAINABLE},
+        v={n: arrays["v_" + n] for n in TRAINABLE})
     return Checkpoint(params=params, adam=adam, step=step, epoch=epoch,
                       lr=lr, config=config)
 
@@ -265,15 +265,14 @@ def _record_loss(record, params, kappa, want_grads):
     total_value = float(ad.value(total))
     if not np.isfinite(total_value):
         raise NonFiniteLoss("record %s: loss %r" % (record.blurred_path, total_value))
-    grads = collect_gradients(total, state, params) if want_grads else None
+    grads = collect_gradients(total, state) if want_grads else None
     return total_value, image_mse, kernel_mse, grads
 
 
 def _sum_grads(acc, grads):
     if acc is None:
         return grads
-    return GradientSet(**{k: acc.arrays()[k] + v
-                          for k, v in grads.arrays().items()})
+    return {k: acc[k] + v for k, v in grads.items()}
 
 
 def train(manifest_path, config, out_dir, resume=None, initial_params=None,

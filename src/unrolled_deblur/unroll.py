@@ -27,6 +27,14 @@ The final estimate combines the data term with the learned feature planes:
 using the last layer's 3x3 bank. All updates are written against the
 autodiff primitives, so the same code runs plain (inference) or recorded on
 a tape (training).
+
+Layout: the C channels travel as one (C, H, W) stack, and a filter bank is
+one (C, s, s) array. The feature, shrinkage and reconstruction updates act
+on each channel separately and the kernel update sums over channels, so
+each update is one call per layer whatever C is. The per-channel weights
+of layer l are the (C, 1, 1) slices b[l], lam[l] of the whole (L, C)
+arrays, and eta enters as a (C, 1, 1) view; when recorded, each of b, lam,
+eta, w_top and w_mix is a single tape leaf.
 """
 
 from dataclasses import dataclass
@@ -35,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import imaging, spectral
-from .errors import DimensionMismatch, SingularDenominator
+from .errors import DimensionMismatch, NonFiniteInput, SingularDenominator
 
 # smallest magnitude a frequency-domain denominator may take; anything
 # below raises instead of producing Inf/NaN
@@ -45,6 +53,9 @@ PREWITT_X = np.array([[-1.0, 0.0, 1.0],
                       [-1.0, 0.0, 1.0],
                       [-1.0, 0.0, 1.0]])
 PREWITT_Y = PREWITT_X.T.copy()
+
+# the ModelParams arrays that training updates; each is one tape leaf
+TRAINABLE = ("w_top", "w_mix", "b", "lam", "eta")
 
 
 @dataclass
@@ -98,32 +109,19 @@ class ModelParams:
 
 
 @dataclass
-class GradientSet:
-    """Gradients matching the trainable arrays of ModelParams."""
-
-    w_top: np.ndarray
-    w_mix: np.ndarray
-    b: np.ndarray
-    lam: np.ndarray
-    eta: np.ndarray
-
-    def arrays(self):
-        return {"w_top": self.w_top, "w_mix": self.w_mix,
-                "b": self.b, "lam": self.lam, "eta": self.eta}
-
-
-@dataclass
 class ForwardState:
     """Everything a completed forward pass leaves behind.
 
-    kernel_plane / x_hat / g hold tape Vars when the pass was recorded and
-    plain arrays otherwise; kernel_planes collects the post-projection
-    kernel values per layer for invariant checks.
+    kernel_plane (H, W), x_hat (H, W) and g (the final (C, H, W) feature
+    stack) hold tape Vars when the pass was recorded and plain arrays
+    otherwise; param_vars maps each TRAINABLE field the pass used to its
+    leaf (or to the plain array). kernel_planes collects the
+    post-projection kernel values per layer for invariant checks.
     """
 
     x_hat: object
     kernel_plane: object
-    g: list
+    g: object
     kernel_planes: list
     tape: object = None
     param_vars: dict | None = None
@@ -164,32 +162,26 @@ def build_filters(w_top, w_mix):
     return banks
 
 
-def apply_filter_bank(image, bank):
-    """Circularly convolve an image with each filter of a bank."""
-    h, w = np.shape(ad.value(image))
-    out = []
-    for f in bank:
-        plane = ad.embed_plane(f, h, w)
-        out.append(ad.ifft2(ad.mul(ad.fft2(plane), ad.fft2(image))))
-    return out
-
-
 def g_update(y_spec, z, k_spec, b, lam, z_spec=None):
     """Closed-form feature update in the frequency domain.
 
     Minimizes (b/2)|y_i - k * g|^2 + (lam/2)|g - z|^2 per frequency. The
     parametrization keeps lam = 0 well defined (pure data term) as long as
-    the denominator b |K|^2 + lam stays above DENOM_FLOOR.
+    the denominator b |K|^2 + lam stays above DENOM_FLOOR. y_spec, z and
+    z_spec may be (C, H, W) stacks with b and lam shaped (C, 1, 1); the
+    shared kernel spectrum k_spec is conjugated and squared once for all
+    channels.
     """
     if z_spec is None:
         z_spec = ad.fft2(z)
-    num = ad.add(ad.mul(b, ad.mul(ad.conj(k_spec), y_spec)),
-                 ad.mul(lam, z_spec))
+    num = ad.add(ad.mul(b, ad.mul(ad.conj(k_spec), y_spec)), ad.mul(lam, z_spec))
     den = ad.add(ad.mul(b, ad.abs2(k_spec)), lam)
     if float(np.min(ad.value(den))) < DENOM_FLOOR:
         raise SingularDenominator(
             "feature update denominator floor %.3e" % float(np.min(ad.value(den))))
-    return ad.ifft2(ad.div(num, den))
+    quotient = ad.div(num, den)
+    del num  # free the numerator stack before the inverse DFT allocates
+    return ad.ifft2(quotient)
 
 
 def z_update(g, b):
@@ -198,12 +190,13 @@ def z_update(g, b):
 
 
 def k_update(z_specs, y_specs, eps):
-    """Least-squares kernel plane from all channels, ridge eps > 0."""
-    num = ad.mul(ad.conj(z_specs[0]), y_specs[0])
-    den = ad.abs2(z_specs[0])
-    for zs, ys in zip(z_specs[1:], y_specs[1:]):
-        num = ad.add(num, ad.mul(ad.conj(zs), ys))
-        den = ad.add(den, ad.abs2(zs))
+    """Least-squares kernel plane from all channels, ridge eps > 0.
+
+    z_specs and y_specs are (C, H, W) stacks (or sequences of C spectra);
+    both sums over channels are one channel_sum each.
+    """
+    num = ad.channel_sum(ad.mul(ad.conj(z_specs), y_specs))
+    den = ad.channel_sum(ad.abs2(z_specs))
     return ad.ifft2(ad.div(num, ad.add(den, eps)))
 
 
@@ -215,133 +208,93 @@ def k_project(plane):
     return ad.l1_normalize(ad.relu(plane))
 
 
-def reconstruct(y, k_plane, g, bank, eta, y_spec=None, f_specs=None):
-    """Final image estimate from the kernel plane and feature planes."""
+def reconstruct(y, k_plane, g, bank, eta, y_spec=None):
+    """Final image estimate from the kernel plane and feature planes.
+
+    g is the (C, H, W) stack of feature planes (or a sequence of C
+    planes), bank the (C, s, s) filter bank they belong to (or a sequence
+    of C filters) and eta the (C,) array of channel weights. Returns one
+    (H, W) plane.
+    """
     h, w = np.shape(ad.value(y))
     if y_spec is None:
         y_spec = ad.fft2(y)
     k_spec = ad.fft2(k_plane)
-    num = ad.mul(ad.conj(k_spec), y_spec)
-    den = ad.abs2(k_spec)
-    for i, gi in enumerate(g):
-        fs = f_specs[i] if f_specs is not None \
-            else ad.fft2(ad.embed_plane(ad.take(bank, i), h, w))
-        gs = ad.fft2(gi)
-        num = ad.add(num, ad.mul(eta[i], ad.mul(ad.conj(fs), gs)))
-        den = ad.add(den, ad.mul(eta[i], ad.abs2(fs)))
+    f_spec = ad.fft2(ad.embed_plane(bank, h, w))
+    e = ad.take(eta, (slice(None), None, None))
+    den = ad.add(ad.abs2(k_spec), ad.channel_sum(ad.mul(e, ad.abs2(f_spec))))
     if float(np.min(ad.value(den))) < DENOM_FLOOR:
         raise SingularDenominator(
             "reconstruction denominator floor %.3e" % float(np.min(ad.value(den))))
+    num = ad.add(ad.mul(ad.conj(k_spec), y_spec),
+                 ad.channel_sum(ad.mul(e, ad.mul(ad.conj(f_spec), ad.fft2(g)))))
     return ad.ifft2(ad.div(num, den))
-
-
-def _leaf_params(params, tape):
-    """Wrap each trainable scalar in its own tape leaf, each filter array in one."""
-    L, C = params.b.shape
-    pv = {"b": [[ad.leaf(tape, params.b[l, i]) for i in range(C)] for l in range(L)],
-          "lam": [[ad.leaf(tape, params.lam[l, i]) for i in range(C)] for l in range(L)],
-          "eta": [ad.leaf(tape, params.eta[i]) for i in range(C)]}
-    if params.fixed_banks is None:
-        pv["w_top"] = ad.leaf(tape, params.w_top)
-        if L > 1:
-            pv["w_mix"] = ad.leaf(tape, params.w_mix)
-    return pv
 
 
 def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     """Run the unrolled solver on a blurred image.
 
     Returns (kernel, g, x_hat, state): the cropped kernel estimate, the
-    final feature planes and the full-precision reconstruction as plain
-    arrays, plus a ForwardState carrying the tape ends when recorded.
+    final (C, H, W) feature planes and the full-precision reconstruction
+    as plain arrays, plus a ForwardState carrying the tape ends when
+    recorded. With a tape, each trainable array of params is one leaf.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise DimensionMismatch("image must be 2-D, got %s" % (y.shape,))
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInput("image has %d non-finite pixels"
+                             % int(np.sum(~np.isfinite(y))))
     params.validate()
     h, w = y.shape
     L, C = params.b.shape
 
-    pv = _leaf_params(params, tape) if tape is not None else None
-
-    def par(name, *idx):
-        if pv is not None and name in pv:
-            node = pv[name]
-            for k in idx:
-                node = node[k]
-            return node
-        arr = getattr(params, name)
-        for k in idx:
-            arr = arr[k]
-        return arr
+    pv = {name: getattr(params, name) for name in TRAINABLE
+          if getattr(params, name) is not None}
+    if tape is not None:
+        pv = {name: ad.leaf(tape, arr) for name, arr in pv.items()}
 
     if params.fixed_banks is not None:
         banks = params.fixed_banks
     else:
-        banks = build_filters(par("w_top"), par("w_mix") if L > 1 else [])
+        banks = build_filters(pv["w_top"], pv.get("w_mix", ()))
 
     y_spec = spectral.fft2(y)
     k_plane = spectral.embed_kernel(np.array([[1.0]]), h, w)  # identity init
-    z = [np.zeros((h, w)) for _ in range(C)]
-    z_specs = [np.zeros((h, w), dtype=np.complex128) for _ in range(C)]
-    g = list(z)
+    z_spec = np.zeros((C, h, w), dtype=np.complex128)
     kernel_planes = []
     kinks = [] if track_kinks else None
-    f_specs_last = None
 
     for l in range(L):
-        k_spec = ad.fft2(k_plane)
-        f_specs = []
-        y_specs = []
-        for i in range(C):
-            fs = ad.fft2(ad.embed_plane(ad.take(banks[l], i), h, w))
-            f_specs.append(fs)
-            y_specs.append(ad.mul(fs, y_spec))
-        for i in range(C):
-            b_li = par("b", l, i)
-            gi = g_update(y_specs[i], z[i], k_spec, b_li, par("lam", l, i),
-                          z_spec=z_specs[i])
-            zi = z_update(gi, b_li)
-            if kinks is not None:
-                kinks.append(np.packbits(
-                    np.abs(ad.value(gi)) > ad.value(b_li)).tobytes())
-            g[i] = gi
-            z[i] = zi
-            z_specs[i] = ad.fft2(zi)
-        k_raw = k_update(z_specs, y_specs, params.eps)
+        per_channel = (l, slice(None), None, None)
+        b_l = ad.take(pv["b"], per_channel)
+        y_specs = ad.mul(ad.fft2(ad.embed_plane(banks[l], h, w)), y_spec)
+        g = g_update(y_specs, None, ad.fft2(k_plane), b_l,
+                     ad.take(pv["lam"], per_channel), z_spec=z_spec)
+        z_spec = ad.fft2(z_update(g, b_l))
+        k_raw = k_update(z_spec, y_specs, params.eps)
         if kinks is not None:
+            kinks.append(np.packbits(np.abs(ad.value(g)) > ad.value(b_l)).tobytes())
             kinks.append(np.packbits(ad.value(k_raw) > 0).tobytes())
         k_plane = k_project(k_raw)
         if restrict_support:
             window = ad.origin_window(k_plane, params.kernel_support)
             k_plane = ad.l1_normalize(ad.embed_plane(window, h, w))
         kernel_planes.append(np.array(ad.value(k_plane)))
-        f_specs_last = f_specs
 
-    x_hat = reconstruct(y, k_plane, g, banks[-1], [par("eta", i) for i in range(C)],
-                        y_spec=y_spec, f_specs=f_specs_last)
+    del y_specs, z_spec  # the reconstruction allocates stacks of its own
+    x_hat = reconstruct(y, k_plane, g, banks[-1], pv["eta"], y_spec=y_spec)
 
     kernel = imaging.crop_kernel(ad.value(k_plane), params.kernel_support)
     state = ForwardState(
         x_hat=x_hat, kernel_plane=k_plane, g=g, kernel_planes=kernel_planes,
         tape=tape, param_vars=pv,
         kink_signature=b"".join(kinks) if kinks is not None else None)
-    return kernel, [np.array(ad.value(gi)) for gi in g], np.array(ad.value(x_hat)), state
+    return kernel, np.array(ad.value(g)), np.array(ad.value(x_hat)), state
 
 
-def collect_gradients(loss_var, state, params):
-    """Run backward and pack the leaf adjoints into a GradientSet."""
-    pv = state.param_vars
-    L, C = params.b.shape
-    filters = {"w_top": (C, 3, 3), "w_mix": (max(L - 1, 0), C, C, 3, 3)}
-    tracked = [name for name in filters if name in pv]
-    scalars = [v for name in ("b", "lam") for row in pv[name] for v in row]
-    grads = ad.backward(loss_var, [pv[name] for name in tracked]
-                        + scalars + pv["eta"])
-    out = {name: grads.pop(0) if name in tracked else np.zeros(shape)
-           for name, shape in filters.items()}
-    b = np.array(grads[:L * C]).reshape(L, C)
-    lam = np.array(grads[L * C:2 * L * C]).reshape(L, C)
-    eta = np.array(grads[2 * L * C:])
-    return GradientSet(w_top=out["w_top"], w_mix=out["w_mix"],
-                       b=b, lam=lam, eta=eta)
+def collect_gradients(loss_var, state):
+    """Run backward; returns {field: gradient} for each trainable array."""
+    names = list(state.param_vars)
+    grads = ad.backward(loss_var, [state.param_vars[n] for n in names])
+    return dict(zip(names, grads))

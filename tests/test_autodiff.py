@@ -221,6 +221,15 @@ def test_embed_window_gradients(rng):
     check(loss, k)
 
 
+def test_stacked_embed_and_channel_sum_gradients(rng):
+    bank = rng.standard_normal((3, 3, 3))
+    t = rng.standard_normal((6, 5))
+    check(lambda v: ad.mse(ad.channel_sum(ad.embed_plane(v, 6, 5)), t), bank)
+    stack = rng.standard_normal((3, 6, 5))
+    check(lambda v: ad.mse(ad.channel_sum(ad.mul(v, v)), t), stack)
+    assert np.array_equal(ad.channel_sum(stack), stack[0] + stack[1] + stack[2])
+
+
 def test_origin_window_gradient_on_plane(rng):
     plane = rng.standard_normal((8, 8))
     t = rng.standard_normal((5, 5))

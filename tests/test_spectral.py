@@ -67,6 +67,33 @@ def test_ifft2_rejects_asymmetric_spectrum(rng):
         spectral.ifft2(spec)
 
 
+def test_ifft2_checks_residue_per_plane(rng):
+    # one plane carries 1e-4 of its energy in the imaginary part; pooled
+    # with 99 planes of 1e4x the energy it falls below IMAG_ENERGY_TOL, so
+    # only a per-plane check sees it
+    planes = rng.standard_normal((100, 8, 8))
+    planes[1:] *= 100.0
+    spec = spectral.fft2(planes)
+    spec[0] += spectral.fft2(1e-2 * planes[0]) * 1j
+    out = np.fft.ifft2(spec)
+    pooled = np.sum(out.imag ** 2) / np.sum(np.abs(out) ** 2)
+    assert pooled < spectral.IMAG_ENERGY_TOL
+    with pytest.raises(ImaginaryResidue):
+        spectral.ifft2(spec)
+    assert np.array_equal(spectral.ifft2(spec[1:]), out[1:].real)
+
+
+def test_stacked_embedding_matches_each_kernel(rng):
+    stack = rng.standard_normal((2, 3, 5, 5))
+    planes = spectral.embed_kernels(stack, 7, 6)
+    assert planes.shape == (2, 3, 7, 6)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(planes[idx], spectral.embed_kernel(stack[idx], 7, 6))
+    assert np.array_equal(spectral.wrap_window(planes, 5), stack)
+    with pytest.raises(DimensionMismatch):
+        spectral.embed_kernel(stack[0], 7, 6)  # user kernels stay 2-D
+
+
 def test_spectrum_combine_identity(rng):
     a = spectral.fft2(rng.random((4, 4)))
     assert np.array_equal(spectral.spectrum_combine(a, np.ones((4, 4))), a)

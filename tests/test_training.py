@@ -78,8 +78,7 @@ def test_loss_terms_arithmetic(rng):
 
 def frozen_grads(params, fill):
     shapes = training._param_shapes(params)
-    from unrolled_deblur.unroll import GradientSet
-    return GradientSet(**{k: np.full(s, fill) for k, s in shapes.items()})
+    return {k: np.full(s, fill) for k, s in shapes.items()}
 
 
 def test_adam_first_step_is_signed_lr(rng):
@@ -343,9 +342,11 @@ def test_train_already_sharp_records_are_a_fixed_point(tmp_path):
 
 
 def test_record_loss_rejects_non_finite(rng, make_kernel):
+    # forward rejects a non-finite blurred image itself (NonFiniteInput), so
+    # the loss guard is reached through a non-finite target
     rec = kernelgen.DatasetRecord(
-        blurred_path="mem", blurred=np.full((8, 8), np.nan),
-        sharp=rng.random((8, 8)), kernel=make_kernel(3), sigma=0.0)
+        blurred_path="mem", blurred=rng.random((8, 8)),
+        sharp=np.full((8, 8), np.nan), kernel=make_kernel(3), sigma=0.0)
     cfg = small_config()
     with np.errstate(invalid="ignore"):  # the NaN is the point
         with pytest.raises(NonFiniteLoss):

@@ -10,7 +10,8 @@ import pytest
 
 from unrolled_deblur import autodiff as ad
 from unrolled_deblur import imaging, spectral, unroll
-from unrolled_deblur.errors import DimensionMismatch, SingularDenominator
+from unrolled_deblur.errors import (DimensionMismatch, NonFiniteInput,
+                                    SingularDenominator)
 from unrolled_deblur.training import TrainConfig, init_params
 
 
@@ -25,19 +26,11 @@ def conv_full_oracle(a, b):
     return out
 
 
-def circ_conv_filter_oracle(image, f):
-    """Circular convolution with an odd filter centered at the origin."""
+def filter_planes(image, bank):
+    """Circular convolution of an image with each filter of a bank."""
     h, w = image.shape
-    c = f.shape[0] // 2
-    out = np.zeros((h, w))
-    for p in range(h):
-        for q in range(w):
-            acc = 0.0
-            for u in range(f.shape[0]):
-                for v in range(f.shape[1]):
-                    acc += f[u, v] * image[(p - (u - c)) % h, (q - (v - c)) % w]
-            out[p, q] = acc
-    return out
+    return [spectral.circ_conv(spectral.embed_kernel(f, h, w), image)
+            for f in bank]
 
 
 def impulse3():
@@ -89,31 +82,6 @@ def test_build_filters_support_growth(rng):
                                  rng.standard_normal((L - 1, C, C, 3, 3)))
     sizes = [banks[l][0].shape[0] for l in range(L)]
     assert sizes == [9, 7, 5, 3]
-
-
-# ---------------------------------------------------------------------------
-# filter application
-
-
-def test_apply_filter_bank_impulse_identity(rng):
-    img = rng.random((8, 8))
-    out = unroll.apply_filter_bank(img, [impulse3()])
-    assert np.max(np.abs(out[0] - img)) < 1e-12
-
-
-def test_apply_filter_bank_matches_direct_sum(rng):
-    img = rng.random((8, 7))
-    bank = [rng.standard_normal((3, 3)), rng.standard_normal((5, 5))]
-    out = unroll.apply_filter_bank(img, bank)
-    for got, f in zip(out, bank):
-        assert np.max(np.abs(got - circ_conv_filter_oracle(img, f))) < 1e-10
-
-
-def test_apply_filter_bank_prewitt_on_ramp():
-    img = np.tile(np.arange(8.0), (8, 1))
-    out = unroll.apply_filter_bank(img, [unroll.PREWITT_X])[0]
-    # three rows of (left neighbor - right neighbor) = -2 each
-    assert np.max(np.abs(out[:, 1:7] + 6.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +203,8 @@ def test_k_update_recovers_kernel_from_true_features(rng, make_kernel):
     # the impulse channel keeps every frequency observable; the Prewitt
     # pair alone is blind to the DC/Nyquist axes where both responses vanish
     bank = [unroll.PREWITT_X, unroll.PREWITT_Y, impulse3()]
-    z_specs = [spectral.fft2(p) for p in unroll.apply_filter_bank(x, bank)]
-    y_specs = [spectral.fft2(p) for p in unroll.apply_filter_bank(y, bank)]
+    z_specs = [spectral.fft2(p) for p in filter_planes(x, bank)]
+    y_specs = [spectral.fft2(p) for p in filter_planes(y, bank)]
     plane = unroll.k_update(z_specs, y_specs, 1e-12)
     assert np.max(np.abs(plane - k_plane)) < 1e-6
 
@@ -331,7 +299,7 @@ def test_reconstruct_identity_kernel_zero_eta(rng):
     y = rng.random((8, 8))
     k_plane = spectral.embed_kernel(np.array([[1.0]]), 8, 8)
     x = unroll.reconstruct(y, k_plane, [np.zeros((8, 8))], [impulse3()],
-                           [0.0])
+                           np.zeros(1))
     assert np.max(np.abs(x - y)) < 1e-12
 
 
@@ -342,8 +310,8 @@ def test_reconstruct_consistent_features_give_exact_image(rng, make_kernel):
     k_plane = spectral.embed_kernel(make_kernel(3), size, size)
     y = spectral.circ_conv(k_plane, x)
     bank = [unroll.PREWITT_X, unroll.PREWITT_Y]
-    g = unroll.apply_filter_bank(x, bank)
-    for eta in ([1.0, 1.0], [20.0, 5.0]):
+    g = filter_planes(x, bank)
+    for eta in (np.array([1.0, 1.0]), np.array([20.0, 5.0])):
         got = unroll.reconstruct(y, k_plane, g, bank, eta)
         assert np.max(np.abs(got - x)) < 1e-10
 
@@ -354,7 +322,7 @@ def test_reconstruct_matches_scalar_solve(rng, make_kernel):
     k_plane = spectral.embed_kernel(make_kernel(3), size, size)
     bank = [unroll.PREWITT_X, unroll.PREWITT_Y]
     g = [rng.random((size, size)) for _ in range(2)]
-    eta = [2.0, 0.5]
+    eta = np.array([2.0, 0.5])
     got = unroll.reconstruct(y, k_plane, g, bank, eta)
 
     y_spec = np.fft.fft2(y)
@@ -378,7 +346,7 @@ def test_reconstruct_singular_denominator():
     y = np.ones((4, 4))
     with pytest.raises(SingularDenominator):
         unroll.reconstruct(y, np.zeros((4, 4)), [np.zeros((4, 4))],
-                           [impulse3()], [0.0])
+                           [impulse3()], np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +415,17 @@ def test_forward_rejects_non_2d():
         unroll.forward(np.zeros(16), params)
 
 
+def test_forward_rejects_non_finite_pixels(rng):
+    params = small_params()
+    for bad in (np.nan, np.inf):
+        y = rng.random((12, 12))
+        y[3, 4] = bad
+        with pytest.raises(NonFiniteInput):
+            unroll.forward(y, params)
+        with pytest.raises(NonFiniteInput):
+            unroll.forward(y, params, tape=ad.Tape())
+
+
 def test_forward_validates_params(rng):
     params = small_params()
     params.b = params.b - 2.0
@@ -473,13 +452,13 @@ def test_forward_recorded_gradients_have_model_shapes(rng):
     tape = ad.Tape()
     kernel, g, x_hat, state = unroll.forward(y, params, tape=tape)
     loss = ad.mse(state.x_hat, rng.random((12, 12)))
-    grads = unroll.collect_gradients(loss, state, params)
-    assert grads.b.shape == (2, 2)
-    assert grads.lam.shape == (2, 2)
-    assert grads.eta.shape == (2,)
-    assert grads.w_top.shape == (2, 3, 3)
-    assert grads.w_mix.shape == (1, 2, 2, 3, 3)
-    for arr in grads.arrays().values():
+    grads = unroll.collect_gradients(loss, state)
+    assert grads["b"].shape == (2, 2)
+    assert grads["lam"].shape == (2, 2)
+    assert grads["eta"].shape == (2,)
+    assert grads["w_top"].shape == (2, 3, 3)
+    assert grads["w_mix"].shape == (1, 2, 2, 3, 3)
+    for arr in grads.values():
         assert np.all(np.isfinite(arr))
 
 
@@ -532,6 +511,27 @@ def test_tape_grows_linearly_in_channels(rng):
     assert len(_taped_forward(3, 4, y).tape) < 40 * 3 * 4
 
 
+def test_kernel_spectrum_conjugated_and_squared_once_per_layer(rng):
+    # g_update shares one conj(K) and one |K|^2 node across all channels;
+    # the first layer's K is the untracked identity, so the taped kernel
+    # spectra are those of layers 2..L plus the reconstruction's
+    L, C, n = 3, 4, 16
+    state = _taped_forward(L, C, rng.random((n, n)))
+    nodes = _graph(state.x_hat, state.kernel_plane)
+    for prim in ("conj.", "abs2."):
+        on_planes = [node.parents[0].idx for node in nodes if node.pulls
+                     and node.pulls[0].__qualname__.startswith(prim)
+                     and node.parents[0].shape == (n, n)]
+        assert len(on_planes) == len(set(on_planes)) == L
+
+
+def test_tape_nodes_per_layer_do_not_depend_on_channels(rng):
+    y = rng.random((16, 16))
+    per_layer = {len(_taped_forward(3, c, y).tape)
+                 - len(_taped_forward(2, c, y).tape) for c in (2, 4, 6)}
+    assert len(per_layer) == 1
+
+
 def test_collect_gradients_reads_filter_arrays_whole(rng):
     params = small_params(layers=3, channels=2)
     params.b = np.full((3, 2), 0.02)
@@ -541,5 +541,5 @@ def test_collect_gradients_reads_filter_arrays_whole(rng):
     assert state.param_vars["w_top"].shape == (2, 3, 3)
     assert state.param_vars["w_mix"].shape == (2, 2, 2, 3, 3)
     loss = ad.mse(state.x_hat, rng.random((12, 12)))
-    grads = unroll.collect_gradients(loss, state, params)
-    assert np.any(grads.w_top != 0.0) and np.any(grads.w_mix != 0.0)
+    grads = unroll.collect_gradients(loss, state)
+    assert np.any(grads["w_top"] != 0.0) and np.any(grads["w_mix"] != 0.0)
