@@ -16,8 +16,8 @@ samples big-endian as in the Netpbm spec). Kernels use a small text format:
 import numpy as np
 
 from . import spectral
-from .errors import (CorruptHeader, EvenSize, NegativeWeight, NotNormalized,
-                     TruncatedData, UnsupportedFormat)
+from .errors import (CorruptHeader, EvenSize, NegativeWeight, NonFiniteInput,
+                     NotNormalized, TruncatedData, UnsupportedFormat)
 
 KERNEL_MAGIC = "KERNEL v1"
 # stored kernels whose weights sum within this of 1 are renormalized on load
@@ -203,6 +203,10 @@ def load_kernel(path):
     except ValueError:
         raise CorruptHeader("%s: non-numeric weight" % path)
     kernel = values.reshape(rows, cols)
+    if not np.all(np.isfinite(kernel)):
+        # NaN passes both the sign and the sum test below
+        raise NonFiniteInput("%s: %d non-finite weights"
+                             % (path, int(np.sum(~np.isfinite(kernel)))))
     if np.any(kernel < 0):
         raise NegativeWeight("%s: negative weight %.3e"
                              % (path, float(kernel.min())))

@@ -8,6 +8,15 @@ interchangeable.
 
 Convention: the forward transform is unnormalized and the inverse carries
 the 1/(H*W) factor (numpy's default).
+
+Both transforms return full (H, W) spectra and planes. A real plane's
+forward DFT is computed as the real-to-complex half spectrum
+(np.fft.rfft2) and the other columns are filled by Hermitian completion,
+X[k, l] = conj X[-k mod H, -l mod W], so the spectrum is exactly
+Hermitian; on a 512 px plane this takes about half the time of the
+complex transform. The inverse deliberately stays complex-to-complex: it
+checks the imaginary residue that a real-output inverse would discard
+unseen, and a real-output inverse with that check measured no faster.
 """
 
 import numpy as np
@@ -36,8 +45,40 @@ def planewise(transform, planes):
 
 
 def fft2(plane):
-    """Unnormalized forward 2-D DFT over the last two axes."""
-    return planewise(np.fft.fft2, plane)
+    """Unnormalized forward 2-D DFT over the last two axes.
+
+    Complex input goes through np.fft.fft2 unchanged. Real input is
+    transformed plane by plane with np.fft.rfft2 and completed to the full
+    (H, W) spectrum by Hermitian symmetry, which agrees with np.fft.fft2 to
+    rounding and is Hermitian bit for bit.
+    """
+    plane = np.asarray(plane)
+    if np.iscomplexobj(plane):
+        return planewise(np.fft.fft2, plane)
+    plane = plane.astype(np.float64, copy=False)
+    out = np.empty(plane.shape, dtype=np.complex128)
+    for idx in np.ndindex(plane.shape[:-2]):
+        _real_fft2(plane[idx], out[idx])
+    return out
+
+
+def _real_fft2(plane, out):
+    """Write the full DFT of one real (H, W) plane into out."""
+    h, w = plane.shape
+    n = w // 2 + 1
+    np.fft.rfft2(plane, out=out[:, :n])
+    # columns n..W-1 mirror columns W-n..1, rows negated modulo H
+    m = w - n
+    np.conjugate(out[0, m:0:-1], out=out[0, n:])
+    np.conjugate(out[:0:-1, m:0:-1], out=out[1:, n:])
+    # columns 0 and W/2 are their own mirrors: the lower rows take the
+    # upper rows' conjugates, and the self-mirrored entries are real
+    for c in ((0, w // 2) if w % 2 == 0 else (0,)):
+        col = out[:, c]
+        np.conjugate(col[(h - 1) // 2:0:-1], out=col[h // 2 + 1:])
+        col[0] = col[0].real
+        if h % 2 == 0:
+            col[h // 2] = col[h // 2].real
 
 
 def ifft2(spectrum):
@@ -47,6 +88,8 @@ def ifft2(spectrum):
     Raises ImaginaryResidue when the discarded imaginary energy of any
     plane exceeds IMAG_ENERGY_TOL of that plane's total energy; a stack is
     held to the same bound plane by plane, never diluted across planes.
+    Complex-to-complex by design (see the module docstring), so the check
+    sees the imaginary part it discards.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     out = np.empty(spectrum.shape)

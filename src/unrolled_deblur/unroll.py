@@ -35,6 +35,12 @@ each update is one call per layer whatever C is. The per-channel weights
 of layer l are the (C, 1, 1) slices b[l], lam[l] of the whole (L, C)
 arrays, and eta enters as a (C, 1, 1) view; when recorded, each of b, lam,
 eta, w_top and w_mix is a single tape leaf.
+
+Filter spectra: layer l's filtered spectra F_l Y are computed (embed, DFT,
+multiply) only when its bank differs from layer l-1's, so the classical
+preset, which repeats one fixed bank in every layer, transforms it once;
+the stack is kept read-only while later layers share it. Trained banks
+grow by two pixels per layer, so every layer computes its own.
 """
 
 from dataclasses import dataclass
@@ -43,7 +49,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import imaging, spectral
-from .errors import DimensionMismatch, NonFiniteInput, SingularDenominator
+from .errors import (DimensionMismatch, EvenSize, NonFiniteInput,
+                     SingularDenominator)
 
 # smallest magnitude a frequency-domain denominator may take; anything
 # below raises instead of producing Inf/NaN
@@ -99,6 +106,8 @@ class ModelParams:
             if len(self.fixed_banks) != L:
                 raise DimensionMismatch("fixed_banks has %d layers, expected %d"
                                         % (len(self.fixed_banks), L))
+            for l, bank in enumerate(self.fixed_banks):
+                _check_bank(bank, C, l)
         if np.any(self.b < 0) or np.any(self.lam < 0) or np.any(self.eta < 0):
             raise ValueError("b, lam, eta must be nonnegative")
         if not self.eps > 0:
@@ -106,6 +115,21 @@ class ModelParams:
         if self.kernel_support % 2 == 0:
             raise ValueError("kernel support must be odd")
         return self
+
+
+def _check_bank(bank, channels, layer):
+    """A fixed bank must be a finite stack of C odd square filters."""
+    try:
+        shape = np.shape(bank)
+    except ValueError:  # filters of different sizes
+        raise DimensionMismatch("fixed bank %d mixes filter sizes" % layer)
+    if len(shape) != 3 or shape[0] != channels or shape[1] != shape[2]:
+        raise DimensionMismatch("fixed bank %d is %s, expected (%d, s, s)"
+                                % (layer, shape, channels))
+    if shape[1] % 2 == 0:
+        raise EvenSize("fixed bank %d has even filter size %d" % (layer, shape[1]))
+    if not np.all(np.isfinite(bank)):
+        raise NonFiniteInput("fixed bank %d has non-finite weights" % layer)
 
 
 @dataclass
@@ -231,6 +255,17 @@ def reconstruct(y, k_plane, g, bank, eta, y_spec=None):
     return ad.ifft2(ad.div(num, den))
 
 
+def _same_bank(bank, previous):
+    """True when a plain filter bank equals the previous layer's.
+
+    Tape Vars never count as equal: each is its own node, and reusing the
+    previous layer's spectra would route its gradient to the wrong bank.
+    """
+    if isinstance(bank, ad.Var) or isinstance(previous, ad.Var):
+        return False
+    return np.array_equal(bank, previous)
+
+
 def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     """Run the unrolled solver on a blurred image.
 
@@ -268,7 +303,9 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     for l in range(L):
         per_channel = (l, slice(None), None, None)
         b_l = ad.take(pv["b"], per_channel)
-        y_specs = ad.mul(ad.fft2(ad.embed_plane(banks[l], h, w)), y_spec)
+        if l == 0 or not _same_bank(banks[l], banks[l - 1]):
+            y_specs = ad.mul(ad.fft2(ad.embed_plane(banks[l], h, w)), y_spec)
+            ad.value(y_specs).flags.writeable = False  # reused by later layers
         g = g_update(y_specs, None, ad.fft2(k_plane), b_l,
                      ad.take(pv["lam"], per_channel), z_spec=z_spec)
         z_spec = ad.fft2(z_update(g, b_l))

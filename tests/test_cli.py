@@ -103,6 +103,21 @@ def test_gen_dataset_requires_kernels(tmp_path, capsys):
     assert rc == 1
 
 
+def test_gen_dataset_rejects_non_finite_kernel(tmp_path, capsys):
+    kernels = tmp_path / "kernels"
+    kernels.mkdir()
+    (kernels / "bad.txt").write_text("KERNEL v1\n1 1\nnan\n")
+    imgs = tmp_path / "imgs"
+    imgs.mkdir()
+    imaging.save_image(np.full((24, 24), 0.5), str(imgs / "a.pgm"))
+    out = tmp_path / "o"
+    rc = cli.main(["gen-dataset", "--images", str(imgs), "--kernels",
+                   str(kernels), "--patch", "16", "--out", str(out)])
+    assert rc == 1
+    assert "bad.txt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # full pipeline on a miniature problem
 

@@ -5,8 +5,8 @@ import pytest
 
 from unrolled_deblur import imaging, spectral
 from unrolled_deblur.errors import (CorruptHeader, EvenSize, NegativeWeight,
-                                    NotNormalized, TruncatedData,
-                                    UnsupportedFormat)
+                                    NonFiniteInput, NotNormalized,
+                                    TruncatedData, UnsupportedFormat)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,15 @@ def test_load_kernel_negative_weight(tmp_path):
     path = tmp_path / "k.txt"
     path.write_text("KERNEL v1\n3 3\n0 0.5 0\n-0.001 0.501 0\n0 0 0\n")
     with pytest.raises(NegativeWeight):
+        imaging.load_kernel(str(path))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_kernel_non_finite_weight(tmp_path, bad):
+    # 0.5 + 0.5 + nan: NaN fails neither the sign nor the sum test
+    path = tmp_path / "k.txt"
+    path.write_text("KERNEL v1\n3 3\n0 0.5 0\n0 %s 0\n0 0.5 0\n" % bad)
+    with pytest.raises(NonFiniteInput, match="k.txt"):
         imaging.load_kernel(str(path))
 
 

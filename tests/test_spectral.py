@@ -31,6 +31,40 @@ def test_fft2_impulse_is_flat():
     assert np.allclose(spectral.fft2(plane), np.ones((4, 4)), atol=1e-14)
 
 
+SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 7), (6, 1), (2, 9), (8, 2),
+         (7, 7), (8, 8), (9, 6), (12, 5), (5, 16), (64, 36)]
+
+
+@pytest.mark.parametrize("h, w", SIZES)
+def test_fft2_real_input_matches_numpy(rng, h, w):
+    p = rng.standard_normal((h, w))
+    expect = np.fft.fft2(p)
+    got = spectral.fft2(p)
+    assert got.shape == (h, w) and got.dtype == np.complex128
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("h, w", SIZES)
+def test_fft2_real_input_is_exactly_hermitian(rng, h, w):
+    spec = spectral.fft2(rng.standard_normal((h, w)))
+    mirror = np.conj(spec[(-np.arange(h)) % h][:, (-np.arange(w)) % w])
+    assert np.all(spec == mirror)
+
+
+def test_fft2_real_stack_equals_each_plane(rng):
+    stack = rng.standard_normal((2, 3, 9, 6))
+    spec = spectral.fft2(stack)
+    assert spec.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(spec[idx], spectral.fft2(stack[idx]))
+
+
+def test_fft2_complex_input_is_numpys(rng):
+    z = rng.standard_normal((3, 9, 6)) + 1j * rng.standard_normal((3, 9, 6))
+    assert np.array_equal(spectral.fft2(z), np.fft.fft2(z))
+    assert np.array_equal(spectral.fft2(z[0]), np.fft.fft2(z[0]))
+
+
 def test_ifft2_flat_spectrum_is_impulse():
     plane = spectral.ifft2(np.ones((4, 4), dtype=complex))
     expect = np.zeros((4, 4))

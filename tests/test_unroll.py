@@ -10,8 +10,8 @@ import pytest
 
 from unrolled_deblur import autodiff as ad
 from unrolled_deblur import imaging, spectral, unroll
-from unrolled_deblur.errors import (DimensionMismatch, NonFiniteInput,
-                                    SingularDenominator)
+from unrolled_deblur.errors import (DimensionMismatch, EvenSize,
+                                    NonFiniteInput, SingularDenominator)
 from unrolled_deblur.training import TrainConfig, init_params
 
 
@@ -444,6 +444,62 @@ def test_forward_classical_preset_runs(rng):
     assert kernel.shape == (7, 7)
     assert len(g) == 2
     assert np.all(np.isfinite(x_hat))
+
+
+@pytest.mark.parametrize("bank, error", [
+    ([unroll.PREWITT_X], DimensionMismatch),                   # C = 2
+    (unroll.PREWITT_X, DimensionMismatch),                     # not a stack
+    ([unroll.PREWITT_X, np.ones((5, 5))], DimensionMismatch),  # mixed sizes
+    ([np.ones((3, 5)), np.ones((3, 5))], DimensionMismatch),   # not square
+    ([np.ones((4, 4)), np.ones((4, 4))], EvenSize),
+    ([unroll.PREWITT_X, np.full((3, 3), np.nan)], NonFiniteInput),
+])
+def test_forward_validates_fixed_banks(rng, bank, error):
+    params = unroll.tv_prewitt_params(layers=3, kernel_support=7)
+    params.fixed_banks[1] = bank
+    with pytest.raises(error):
+        unroll.forward(rng.random((16, 16)), params)
+
+
+def _counting_fft2(monkeypatch):
+    """Record every input of spectral.fft2 (and so of ad.fft2)."""
+    seen = []
+    fft2 = spectral.fft2
+
+    def counting(plane):
+        seen.append(np.array(plane))
+        return fft2(plane)
+
+    monkeypatch.setattr(spectral, "fft2", counting)
+    return seen
+
+
+def test_repeated_bank_is_transformed_once(rng, monkeypatch):
+    # the preset repeats one Prewitt pair in all L layers: the layers
+    # transform it once, and the reconstruction once more
+    L, n = 4, 16
+    params = unroll.tv_prewitt_params(layers=L, kernel_support=7)
+    bank_planes = spectral.embed_kernels(params.fixed_banks[0], n, n)
+    seen = _counting_fft2(monkeypatch)
+    unroll.forward(rng.random((n, n)), params)
+    assert sum(np.array_equal(p, bank_planes) for p in seen) == 2
+    planes = sum(int(np.prod(p.shape[:-2])) for p in seen)
+    assert planes == 1 + 2 + L * (1 + 2) + (1 + 2 + 2)  # y, bank, layers, x
+
+
+def test_shared_bank_spectra_match_recomputed_ones(rng, monkeypatch):
+    # reusing the previous layer's filtered spectra changes no bit, also
+    # when the bank changes part way through
+    params = unroll.tv_prewitt_params(layers=4, kernel_support=7)
+    params.fixed_banks[2:] = [[unroll.PREWITT_Y, unroll.PREWITT_X]] * 2
+    y = rng.random((16, 16))
+    seen = _counting_fft2(monkeypatch)
+    shared = unroll.forward(y, params)[:3]
+    assert len(seen) == 1 + 2 + 4 * 2 + 3
+    monkeypatch.setattr(unroll, "_same_bank", lambda bank, previous: False)
+    recomputed = unroll.forward(y, params)[:3]
+    for a, b in zip(shared, recomputed):
+        assert np.array_equal(a, b)
 
 
 def test_forward_recorded_gradients_have_model_shapes(rng):
