@@ -76,31 +76,6 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __repr__(self):
         return "Var(shape=%s, idx=%s)" % (self.value.shape, self.idx)
 
@@ -158,20 +133,6 @@ def add(a, b):
     return _record(tape, out, pairs)
 
 
-def sub(a, b):
-    tape = _tape_of(a, b)
-    va, vb = value(a), value(b)
-    out = va - vb
-    if tape is None:
-        return out
-    pairs = []
-    if isinstance(a, Var):
-        pairs.append((a, lambda g: _unbroadcast(g, np.shape(va))))
-    if isinstance(b, Var):
-        pairs.append((b, lambda g: _unbroadcast(-g, np.shape(vb))))
-    return _record(tape, out, pairs)
-
-
 def mul(a, b):
     tape = _tape_of(a, b)
     va, vb = value(a), value(b)
@@ -205,12 +166,6 @@ def conj(a):
     if not isinstance(a, Var):
         return np.conj(a)
     return _record(a.tape, np.conj(a.value), [(a, lambda g: np.conj(g))])
-
-
-def real(a):
-    if not isinstance(a, Var):
-        return np.real(a).copy()
-    return _record(a.tape, a.value.real.copy(), [(a, lambda g: g)])
 
 
 def channel_sum(a):

@@ -69,6 +69,10 @@ class ImageTooSmall(DeblurError):
     """An image is smaller than the requested patch or window."""
 
 
+class InvalidParameter(DeblurError, ValueError):
+    """A model parameter lies outside its valid range."""
+
+
 class SingularDenominator(DeblurError):
     """A frequency-domain denominator fell below the safe floor."""
 

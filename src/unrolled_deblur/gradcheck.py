@@ -87,8 +87,8 @@ def make_check_instance(size=8, layers=2, channels=2, seed=0, kappa=1e5,
 
 def _loss_at(inst, params, track_kinks=False):
     _, _, _, state = forward(inst.blurred, params, track_kinks=track_kinks)
-    total = training.loss(state.x_hat, state.kernel_plane, inst.sharp,
-                          inst.kernel_plane, inst.kappa)
+    total = training.loss_terms(state.x_hat, state.kernel_plane, inst.sharp,
+                                inst.kernel_plane, inst.kappa)[0]
     return float(ad.value(total)), state
 
 
@@ -98,8 +98,8 @@ def finite_diff_check(inst, h=1e-5, samples=200, seed=0):
     tape = ad.Tape()
     _, _, _, state = forward(inst.blurred, params, tape=tape,
                              track_kinks=True)
-    total = training.loss(state.x_hat, state.kernel_plane, inst.sharp,
-                          inst.kernel_plane, inst.kappa)
+    total = training.loss_terms(state.x_hat, state.kernel_plane, inst.sharp,
+                                inst.kernel_plane, inst.kappa)[0]
     grads = collect_gradients(total, state)
     nominal_kinks = state.kink_signature
 

@@ -105,19 +105,6 @@ def ifft2(spectrum):
     return out
 
 
-def spectrum_combine(a, b, conjugate_a=False):
-    """Elementwise product of two equally shaped spectra.
-
-    With conjugate_a=True the first operand is conjugated, which is the
-    correlation rather than convolution pairing.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch("spectra %s vs %s" % (a.shape, b.shape))
-    return (np.conj(a) if conjugate_a else a) * b
-
-
 def embed_kernel(kernel, height, width):
     """Place an odd square kernel on a (height, width) grid, center at (0, 0).
 
@@ -169,4 +156,4 @@ def circ_conv(a, b):
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch("planes %s vs %s" % (a.shape, b.shape))
-    return ifft2(spectrum_combine(fft2(a), fft2(b)))
+    return ifft2(fft2(a) * fft2(b))

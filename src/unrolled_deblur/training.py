@@ -29,19 +29,16 @@ from . import autodiff as ad
 from . import kernelgen, spectral
 from .errors import (ConfigMismatch, CorruptCheckpoint, NonFiniteLoss,
                      VersionMismatch)
-from .unroll import TRAINABLE, ModelParams, collect_gradients, forward
+from .unroll import (NONNEGATIVE, TRAINABLE, ModelParams, collect_gradients,
+                     forward, trainable_shapes)
 
 CHECKPOINT_MAGIC = b"DAUCKPT1"
 CHECKPOINT_VERSION = 1
 
-# serialization order of the float64 arrays in a checkpoint
-_ARRAY_ORDER = ["w_top", "w_mix", "b", "lam", "eta", "eps",
-                "m_w_top", "m_w_mix", "m_b", "m_lam", "m_eta",
-                "v_w_top", "v_w_mix", "v_b", "v_lam", "v_eta"]
-
-# parameter arrays in update order; the flag marks nonnegative projection
-_PARAM_FIELDS = [("w_top", False), ("w_mix", False),
-                 ("b", True), ("lam", True), ("eta", True)]
+# serialization order of the float64 arrays in a checkpoint, as
+# (key, field whose shape it has): the parameters, eps, then both moments
+_ARRAY_ORDER = ([(n, n) for n in TRAINABLE] + [("eps", "eps")]
+                + [(m + n, n) for m in ("m_", "v_") for n in TRAINABLE])
 
 
 @dataclass
@@ -67,7 +64,7 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params):
-        shapes = _param_shapes(params)
+        shapes = trainable_shapes(*params.b.shape)
         return cls(m={k: np.zeros(s) for k, s in shapes.items()},
                    v={k: np.zeros(s) for k, s in shapes.items()})
 
@@ -80,12 +77,6 @@ class Checkpoint:
     epoch: int
     lr: float
     config: TrainConfig
-
-
-def _param_shapes(params):
-    L, C = params.b.shape
-    return {"w_top": (C, 3, 3), "w_mix": (max(L - 1, 0), C, C, 3, 3),
-            "b": (L, C), "lam": (L, C), "eta": (C,)}
 
 
 def glorot_bound(channels):
@@ -117,18 +108,13 @@ def loss_terms(x_hat, kernel_plane, x_target, kernel_target_plane, kappa):
     return total, float(ad.value(image_term)), float(ad.value(kernel_term))
 
 
-def loss(x_hat, kernel_plane, x_target, kernel_target_plane, kappa):
-    """Scalar training loss for one record."""
-    return loss_terms(x_hat, kernel_plane, x_target, kernel_target_plane, kappa)[0]
-
-
 def adam_step(params, grads, adam, step, lr, config):
     """One in-place Adam update (step counts from 1) plus projection.
 
     grads maps each trainable field name to its gradient array.
     """
     b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-    for name, project in _PARAM_FIELDS:
+    for name in TRAINABLE:
         p = getattr(params, name)
         if p is None or p.size == 0:
             continue
@@ -142,7 +128,7 @@ def adam_step(params, grads, adam, step, lr, config):
         m_hat = m / (1 - b1 ** step)
         v_hat = v / (1 - b2 ** step)
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        if project:
+        if name in NONNEGATIVE:
             np.maximum(p, 0.0, out=p)
     return params, adam
 
@@ -160,14 +146,10 @@ def _write_array(fh, arr):
 def save_checkpoint(path, params, adam, step, epoch, lr, config):
     cfg = json.dumps(asdict(config), sort_keys=True,
                      separators=(",", ":")).encode("ascii")
-    arrays = {
-        "w_top": params.w_top, "w_mix": params.w_mix, "b": params.b,
-        "lam": params.lam, "eta": params.eta, "eps": np.array([params.eps]),
-    }
-    for key in ("m", "v"):
-        store = getattr(adam, key)
-        for name in TRAINABLE:
-            arrays["%s_%s" % (key, name)] = store[name]
+    arrays = {name: getattr(params, name) for name in TRAINABLE}
+    arrays["eps"] = np.array([params.eps])
+    for name in TRAINABLE:
+        arrays["m_" + name], arrays["v_" + name] = adam.m[name], adam.v[name]
     # write-temp-then-rename so a crash never leaves a truncated checkpoint
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -177,7 +159,7 @@ def save_checkpoint(path, params, adam, step, epoch, lr, config):
         fh.write(cfg)
         fh.write(struct.pack("<IQ", epoch, step))
         fh.write(struct.pack("<d", lr))
-        for name in _ARRAY_ORDER:
+        for name, _ in _ARRAY_ORDER:
             _write_array(fh, arrays[name])
     os.replace(tmp, path)
 
@@ -214,16 +196,10 @@ def load_checkpoint(path):
     epoch, step = take("<IQ")
     (lr,) = take("<d")
 
-    shapes = {"w_top": (config.channels, 3, 3),
-              "w_mix": (max(config.layers - 1, 0), config.channels,
-                        config.channels, 3, 3),
-              "b": (config.layers, config.channels),
-              "lam": (config.layers, config.channels),
-              "eta": (config.channels,), "eps": (1,)}
+    shapes = dict(trainable_shapes(config.layers, config.channels), eps=(1,))
     arrays = {}
-    for name in _ARRAY_ORDER:
-        base = name.split("_", 1)[1] if name[:2] in ("m_", "v_") else name
-        shape = shapes[base]
+    for name, field in _ARRAY_ORDER:
+        shape = shapes[field]
         (count,) = take("<Q")
         expected = int(np.prod(shape)) if shape else 1
         if count != expected:
@@ -239,8 +215,7 @@ def load_checkpoint(path):
         raise CorruptCheckpoint("%s: %d trailing bytes" % (path, len(data) - pos))
 
     params = ModelParams(
-        b=arrays["b"], lam=arrays["lam"], eta=arrays["eta"],
-        w_top=arrays["w_top"], w_mix=arrays["w_mix"],
+        **{name: arrays[name] for name in TRAINABLE},
         eps=float(arrays["eps"][0]),
         kernel_support=config.kernel_support).validate()
     adam = AdamState(
@@ -254,19 +229,17 @@ def load_checkpoint(path):
 # training loop
 
 
-def _record_loss(record, params, kappa, want_grads):
-    """Forward one record; returns (total, image mse, kernel mse, grads)."""
+def _record_loss(record, params, kappa):
+    """Forward and backward on one record; (total, image mse, kernel mse, grads)."""
     h, w = record.blurred.shape
     target_plane = spectral.embed_kernel(record.kernel, h, w)
-    tape = ad.Tape() if want_grads else None
-    _, _, _, state = forward(record.blurred, params, tape=tape)
+    _, _, _, state = forward(record.blurred, params, tape=ad.Tape())
     total, image_mse, kernel_mse = loss_terms(
         state.x_hat, state.kernel_plane, record.sharp, target_plane, kappa)
     total_value = float(ad.value(total))
     if not np.isfinite(total_value):
         raise NonFiniteLoss("record %s: loss %r" % (record.blurred_path, total_value))
-    grads = collect_gradients(total, state) if want_grads else None
-    return total_value, image_mse, kernel_mse, grads
+    return total_value, image_mse, kernel_mse, collect_gradients(total, state)
 
 
 def _sum_grads(acc, grads):
@@ -314,7 +287,7 @@ def train(manifest_path, config, out_dir, resume=None, initial_params=None,
             batch_losses = []
             for n, idx in enumerate(order):
                 total, image_mse, kernel_mse, grads = _record_loss(
-                    records[idx], params, config.kappa, want_grads=True)
+                    records[idx], params, config.kappa)
                 batch_grads = _sum_grads(batch_grads, grads)
                 batch_losses.append((total, image_mse, kernel_mse))
                 if len(batch_losses) == config.batch_size or n == len(order) - 1:

@@ -29,18 +29,21 @@ autodiff primitives, so the same code runs plain (inference) or recorded on
 a tape (training).
 
 Layout: the C channels travel as one (C, H, W) stack, and a filter bank is
-one (C, s, s) array. The feature, shrinkage and reconstruction updates act
+one (C, s, s) array; the classical preset holds one fixed_bank that every
+layer uses. The feature, shrinkage and reconstruction updates act
 on each channel separately and the kernel update sums over channels, so
 each update is one call per layer whatever C is. The per-channel weights
 of layer l are the (C, 1, 1) slices b[l], lam[l] of the whole (L, C)
 arrays, and eta enters as a (C, 1, 1) view; when recorded, each of b, lam,
 eta, w_top and w_mix is a single tape leaf.
 
-Filter spectra: layer l's filtered spectra F_l Y are computed (embed, DFT,
-multiply) only when its bank differs from layer l-1's, so the classical
-preset, which repeats one fixed bank in every layer, transforms it once;
-the stack is kept read-only while later layers share it. Trained banks
-grow by two pixels per layer, so every layer computes its own.
+Filter spectra: forward is the one place that transforms a filter bank.
+Layer l embeds and transforms its bank only when it is not the very bank
+object of layer l-1, so the preset's fixed bank is transformed once, while
+trained banks grow by two pixels per layer and each gets its own. The
+updates take spectra, never planes: g_update the filtered spectra F_l Y and
+the previous shrinkage's spectrum, reconstruct the last layer's F_l, which
+transforms no bank of its own. Shared stacks are kept read-only.
 """
 
 from dataclasses import dataclass
@@ -49,8 +52,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import imaging, spectral
-from .errors import (DimensionMismatch, EvenSize, NonFiniteInput,
-                     SingularDenominator)
+from .errors import (DimensionMismatch, EvenSize, InvalidParameter,
+                     KernelTooLarge, NonFiniteInput, SingularDenominator)
 
 # smallest magnitude a frequency-domain denominator may take; anything
 # below raises instead of producing Inf/NaN
@@ -61,8 +64,19 @@ PREWITT_X = np.array([[-1.0, 0.0, 1.0],
                       [-1.0, 0.0, 1.0]])
 PREWITT_Y = PREWITT_X.T.copy()
 
-# the ModelParams arrays that training updates; each is one tape leaf
+# the ModelParams arrays that training updates, in checkpoint order; each
+# is one tape leaf
 TRAINABLE = ("w_top", "w_mix", "b", "lam", "eta")
+
+# the trainable arrays that must stay nonnegative
+NONNEGATIVE = ("b", "lam", "eta")
+
+
+def trainable_shapes(layers, channels):
+    """Shape of each TRAINABLE array of an L-layer, C-channel model."""
+    L, C = layers, channels
+    return {"w_top": (C, 3, 3), "w_mix": (max(L - 1, 0), C, C, 3, 3),
+            "b": (L, C), "lam": (L, C), "eta": (C,)}
 
 
 @dataclass
@@ -71,7 +85,7 @@ class ModelParams:
 
     w_top holds the last layer's C raw 3x3 filters, w_mix the (L-1, C, C)
     grid of 3x3 mixing filters for the cascade. Fixed-filter variants (the
-    classical preset) set fixed_banks instead and leave the weights None.
+    classical preset) set fixed_bank instead and leave the weights None.
     """
 
     b: np.ndarray                 # (L, C) data weights, >= 0
@@ -81,7 +95,7 @@ class ModelParams:
     w_mix: np.ndarray | None = None   # (L-1, C, C, 3, 3)
     eps: float = 1.0
     kernel_support: int = 31
-    fixed_banks: list | None = None   # per-layer list of C filters
+    fixed_bank: np.ndarray | None = None  # (C, s, s), used by every layer
 
     @property
     def layers(self):
@@ -93,43 +107,41 @@ class ModelParams:
 
     def validate(self):
         L, C = self.b.shape
-        if self.lam.shape != (L, C) or self.eta.shape != (C,):
-            raise DimensionMismatch("b %s, lam %s, eta %s disagree"
-                                    % (self.b.shape, self.lam.shape, self.eta.shape))
-        if self.fixed_banks is None:
-            if self.w_top is None or self.w_top.shape != (C, 3, 3):
-                raise DimensionMismatch("w_top must be (C, 3, 3)")
-            expect = (L - 1, C, C, 3, 3)
-            if L > 1 and (self.w_mix is None or self.w_mix.shape != expect):
-                raise DimensionMismatch("w_mix must be %s" % (expect,))
-        else:
-            if len(self.fixed_banks) != L:
-                raise DimensionMismatch("fixed_banks has %d layers, expected %d"
-                                        % (len(self.fixed_banks), L))
-            for l, bank in enumerate(self.fixed_banks):
-                _check_bank(bank, C, l)
-        if np.any(self.b < 0) or np.any(self.lam < 0) or np.any(self.eta < 0):
-            raise ValueError("b, lam, eta must be nonnegative")
+        if L < 1 or C < 1:
+            raise DimensionMismatch("need at least one layer and one channel, "
+                                    "got L=%d, C=%d" % (L, C))
+        shapes = trainable_shapes(L, C)
+        if self.fixed_bank is not None:  # it replaces the filter weights
+            _check_bank(self.fixed_bank, C)
+            del shapes["w_top"], shapes["w_mix"]
+        for name, shape in shapes.items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise DimensionMismatch("%s is %s, expected %s" % (name, got, shape))
+        for name in NONNEGATIVE:
+            if np.any(getattr(self, name) < 0):
+                raise InvalidParameter("%s must be nonnegative" % name)
         if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.kernel_support % 2 == 0:
-            raise ValueError("kernel support must be odd")
+            raise InvalidParameter("eps must be positive, got %r" % self.eps)
+        if self.kernel_support < 1 or self.kernel_support % 2 == 0:
+            raise InvalidParameter("kernel support must be odd and positive, "
+                                   "got %d" % self.kernel_support)
         return self
 
 
-def _check_bank(bank, channels, layer):
-    """A fixed bank must be a finite stack of C odd square filters."""
+def _check_bank(bank, channels):
+    """The fixed bank must be a finite stack of C odd square filters."""
     try:
         shape = np.shape(bank)
     except ValueError:  # filters of different sizes
-        raise DimensionMismatch("fixed bank %d mixes filter sizes" % layer)
+        raise DimensionMismatch("fixed bank mixes filter sizes")
     if len(shape) != 3 or shape[0] != channels or shape[1] != shape[2]:
-        raise DimensionMismatch("fixed bank %d is %s, expected (%d, s, s)"
-                                % (layer, shape, channels))
+        raise DimensionMismatch("fixed bank is %s, expected (%d, s, s)"
+                                % (shape, channels))
     if shape[1] % 2 == 0:
-        raise EvenSize("fixed bank %d has even filter size %d" % (layer, shape[1]))
+        raise EvenSize("fixed bank has even filter size %d" % shape[1])
     if not np.all(np.isfinite(bank)):
-        raise NonFiniteInput("fixed bank %d has non-finite weights" % layer)
+        raise NonFiniteInput("fixed bank has non-finite weights")
 
 
 @dataclass
@@ -164,9 +176,9 @@ def tv_prewitt_params(layers=30, kernel_support=31):
     b = np.repeat((2.0 * sched)[:, None], 2, axis=1)
     lam = np.repeat((2e-3 * sched)[:, None], 2, axis=1)
     eta = np.array([20.0, 20.0])
-    banks = [[PREWITT_X, PREWITT_Y] for _ in range(layers)]
     return ModelParams(b=b, lam=lam, eta=eta, eps=1.0,
-                       kernel_support=kernel_support, fixed_banks=banks)
+                       kernel_support=kernel_support,
+                       fixed_bank=np.stack([PREWITT_X, PREWITT_Y]))
 
 
 def build_filters(w_top, w_mix):
@@ -186,18 +198,17 @@ def build_filters(w_top, w_mix):
     return banks
 
 
-def g_update(y_spec, z, k_spec, b, lam, z_spec=None):
+def g_update(y_spec, z_spec, k_spec, b, lam):
     """Closed-form feature update in the frequency domain.
 
-    Minimizes (b/2)|y_i - k * g|^2 + (lam/2)|g - z|^2 per frequency. The
-    parametrization keeps lam = 0 well defined (pure data term) as long as
-    the denominator b |K|^2 + lam stays above DENOM_FLOOR. y_spec, z and
-    z_spec may be (C, H, W) stacks with b and lam shaped (C, 1, 1); the
-    shared kernel spectrum k_spec is conjugated and squared once for all
-    channels.
+    Minimizes (b/2)|y_i - k * g|^2 + (lam/2)|g - z|^2 per frequency, given
+    the spectra Y_i of the filtered image, Z of the shrunk features and K of
+    the kernel plane. The parametrization keeps lam = 0 well defined (pure
+    data term) as long as the denominator b |K|^2 + lam stays above
+    DENOM_FLOOR. y_spec and z_spec may be (C, H, W) stacks with b and lam
+    shaped (C, 1, 1); the shared kernel spectrum k_spec is conjugated and
+    squared once for all channels.
     """
-    if z_spec is None:
-        z_spec = ad.fft2(z)
     num = ad.add(ad.mul(b, ad.mul(ad.conj(k_spec), y_spec)), ad.mul(lam, z_spec))
     den = ad.add(ad.mul(b, ad.abs2(k_spec)), lam)
     if float(np.min(ad.value(den))) < DENOM_FLOOR:
@@ -232,19 +243,16 @@ def k_project(plane):
     return ad.l1_normalize(ad.relu(plane))
 
 
-def reconstruct(y, k_plane, g, bank, eta, y_spec=None):
+def reconstruct(y_spec, k_plane, g, f_spec, eta):
     """Final image estimate from the kernel plane and feature planes.
 
-    g is the (C, H, W) stack of feature planes (or a sequence of C
-    planes), bank the (C, s, s) filter bank they belong to (or a sequence
-    of C filters) and eta the (C,) array of channel weights. Returns one
-    (H, W) plane.
+    y_spec is the spectrum of the blurred image, g the (C, H, W) stack of
+    feature planes (or a sequence of C planes), f_spec the spectra of the
+    filter bank they belong to (a (C, H, W) stack or a sequence of C
+    spectra; forward passes the last layer's) and eta the (C,) array of
+    channel weights. Transforms no filter bank. Returns one (H, W) plane.
     """
-    h, w = np.shape(ad.value(y))
-    if y_spec is None:
-        y_spec = ad.fft2(y)
     k_spec = ad.fft2(k_plane)
-    f_spec = ad.fft2(ad.embed_plane(bank, h, w))
     e = ad.take(eta, (slice(None), None, None))
     den = ad.add(ad.abs2(k_spec), ad.channel_sum(ad.mul(e, ad.abs2(f_spec))))
     if float(np.min(ad.value(den))) < DENOM_FLOOR:
@@ -253,17 +261,6 @@ def reconstruct(y, k_plane, g, bank, eta, y_spec=None):
     num = ad.add(ad.mul(ad.conj(k_spec), y_spec),
                  ad.channel_sum(ad.mul(e, ad.mul(ad.conj(f_spec), ad.fft2(g)))))
     return ad.ifft2(ad.div(num, den))
-
-
-def _same_bank(bank, previous):
-    """True when a plain filter bank equals the previous layer's.
-
-    Tape Vars never count as equal: each is its own node, and reusing the
-    previous layer's spectra would route its gradient to the wrong bank.
-    """
-    if isinstance(bank, ad.Var) or isinstance(previous, ad.Var):
-        return False
-    return np.array_equal(bank, previous)
 
 
 def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
@@ -283,16 +280,19 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     params.validate()
     h, w = y.shape
     L, C = params.b.shape
+    if params.kernel_support > min(h, w):
+        raise KernelTooLarge("kernel support %d exceeds image %dx%d"
+                             % (params.kernel_support, h, w))
 
     pv = {name: getattr(params, name) for name in TRAINABLE
           if getattr(params, name) is not None}
     if tape is not None:
         pv = {name: ad.leaf(tape, arr) for name, arr in pv.items()}
 
-    if params.fixed_banks is not None:
-        banks = params.fixed_banks
+    if params.fixed_bank is not None:
+        banks = [params.fixed_bank] * L
     else:
-        banks = build_filters(pv["w_top"], pv.get("w_mix", ()))
+        banks = build_filters(pv["w_top"], pv["w_mix"])
 
     y_spec = spectral.fft2(y)
     k_plane = spectral.embed_kernel(np.array([[1.0]]), h, w)  # identity init
@@ -303,11 +303,13 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     for l in range(L):
         per_channel = (l, slice(None), None, None)
         b_l = ad.take(pv["b"], per_channel)
-        if l == 0 or not _same_bank(banks[l], banks[l - 1]):
-            y_specs = ad.mul(ad.fft2(ad.embed_plane(banks[l], h, w)), y_spec)
-            ad.value(y_specs).flags.writeable = False  # reused by later layers
-        g = g_update(y_specs, None, ad.fft2(k_plane), b_l,
-                     ad.take(pv["lam"], per_channel), z_spec=z_spec)
+        if l == 0 or banks[l] is not banks[l - 1]:
+            f_spec = ad.fft2(ad.embed_plane(banks[l], h, w))
+            y_specs = ad.mul(f_spec, y_spec)
+            for shared in (f_spec, y_specs):  # reused by later layers
+                ad.value(shared).flags.writeable = False
+        g = g_update(y_specs, z_spec, ad.fft2(k_plane), b_l,
+                     ad.take(pv["lam"], per_channel))
         z_spec = ad.fft2(z_update(g, b_l))
         k_raw = k_update(z_spec, y_specs, params.eps)
         if kinks is not None:
@@ -320,7 +322,7 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
         kernel_planes.append(np.array(ad.value(k_plane)))
 
     del y_specs, z_spec  # the reconstruction allocates stacks of its own
-    x_hat = reconstruct(y, k_plane, g, banks[-1], pv["eta"], y_spec=y_spec)
+    x_hat = reconstruct(y_spec, k_plane, g, f_spec, pv["eta"])
 
     kernel = imaging.crop_kernel(ad.value(k_plane), params.kernel_support)
     state = ForwardState(

@@ -137,7 +137,7 @@ def test_criterion_2_update_optimality():
         b = float(rng.uniform(0.2, 2.0))
         lam = float(rng.uniform(0.05, 1.0))
         ys, ks, zs = (np.fft.fft2(im) for im in (y, k_plane, z))
-        got_g = unroll.g_update(ys, z, ks, b, lam)
+        got_g = unroll.g_update(ys, zs, ks, b, lam)
         spec = np.empty_like(ys)
         for u in range(n):
             for v in range(n):
@@ -181,10 +181,10 @@ def test_criterion_2_update_optimality():
         f1, f2 = rng.standard_normal((2, 3, 3))
         g1, g2 = rng.standard_normal((2, n, n))
         eta = rng.uniform(0.5, 20.0, 2)
-        got_x = unroll.reconstruct(y, k_plane, [g1, g2], [f1, f2], eta)
         fp1 = spectral.embed_kernel(f1, n, n)
         fp2 = spectral.embed_kernel(f2, n, n)
         fs1, fs2, gs1, gs2 = (np.fft.fft2(im) for im in (fp1, fp2, g1, g2))
+        got_x = unroll.reconstruct(ys, k_plane, [g1, g2], [fs1, fs2], eta)
         spec = np.empty_like(ys)
         for u in range(n):
             for v in range(n):

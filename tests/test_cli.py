@@ -205,6 +205,20 @@ def test_deblur_needs_exactly_one_model_source(pipeline, tmp_path, capsys):
                      "--ckpt", pipeline["ckpt"], "--preset", "tv-prewitt"]) == 1
 
 
+@pytest.mark.parametrize("support", ["4", "17"])  # even; wider than the image
+def test_deblur_rejects_bad_support(pipeline, tmp_path, capsys, support):
+    with open(pipeline["manifest"]) as fh:
+        row = next(csv.DictReader(fh))
+    blurred = os.path.join(pipeline["data"], row["blurred"])
+    out = str(tmp_path / "x.pgm")
+    rc = cli.main(["deblur", "--in", blurred, "--preset", "tv-prewitt",
+                   "--support", support, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_eval_writes_report(pipeline, tmp_path, capsys):
     out = str(tmp_path / "report.csv")
     rc = cli.main(["eval", "--manifest", pipeline["manifest"],

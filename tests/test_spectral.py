@@ -128,39 +128,6 @@ def test_stacked_embedding_matches_each_kernel(rng):
         spectral.embed_kernel(stack[0], 7, 6)  # user kernels stay 2-D
 
 
-def test_spectrum_combine_identity(rng):
-    a = spectral.fft2(rng.random((4, 4)))
-    assert np.array_equal(spectral.spectrum_combine(a, np.ones((4, 4))), a)
-
-
-def test_spectrum_combine_conjugate_gives_power(rng):
-    a = spectral.fft2(rng.random((4, 4)))
-    power = spectral.spectrum_combine(a, a, conjugate_a=True)
-    assert np.abs(power.imag).max() < 1e-12
-    assert power.real.min() >= -1e-12
-    assert np.allclose(power.real, np.abs(a) ** 2)
-
-
-def test_spectrum_combine_scalar_loop_oracle(rng):
-    # vectorized and scalar complex multiplies may differ in the last ulp
-    a = rng.random((4, 4)) + 1j * rng.random((4, 4))
-    b = rng.random((4, 4)) + 1j * rng.random((4, 4))
-    got = spectral.spectrum_combine(a, b)
-    for i in range(4):
-        for j in range(4):
-            assert abs(got[i, j] - a[i, j] * b[i, j]) < 1e-14
-    got_c = spectral.spectrum_combine(a, b, conjugate_a=True)
-    for i in range(4):
-        for j in range(4):
-            assert abs(got_c[i, j] - np.conj(a[i, j]) * b[i, j]) < 1e-14
-
-
-def test_spectrum_combine_shape_error(rng):
-    with pytest.raises(DimensionMismatch):
-        spectral.spectrum_combine(np.ones((2, 2), complex),
-                                  np.ones((3, 3), complex))
-
-
 def test_embed_kernel_impulse():
     k = np.zeros((3, 3))
     k[1, 1] = 1.0

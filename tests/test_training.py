@@ -1,13 +1,14 @@
 """Optimizer, checkpoints, and the training loop."""
 
 import csv
+import hashlib
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from unrolled_deblur import imaging, kernelgen, training
+from unrolled_deblur import imaging, kernelgen, training, unroll
 from unrolled_deblur.errors import (ConfigMismatch, CorruptCheckpoint,
                                     NonFiniteLoss, VersionMismatch)
 from unrolled_deblur.training import (AdamState, TrainConfig, adam_step,
@@ -77,7 +78,7 @@ def test_loss_terms_arithmetic(rng):
 
 
 def frozen_grads(params, fill):
-    shapes = training._param_shapes(params)
+    shapes = unroll.trainable_shapes(*params.b.shape)
     return {k: np.full(s, fill) for k, s in shapes.items()}
 
 
@@ -154,6 +155,24 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
     for k in adam.m:
         assert np.array_equal(ck.adam.m[k], adam.m[k])
         assert np.array_equal(ck.adam.v[k], adam.v[k])
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # the on-disk layout of a fixed tiny model: any change to the array
+    # order, shapes or encoding changes this hash
+    cfg = TrainConfig(layers=3, channels=2, kernel_support=5, seed=7)
+    p = init_params(cfg)
+    adam = AdamState.zeros(p)
+    for i, k in enumerate(sorted(adam.m)):
+        ramp = np.arange(adam.m[k].size).reshape(adam.m[k].shape)
+        adam.m[k] += ramp * 0.25 + i
+        adam.v[k] += ramp * 0.5 + i
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(path, p, adam, step=3, epoch=1, lr=1e-3, config=cfg)
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == ("fbb0a5fce64b7a5b053e4e6dfade497c"
+                      "1eda53a2b0700631baf1514544ffbca9")
 
 
 def test_checkpoint_write_leaves_no_temp_file(tmp_path):
@@ -350,8 +369,7 @@ def test_record_loss_rejects_non_finite(rng, make_kernel):
     cfg = small_config()
     with np.errstate(invalid="ignore"):  # the NaN is the point
         with pytest.raises(NonFiniteLoss):
-            training._record_loss(rec, init_params(cfg), cfg.kappa,
-                                  want_grads=False)
+            training._record_loss(rec, init_params(cfg), cfg.kappa)
 
 
 def test_train_batch_size_groups_steps(tmp_path, rng):

@@ -11,7 +11,8 @@ import pytest
 from unrolled_deblur import autodiff as ad
 from unrolled_deblur import imaging, spectral, unroll
 from unrolled_deblur.errors import (DimensionMismatch, EvenSize,
-                                    NonFiniteInput, SingularDenominator)
+                                    KernelTooLarge, NonFiniteInput,
+                                    SingularDenominator)
 from unrolled_deblur.training import TrainConfig, init_params
 
 
@@ -31,6 +32,11 @@ def filter_planes(image, bank):
     h, w = image.shape
     return [spectral.circ_conv(spectral.embed_kernel(f, h, w), image)
             for f in bank]
+
+
+def bank_spectra(bank, h, w):
+    """Spectra of a bank's filters embedded on an (h, w) grid."""
+    return spectral.fft2(spectral.embed_kernels(bank, h, w))
 
 
 def impulse3():
@@ -92,7 +98,7 @@ def test_g_update_pure_data_term(rng):
     y = rng.random((8, 8))
     y_spec = spectral.fft2(y)
     k_spec = spectral.fft2(spectral.embed_kernel(np.array([[1.0]]), 8, 8))
-    g = unroll.g_update(y_spec, np.zeros((8, 8)), k_spec, 1.0, 0.0)
+    g = unroll.g_update(y_spec, np.zeros((8, 8), complex), k_spec, 1.0, 0.0)
     assert np.max(np.abs(g - y)) < 1e-12
 
 
@@ -100,7 +106,7 @@ def test_g_update_balanced_average(rng):
     y = rng.random((8, 8))
     z = rng.random((8, 8))
     k_spec = spectral.fft2(spectral.embed_kernel(np.array([[1.0]]), 8, 8))
-    g = unroll.g_update(spectral.fft2(y), z, k_spec, 1.0, 1.0)
+    g = unroll.g_update(spectral.fft2(y), spectral.fft2(z), k_spec, 1.0, 1.0)
     assert np.max(np.abs(g - (y + z) / 2.0)) < 1e-12
 
 
@@ -115,9 +121,9 @@ def test_g_update_matches_scalar_solve(rng, make_kernel):
         b = float(rng.random() + 0.1)
         lam = float(rng.random() + 0.01)
 
-        got = unroll.g_update(y_spec, z, k_spec, b, lam)
-
         z_spec = np.fft.fft2(z)
+        got = unroll.g_update(y_spec, z_spec, k_spec, b, lam)
+
         ref_spec = np.zeros((size, size), dtype=np.complex128)
         for p in range(size):
             for q in range(size):
@@ -136,7 +142,8 @@ def test_g_update_is_a_local_minimum(rng, make_kernel):
     k = make_kernel(3)
     k_plane = spectral.embed_kernel(k, size, size)
     b, lam = 0.7, 0.3
-    g0 = unroll.g_update(spectral.fft2(y), z, spectral.fft2(k_plane), b, lam)
+    g0 = unroll.g_update(spectral.fft2(y), spectral.fft2(z),
+                         spectral.fft2(k_plane), b, lam)
 
     def objective(g):
         resid = spectral.circ_conv(k_plane, g) - y
@@ -153,17 +160,17 @@ def test_g_update_singular_denominator():
     y_spec = spectral.fft2(np.ones((4, 4)))
     k_spec = spectral.fft2(spectral.embed_kernel(np.array([[1.0]]), 4, 4))
     with pytest.raises(SingularDenominator):
-        unroll.g_update(y_spec, np.zeros((4, 4)), k_spec, 0.0, 0.0)
+        unroll.g_update(y_spec, np.zeros((4, 4), complex), k_spec, 0.0, 0.0)
 
 
 def test_g_update_accepts_precomputed_z_spectrum(rng):
+    # the half-spectrum DFT forward uses and numpy's complex one agree
     y = rng.random((6, 6))
     z = rng.random((6, 6))
     k_spec = spectral.fft2(spectral.embed_kernel(np.array([[1.0]]), 6, 6))
-    a = unroll.g_update(spectral.fft2(y), z, k_spec, 0.5, 0.25)
-    b = unroll.g_update(spectral.fft2(y), None, k_spec, 0.5, 0.25,
-                        z_spec=spectral.fft2(z))
-    assert np.array_equal(a, b)
+    a = unroll.g_update(spectral.fft2(y), spectral.fft2(z), k_spec, 0.5, 0.25)
+    b = unroll.g_update(spectral.fft2(y), np.fft.fft2(z), k_spec, 0.5, 0.25)
+    assert np.max(np.abs(a - b)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +305,8 @@ def test_k_project_simplex_property(rng):
 def test_reconstruct_identity_kernel_zero_eta(rng):
     y = rng.random((8, 8))
     k_plane = spectral.embed_kernel(np.array([[1.0]]), 8, 8)
-    x = unroll.reconstruct(y, k_plane, [np.zeros((8, 8))], [impulse3()],
-                           np.zeros(1))
+    x = unroll.reconstruct(spectral.fft2(y), k_plane, [np.zeros((8, 8))],
+                           bank_spectra([impulse3()], 8, 8), np.zeros(1))
     assert np.max(np.abs(x - y)) < 1e-12
 
 
@@ -312,7 +319,8 @@ def test_reconstruct_consistent_features_give_exact_image(rng, make_kernel):
     bank = [unroll.PREWITT_X, unroll.PREWITT_Y]
     g = filter_planes(x, bank)
     for eta in (np.array([1.0, 1.0]), np.array([20.0, 5.0])):
-        got = unroll.reconstruct(y, k_plane, g, bank, eta)
+        got = unroll.reconstruct(spectral.fft2(y), k_plane, g,
+                                 bank_spectra(bank, size, size), eta)
         assert np.max(np.abs(got - x)) < 1e-10
 
 
@@ -323,11 +331,11 @@ def test_reconstruct_matches_scalar_solve(rng, make_kernel):
     bank = [unroll.PREWITT_X, unroll.PREWITT_Y]
     g = [rng.random((size, size)) for _ in range(2)]
     eta = np.array([2.0, 0.5])
-    got = unroll.reconstruct(y, k_plane, g, bank, eta)
-
     y_spec = np.fft.fft2(y)
     k_spec = np.fft.fft2(k_plane)
     f_specs = [np.fft.fft2(spectral.embed_kernel(f, size, size)) for f in bank]
+    got = unroll.reconstruct(y_spec, k_plane, g, f_specs, eta)
+
     g_specs = [np.fft.fft2(gi) for gi in g]
     ref_spec = np.zeros((size, size), dtype=np.complex128)
     for p in range(size):
@@ -345,8 +353,8 @@ def test_reconstruct_matches_scalar_solve(rng, make_kernel):
 def test_reconstruct_singular_denominator():
     y = np.ones((4, 4))
     with pytest.raises(SingularDenominator):
-        unroll.reconstruct(y, np.zeros((4, 4)), [np.zeros((4, 4))],
-                           [impulse3()], np.zeros(1))
+        unroll.reconstruct(spectral.fft2(y), np.zeros((4, 4)), [np.zeros((4, 4))],
+                           bank_spectra([impulse3()], 4, 4), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +445,26 @@ def test_forward_validates_params(rng):
         unroll.forward(rng.random((8, 8)), params)
 
 
+@pytest.mark.parametrize("layers, channels", [(0, 2), (2, 0)])
+def test_forward_rejects_empty_models(rng, layers, channels):
+    shapes = unroll.trainable_shapes(layers, channels)
+    params = unroll.ModelParams(**{n: np.ones(s) for n, s in shapes.items()})
+    with pytest.raises(DimensionMismatch):
+        unroll.forward(rng.random((8, 8)), params)
+    with pytest.raises(DimensionMismatch):
+        unroll.forward(rng.random((8, 8)), unroll.tv_prewitt_params(layers=0))
+
+
+def test_forward_rejects_support_larger_than_image(rng, monkeypatch):
+    seen = _counting_fft2(monkeypatch)
+    for params in (small_params(support=9),
+                   unroll.tv_prewitt_params(layers=2, kernel_support=9)):
+        with pytest.raises(KernelTooLarge):
+            unroll.forward(rng.random((8, 12)), params)
+    assert seen == []  # rejected before the first transform
+    unroll.forward(rng.random((9, 12)), small_params(support=9))
+
+
 def test_forward_classical_preset_runs(rng):
     params = unroll.tv_prewitt_params(layers=4, kernel_support=7)
     y = rng.random((16, 16))
@@ -456,7 +484,7 @@ def test_forward_classical_preset_runs(rng):
 ])
 def test_forward_validates_fixed_banks(rng, bank, error):
     params = unroll.tv_prewitt_params(layers=3, kernel_support=7)
-    params.fixed_banks[1] = bank
+    params.fixed_bank = bank
     with pytest.raises(error):
         unroll.forward(rng.random((16, 16)), params)
 
@@ -475,31 +503,53 @@ def _counting_fft2(monkeypatch):
 
 
 def test_repeated_bank_is_transformed_once(rng, monkeypatch):
-    # the preset repeats one Prewitt pair in all L layers: the layers
-    # transform it once, and the reconstruction once more
+    # the preset uses one Prewitt pair in all L layers: the first layer
+    # transforms it, and the later layers and the reconstruction reuse it
     L, n = 4, 16
     params = unroll.tv_prewitt_params(layers=L, kernel_support=7)
-    bank_planes = spectral.embed_kernels(params.fixed_banks[0], n, n)
+    bank_planes = spectral.embed_kernels(params.fixed_bank, n, n)
     seen = _counting_fft2(monkeypatch)
     unroll.forward(rng.random((n, n)), params)
-    assert sum(np.array_equal(p, bank_planes) for p in seen) == 2
+    assert sum(np.array_equal(p, bank_planes) for p in seen) == 1
     planes = sum(int(np.prod(p.shape[:-2])) for p in seen)
-    assert planes == 1 + 2 + L * (1 + 2) + (1 + 2 + 2)  # y, bank, layers, x
+    assert planes == 1 + 2 + L * (1 + 2) + (1 + 2)  # y, bank, layers, x
 
 
-def test_shared_bank_spectra_match_recomputed_ones(rng, monkeypatch):
-    # reusing the previous layer's filtered spectra changes no bit, also
-    # when the bank changes part way through
-    params = unroll.tv_prewitt_params(layers=4, kernel_support=7)
-    params.fixed_banks[2:] = [[unroll.PREWITT_Y, unroll.PREWITT_X]] * 2
-    y = rng.random((16, 16))
-    seen = _counting_fft2(monkeypatch)
-    shared = unroll.forward(y, params)[:3]
-    assert len(seen) == 1 + 2 + 4 * 2 + 3
-    monkeypatch.setattr(unroll, "_same_bank", lambda bank, previous: False)
-    recomputed = unroll.forward(y, params)[:3]
-    for a, b in zip(shared, recomputed):
-        assert np.array_equal(a, b)
+def test_trained_banks_are_embedded_once_per_layer(rng, monkeypatch):
+    # every trained layer has its own bank; the reconstruction reuses the
+    # last layer's spectra instead of embedding w_top again
+    calls = []
+    embed_plane = ad.embed_plane
+    monkeypatch.setattr(ad, "embed_plane",
+                        lambda *args: calls.append(1) or embed_plane(*args))
+    for tape in (None, ad.Tape()):
+        calls.clear()
+        unroll.forward(rng.random((16, 16)), small_params(layers=3), tape=tape)
+        assert len(calls) == 3
+
+
+def test_shared_bank_spectra_match_recomputed_ones(rng):
+    # reusing the first layer's filter spectra changes no bit against a
+    # reference loop that transforms the bank again in every layer
+    L, n = 4, 16
+    params = unroll.tv_prewitt_params(layers=L, kernel_support=7)
+    y = rng.random((n, n))
+    kernel, g, x_hat, _ = unroll.forward(y, params)
+
+    y_spec = spectral.fft2(y)
+    k_plane = spectral.embed_kernel(np.array([[1.0]]), n, n)
+    z_spec = np.zeros((2, n, n), dtype=np.complex128)
+    for l in range(L):
+        f_spec = bank_spectra(params.fixed_bank, n, n)
+        y_specs = f_spec * y_spec
+        b, lam = params.b[l, :, None, None], params.lam[l, :, None, None]
+        ref_g = unroll.g_update(y_specs, z_spec, spectral.fft2(k_plane), b, lam)
+        z_spec = spectral.fft2(unroll.z_update(ref_g, b))
+        k_plane = unroll.k_project(unroll.k_update(z_spec, y_specs, params.eps))
+    ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta)
+    assert np.array_equal(g, ref_g)
+    assert np.array_equal(x_hat, ref_x)
+    assert np.array_equal(kernel, imaging.crop_kernel(k_plane, 7))
 
 
 def test_forward_recorded_gradients_have_model_shapes(rng):
