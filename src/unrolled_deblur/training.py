@@ -27,8 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernelgen, spectral
-from .errors import (ConfigMismatch, CorruptCheckpoint, NonFiniteLoss,
-                     VersionMismatch)
+from .errors import (ConfigMismatch, CorruptCheckpoint, DimensionMismatch,
+                     NonFiniteLoss, VersionMismatch)
 from .unroll import (NONNEGATIVE, TRAINABLE, ModelParams, collect_gradients,
                      forward, trainable_shapes)
 
@@ -90,6 +90,9 @@ def init_params(config, seed=None):
     if seed is None:
         seed = config.seed
     L, C = config.layers, config.channels
+    if L < 1 or C < 1:  # glorot_bound(0) would divide by zero
+        raise DimensionMismatch("need at least one layer and one channel, "
+                                "got L=%d, C=%d" % (L, C))
     rng = np.random.default_rng(seed)
     bound = glorot_bound(C)
     w_top = rng.uniform(-bound, bound, (C, 3, 3))
@@ -104,8 +107,10 @@ def loss_terms(x_hat, kernel_plane, x_target, kernel_target_plane, kappa):
     """(total, image mse, kernel mse); total stays on the tape if inputs do."""
     image_term = ad.mse(x_hat, x_target)
     kernel_term = ad.mse(kernel_plane, kernel_target_plane)
-    total = ad.add(image_term, ad.mul(kappa, kernel_term))
-    return total, float(ad.value(image_term)), float(ad.value(kernel_term))
+    image, kernel = float(ad.value(image_term)), float(ad.value(kernel_term))
+    total = ad.record(np.asarray(image + kappa * kernel),
+                      (image_term, kernel_term), lambda g: (g, kappa * g))
+    return total, image, kernel
 
 
 def adam_step(params, grads, adam, step, lr, config):

@@ -24,26 +24,26 @@ The final estimate combines the data term with the learned feature planes:
   x = F^-1{ (conj(K) Y + sum_i eta_i conj(F_i) G_i)
             / (|K|^2 + sum_i eta_i |F_i|^2) }
 
-using the last layer's 3x3 bank. All updates are written against the
-autodiff primitives, so the same code runs plain (inference) or recorded on
-a tape (training).
+using the last layer's 3x3 bank.
 
-Layout: the C channels travel as one (C, H, W) stack, and a filter bank is
-one (C, s, s) array; the classical preset holds one fixed_bank that every
-layer uses. The feature, shrinkage and reconstruction updates act
-on each channel separately and the kernel update sums over channels, so
-each update is one call per layer whatever C is. The per-channel weights
-of layer l are the (C, 1, 1) slices b[l], lam[l] of the whole (L, C)
-arrays, and eta enters as a (C, 1, 1) view; when recorded, each of b, lam,
-eta, w_top and w_mix is a single tape leaf.
+Recording: each update below computes its value with numpy and, when an
+input is a tape Var, records one node whose hand-derived adjoint
+recomputes its quotients from the node's inputs (see autodiff), so the same
+code runs plain (inference) or recorded (training). A recorded layer makes
+five nodes: filter_spectra, g_update, z_spectrum, the kernel spectrum
+(autodiff.fft2) and kernel_estimate.
 
-Filter spectra: forward is the one place that transforms a filter bank.
-Layer l embeds and transforms its bank only when it is not the very bank
-object of layer l-1, so the preset's fixed bank is transformed once, while
-trained banks grow by two pixels per layer and each gets its own. The
-updates take spectra, never planes: g_update the filtered spectra F_l Y and
-the previous shrinkage's spectrum, reconstruct the last layer's F_l, which
-transforms no bank of its own. Shared stacks are kept read-only.
+Layout: the C channels travel as one (C, H, W) stack and a filter bank is
+one (C, s, s) array, so each update is one call per layer whatever C is;
+the kernel update sums over the channels. The weights of layer l are the
+(C, 1, 1) views b[l], lam[l] of the (L, C) arrays; when recorded, each of
+b, lam, eta, w_top and w_mix is one tape leaf.
+
+Filter spectra: forward alone transforms a filter bank, and only when it is
+not the very bank object of layer l-1, so the preset's one fixed_bank is
+transformed once while each trained layer's bank gets its own. The updates
+take spectra, never planes; reconstruct reuses the last layer's F_l.
+Shared stacks are kept read-only.
 """
 
 from dataclasses import dataclass
@@ -198,69 +198,229 @@ def build_filters(w_top, w_mix):
     return banks
 
 
+def _abs2(x):
+    return (x * np.conj(x)).real
+
+
+def _floored(den, update):
+    if float(np.min(den)) < DENOM_FLOOR:
+        raise SingularDenominator("%s denominator floor %.3e"
+                                  % (update, float(np.min(den))))
+    return den
+
+
+def filter_spectra(bank, f_spec, y_spec=None):
+    """The filtered spectra F_l Y, or F_l itself without y_spec, as one node.
+
+    f_spec is the bank's spectrum on the image grid, which forward computes
+    once per bank; the adjoint returns to the (C, s, s) filter taps.
+    """
+    out = f_spec if y_spec is None else f_spec * y_spec
+    size = np.shape(ad.value(bank))[-1]
+
+    def pull(gs):
+        gs = gs if y_spec is None else gs * np.conj(y_spec)
+        return (spectral.wrap_window(ad.dft_adjoint(gs), size),)
+
+    return ad.record(out, (bank,), pull)
+
+
+def _g_quotient(y, z, k, b, lam):
+    """The feature update's spectrum (one stack live) and denominator."""
+    den = _floored(b * _abs2(k) + lam, "feature update")
+    # b (conj(K) Y) in this operand order, which keeps the product's bits
+    num = np.conj(k) * y
+    np.multiply(b, num, out=num)
+    lam_b, z_b = np.broadcast_to(lam, num.shape), np.broadcast_to(z, num.shape)
+    for idx in np.ndindex(num.shape[:-2]):
+        num[idx] += lam_b[idx] * z_b[idx]
+    num /= den
+    return num, den
+
+
 def g_update(y_spec, z_spec, k_spec, b, lam):
-    """Closed-form feature update in the frequency domain.
+    """Closed-form feature update in the frequency domain, as one node.
 
     Minimizes (b/2)|y_i - k * g|^2 + (lam/2)|g - z|^2 per frequency, given
     the spectra Y_i of the filtered image, Z of the shrunk features and K of
     the kernel plane. The parametrization keeps lam = 0 well defined (pure
     data term) as long as the denominator b |K|^2 + lam stays above
-    DENOM_FLOOR. y_spec and z_spec may be (C, H, W) stacks with b and lam
-    shaped (C, 1, 1); the shared kernel spectrum k_spec is conjugated and
-    squared once for all channels.
+    DENOM_FLOOR. y_spec has the output's shape, e.g. a (C, H, W) stack with
+    z_spec, b and lam broadcast to it; k_spec is shared by all channels.
+    With Q the quotient, D the denominator and t = F{gbar} / (H W D), the
+    adjoint is
+      Y: t b K   Z: t lam   K: sum_i b (conj(t) Y - 2 K Re(t conj(Q)))
+      b: Re(conj(t) (conj(K) Y - Q |K|^2))   lam: Re(conj(t) (Z - Q)).
     """
-    num = ad.add(ad.mul(b, ad.mul(ad.conj(k_spec), y_spec)), ad.mul(lam, z_spec))
-    den = ad.add(ad.mul(b, ad.abs2(k_spec)), lam)
-    if float(np.min(ad.value(den))) < DENOM_FLOOR:
-        raise SingularDenominator(
-            "feature update denominator floor %.3e" % float(np.min(ad.value(den))))
-    quotient = ad.div(num, den)
-    del num  # free the numerator stack before the inverse DFT allocates
-    return ad.ifft2(quotient)
+    y, z, k, vb, vl = (ad.value(a) for a in (y_spec, z_spec, k_spec, b, lam))
+    out = spectral.ifft2(_g_quotient(y, z, k, vb, vl)[0])
+
+    def pull(gg):
+        quotient, den = _g_quotient(y, z, k, vb, vl)
+        t = ad.idft_adjoint(gg) / den
+        ct = np.conj(t)
+        cross = (t * np.conj(quotient)).real
+        return (t * (vb * k), t * vl,
+                ad.unbroadcast(vb * (ct * y - 2.0 * k * cross), np.shape(k)),
+                ad.unbroadcast((ct * (np.conj(k) * y - quotient * _abs2(k))).real,
+                               np.shape(vb)),
+                ad.unbroadcast((ct * (z - quotient)).real, np.shape(vl)))
+
+    return ad.record(out, (y_spec, z_spec, k_spec, b, lam), pull)
 
 
 def z_update(g, b):
-    """Sparsifying shrinkage of a feature plane."""
-    return ad.soft_threshold(g, b)
+    """Sparsifying shrinkage sign(g) max(|g| - b, 0) of a feature stack."""
+    out = np.abs(g) - b
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(g)
+    return out
+
+
+def z_spectrum(g, b):
+    """The spectrum Z of z_update(g, b), as one node.
+
+    The shrinkage passes the adjoint where |g| > b (zero subgradient on the
+    kink) and sends -sign(g) times it to b.
+    """
+    vg, vb = ad.value(g), ad.value(b)
+    out = spectral.fft2(z_update(vg, vb))
+
+    def pull(gz):
+        gs = ad.dft_adjoint(gz)
+        gs *= np.abs(vg) > vb
+        return gs, ad.unbroadcast(-gs * np.sign(vg), np.shape(vb))
+
+    return ad.record(out, (g, b), pull)
+
+
+def _k_quotient(z, y, eps):
+    """The kernel update's spectrum and its denominator."""
+    den = np.sum(_abs2(z), axis=0) + eps
+    return np.sum(np.conj(z) * y, axis=0) / den, den
 
 
 def k_update(z_specs, y_specs, eps):
     """Least-squares kernel plane from all channels, ridge eps > 0.
 
     z_specs and y_specs are (C, H, W) stacks (or sequences of C spectra);
-    both sums over channels are one channel_sum each.
+    both sums run over the channels.
     """
-    num = ad.channel_sum(ad.mul(ad.conj(z_specs), y_specs))
-    den = ad.channel_sum(ad.abs2(z_specs))
-    return ad.ifft2(ad.div(num, ad.add(den, eps)))
+    return spectral.ifft2(_k_quotient(np.asarray(z_specs), np.asarray(y_specs),
+                                      eps)[0])
 
 
-def k_project(plane):
+def _normalized(x):
+    """(x / sum|x|, sum|x|); an all-zero x gives the impulse at the origin."""
+    mass = float(np.sum(np.abs(x)))
+    if mass == 0.0:
+        x = np.zeros_like(x)
+        x[(0,) * x.ndim] = 1.0
+        return x, mass
+    return x / mass, mass
+
+
+def _window(plane, support):
+    """The plane with everything outside the odd support window zeroed."""
+    return spectral.embed_kernel(spectral.wrap_window(plane, support),
+                                 *plane.shape)
+
+
+def k_project(plane, support=None):
     """Clamp to nonnegative and renormalize to unit mass.
 
-    An all-zero clamped plane degrades to the impulse at the origin.
+    With a support, the plane is then windowed and renormalized again. An
+    all-zero plane degrades to the impulse at the origin.
     """
-    return ad.l1_normalize(ad.relu(plane))
+    plane = _normalized(np.maximum(plane, 0.0))[0]
+    if support is not None:
+        plane = _normalized(_window(plane, support))[0]
+    return plane
+
+
+def _l1_adjoint(g, x, mass):
+    return g / mass - (np.sum(g * x) / (mass * mass)) * np.sign(x)
+
+
+def _project_adjoint(raw, support, g):
+    """Adjoint of k_project at raw, recomputed; zero where it fell back.
+
+    x / sum|x| pulls g back as g / s - sum(g x) sign(x) / s^2, the window
+    (a projection) as itself, and the clamp passes g where raw > 0.
+    """
+    pos = np.maximum(raw, 0.0)
+    p, mass = _normalized(pos)
+    if mass == 0.0:
+        return np.zeros_like(raw)
+    if support is not None:
+        win = _window(p, support)
+        win_mass = _normalized(win)[1]
+        if win_mass == 0.0:
+            return np.zeros_like(raw)
+        g = _window(_l1_adjoint(g, win, win_mass), support)
+    return _l1_adjoint(g, pos, mass) * (raw > 0)
+
+
+def kernel_estimate(z_spec, y_specs, eps, support=None):
+    """k_project(k_update(z_spec, y_specs, eps), support) as one node.
+
+    With R the quotient, D its denominator and a = F{rbar} / (H W) the
+    adjoint of the raw plane's spectrum, the adjoint is
+      Z_i: (conj(a) Y_i - 2 Z_i Re(a conj(R))) / D   Y_i: a Z_i / D,
+    zero where the projection fell back to the (constant) impulse.
+    """
+    z, y = ad.value(z_spec), ad.value(y_specs)
+    out = k_project(k_update(z, y, eps), support)
+
+    def pull(gk):
+        quotient, den = _k_quotient(z, y, eps)
+        a = ad.idft_adjoint(_project_adjoint(spectral.ifft2(quotient), support, gk))
+        return ((np.conj(a) * y - 2.0 * z * (a * np.conj(quotient)).real) / den,
+                a * z / den)
+
+    return ad.record(out, (z_spec, y_specs), pull)
+
+
+def _x_quotient(y_spec, k, gs, f, e):
+    """The reconstruction's spectrum and denominator, checked against the floor."""
+    den = _floored(_abs2(k) + np.sum(e * _abs2(f), axis=0), "reconstruction")
+    prior = np.conj(f) * gs
+    np.multiply(e, prior, out=prior)
+    num = np.conj(k) * y_spec + np.sum(prior, axis=0)
+    num /= den
+    return num, den
 
 
 def reconstruct(y_spec, k_plane, g, f_spec, eta):
-    """Final image estimate from the kernel plane and feature planes.
+    """Final image estimate from the kernel plane and feature planes, one node.
 
-    y_spec is the spectrum of the blurred image, g the (C, H, W) stack of
-    feature planes (or a sequence of C planes), f_spec the spectra of the
-    filter bank they belong to (a (C, H, W) stack or a sequence of C
-    spectra; forward passes the last layer's) and eta the (C,) array of
-    channel weights. Transforms no filter bank. Returns one (H, W) plane.
+    y_spec is the spectrum of the blurred image, g the (C, H, W) feature
+    planes, f_spec the spectra of the filter bank they belong to (stacks or
+    sequences of C) and eta the (C,) channel weights. Returns one (H, W)
+    plane. With G = F{g}, X the quotient, D the denominator and
+    t = F{xbar} / (H W D), the adjoint is
+      K: conj(t) Y - 2 K Re(t conj(X))   G_i: t eta_i F_i
+      F_i: eta_i (conj(t) G_i - 2 F_i Re(t conj(X)))
+      eta_i: Re(conj(t) (conj(F_i) G_i - X |F_i|^2)).
     """
-    k_spec = ad.fft2(k_plane)
-    e = ad.take(eta, (slice(None), None, None))
-    den = ad.add(ad.abs2(k_spec), ad.channel_sum(ad.mul(e, ad.abs2(f_spec))))
-    if float(np.min(ad.value(den))) < DENOM_FLOOR:
-        raise SingularDenominator(
-            "reconstruction denominator floor %.3e" % float(np.min(ad.value(den))))
-    num = ad.add(ad.mul(ad.conj(k_spec), y_spec),
-                 ad.channel_sum(ad.mul(e, ad.mul(ad.conj(f_spec), ad.fft2(g)))))
-    return ad.ifft2(ad.div(num, den))
+    vk, vg, vf = ad.value(k_plane), np.asarray(ad.value(g)), np.asarray(ad.value(f_spec))
+    e = np.asarray(ad.value(eta))[:, None, None]
+    out = spectral.ifft2(_x_quotient(y_spec, spectral.fft2(vk), spectral.fft2(vg),
+                                     vf, e)[0])
+
+    def pull(gx):
+        k, gs = spectral.fft2(vk), spectral.fft2(vg)
+        quotient, den = _x_quotient(y_spec, k, gs, vf, e)
+        t = ad.idft_adjoint(gx) / den
+        ct = np.conj(t)
+        cross = (t * np.conj(quotient)).real
+        return (ad.dft_adjoint(ct * y_spec - 2.0 * k * cross),
+                ad.dft_adjoint(t * e * vf),
+                e * (ct * gs - 2.0 * vf * cross),
+                np.sum((ct * (np.conj(vf) * gs - quotient * _abs2(vf))).real,
+                       axis=(-2, -1)))
+
+    return ad.record(out, (k_plane, g, f_spec, eta), pull)
 
 
 def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
@@ -296,7 +456,8 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
 
     y_spec = spectral.fft2(y)
     k_plane = spectral.embed_kernel(np.array([[1.0]]), h, w)  # identity init
-    z_spec = np.zeros((C, h, w), dtype=np.complex128)
+    z_spec = 0.0  # no shrinkage precedes the first layer
+    support = params.kernel_support if restrict_support else None
     kernel_planes = []
     kinks = [] if track_kinks else None
 
@@ -304,25 +465,23 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
         per_channel = (l, slice(None), None, None)
         b_l = ad.take(pv["b"], per_channel)
         if l == 0 or banks[l] is not banks[l - 1]:
-            f_spec = ad.fft2(ad.embed_plane(banks[l], h, w))
-            y_specs = ad.mul(f_spec, y_spec)
+            f_spec = spectral.fft2(spectral.embed_kernels(ad.value(banks[l]), h, w))
+            y_specs = filter_spectra(banks[l], f_spec, y_spec)
             for shared in (f_spec, y_specs):  # reused by later layers
                 ad.value(shared).flags.writeable = False
         g = g_update(y_specs, z_spec, ad.fft2(k_plane), b_l,
                      ad.take(pv["lam"], per_channel))
-        z_spec = ad.fft2(z_update(g, b_l))
-        k_raw = k_update(z_spec, y_specs, params.eps)
+        z_spec = z_spectrum(g, b_l)
         if kinks is not None:
             kinks.append(np.packbits(np.abs(ad.value(g)) > ad.value(b_l)).tobytes())
-            kinks.append(np.packbits(ad.value(k_raw) > 0).tobytes())
-        k_plane = k_project(k_raw)
-        if restrict_support:
-            window = ad.origin_window(k_plane, params.kernel_support)
-            k_plane = ad.l1_normalize(ad.embed_plane(window, h, w))
+            kinks.append(np.packbits(k_update(ad.value(z_spec), ad.value(y_specs),
+                                              params.eps) > 0).tobytes())
+        k_plane = kernel_estimate(z_spec, y_specs, params.eps, support)
         kernel_planes.append(np.array(ad.value(k_plane)))
 
     del y_specs, z_spec  # the reconstruction allocates stacks of its own
-    x_hat = reconstruct(y_spec, k_plane, g, f_spec, pv["eta"])
+    x_hat = reconstruct(y_spec, k_plane, g, filter_spectra(banks[-1], f_spec),
+                        pv["eta"])
 
     kernel = imaging.crop_kernel(ad.value(k_plane), params.kernel_support)
     state = ForwardState(

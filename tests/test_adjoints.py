@@ -1,0 +1,228 @@
+"""The solver's fused nodes against their composed primitive chains.
+
+Each update of unroll records one node with a hand-derived adjoint; the
+chains in composed.py compute the same update from generic primitives,
+each with the textbook adjoint. Per node, every input's adjoint must agree
+with the chain's to 1e-12 relative (normwise), and the values bitwise,
+since the arithmetic is the same. A whole taped forward is compared with
+the composed forward, on fixed cases and on hypothesis-drawn sizes,
+channel and layer counts and zero weights.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import composed
+from unrolled_deblur import autodiff as ad
+from unrolled_deblur import spectral, unroll
+from unrolled_deblur.errors import DeblurError
+from unrolled_deblur.training import TrainConfig, init_params, loss_terms
+
+TOL = 1e-12
+
+
+def rel_err(got, want):
+    """max |got - want| relative to max |want|."""
+    if np.size(want) == 0:  # w_mix of a one-layer model
+        return 0.0
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))),
+                                                    1e-300)
+
+
+def vjp(fn, inputs, seed):
+    """fn's value and the adjoints of Re sum(conj(seed) fn(*inputs))."""
+    tape = ad.Tape()
+    leaves = [ad.Var(np.array(x), tape) for x in inputs]
+    out = fn(*leaves)
+    return ad.value(out), ad.backward(composed.inner(out, seed), leaves)
+
+
+def assert_matches_chain(fused, chain, inputs, seed):
+    got, got_adj = vjp(fused, inputs, seed)
+    want, want_adj = vjp(chain, inputs, seed)
+    assert np.array_equal(got, want)
+    for i, (a, b) in enumerate(zip(got_adj, want_adj)):
+        assert np.all(np.isfinite(a))
+        assert rel_err(a, b) <= TOL, "input %d: %.2e" % (i, rel_err(a, b))
+
+
+def spectra(rng, *shape):
+    """Spectra of random real planes: Hermitian, as the solver's are."""
+    return spectral.fft2(rng.standard_normal(shape))
+
+
+def cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+C, H, W = 3, 10, 13
+
+
+def test_filter_spectra_adjoint(rng):
+    bank = rng.standard_normal((C, 5, 5))
+    y_spec = spectra(rng, H, W)
+
+    def f_spec(b):
+        return spectral.fft2(spectral.embed_kernels(ad.value(b), H, W))
+
+    assert_matches_chain(
+        lambda b: unroll.filter_spectra(b, f_spec(b), y_spec),
+        lambda b: composed.filter_spectra(b, y_spec, H, W)[1],
+        [bank], cplx(rng, C, H, W))
+    assert_matches_chain(
+        lambda b: unroll.filter_spectra(b, f_spec(b)),
+        lambda b: composed.filter_spectra(b, y_spec, H, W)[0],
+        [bank], cplx(rng, C, H, W))
+
+
+def test_g_update_adjoint(rng):
+    inputs = [spectra(rng, C, H, W), spectra(rng, C, H, W), spectra(rng, H, W),
+              rng.uniform(0.1, 2.0, (C, 1, 1)), rng.uniform(0.05, 1.0, (C, 1, 1))]
+    assert_matches_chain(unroll.g_update, composed.g_update, inputs,
+                         rng.standard_normal((C, H, W)))
+
+
+def test_z_spectrum_adjoint(rng):
+    g = rng.standard_normal((C, H, W))
+    b = rng.uniform(0.2, 0.8, (C, 1, 1))
+    assert_matches_chain(unroll.z_spectrum, composed.z_spectrum, [g, b],
+                         cplx(rng, C, H, W))
+
+
+@pytest.mark.parametrize("support", [None, 5])
+def test_kernel_estimate_adjoint(rng, support):
+    inputs = [spectra(rng, C, H, W), spectra(rng, C, H, W)]
+    raw = unroll.k_update(*inputs, 0.7)
+    assert np.any(raw > 0) and np.any(raw < 0)  # both sides of the clamp
+    assert_matches_chain(
+        lambda z, y: unroll.kernel_estimate(z, y, 0.7, support),
+        lambda z, y: composed.kernel_estimate(z, y, 0.7, support),
+        inputs, rng.standard_normal((H, W)))
+
+
+def test_reconstruct_adjoint(rng):
+    y_spec = spectra(rng, H, W)
+    k_plane = rng.random((H, W))
+    inputs = [k_plane / k_plane.sum(), rng.standard_normal((C, H, W)),
+              spectra(rng, C, H, W), rng.uniform(0.5, 20.0, C)]
+    assert_matches_chain(
+        lambda *a: unroll.reconstruct(y_spec, *a),
+        lambda *a: composed.reconstruct(y_spec, *a),
+        inputs, rng.standard_normal((H, W)))
+
+
+def _impulse(h, w):
+    out = np.zeros((h, w))
+    out[0, 0] = 1.0
+    return out
+
+
+def test_kernel_estimate_fallback_has_zero_adjoint(rng):
+    # all-zero features leave nothing to clamp, and a raw plane whose
+    # positive mass lies outside the support window leaves nothing to
+    # window: both projections fall back to the constant impulse
+    eps = 0.5
+    r = -np.ones((H, W))
+    r[H // 2, W // 2] = 3.0  # outside the 5x5 window around the origin
+    cases = [(np.zeros((C, H, W), complex), spectra(rng, C, H, W), None),
+             (np.ones((1, H, W), complex), (1 + eps) * spectral.fft2(r)[None], 5)]
+    for z, y, support in cases:
+        plane, adjoints = vjp(
+            lambda zz, yy: unroll.kernel_estimate(zz, yy, eps, support),
+            [z, y], rng.standard_normal((H, W)))
+        assert np.array_equal(plane, _impulse(H, W))
+        for adj in adjoints:
+            assert np.array_equal(adj, np.zeros_like(adj))
+
+
+def _model(layers, channels, support=5, seed=0):
+    params = init_params(TrainConfig(layers=layers, channels=channels,
+                                     kernel_support=support, seed=seed))
+    rng = np.random.default_rng(seed)
+    params.b = rng.uniform(0.01, 0.05, (layers, channels))
+    params.lam = rng.uniform(5e-4, 2e-3, (layers, channels))
+    return params
+
+
+def _loss(x_hat, k_plane, sharp, support):
+    h, w = sharp.shape
+    target = spectral.embed_kernel(np.ones((support, support)) / support ** 2,
+                                   h, w)
+    return loss_terms(x_hat, k_plane, sharp, target, 1e5)[0]
+
+
+def fused_grads(blurred, sharp, params, restrict):
+    """Gradients of the train loss through the fused forward."""
+    _, _, _, state = unroll.forward(blurred, params, tape=ad.Tape(),
+                                    restrict_support=restrict)
+    return unroll.collect_gradients(
+        _loss(state.x_hat, state.kernel_plane, sharp, params.kernel_support),
+        state)
+
+
+def composed_grads(blurred, sharp, params, restrict):
+    """The same gradients through the composed forward."""
+    x_hat, k_plane, leaves = composed.forward(blurred, params, ad.Tape(),
+                                              restrict)
+    loss = _loss(x_hat, k_plane, sharp, params.kernel_support)
+    names = list(leaves)
+    return dict(zip(names, ad.backward(loss, [leaves[n] for n in names])))
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+def test_taped_forward_matches_composed_forward(rng, restrict):
+    params = _model(3, 3)
+    blurred, sharp = rng.random((16, 18)), rng.random((16, 18))
+    fused = fused_grads(blurred, sharp, params, restrict)
+    chain = composed_grads(blurred, sharp, params, restrict)
+    assert set(fused) == set(chain) == set(unroll.TRAINABLE)
+    for name in fused:
+        assert rel_err(fused[name], chain[name]) <= 1e-10, name
+
+
+def test_backward_twice_is_bitwise_equal(rng):
+    params = _model(3, 3)
+    blurred, sharp = rng.random((16, 16)), rng.random((16, 16))
+    _, _, _, state = unroll.forward(blurred, params, tape=ad.Tape(),
+                                    restrict_support=True)
+    loss = _loss(state.x_hat, state.kernel_plane, sharp, 5)
+    first = unroll.collect_gradients(loss, state)
+    second = unroll.collect_gradients(loss, state)
+    for name in first:
+        assert np.array_equal(first[name], second[name])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(7, 16), w=st.integers(7, 16),
+       channels=st.integers(1, 4), layers=st.integers(1, 3),
+       zero_b=st.booleans(), zero_lam=st.booleans(),
+       restrict=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(h=9, w=14, channels=2, layers=2, zero_b=False, zero_lam=False,
+         restrict=False, seed=0)
+@example(h=15, w=15, channels=4, layers=3, zero_b=True, zero_lam=False,
+         restrict=True, seed=1)
+@example(h=15, w=15, channels=1, layers=1, zero_b=False, zero_lam=True,
+         restrict=False, seed=2)
+@example(h=9, w=14, channels=3, layers=2, zero_b=True, zero_lam=True,
+         restrict=False, seed=3)
+def test_taped_forward_gradients_match_oracle_or_raise_typed(
+        h, w, channels, layers, zero_b, zero_lam, restrict, seed):
+    params = _model(layers, channels, support=5, seed=seed)
+    if zero_b:
+        params.b[-1, 0] = 0.0  # b = 0: pure prior term, zero threshold
+    if zero_lam:
+        params.lam[0, -1] = 0.0  # lam = 0: pure data term
+    rng = np.random.default_rng(seed)
+    blurred, sharp = rng.random((h, w)), rng.random((h, w))
+    try:
+        fused = fused_grads(blurred, sharp, params, restrict)
+    except DeblurError as exc:
+        with pytest.raises(type(exc)):
+            composed_grads(blurred, sharp, params, restrict)
+        return
+    chain = composed_grads(blurred, sharp, params, restrict)
+    for name in fused:
+        assert np.all(np.isfinite(fused[name])), name
+        assert rel_err(fused[name], chain[name]) <= 1e-10, name

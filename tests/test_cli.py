@@ -239,3 +239,19 @@ def test_check_grad_passes_on_default_instance(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+def test_check_grad_rejects_zero_channels(capsys):
+    assert cli.main(["check-grad", "--size", "6", "--channels", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_train_rejects_zero_channels(pipeline, capsys):
+    out = str(pipeline["root"] / "run_c0")
+    assert cli.main(["train", "--manifest", pipeline["manifest"], "--out", out,
+                     "--layers", "1", "--channels", "0", "--support", "5",
+                     "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "checkpoint_epoch_0001.ckpt"))

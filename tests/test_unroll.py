@@ -5,6 +5,8 @@ written as plain loops, and against the variational property that a
 minimizer cannot be improved by small perturbations.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from unrolled_deblur import imaging, spectral, unroll
 from unrolled_deblur.errors import (DimensionMismatch, EvenSize,
                                     KernelTooLarge, NonFiniteInput,
                                     SingularDenominator)
-from unrolled_deblur.training import TrainConfig, init_params
+from unrolled_deblur.training import TrainConfig, init_params, loss_terms
 
 
 def conv_full_oracle(a, b):
@@ -519,13 +521,13 @@ def test_trained_banks_are_embedded_once_per_layer(rng, monkeypatch):
     # every trained layer has its own bank; the reconstruction reuses the
     # last layer's spectra instead of embedding w_top again
     calls = []
-    embed_plane = ad.embed_plane
-    monkeypatch.setattr(ad, "embed_plane",
-                        lambda *args: calls.append(1) or embed_plane(*args))
+    embed_kernels = spectral.embed_kernels
+    monkeypatch.setattr(spectral, "embed_kernels", lambda k, *args: (
+        calls.append(np.ndim(k) == 3) or embed_kernels(k, *args)))
     for tape in (None, ad.Tape()):
         calls.clear()
         unroll.forward(rng.random((16, 16)), small_params(layers=3), tape=tape)
-        assert len(calls) == 3
+        assert sum(calls) == 3  # (C, s, s) banks; the rest is the identity init
 
 
 def test_shared_bank_spectra_match_recomputed_ones(rng):
@@ -601,34 +603,33 @@ def _graph(*outputs):
 def test_taped_forward_records_no_per_filter_convolutions(rng):
     state = _taped_forward(3, 4, rng.random((16, 16)))
     nodes = _graph(state.x_hat, state.kernel_plane)
-    pulls = [p.__qualname__ for node in nodes for p in node.pulls]
+    pulls = [node.pull.__qualname__ for node in nodes if node.parents]
     assert pulls and not any(q.startswith("conv_full.") for q in pulls)
-    assert sum(q.startswith("cascade.") for q in pulls) == 2 * 2  # mix, above
+    assert sum(q.startswith("cascade.") for q in pulls) == 2
 
 
-def test_tape_grows_linearly_in_channels(rng):
-    # the cascade is one node per layer, so the nodes one more layer adds
-    # are affine in C; C^2 per-filter nodes would give a nonzero second
-    # difference
-    y = rng.random((16, 16))
-    per_layer = [len(_taped_forward(3, c, y).tape)
-                 - len(_taped_forward(2, c, y).tape) for c in (2, 4, 6)]
-    assert per_layer[2] - per_layer[1] == per_layer[1] - per_layer[0]
-    assert len(_taped_forward(3, 4, y).tape) < 40 * 3 * 4
+def test_taped_forward_records_one_node_per_update(rng):
+    # each update is one node; the first layer's K is the untracked
+    # identity, and the last bank's spectra are recorded once more for the
+    # reconstruction
+    L, C = 3, 4
+    state = _taped_forward(L, C, rng.random((16, 16)))
+    ops = collections.Counter(node.pull.__qualname__.split(".")[0]
+                              for node in _graph(state.x_hat, state.kernel_plane)
+                              if node.parents)
+    assert ops == {"cascade": L - 1, "filter_spectra": L + 1, "g_update": L,
+                   "z_spectrum": L, "fft2": L - 1, "kernel_estimate": L,
+                   "reconstruct": 1}
 
 
-def test_kernel_spectrum_conjugated_and_squared_once_per_layer(rng):
-    # g_update shares one conj(K) and one |K|^2 node across all channels;
-    # the first layer's K is the untracked identity, so the taped kernel
-    # spectra are those of layers 2..L plus the reconstruction's
-    L, C, n = 3, 4, 16
-    state = _taped_forward(L, C, rng.random((n, n)))
-    nodes = _graph(state.x_hat, state.kernel_plane)
-    for prim in ("conj.", "abs2."):
-        on_planes = [node.parents[0].idx for node in nodes if node.pulls
-                     and node.pulls[0].__qualname__.startswith(prim)
-                     and node.parents[0].shape == (n, n)]
-        assert len(on_planes) == len(set(on_planes)) == L
+def test_tape_nodes_do_not_depend_on_channels_or_size(rng):
+    # the leaves, L-1 cascade generations, five nodes per layer (four in the
+    # first, whose K is the plain identity), the last F_l and the
+    # reconstruction, whatever C and the image size
+    L = 3
+    counts = {len(_taped_forward(L, c, rng.random((n, n))).tape)
+              for c in (2, 4, 6) for n in (16, 24)}
+    assert counts == {len(unroll.TRAINABLE) + (L - 1) + (5 * L - 1) + 2}
 
 
 def test_tape_nodes_per_layer_do_not_depend_on_channels(rng):
@@ -636,6 +637,46 @@ def test_tape_nodes_per_layer_do_not_depend_on_channels(rng):
     per_layer = {len(_taped_forward(3, c, y).tape)
                  - len(_taped_forward(2, c, y).tape) for c in (2, 4, 6)}
     assert len(per_layer) == 1
+
+
+def _held_bytes(*outputs):
+    """Bytes of the distinct buffers a graph holds.
+
+    Node values and the arrays their pulls capture, each buffer once.
+    """
+    buffers, seen = {}, set()
+
+    def hold(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        elif isinstance(obj, ad.Var):
+            hold(obj.value)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                hold(item)
+        elif callable(obj) and id(obj) not in seen:
+            seen.add(id(obj))
+            for cell in getattr(obj, "__closure__", None) or ():
+                hold(cell.cell_contents)
+
+    for node in _graph(*outputs):
+        hold(node.value)
+        hold(node.pull)
+    return sum(buffers.values())
+
+
+def test_graph_holds_at_most_four_stacks_per_layer(rng):
+    # each node keeps its inputs and recomputes its quotients, so a layer
+    # holds Y_l, Z and g (2.5 complex stacks) plus plane-sized values
+    L, C, n = 3, 4, 64
+    y = rng.random((n, n))
+    state = _taped_forward(L, C, y)
+    loss = loss_terms(state.x_hat, state.kernel_plane, y,
+                      spectral.embed_kernel(np.ones((5, 5)) / 25, n, n), 1e5)[0]
+    stack = C * n * n * np.dtype(np.complex128).itemsize
+    assert _held_bytes(loss) <= 4 * L * stack
 
 
 def test_collect_gradients_reads_filter_arrays_whole(rng):
