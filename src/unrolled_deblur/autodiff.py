@@ -41,7 +41,7 @@ import numpy as np
 from scipy import signal
 
 from . import spectral
-from .errors import ShapeMismatch, UnrecordedNode
+from .errors import DimensionMismatch, UnrecordedNode
 
 
 class Tape:
@@ -205,7 +205,7 @@ def mse(a, target):
     va = value(a)
     target = np.asarray(target)
     if np.shape(va) != target.shape:
-        raise ShapeMismatch("prediction %s vs target %s"
+        raise DimensionMismatch("prediction %s vs target %s"
                             % (np.shape(va), target.shape))
     diff = va - target
     scale = 2.0 / diff.size
@@ -227,7 +227,7 @@ def backward(loss, wrt):
     if not isinstance(loss, Var) or isinstance(loss, View):
         raise UnrecordedNode("loss is not a tape node")
     if loss.value.shape != ():
-        raise ShapeMismatch("loss must be scalar, got %s" % (loss.value.shape,))
+        raise DimensionMismatch("loss must be scalar, got %s" % (loss.value.shape,))
     reachable = {}
     stack = [loss]
     while stack:

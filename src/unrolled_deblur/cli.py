@@ -1,9 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 domain error (bad file, singular math, non-finite
-loss), 2 usage error. Diagnostics go to stderr; result data and paths go
-to stdout. All randomness flows from --seed, which defaults to 0 so runs
-are reproducible by default.
+Exit codes: 0 success, 1 domain error (bad or missing file, singular math,
+non-finite loss), 2 usage error. Diagnostics go to stderr; result data and
+paths go to stdout. All randomness flows from --seed, which defaults to 0
+so runs are reproducible by default.
 """
 
 import argparse
@@ -101,11 +101,13 @@ def _build_parser():
 def _cmd_gen_kernels(args):
     if args.support % 2 == 0 or args.support < 3:
         raise DeblurError("--support must be odd and >= 3")
+    for flag in ("angles", "lengths", "trajectories"):
+        if getattr(args, flag) < 0:
+            raise DeblurError("--%s must be >= 0" % flag)
     os.makedirs(args.out, exist_ok=True)
     count = 0
     angles = np.linspace(0.0, math.pi, args.angles, endpoint=False)
-    lengths = np.linspace(5.0, 20.0, args.lengths) if args.lengths > 1 \
-        else np.array([5.0])
+    lengths = np.linspace(5.0, 20.0, args.lengths)  # one count gives [5.0]
     for i, angle in enumerate(angles):
         for j, length in enumerate(lengths):
             kernel = kernelgen.linear_motion_kernel(angle, length, args.support)
@@ -204,7 +206,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except DeblurError as exc:
+    except (DeblurError, OSError) as exc:  # OSError: a missing or unreadable file
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

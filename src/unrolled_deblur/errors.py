@@ -13,10 +13,6 @@ class DimensionMismatch(DeblurError):
     """Operands that must share a shape do not."""
 
 
-class ShapeMismatch(DeblurError):
-    """A prediction/target pair disagrees in shape."""
-
-
 class ImaginaryResidue(DeblurError):
     """An inverse DFT discarded non-negligible imaginary energy."""
 

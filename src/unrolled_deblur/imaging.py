@@ -11,13 +11,16 @@ samples big-endian as in the Netpbm spec). Kernels use a small text format:
     KERNEL v1
     <K> <K>
     <K rows of K floats, space separated>
+
+check_kernel is the one place the kernel invariants are checked; both
+save_kernel and load_kernel go through it.
 """
 
 import numpy as np
 
-from . import spectral
-from .errors import (CorruptHeader, EvenSize, NegativeWeight, NonFiniteInput,
-                     NotNormalized, TruncatedData, UnsupportedFormat)
+from .errors import (CorruptHeader, DeblurError, EvenSize, NegativeWeight,
+                     NonFiniteInput, NotNormalized, TruncatedData,
+                     UnsupportedFormat)
 
 KERNEL_MAGIC = "KERNEL v1"
 # stored kernels whose weights sum within this of 1 are renormalized on load
@@ -31,6 +34,9 @@ def check_kernel(kernel, tol=1e-12):
         raise CorruptHeader("kernel must be square, got %s" % (kernel.shape,))
     if kernel.shape[0] % 2 == 0:
         raise EvenSize("kernel size %d is even" % kernel.shape[0])
+    if not np.all(np.isfinite(kernel)):  # NaN passes both tests below
+        raise NonFiniteInput("kernel has %d non-finite weights"
+                             % int(np.sum(~np.isfinite(kernel))))
     if np.any(kernel < 0):
         raise NegativeWeight("kernel has negative weights")
     s = float(np.sum(kernel))
@@ -46,23 +52,6 @@ def impulse_kernel(size):
     k = np.zeros((size, size))
     k[size // 2, size // 2] = 1.0
     return k
-
-
-def crop_kernel(plane, size):
-    """Read a kernel estimate off a full-grid plane centered at the origin.
-
-    Takes the wrapped window of odd `size` around (0, 0), clamps negatives
-    to zero and renormalizes to unit mass. An all-zero window degrades to
-    the impulse kernel rather than dividing by zero.
-    """
-    win = spectral.wrap_window(plane, size)
-    win = np.maximum(win, 0.0)
-    s = float(np.sum(win))
-    if s == 0.0:
-        return impulse_kernel(size)
-    if s != 1.0:
-        win = win / s
-    return win
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +180,6 @@ def load_kernel(path):
         raise CorruptHeader("%s: non-numeric size line %r" % (path, lines[1]))
     if rows != cols or rows < 1:
         raise CorruptHeader("%s: kernel must be square, got %dx%d" % (path, rows, cols))
-    if rows % 2 == 0:
-        raise EvenSize("%s: kernel size %d is even" % (path, rows))
 
     fields = " ".join(lines[2:]).split()
     if len(fields) < rows * cols:
@@ -203,19 +190,11 @@ def load_kernel(path):
     except ValueError:
         raise CorruptHeader("%s: non-numeric weight" % path)
     kernel = values.reshape(rows, cols)
-    if not np.all(np.isfinite(kernel)):
-        # NaN passes both the sign and the sum test below
-        raise NonFiniteInput("%s: %d non-finite weights"
-                             % (path, int(np.sum(~np.isfinite(kernel)))))
-    if np.any(kernel < 0):
-        raise NegativeWeight("%s: negative weight %.3e"
-                             % (path, float(kernel.min())))
-    s = float(np.sum(kernel))
-    if abs(s - 1.0) > KERNEL_SUM_TOL:
-        raise NotNormalized("%s: weights sum to %.17g" % (path, s))
-    if s != 1.0 and s > 0.0:
-        kernel = kernel / s
-    return kernel
+    try:
+        check_kernel(kernel, tol=KERNEL_SUM_TOL)
+    except DeblurError as exc:
+        raise type(exc)("%s: %s" % (path, exc)) from None
+    return kernel / float(np.sum(kernel))
 
 
 def save_kernel(kernel, path):

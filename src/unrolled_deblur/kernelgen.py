@@ -4,7 +4,9 @@ Linear kernels rasterize a centered segment by dense point sampling with
 bilinear splatting; trajectory kernels integrate a damped random walk and
 splat its path the same way. Records pair a blurred observation (circular
 convolution plus unclamped gaussian noise) with its sharp source and true
-kernel, listed in a manifest CSV.
+kernel, listed in a manifest CSV. write_records is the one record builder:
+it takes (name, kernel array) pairs, whether loaded from kernel files or
+made by the generators here.
 """
 
 import csv
@@ -24,24 +26,6 @@ TRAJ_DAMPING = 0.95
 TRAJ_STEP_VAR = 0.25
 
 MANIFEST_FIELDS = ["blurred", "sharp", "kernel", "sigma"]
-
-
-@dataclass
-class MotionSpec:
-    """Recipe for one synthetic kernel."""
-
-    kind: str                 # "linear" or "trajectory"
-    support: int
-    angle: float = 0.0        # linear: radians
-    length: float = 0.0       # linear: pixels
-    seed: object = 0          # trajectory: anything default_rng accepts
-
-    def materialize(self):
-        if self.kind == "linear":
-            return linear_motion_kernel(self.angle, self.length, self.support)
-        if self.kind == "trajectory":
-            return trajectory_motion_kernel(self.seed, self.support)
-        raise DeblurError("unknown motion kind %r" % self.kind)
 
 
 def _splat(rows, cols, size):
@@ -198,13 +182,6 @@ def write_records(image_dir, kernels, sigma, patch, out_dir, seed):
         writer.writeheader()
         writer.writerows(rows)
     return index
-
-
-def build_dataset(image_dir, specs, sigma, patch, out_dir, seed):
-    """Materialize MotionSpecs and write the full record set."""
-    kernels = [("spec_%03d" % i, spec.materialize())
-               for i, spec in enumerate(specs)]
-    return write_records(image_dir, kernels, sigma, patch, out_dir, seed)
 
 
 @dataclass

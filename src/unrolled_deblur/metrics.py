@@ -26,7 +26,7 @@ import numpy as np
 from scipy import signal
 
 from . import imaging, kernelgen, training, unroll
-from .errors import ImageTooSmall, NonFiniteInput, ShapeMismatch
+from .errors import DimensionMismatch, ImageTooSmall, NonFiniteInput
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -47,7 +47,7 @@ def _check_pair(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeMismatch("images %s vs %s" % (a.shape, b.shape))
+        raise DimensionMismatch("images %s vs %s" % (a.shape, b.shape))
     _check_finite(a, b)
     return a, b
 

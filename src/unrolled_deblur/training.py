@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernelgen, spectral
 from .errors import (ConfigMismatch, CorruptCheckpoint, DimensionMismatch,
-                     NonFiniteLoss, VersionMismatch)
+                     InvalidParameter, NonFiniteLoss, VersionMismatch)
 from .unroll import (NONNEGATIVE, TRAINABLE, ModelParams, collect_gradients,
                      forward, trainable_shapes)
 
@@ -261,6 +261,9 @@ def train(manifest_path, config, out_dir, resume=None, initial_params=None,
     count and learning rate from an earlier checkpoint of the same config
     and continues from its epoch.
     """
+    if config.epochs < 1 or config.batch_size < 1:
+        raise InvalidParameter("epochs and batch size must be >= 1, got %d and %d"
+                               % (config.epochs, config.batch_size))
     records = kernelgen.load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     if log is None:

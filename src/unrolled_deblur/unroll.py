@@ -9,7 +9,8 @@ closed-form frequency-domain updates:
   kernel    k   <- project( F^-1{ sum_i conj(Z_i) Y_i / (sum_i |Z_i|^2 + eps) } )
 
 where Y_i is the spectrum of f_i * y for a per-layer filter bank f, and
-project clamps to nonnegative and renormalizes to unit mass. The weights
+project clamps to nonnegative, optionally windows the plane to the kernel
+support, and normalizes to unit mass (k_project). The weights
 b_i, lam_i (the penalty reparametrized so lam_i = 0 is well defined), the
 filter mixing weights, and the reconstruction weights eta_i are trainable;
 eps is fixed.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import imaging, spectral
+from . import spectral
 from .errors import (DimensionMismatch, EvenSize, InvalidParameter,
                      KernelTooLarge, NonFiniteInput, SingularDenominator)
 
@@ -310,55 +311,45 @@ def k_update(z_specs, y_specs, eps):
                                       eps)[0])
 
 
-def _normalized(x):
-    """(x / sum|x|, sum|x|); an all-zero x gives the impulse at the origin."""
-    mass = float(np.sum(np.abs(x)))
-    if mass == 0.0:
-        x = np.zeros_like(x)
-        x[(0,) * x.ndim] = 1.0
-        return x, mass
-    return x / mass, mass
-
-
-def _window(plane, support):
-    """The plane with everything outside the odd support window zeroed."""
-    return spectral.embed_kernel(spectral.wrap_window(plane, support),
-                                 *plane.shape)
+def _kept(plane, support):
+    """The positive part of the plane, or of its support window if given."""
+    return np.maximum(plane if support is None
+                      else spectral.wrap_window(plane, support), 0.0)
 
 
 def k_project(plane, support=None):
-    """Clamp to nonnegative and renormalize to unit mass.
+    """Project a plane onto the nonnegative unit-mass kernels.
 
-    With a support, the plane is then windowed and renormalized again. An
-    all-zero plane degrades to the impulse at the origin.
+    Clamps negatives to zero and, when a support is given, keeps only the
+    odd support window around the origin, then normalizes once. A plane
+    with no positive mass left degrades to the impulse at the origin.
+    forward reads its s x s kernel estimate off this projection.
     """
-    plane = _normalized(np.maximum(plane, 0.0))[0]
-    if support is not None:
-        plane = _normalized(_window(plane, support))[0]
-    return plane
-
-
-def _l1_adjoint(g, x, mass):
-    return g / mass - (np.sum(g * x) / (mass * mass)) * np.sign(x)
+    kept = _kept(plane, support)
+    mass = float(np.sum(kept))
+    if mass == 0.0:
+        impulse = np.zeros(plane.shape)
+        impulse[0, 0] = 1.0
+        return impulse
+    kept /= mass
+    return kept if support is None else spectral.embed_kernel(kept, *plane.shape)
 
 
 def _project_adjoint(raw, support, g):
     """Adjoint of k_project at raw, recomputed; zero where it fell back.
 
-    x / sum|x| pulls g back as g / s - sum(g x) sign(x) / s^2, the window
-    (a projection) as itself, and the clamp passes g where raw > 0.
+    x / sum(x) pulls g back as g / s - sum(g x) sign(x) / s^2, the clamp
+    passes it where x > 0, and the window's adjoint embeds it again.
     """
-    pos = np.maximum(raw, 0.0)
-    p, mass = _normalized(pos)
+    kept = _kept(raw, support)
+    mass = float(np.sum(kept))
     if mass == 0.0:
         return np.zeros_like(raw)
     if support is not None:
-        win = _window(p, support)
-        win_mass = _normalized(win)[1]
-        if win_mass == 0.0:
-            return np.zeros_like(raw)
-        g = _window(_l1_adjoint(g, win, win_mass), support)
-    return _l1_adjoint(g, pos, mass) * (raw > 0)
+        g = spectral.wrap_window(g, support)
+    pulled = g / mass - (np.sum(g * kept) / (mass * mass)) * np.sign(kept)
+    pulled *= kept > 0
+    return pulled if support is None else spectral.embed_kernel(pulled, *raw.shape)
 
 
 def kernel_estimate(z_spec, y_specs, eps, support=None):
@@ -426,10 +417,11 @@ def reconstruct(y_spec, k_plane, g, f_spec, eta):
 def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     """Run the unrolled solver on a blurred image.
 
-    Returns (kernel, g, x_hat, state): the cropped kernel estimate, the
-    final (C, H, W) feature planes and the full-precision reconstruction
-    as plain arrays, plus a ForwardState carrying the tape ends when
-    recorded. With a tape, each trainable array of params is one leaf.
+    Returns (kernel, g, x_hat, state): the kernel estimate (the support
+    window of the last kernel plane's k_project), the final (C, H, W)
+    feature planes and the full-precision reconstruction as plain arrays,
+    plus a ForwardState carrying the tape ends when recorded. With a tape,
+    each trainable array of params is one leaf.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
@@ -483,7 +475,8 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     x_hat = reconstruct(y_spec, k_plane, g, filter_spectra(banks[-1], f_spec),
                         pv["eta"])
 
-    kernel = imaging.crop_kernel(ad.value(k_plane), params.kernel_support)
+    kernel = spectral.wrap_window(k_project(ad.value(k_plane), params.kernel_support),
+                                  params.kernel_support)
     state = ForwardState(
         x_hat=x_hat, kernel_plane=k_plane, g=g, kernel_planes=kernel_planes,
         tape=tape, param_vars=pv,

@@ -4,9 +4,11 @@ Each update of unroll records one node with a hand-derived adjoint; the
 chains in composed.py compute the same update from generic primitives,
 each with the textbook adjoint. Per node, every input's adjoint must agree
 with the chain's to 1e-12 relative (normwise), and the values bitwise,
-since the arithmetic is the same. A whole taped forward is compared with
-the composed forward, on fixed cases and on hypothesis-drawn sizes,
-channel and layer counts and zero weights.
+since the arithmetic is the same. The one exception is the windowed kernel
+projection: it normalizes once where the chain normalizes, windows and
+normalizes again (the same function), so its values agree to 1e-15. A
+whole taped forward is compared with the composed forward, on fixed cases
+and on hypothesis-drawn sizes, channel and layer counts and zero weights.
 """
 
 import numpy as np
@@ -39,10 +41,13 @@ def vjp(fn, inputs, seed):
     return ad.value(out), ad.backward(composed.inner(out, seed), leaves)
 
 
-def assert_matches_chain(fused, chain, inputs, seed):
+def assert_matches_chain(fused, chain, inputs, seed, value_tol=0.0):
     got, got_adj = vjp(fused, inputs, seed)
     want, want_adj = vjp(chain, inputs, seed)
-    assert np.array_equal(got, want)
+    if value_tol == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        assert rel_err(got, want) <= value_tol
     for i, (a, b) in enumerate(zip(got_adj, want_adj)):
         assert np.all(np.isfinite(a))
         assert rel_err(a, b) <= TOL, "input %d: %.2e" % (i, rel_err(a, b))
@@ -99,7 +104,8 @@ def test_kernel_estimate_adjoint(rng, support):
     assert_matches_chain(
         lambda z, y: unroll.kernel_estimate(z, y, 0.7, support),
         lambda z, y: composed.kernel_estimate(z, y, 0.7, support),
-        inputs, rng.standard_normal((H, W)))
+        inputs, rng.standard_normal((H, W)),
+        value_tol=0.0 if support is None else 1e-15)
 
 
 def test_reconstruct_adjoint(rng):
@@ -194,6 +200,13 @@ def test_backward_twice_is_bitwise_equal(rng):
         assert np.array_equal(first[name], second[name])
 
 
+def rounding_decides_a_kink(blurred, params):
+    """Whether a one-ulp change of the image flips a threshold or clamp."""
+    return len({unroll.forward(y, params, restrict_support=True,
+                               track_kinks=True)[3].kink_signature
+                for y in (blurred, np.nextafter(blurred, 2.0))}) > 1
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(h=st.integers(7, 16), w=st.integers(7, 16),
        channels=st.integers(1, 4), layers=st.integers(1, 3),
@@ -225,4 +238,8 @@ def test_taped_forward_gradients_match_oracle_or_raise_typed(
     chain = composed_grads(blurred, sharp, params, restrict)
     for name in fused:
         assert np.all(np.isfinite(fused[name])), name
-        assert rel_err(fused[name], chain[name]) <= 1e-10, name
+        if rel_err(fused[name], chain[name]) > 1e-10:
+            # the windowed projection rounds unlike the chain's, so a kink
+            # that rounding alone decides may go the other way (a zero
+            # threshold meets features left at +-1e-17 by an FFT round trip)
+            assert restrict and rounding_decides_a_kink(blurred, params), name

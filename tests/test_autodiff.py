@@ -16,7 +16,7 @@ import pytest
 
 import composed
 from unrolled_deblur import autodiff as ad
-from unrolled_deblur.errors import ShapeMismatch, UnrecordedNode
+from unrolled_deblur.errors import DimensionMismatch, UnrecordedNode
 
 
 def fd_grad(fn, x, h=1e-5):
@@ -282,7 +282,7 @@ def test_mse_gradient_and_shape_check(rng):
     t = rng.standard_normal((4, 4))
     g = tape_grad(lambda v: ad.mse(v, t), x)
     assert np.max(np.abs(g - 2.0 * (x - t) / 16)) < 1e-12
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         ad.mse(x, np.zeros((2, 2)))
 
 
@@ -325,7 +325,7 @@ def test_backward_rejects_non_scalar_loss(rng):
     tape = ad.Tape()
     v = ad.leaf(tape, rng.standard_normal((3, 3)))
     out = composed.mul(v, 2.0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         ad.backward(out, [v])
 
 

@@ -93,6 +93,24 @@ def test_gen_kernels_rejects_even_support(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--angles", "--lengths", "--trajectories"])
+def test_gen_kernels_rejects_negative_counts(tmp_path, capsys, flag):
+    out = tmp_path / "k"
+    assert cli.main(["gen-kernels", "--out", str(out), "--support", "9",
+                     flag, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
+def test_gen_kernels_zero_lengths_writes_no_linear_kernels(tmp_path, capsys):
+    out = tmp_path / "k"
+    assert cli.main(["gen-kernels", "--out", str(out), "--support", "9",
+                     "--angles", "2", "--lengths", "0",
+                     "--trajectories", "1"]) == 0
+    assert os.listdir(out) == ["traj_000.txt"]
+
+
 def test_gen_dataset_requires_kernels(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -255,3 +273,31 @@ def test_train_rejects_zero_channels(pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not os.path.exists(os.path.join(out, "checkpoint_epoch_0001.ckpt"))
+
+
+@pytest.mark.parametrize("flag", ["--epochs", "--batch"])
+def test_train_rejects_zero_epochs_or_batch(pipeline, capsys, flag):
+    out = str(pipeline["root"] / ("run_zero" + flag))
+    assert cli.main(["train", "--manifest", pipeline["manifest"], "--out", out,
+                     "--layers", "1", "--channels", "1", "--support", "5",
+                     "--epochs", "1", flag, "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert capsys.readouterr().out == ""
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["deblur", "eval", "train", "gen-dataset"])
+def test_missing_input_file_is_an_error_line(pipeline, tmp_path, capsys,
+                                              command):
+    missing, out = str(tmp_path / "nope"), str(tmp_path / "out")
+    argv = {
+        "deblur": ["deblur", "--in", missing, "--preset", "tv-prewitt"],
+        "eval": ["eval", "--manifest", pipeline["manifest"], "--ckpt", missing],
+        "train": ["train", "--manifest", missing],
+        "gen-dataset": ["gen-dataset", "--images", missing,
+                        "--kernels", str(pipeline["root"] / "kernels")],
+    }[command]
+    assert cli.main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope" in err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unrolled_deblur import imaging, spectral
+from unrolled_deblur import imaging
 from unrolled_deblur.errors import (CorruptHeader, EvenSize, NegativeWeight,
                                     NonFiniteInput, NotNormalized,
                                     TruncatedData, UnsupportedFormat)
@@ -282,6 +282,14 @@ def test_save_kernel_validates(tmp_path):
         imaging.save_kernel(bad, str(tmp_path / "k.txt"))
 
 
+def test_save_kernel_rejects_nan_and_writes_nothing(tmp_path):
+    # a NaN kernel would otherwise be written and then refused by load_kernel
+    path = tmp_path / "k.txt"
+    with pytest.raises(NonFiniteInput):
+        imaging.save_kernel(np.array([[np.nan]]), str(path))
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # kernel helpers
 
@@ -307,6 +315,14 @@ def test_check_kernel_negative():
         imaging.check_kernel(k)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_kernel_non_finite(bad):
+    k = imaging.impulse_kernel(3)
+    k[0, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        imaging.check_kernel(k)
+
+
 def test_check_kernel_shape():
     with pytest.raises(CorruptHeader):
         imaging.check_kernel(np.ones((3, 5)) / 15)
@@ -320,26 +336,3 @@ def test_impulse_kernel():
     assert k.sum() == 1.0
     with pytest.raises(EvenSize):
         imaging.impulse_kernel(4)
-
-
-def test_crop_kernel_inverts_embed(make_kernel):
-    k = make_kernel(5)
-    plane = spectral.embed_kernel(k, 16, 16)
-    assert np.max(np.abs(imaging.crop_kernel(plane, 5) - k)) < 1e-15
-
-
-def test_crop_kernel_zero_plane_degrades_to_impulse():
-    got = imaging.crop_kernel(np.zeros((8, 8)), 3)
-    assert np.array_equal(got, imaging.impulse_kernel(3))
-
-
-def test_crop_kernel_clamps_and_renormalizes():
-    plane = np.zeros((8, 8))
-    plane[0, 0] = 3.0
-    plane[0, 1] = 1.0
-    plane[1, 0] = -2.0  # inside the window, must clamp to zero
-    got = imaging.crop_kernel(plane, 3)
-    assert got.min() >= 0.0
-    assert abs(got.sum() - 1.0) < 1e-15
-    assert got[1, 1] == 0.75
-    assert got[1, 2] == 0.25

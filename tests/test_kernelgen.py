@@ -127,17 +127,6 @@ def test_trajectory_rejects_bad_support():
         kernelgen.trajectory_motion_kernel(0, 1)
 
 
-def test_motion_spec_dispatch():
-    lin = kernelgen.MotionSpec(kind="linear", support=7, angle=0.0, length=5.0)
-    assert np.array_equal(lin.materialize(),
-                          kernelgen.linear_motion_kernel(0.0, 5.0, 7))
-    traj = kernelgen.MotionSpec(kind="trajectory", support=7, seed=3)
-    assert np.array_equal(traj.materialize(),
-                          kernelgen.trajectory_motion_kernel(3, 7))
-    with pytest.raises(DeblurError):
-        kernelgen.MotionSpec(kind="gaussian", support=7).materialize()
-
-
 # ---------------------------------------------------------------------------
 # blurring
 
@@ -198,6 +187,9 @@ def test_center_crop():
 # dataset assembly
 
 
+LINEAR = [("linear", kernelgen.linear_motion_kernel(0.0, 5.0, 9))]
+
+
 def _seed_images(dirpath, rng, count=2, size=40):
     os.makedirs(dirpath, exist_ok=True)
     for i in range(count):
@@ -210,13 +202,11 @@ def test_build_dataset_roundtrip(tmp_path, rng):
     src = str(tmp_path / "src")
     out = str(tmp_path / "out")
     _seed_images(src, rng)
-    specs = [
-        kernelgen.MotionSpec(kind="linear", support=9, angle=0.0, length=5.0),
-        kernelgen.MotionSpec(kind="linear", support=9, angle=1.0, length=6.0),
-        kernelgen.MotionSpec(kind="trajectory", support=9, seed=1),
-        kernelgen.MotionSpec(kind="trajectory", support=9, seed=2),
-    ]
-    n = kernelgen.build_dataset(src, specs, 0.01, 32, out, seed=5)
+    kernels = [("l0", kernelgen.linear_motion_kernel(0.0, 5.0, 9)),
+               ("l1", kernelgen.linear_motion_kernel(1.0, 6.0, 9)),
+               ("t1", kernelgen.trajectory_motion_kernel(1, 9)),
+               ("t2", kernelgen.trajectory_motion_kernel(2, 9))]
+    n = kernelgen.write_records(src, kernels, 0.01, 32, out, seed=5)
     assert n == 8
 
     records = kernelgen.load_manifest(os.path.join(out, "manifest.csv"))
@@ -231,11 +221,11 @@ def test_build_dataset_roundtrip(tmp_path, rng):
 def test_build_dataset_rerun_is_byte_identical(tmp_path, rng):
     src = str(tmp_path / "src")
     _seed_images(src, rng)
-    specs = [kernelgen.MotionSpec(kind="linear", support=9, angle=0.3, length=5.0)]
+    kernels = [("linear", kernelgen.linear_motion_kernel(0.3, 5.0, 9))]
     outs = []
     for sub in ("a", "b"):
         out = str(tmp_path / sub)
-        kernelgen.build_dataset(src, specs, 0.02, 32, out, seed=9)
+        kernelgen.write_records(src, kernels, 0.02, 32, out, seed=9)
         outs.append(out)
     names = sorted(os.listdir(outs[0]))
     assert names == sorted(os.listdir(outs[1]))
@@ -252,23 +242,21 @@ def test_build_dataset_skips_bad_sources(tmp_path, rng):
     _seed_images(str(src), rng, count=1)
     (src / "broken.pgm").write_bytes(b"P5\n9 9\n255\n")  # truncated
     imaging.save_image(rng.random((8, 8)), str(src / "tiny.pgm"))  # too small
-    specs = [kernelgen.MotionSpec(kind="linear", support=9, angle=0.0, length=5.0)]
-    n = kernelgen.build_dataset(str(src), specs, 0.0, 32, str(tmp_path / "out"), 0)
+    n = kernelgen.write_records(str(src), LINEAR, 0.0, 32, str(tmp_path / "out"), 0)
     assert n == 1
 
 
 def test_build_dataset_empty_and_unusable_dirs(tmp_path, rng):
     empty = tmp_path / "empty"
     empty.mkdir()
-    specs = [kernelgen.MotionSpec(kind="linear", support=9, angle=0.0, length=5.0)]
     with pytest.raises(EmptyDirectory):
-        kernelgen.build_dataset(str(empty), specs, 0.0, 32, str(tmp_path / "o1"), 0)
+        kernelgen.write_records(str(empty), LINEAR, 0.0, 32, str(tmp_path / "o1"), 0)
 
     bad = tmp_path / "bad"
     bad.mkdir()
     imaging.save_image(rng.random((8, 8)), str(bad / "tiny.pgm"))
     with pytest.raises(NoUsableImages):
-        kernelgen.build_dataset(str(bad), specs, 0.0, 32, str(tmp_path / "o2"), 0)
+        kernelgen.write_records(str(bad), LINEAR, 0.0, 32, str(tmp_path / "o2"), 0)
 
 
 def test_load_manifest_rejects_wrong_header(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from unrolled_deblur import imaging, metrics
-from unrolled_deblur.errors import ImageTooSmall, NonFiniteInput, ShapeMismatch
+from unrolled_deblur.errors import DimensionMismatch, ImageTooSmall, NonFiniteInput
 
 
 def align_shift_reference(estimate, reference, max_shift):
@@ -73,7 +73,7 @@ def test_psnr_matches_scalar_loop(rng):
 
 
 def test_psnr_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         metrics.psnr(np.zeros((4, 4)), np.zeros((4, 5)))
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from unrolled_deblur import imaging, kernelgen, training, unroll
 from unrolled_deblur.errors import (ConfigMismatch, CorruptCheckpoint,
-                                    NonFiniteLoss, VersionMismatch)
+                                    InvalidParameter, NonFiniteLoss,
+                                    VersionMismatch)
 from unrolled_deblur.training import (AdamState, TrainConfig, adam_step,
                                       glorot_bound, init_params,
                                       load_checkpoint, loss_terms,
@@ -257,10 +258,9 @@ def tiny_dataset(tmp_path, rng, n_images=2, patch=16):
     for i in range(n_images):
         imaging.save_image(rng.random((24, 24)),
                            os.path.join(src, "s%d.pgm" % i), maxval=65535)
-    specs = [kernelgen.MotionSpec(kind="linear", support=5, angle=0.4,
-                                  length=2.5)]
+    kernels = [("linear", kernelgen.linear_motion_kernel(0.4, 2.5, 5))]
     out = str(tmp_path / "data")
-    kernelgen.build_dataset(src, specs, 0.01, patch, out, seed=3)
+    kernelgen.write_records(src, kernels, 0.01, patch, out, seed=3)
     return os.path.join(out, "manifest.csv")
 
 
@@ -330,6 +330,16 @@ def test_train_resume_rejects_other_config(tmp_path, rng):
     with pytest.raises(ConfigMismatch):
         train(man, other, str(tmp_path / "r2"), log=open(os.devnull, "w"),
               resume=os.path.join(out, "checkpoint_epoch_0001.ckpt"))
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_train_rejects_zero_epochs_or_batch(tmp_path, rng, field):
+    # epochs = 0 used to return a checkpoint it never wrote; batch 0 meant 1
+    man = tiny_dataset(tmp_path, rng)
+    out = tmp_path / "run"
+    with pytest.raises(InvalidParameter, match=field.split("_")[0]):
+        train(man, small_config(**{field: 0}), str(out), log=open(os.devnull, "w"))
+    assert not out.exists()
 
 
 def test_train_already_sharp_records_are_a_fixed_point(tmp_path):

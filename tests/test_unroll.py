@@ -300,6 +300,44 @@ def test_k_project_simplex_property(rng):
         assert abs(got.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("support", [None, 5, 7])
+def test_k_project_inverts_embedding(make_kernel, support):
+    # a kernel embedded at the origin is its own projection, and the
+    # support window reads it back
+    k = make_kernel(5)
+    plane = spectral.embed_kernel(k, 16, 16)
+    got = unroll.k_project(plane, support)
+    assert np.max(np.abs(got - plane)) < 1e-15
+    assert np.max(np.abs(spectral.wrap_window(got, 5) - k)) < 1e-15
+
+
+@pytest.mark.parametrize("support", [None, 3])
+def test_k_project_zero_plane_degrades_to_impulse(support):
+    impulse = spectral.embed_kernel(np.array([[1.0]]), 8, 8)
+    got = unroll.k_project(np.zeros((8, 8)), support)
+    assert np.array_equal(got, impulse)
+    assert np.array_equal(spectral.wrap_window(got, 3), imaging.impulse_kernel(3))
+    outside = np.zeros((8, 8))
+    outside[4, 4] = 2.0  # all the positive mass lies outside the window
+    want = impulse if support is not None else outside / 2.0
+    assert np.array_equal(unroll.k_project(outside, support), want)
+
+
+def test_k_project_clamps_and_renormalizes():
+    plane = np.zeros((8, 8))
+    plane[0, 0], plane[0, 1] = 3.0, 1.0
+    plane[1, 0] = -2.0  # inside the window, must clamp to zero
+    plane[4, 4] = 4.0  # outside the 3x3 window around the origin
+    got = unroll.k_project(plane, 3)
+    assert got.min() >= 0.0 and got[1, 0] == 0.0 and got[4, 4] == 0.0
+    assert got[0, 0] == 0.75 and got[0, 1] == 0.25
+    assert np.array_equal(spectral.wrap_window(got, 3)[1, 1:], [0.75, 0.25])
+    got = unroll.k_project(plane)
+    assert got[1, 0] == 0.0
+    assert (got[0, 0], got[0, 1], got[4, 4]) == (0.375, 0.125, 0.5)
+    assert got.sum() == 1.0
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 
@@ -551,7 +589,7 @@ def test_shared_bank_spectra_match_recomputed_ones(rng):
     ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta)
     assert np.array_equal(g, ref_g)
     assert np.array_equal(x_hat, ref_x)
-    assert np.array_equal(kernel, imaging.crop_kernel(k_plane, 7))
+    assert np.array_equal(kernel, spectral.wrap_window(unroll.k_project(k_plane, 7), 7))
 
 
 def test_forward_recorded_gradients_have_model_shapes(rng):
