@@ -38,7 +38,7 @@ def check_kernel(kernel, tol=1e-12):
         raise NonFiniteInput("kernel has %d non-finite weights"
                              % int(np.sum(~np.isfinite(kernel))))
     if np.any(kernel < 0):
-        raise NegativeWeight("kernel has negative weights")
+        raise NegativeWeight("negative weight %.3e" % float(kernel.min()))
     s = float(np.sum(kernel))
     if abs(s - 1.0) > tol:
         raise NotNormalized("kernel sums to %.17g" % s)

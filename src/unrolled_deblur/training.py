@@ -261,9 +261,9 @@ def train(manifest_path, config, out_dir, resume=None, initial_params=None,
     count and learning rate from an earlier checkpoint of the same config
     and continues from its epoch.
     """
-    if config.epochs < 1 or config.batch_size < 1:
-        raise InvalidParameter("epochs and batch size must be >= 1, got %d and %d"
-                               % (config.epochs, config.batch_size))
+    for what, n in (("epochs", config.epochs), ("batch size", config.batch_size)):
+        if n < 1:
+            raise InvalidParameter("%s must be >= 1, got %d" % (what, n))
     records = kernelgen.load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     if log is None:

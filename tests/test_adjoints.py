@@ -236,10 +236,15 @@ def test_taped_forward_gradients_match_oracle_or_raise_typed(
             composed_grads(blurred, sharp, params, restrict)
         return
     chain = composed_grads(blurred, sharp, params, restrict)
+    # a zero threshold meets features left at +-1e-17 by an FFT round trip,
+    # so rounding alone decides its mask; the windowed projection rounds
+    # unlike the chain's and may decide it the other way. Only that one
+    # entry of b is exempt, and only when a one-ulp nudge flips a kink.
+    exempt = np.zeros(params.b.shape, bool)
+    exempt[-1, 0] = zero_b
     for name in fused:
         assert np.all(np.isfinite(fused[name])), name
-        if rel_err(fused[name], chain[name]) > 1e-10:
-            # the windowed projection rounds unlike the chain's, so a kink
-            # that rounding alone decides may go the other way (a zero
-            # threshold meets features left at +-1e-17 by an FFT round trip)
-            assert restrict and rounding_decides_a_kink(blurred, params), name
+        keep = ~exempt if name == "b" else Ellipsis
+        assert rel_err(fused[name][keep], chain[name][keep]) <= 1e-10, name
+    if rel_err(fused["b"][exempt], chain["b"][exempt]) > 1e-10:
+        assert restrict and rounding_decides_a_kink(blurred, params)

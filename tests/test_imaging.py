@@ -221,7 +221,7 @@ def test_load_kernel_rejects_large_drift(tmp_path):
 def test_load_kernel_negative_weight(tmp_path):
     path = tmp_path / "k.txt"
     path.write_text("KERNEL v1\n3 3\n0 0.5 0\n-0.001 0.501 0\n0 0 0\n")
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(NegativeWeight, match="k.txt: negative weight -1.000e-03"):
         imaging.load_kernel(str(path))
 
 
@@ -238,6 +238,15 @@ def test_load_kernel_even_size(tmp_path):
     path = tmp_path / "k.txt"
     path.write_text("KERNEL v1\n2 2\n0.25 0.25\n0.25 0.25\n")
     with pytest.raises(EvenSize):
+        imaging.load_kernel(str(path))
+
+
+def test_load_kernel_checks_the_body_before_the_size(tmp_path):
+    # the size line is only checked for shape; the even-size check runs
+    # with the other kernel checks, after the weights are parsed
+    path = tmp_path / "k.txt"
+    path.write_text("KERNEL v1\n2 2\n0.25 0.25\n")
+    with pytest.raises(TruncatedData):
         imaging.load_kernel(str(path))
 
 

@@ -337,7 +337,8 @@ def test_train_rejects_zero_epochs_or_batch(tmp_path, rng, field):
     # epochs = 0 used to return a checkpoint it never wrote; batch 0 meant 1
     man = tiny_dataset(tmp_path, rng)
     out = tmp_path / "run"
-    with pytest.raises(InvalidParameter, match=field.split("_")[0]):
+    with pytest.raises(InvalidParameter,
+                       match="^%s must be" % field.replace("_", " ")):
         train(man, small_config(**{field: 0}), str(out), log=open(os.devnull, "w"))
     assert not out.exists()
 
