@@ -27,7 +27,7 @@ Adjoint conventions, for a real-valued loss L:
 * a complex node u = a + ib carries dL/da + i dL/db, so a holomorphic map
   with complex derivative D pulls back as g -> g * conj(D);
 * the adjoint of the unnormalized forward DFT is the unnormalized inverse
-  (numpy ifft2 scaled by H*W), and the adjoint of the normalized inverse is
+  (ifft2 scaled by H*W), and the adjoint of the normalized inverse is
   the forward DFT scaled by 1/(H*W);
 * an adjoint flowing into a real-valued node drops its imaginary part;
 * kinks (the shrinkage threshold, the clamp, the l1 norm) take the zero
@@ -38,6 +38,7 @@ never mutates the graph, so repeated sweeps agree bitwise.
 """
 
 import numpy as np
+import scipy.fft
 from scipy import signal
 
 from . import spectral
@@ -142,7 +143,7 @@ def record(out, inputs, pull):
 def dft_adjoint(g):
     """Adjoint of the unnormalized forward DFT of real planes: H*W Re ifft2."""
     scale = float(g.shape[-2] * g.shape[-1])
-    return spectral.planewise(np.fft.ifft2, g).real * scale
+    return scipy.fft.ifft2(g).real * scale
 
 
 def idft_adjoint(g):

@@ -127,7 +127,7 @@ def _cmd_gen_dataset(args):
                    if n.lower().endswith(".txt"))
     if not names:
         raise DeblurError("no kernel files in %s" % args.kernels)
-    kernels = [(n, imaging.load_kernel(os.path.join(args.kernels, n)))
+    kernels = [imaging.load_kernel(os.path.join(args.kernels, n))
                for n in names]
     count = kernelgen.write_records(args.images, kernels, args.sigma,
                                     args.patch, args.out, args.seed)

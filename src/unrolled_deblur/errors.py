@@ -34,7 +34,7 @@ class UnsupportedFormat(DeblurError):
 
 
 class CorruptHeader(DeblurError):
-    """A file header could not be parsed."""
+    """A file header or manifest row could not be parsed."""
 
 
 class TruncatedData(DeblurError):

@@ -1,11 +1,11 @@
 """Central-difference verification of the analytic parameter gradients.
 
 For every sampled scalar parameter, compares the tape gradient against
-(L(p+h) - L(p-h)) / 2h on the full forward-plus-loss computation. Kinked
-primitives make finite differences locally meaningless, so a sample is
-skipped (and reported) when the two perturbed forwards disagree on any
-threshold/clamp activation pattern, or when the parameter is itself a
-threshold sitting within 2h of one of its inputs.
+(L(p+h) - L(p-h)) / 2h, where L is training.objective, the loss that
+training optimizes. Kinked primitives make finite differences locally
+meaningless, so a sample is skipped (and reported) when the two perturbed
+forwards disagree on any threshold/clamp activation pattern, or when the
+parameter is itself a threshold sitting within 2h of one of its inputs.
 
 Two error figures are reported per sample: the raw relative error
 |a - n| / max(|a|, |n|, 1e-8), and an effective error whose denominator is
@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import spectral, training
-from .unroll import ModelParams, collect_gradients, forward
+from . import kernelgen, training
+from .errors import InvalidParameter
+from .unroll import ModelParams
 
 REL_FLOOR = 1e-8
 EFFECTIVE_FLOOR = 1e-3
@@ -51,9 +52,7 @@ class GradCheckResult:
 class CheckInstance:
     """A randomized small problem for gradient verification."""
 
-    blurred: np.ndarray
-    sharp: np.ndarray
-    kernel_plane: np.ndarray
+    record: kernelgen.DatasetRecord
     params: ModelParams
     kappa: float
 
@@ -79,28 +78,20 @@ def make_check_instance(size=8, layers=2, channels=2, seed=0, kappa=1e5,
     sharp = rng.random((size, size))
     kernel = rng.random((kernel_support, kernel_support))
     kernel /= kernel.sum()
-    return CheckInstance(
-        blurred=blurred, sharp=sharp,
-        kernel_plane=spectral.embed_kernel(kernel, size, size),
-        params=params.validate(), kappa=kappa)
-
-
-def _loss_at(inst, params, track_kinks=False):
-    _, _, _, state = forward(inst.blurred, params, track_kinks=track_kinks)
-    total = training.loss_terms(state.x_hat, state.kernel_plane, inst.sharp,
-                                inst.kernel_plane, inst.kappa)[0]
-    return float(ad.value(total)), state
+    record = kernelgen.DatasetRecord(blurred_path="check instance",
+                                     blurred=blurred, sharp=sharp,
+                                     kernel=kernel, sigma=0.0)
+    return CheckInstance(record=record, params=params.validate(), kappa=kappa)
 
 
 def finite_diff_check(inst, h=1e-5, samples=200, seed=0):
     """Check up to `samples` distinct scalar parameters of the instance."""
+    if samples < 0:
+        raise InvalidParameter("samples must be >= 0, got %d" % samples)
     params = inst.params
-    tape = ad.Tape()
-    _, _, _, state = forward(inst.blurred, params, tape=tape,
-                             track_kinks=True)
-    total = training.loss_terms(state.x_hat, state.kernel_plane, inst.sharp,
-                                inst.kernel_plane, inst.kappa)[0]
-    grads = collect_gradients(total, state)
+    total, _, _, state = training.objective(inst.record, params, inst.kappa,
+                                            tape=ad.Tape(), track_kinks=True)
+    grads = training.collect_gradients(total, state)
     nominal_kinks = state.kink_signature
 
     coords = [(name, i) for name, g in grads.items() for i in range(g.size)]
@@ -119,14 +110,16 @@ def finite_diff_check(inst, h=1e-5, samples=200, seed=0):
         arr = getattr(work, name)
         base = arr.flat[flat]
         arr.flat[flat] = base + h
-        loss_hi, state_hi = _loss_at(inst, work, track_kinks=True)
+        loss_hi, _, _, state_hi = training.objective(
+            inst.record, work, inst.kappa, track_kinks=True)
         arr.flat[flat] = base - h
-        loss_lo, state_lo = _loss_at(inst, work, track_kinks=True)
+        loss_lo, _, _, state_lo = training.objective(
+            inst.record, work, inst.kappa, track_kinks=True)
         if state_hi.kink_signature != state_lo.kink_signature \
                 or state_hi.kink_signature != nominal_kinks:
             skipped.append((name, flat, "activation pattern changes within h"))
             continue
-        numeric = (loss_hi - loss_lo) / (2.0 * h)
+        numeric = (float(loss_hi) - float(loss_lo)) / (2.0 * h)
         diff = abs(analytic - numeric)
         rel = diff / max(abs(analytic), abs(numeric), REL_FLOOR)
         eff = diff / max(abs(analytic), abs(numeric), EFFECTIVE_FLOOR)

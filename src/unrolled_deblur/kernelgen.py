@@ -5,8 +5,8 @@ bilinear splatting; trajectory kernels integrate a damped random walk and
 splat its path the same way. Records pair a blurred observation (circular
 convolution plus unclamped gaussian noise) with its sharp source and true
 kernel, listed in a manifest CSV. write_records is the one record builder:
-it takes (name, kernel array) pairs, whether loaded from kernel files or
-made by the generators here.
+it takes kernel arrays, whether loaded from kernel files or made by the
+generators here.
 """
 
 import csv
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imaging, spectral
-from .errors import (DeblurError, EmptyDirectory, EvenSize, ImageTooSmall,
-                     NoUsableImages, SupportTooSmall)
+from .errors import (CorruptHeader, DeblurError, EmptyDirectory, EvenSize,
+                     ImageTooSmall, NoUsableImages, SupportTooSmall)
 
 # trajectory random walk: v <- TRAJ_DAMPING * v + N(0, TRAJ_STEP_VAR) per axis
 TRAJ_STEPS = 256
@@ -132,37 +132,33 @@ def _usable_images(image_dir, patch):
     if not names:
         raise EmptyDirectory("no PGM files in %s" % image_dir)
     usable = []
-    skipped = []
     for name in names:
         try:
             img = imaging.load_image(os.path.join(image_dir, name))
-        except DeblurError as exc:
-            skipped.append((name, str(exc)))
+        except DeblurError:
             continue
-        if img.shape[0] < patch or img.shape[1] < patch:
-            skipped.append((name, "smaller than patch %d" % patch))
-            continue
-        usable.append((name, img))
+        if img.shape[0] >= patch and img.shape[1] >= patch:
+            usable.append(img)
     if not usable:
         raise NoUsableImages("no usable images in %s (%d skipped)"
-                             % (image_dir, len(skipped)))
-    return usable, skipped
+                             % (image_dir, len(names)))
+    return usable
 
 
 def write_records(image_dir, kernels, sigma, patch, out_dir, seed):
     """Write blurred/sharp/kernel triples plus manifest.csv to out_dir.
 
-    `kernels` is a list of (name, kernel array) pairs. Every usable image
-    is paired with every kernel; record i draws its noise from (seed, i) so
-    the stream never depends on generation order. Returns the record count.
+    `kernels` is a list of kernel arrays. Every usable image is paired
+    with every kernel; record i draws its noise from (seed, i) so the
+    stream never depends on generation order. Returns the record count.
     """
-    usable, _ = _usable_images(image_dir, patch)
+    usable = _usable_images(image_dir, patch)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     index = 0
-    for image_name, img in usable:
+    for img in usable:
         sharp = center_crop(img, patch)
-        for kernel_name, kernel in kernels:
+        for kernel in kernels:
             blurred = synthesize_blurred(sharp, kernel, sigma, (seed, index))
             stem = "rec_%05d" % index
             blur_file = stem + "_blur.pgm"
@@ -196,21 +192,35 @@ class DatasetRecord:
 
 
 def load_manifest(manifest_path):
-    """Load every record listed in a manifest CSV (paths relative to it)."""
+    """Load every record listed in a manifest CSV (paths relative to it).
+
+    A bad header, a row without exactly one value per field, or a sigma
+    that is not a number raises CorruptHeader naming the manifest line.
+    """
     base = os.path.dirname(os.path.abspath(manifest_path))
     records = []
     with open(manifest_path, "r", encoding="ascii", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != MANIFEST_FIELDS:
-            raise DeblurError("manifest %s: header %s, expected %s"
-                              % (manifest_path, reader.fieldnames, MANIFEST_FIELDS))
+            raise CorruptHeader("manifest %s: header %s, expected %s"
+                                % (manifest_path, reader.fieldnames, MANIFEST_FIELDS))
         for row in reader:
+            where = "manifest %s line %d" % (manifest_path, reader.line_num)
+            # DictReader files surplus values under None, missing ones as None
+            if None in row or None in row.values():
+                raise CorruptHeader("%s: expected %d fields"
+                                    % (where, len(MANIFEST_FIELDS)))
+            try:
+                sigma = float(row["sigma"])
+            except ValueError:
+                raise CorruptHeader("%s: sigma %r is not a number"
+                                    % (where, row["sigma"])) from None
             records.append(DatasetRecord(
                 blurred_path=row["blurred"],
                 blurred=imaging.load_image(os.path.join(base, row["blurred"])),
                 sharp=imaging.load_image(os.path.join(base, row["sharp"])),
                 kernel=imaging.load_kernel(os.path.join(base, row["kernel"])),
-                sigma=float(row["sigma"])))
+                sigma=sigma))
     if not records:
         raise NoUsableImages("manifest %s lists no records" % manifest_path)
     return records

@@ -234,17 +234,31 @@ def load_checkpoint(path):
 # training loop
 
 
-def _record_loss(record, params, kappa):
-    """Forward and backward on one record; (total, image mse, kernel mse, grads)."""
+def objective(record, params, kappa, tape=None, track_kinks=False):
+    """The training loss on one record: (total, image mse, kernel mse, state).
+
+    Runs forward on the blurred image, then loss_terms against the record's
+    true kernel embedded on the image grid. total is a tape node when a
+    tape is given. Raises NonFiniteLoss when the total is not finite.
+    """
     h, w = record.blurred.shape
     target_plane = spectral.embed_kernel(record.kernel, h, w)
-    _, _, _, state = forward(record.blurred, params, tape=ad.Tape())
+    _, _, _, state = forward(record.blurred, params, tape=tape,
+                             track_kinks=track_kinks)
     total, image_mse, kernel_mse = loss_terms(
         state.x_hat, state.kernel_plane, record.sharp, target_plane, kappa)
     total_value = float(ad.value(total))
     if not np.isfinite(total_value):
         raise NonFiniteLoss("record %s: loss %r" % (record.blurred_path, total_value))
-    return total_value, image_mse, kernel_mse, collect_gradients(total, state)
+    return total, image_mse, kernel_mse, state
+
+
+def _record_loss(record, params, kappa):
+    """Forward and backward on one record; (total, image mse, kernel mse, grads)."""
+    total, image_mse, kernel_mse, state = objective(record, params, kappa,
+                                                    tape=ad.Tape())
+    return (float(ad.value(total)), image_mse, kernel_mse,
+            collect_gradients(total, state))
 
 
 def _sum_grads(acc, grads):

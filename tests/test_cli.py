@@ -301,3 +301,29 @@ def test_missing_input_file_is_an_error_line(pipeline, tmp_path, capsys,
     assert cli.main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nope" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("row", ["a_blur.pgm,a_sharp.pgm",
+                                 "a_blur.pgm,a_sharp.pgm,a_kernel.txt,abc"])
+def test_malformed_manifest_row_is_an_error_line(pipeline, tmp_path, capsys,
+                                                 command, row):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("blurred,sharp,kernel,sigma\n" + row + "\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "eval": ["eval", "--ckpt", pipeline["ckpt"]],
+        "train": ["train", "--layers", "1", "--channels", "1",
+                  "--support", "5", "--epochs", "1"],
+    }[command]
+    assert cli.main(argv + ["--manifest", str(manifest), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2" in err
+    assert "Traceback" not in err
+
+
+def test_check_grad_rejects_negative_samples(capsys):
+    assert cli.main(["check-grad", "--size", "6", "--samples", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "samples" in err
+    assert capsys.readouterr().out == ""

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from unrolled_deblur import imaging, kernelgen
-from unrolled_deblur.errors import (DeblurError, EmptyDirectory, EvenSize,
-                                    ImageTooSmall, NoUsableImages,
-                                    SupportTooSmall)
+from unrolled_deblur.errors import (CorruptHeader, DeblurError,
+                                    EmptyDirectory, EvenSize, ImageTooSmall,
+                                    NoUsableImages, SupportTooSmall)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def test_center_crop():
 # dataset assembly
 
 
-LINEAR = [("linear", kernelgen.linear_motion_kernel(0.0, 5.0, 9))]
+LINEAR = [kernelgen.linear_motion_kernel(0.0, 5.0, 9)]
 
 
 def _seed_images(dirpath, rng, count=2, size=40):
@@ -202,10 +202,10 @@ def test_build_dataset_roundtrip(tmp_path, rng):
     src = str(tmp_path / "src")
     out = str(tmp_path / "out")
     _seed_images(src, rng)
-    kernels = [("l0", kernelgen.linear_motion_kernel(0.0, 5.0, 9)),
-               ("l1", kernelgen.linear_motion_kernel(1.0, 6.0, 9)),
-               ("t1", kernelgen.trajectory_motion_kernel(1, 9)),
-               ("t2", kernelgen.trajectory_motion_kernel(2, 9))]
+    kernels = [kernelgen.linear_motion_kernel(0.0, 5.0, 9),
+               kernelgen.linear_motion_kernel(1.0, 6.0, 9),
+               kernelgen.trajectory_motion_kernel(1, 9),
+               kernelgen.trajectory_motion_kernel(2, 9)]
     n = kernelgen.write_records(src, kernels, 0.01, 32, out, seed=5)
     assert n == 8
 
@@ -221,7 +221,7 @@ def test_build_dataset_roundtrip(tmp_path, rng):
 def test_build_dataset_rerun_is_byte_identical(tmp_path, rng):
     src = str(tmp_path / "src")
     _seed_images(src, rng)
-    kernels = [("linear", kernelgen.linear_motion_kernel(0.3, 5.0, 9))]
+    kernels = [kernelgen.linear_motion_kernel(0.3, 5.0, 9)]
     outs = []
     for sub in ("a", "b"):
         out = str(tmp_path / sub)
@@ -271,3 +271,16 @@ def test_load_manifest_rejects_empty(tmp_path):
     path.write_text("blurred,sharp,kernel,sigma\n")
     with pytest.raises(NoUsableImages):
         kernelgen.load_manifest(str(path))
+
+
+@pytest.mark.parametrize("row, why", [
+    ("x_blur.pgm,x_sharp.pgm", "expected 4 fields"),
+    ("x_blur.pgm,x_sharp.pgm,x_kernel.txt,0.01,extra", "expected 4 fields"),
+    ("x_blur.pgm,x_sharp.pgm,x_kernel.txt,abc", "sigma 'abc' is not a number"),
+])
+def test_load_manifest_rejects_malformed_row(tmp_path, row, why):
+    path = tmp_path / "manifest.csv"
+    path.write_text("blurred,sharp,kernel,sigma\n\n" + row + "\n")
+    with pytest.raises(CorruptHeader) as info:
+        kernelgen.load_manifest(str(path))
+    assert str(info.value) == "manifest %s line 3: %s" % (path, why)

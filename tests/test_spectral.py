@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from unrolled_deblur import spectral
 from unrolled_deblur.errors import (DimensionMismatch, ImaginaryResidue,
@@ -46,9 +49,12 @@ def test_fft2_real_input_matches_numpy(rng, h, w):
 
 @pytest.mark.parametrize("h, w", SIZES)
 def test_fft2_real_input_is_exactly_hermitian(rng, h, w):
+    # Hermitian to rounding only: at some sizes with an even H (6, 12, 36,
+    # ...) pocketfft's real transform misses the mirror by about eps*max|X|
     spec = spectral.fft2(rng.standard_normal((h, w)))
     mirror = np.conj(spec[(-np.arange(h)) % h][:, (-np.arange(w)) % w])
-    assert np.all(spec == mirror)
+    eps = np.finfo(np.float64).eps
+    assert np.abs(spec - mirror).max() <= 4 * eps * np.abs(spec).max()
 
 
 def test_fft2_real_stack_equals_each_plane(rng):
@@ -61,8 +67,8 @@ def test_fft2_real_stack_equals_each_plane(rng):
 
 def test_fft2_complex_input_is_numpys(rng):
     z = rng.standard_normal((3, 9, 6)) + 1j * rng.standard_normal((3, 9, 6))
-    assert np.array_equal(spectral.fft2(z), np.fft.fft2(z))
-    assert np.array_equal(spectral.fft2(z[0]), np.fft.fft2(z[0]))
+    assert np.array_equal(spectral.fft2(z), scipy.fft.fft2(z))
+    assert np.array_equal(spectral.fft2(z[0]), scipy.fft.fft2(z[0]))
 
 
 def test_ifft2_flat_spectrum_is_impulse():
@@ -114,7 +120,32 @@ def test_ifft2_checks_residue_per_plane(rng):
     assert pooled < spectral.IMAG_ENERGY_TOL
     with pytest.raises(ImaginaryResidue):
         spectral.ifft2(spec)
-    assert np.array_equal(spectral.ifft2(spec[1:]), out[1:].real)
+    assert np.array_equal(spectral.ifft2(spec[1:]),
+                          scipy.fft.ifft2(spec[1:]).real)
+
+
+def test_ifft2_names_a_bad_middle_plane(rng):
+    # only plane (1, 2) of a (3, 4) stack carries 1e-4 of its energy in
+    # the imaginary part; the message reports that plane's energies
+    planes = rng.standard_normal((3, 4, 8, 8))
+    spec = spectral.fft2(planes)
+    spec[1, 2] += spectral.fft2(1e-2 * planes[1, 2]) * 1j
+    bad = scipy.fft.ifft2(spec[1, 2])
+    imag = np.sum(bad.imag ** 2)
+    message = "imaginary energy %.3e exceeds %g of total %.3e" % (
+        imag, spectral.IMAG_ENERGY_TOL, np.sum(bad.real ** 2) + imag)
+    with pytest.raises(ImaginaryResidue, match=re.escape(message)):
+        spectral.ifft2(spec)
+    spec[1, 2] = spectral.fft2(planes[1, 2])
+    assert np.abs(spectral.ifft2(spec) - planes).max() < 1e-12
+
+
+def test_ifft2_stack_equals_each_plane(rng):
+    spec = spectral.fft2(rng.standard_normal((2, 3, 9, 6)))
+    planes = spectral.ifft2(spec)
+    assert planes.dtype == np.float64 and planes.flags.c_contiguous
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(planes[idx], spectral.ifft2(spec[idx]))
 
 
 def test_stacked_embedding_matches_each_kernel(rng):

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from unrolled_deblur import imaging, kernelgen, training, unroll
+from unrolled_deblur import gradcheck, imaging, kernelgen, training, unroll
 from unrolled_deblur.errors import (ConfigMismatch, CorruptCheckpoint,
                                     InvalidParameter, NonFiniteLoss,
                                     VersionMismatch)
@@ -258,7 +258,7 @@ def tiny_dataset(tmp_path, rng, n_images=2, patch=16):
     for i in range(n_images):
         imaging.save_image(rng.random((24, 24)),
                            os.path.join(src, "s%d.pgm" % i), maxval=65535)
-    kernels = [("linear", kernelgen.linear_motion_kernel(0.4, 2.5, 5))]
+    kernels = [kernelgen.linear_motion_kernel(0.4, 2.5, 5)]
     out = str(tmp_path / "data")
     kernelgen.write_records(src, kernels, 0.01, patch, out, seed=3)
     return os.path.join(out, "manifest.csv")
@@ -381,6 +381,21 @@ def test_record_loss_rejects_non_finite(rng, make_kernel):
     with np.errstate(invalid="ignore"):  # the NaN is the point
         with pytest.raises(NonFiniteLoss):
             training._record_loss(rec, init_params(cfg), cfg.kappa)
+
+
+def test_gradcheck_checks_the_training_loss():
+    inst = gradcheck.make_check_instance(size=6, layers=2, channels=2, seed=3)
+    _, _, _, grads = training._record_loss(inst.record, inst.params, inst.kappa)
+    res = gradcheck.finite_diff_check(inst, samples=12, seed=1)
+    assert res.checked > 0
+    for e in res.entries:
+        assert e.analytic == grads[e.name].flat[e.index]
+
+
+def test_gradcheck_rejects_negative_samples():
+    inst = gradcheck.make_check_instance(size=6, layers=1, channels=1)
+    with pytest.raises(InvalidParameter, match="samples"):
+        gradcheck.finite_diff_check(inst, samples=-1)
 
 
 def test_train_batch_size_groups_steps(tmp_path, rng):
