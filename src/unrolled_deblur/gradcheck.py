@@ -80,7 +80,7 @@ def make_check_instance(size=8, layers=2, channels=2, seed=0, kappa=1e5,
     kernel /= kernel.sum()
     record = kernelgen.DatasetRecord(blurred_path="check instance",
                                      blurred=blurred, sharp=sharp,
-                                     kernel=kernel, sigma=0.0)
+                                     kernel=kernel)
     return CheckInstance(record=record, params=params.validate(), kappa=kappa)
 
 

@@ -138,12 +138,18 @@ def load_image(path):
 
 
 def save_image(image, path, maxval=255, binary=True):
-    """Write an image as PGM, clamping to [0, 1] and quantizing to maxval."""
+    """Write an image as PGM, clamping to [0, 1] and quantizing to maxval.
+
+    A NaN or Inf pixel raises NonFiniteInput before the file is opened.
+    """
     if maxval not in (255, 65535):
         raise UnsupportedFormat("maxval %d (only 255 and 65535)" % maxval)
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise UnsupportedFormat("image must be 2-D, got shape %s" % (image.shape,))
+    if not np.all(np.isfinite(image)):  # the clip would write NaN as 0
+        raise NonFiniteInput("image has %d non-finite pixels"
+                             % int(np.sum(~np.isfinite(image))))
     q = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(np.uint32)
     height, width = image.shape
     magic = "P5" if binary else "P2"

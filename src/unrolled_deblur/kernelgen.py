@@ -18,7 +18,8 @@ import numpy as np
 
 from . import imaging, spectral
 from .errors import (CorruptHeader, DeblurError, EmptyDirectory, EvenSize,
-                     ImageTooSmall, NoUsableImages, SupportTooSmall)
+                     ImageTooSmall, InvalidParameter, NoUsableImages,
+                     SupportTooSmall)
 
 # trajectory random walk: v <- TRAJ_DAMPING * v + N(0, TRAJ_STEP_VAR) per axis
 TRAJ_STEPS = 256
@@ -106,8 +107,11 @@ def synthesize_blurred(sharp, kernel, sigma, seed):
     """Blur a sharp image circularly and add iid gaussian noise.
 
     The result is left unclamped; clamping happens only at save time.
-    Deterministic in the seed.
+    Deterministic in the seed. sigma must be finite and >= 0.
     """
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidParameter("noise sigma must be finite and >= 0, got %r"
+                               % sigma)
     sharp = np.asarray(sharp, dtype=np.float64)
     h, w = sharp.shape
     blurred = spectral.circ_conv(sharp, spectral.embed_kernel(kernel, h, w))
@@ -188,7 +192,6 @@ class DatasetRecord:
     blurred: np.ndarray
     sharp: np.ndarray
     kernel: np.ndarray
-    sigma: float
 
 
 def load_manifest(manifest_path):
@@ -196,6 +199,7 @@ def load_manifest(manifest_path):
 
     A bad header, a row without exactly one value per field, or a sigma
     that is not a number raises CorruptHeader naming the manifest line.
+    The sigma column records how a record was made; nothing reads it.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     records = []
@@ -211,7 +215,7 @@ def load_manifest(manifest_path):
                 raise CorruptHeader("%s: expected %d fields"
                                     % (where, len(MANIFEST_FIELDS)))
             try:
-                sigma = float(row["sigma"])
+                float(row["sigma"])
             except ValueError:
                 raise CorruptHeader("%s: sigma %r is not a number"
                                     % (where, row["sigma"])) from None
@@ -219,8 +223,7 @@ def load_manifest(manifest_path):
                 blurred_path=row["blurred"],
                 blurred=imaging.load_image(os.path.join(base, row["blurred"])),
                 sharp=imaging.load_image(os.path.join(base, row["sharp"])),
-                kernel=imaging.load_kernel(os.path.join(base, row["kernel"])),
-                sigma=sigma))
+                kernel=imaging.load_kernel(os.path.join(base, row["kernel"]))))
     if not records:
         raise NoUsableImages("manifest %s lists no records" % manifest_path)
     return records

@@ -18,23 +18,19 @@ inputs were rolled. Every metric rejects non-finite pixels.
 
 import csv
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy import signal
 
-from . import imaging, kernelgen, training, unroll
+from . import kernelgen, spectral, training, unroll
 from .errors import DimensionMismatch, ImageTooSmall, NonFiniteInput
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-EVAL_FIELDS = ["record", "psnr_db", "isnr_db", "ssim",
-               "kernel_rmse", "shift_dy", "shift_dx"]
 
 
 def _check_finite(*arrays):
@@ -126,8 +122,8 @@ def align_shift(estimate, reference, max_shift):
     # E = sum a^2 + sum b^2 and corr(s) = sum_p b[p] a[p - s], which one
     # circular cross-correlation yields for every s at once.
     energy = float(np.sum(estimate * estimate) + np.sum(reference * reference))
-    corr = np.fft.ifft2(np.fft.fft2(reference)
-                        * np.conj(np.fft.fft2(estimate))).real
+    corr = spectral.ifft2(spectral.fft2(reference)
+                          * np.conj(spectral.fft2(estimate)))
     approx = (energy - 2.0 * corr[dy % h, dx % w]) / n
     # Error bound. The computed DFT of x has 2-norm error at most
     # c u log2(n) ||DFT x||_2 (u the unit roundoff), and |DFT x| <= sqrt(n)
@@ -163,23 +159,15 @@ def kernel_rmse(estimate, truth):
     truth = np.asarray(truth, dtype=np.float64)
     _check_finite(estimate, truth)
     size = max(estimate.shape[0], truth.shape[0])
-
-    def pad(k):
-        if k.shape[0] == size:
-            return k
-        margin = (size - k.shape[0]) // 2
-        out = np.zeros((size, size))
-        out[margin:margin + k.shape[0], margin:margin + k.shape[0]] = k
-        return out
-
-    a = pad(estimate)
-    b = pad(truth)
+    a, b = (np.pad(k, (size - k.shape[0]) // 2) for k in (estimate, truth))
     dy, dx = align_shift(a, b, size // 2)
     return math.sqrt(_mse_exact(np.roll(a, (dy, dx), axis=(0, 1)), b))
 
 
 @dataclass
 class EvalRow:
+    """One report row; its fields, in order, are the CSV columns."""
+
     record: str
     psnr_db: float
     isnr_db: float
@@ -187,6 +175,9 @@ class EvalRow:
     kernel_rmse: float
     shift_dy: int
     shift_dx: int
+
+
+EVAL_FIELDS = [f.name for f in fields(EvalRow)]
 
 
 @dataclass
@@ -202,18 +193,16 @@ def _fmt(v):
 def evaluate(manifest_path, checkpoint, out_csv, forward_fn=None, threads=1):
     """Score a model over every manifest record and write a CSV report.
 
-    `checkpoint` is a checkpoint path or a ModelParams; `forward_fn`
-    (blurred -> (kernel, x_hat)) overrides the model, which keeps the
-    harness testable against an oracle. Reconstructions are aligned to the
-    reference by circular shift before the image metrics; the blurred
-    baseline inside ISNR is never shifted.
+    `checkpoint` is the path of a trained checkpoint; `forward_fn`
+    (blurred -> (kernel, x_hat)), when given, replaces the model and the
+    checkpoint is not read, which keeps the harness testable against an
+    oracle. Reconstructions are aligned to the reference by circular shift
+    before the image metrics; the blurred baseline inside ISNR is never
+    shifted. The CSV has the EvalRow columns and ends with a MEAN row.
     """
     records = kernelgen.load_manifest(manifest_path)
     if forward_fn is None:
-        if isinstance(checkpoint, (str, os.PathLike)):
-            params = training.load_checkpoint(checkpoint).params
-        else:
-            params = checkpoint
+        params = training.load_checkpoint(checkpoint).params
 
         def forward_fn(blurred):
             kernel, _, x_hat, _ = unroll.forward(blurred, params)
@@ -224,11 +213,10 @@ def evaluate(manifest_path, checkpoint, out_csv, forward_fn=None, threads=1):
         max_shift = kernel.shape[0] // 2
         dy, dx = align_shift(x_hat, record.sharp, max_shift)
         aligned = np.roll(x_hat, (dy, dx), axis=(0, 1))
-        psnr_db = psnr(aligned, record.sharp)
         return EvalRow(
             record=record.blurred_path,
-            psnr_db=psnr_db,
-            isnr_db=psnr_db - psnr(record.blurred, record.sharp),
+            psnr_db=psnr(aligned, record.sharp),
+            isnr_db=isnr(aligned, record.blurred, record.sharp),
             ssim=ssim(aligned, record.sharp),
             kernel_rmse=kernel_rmse(kernel, record.kernel),
             shift_dy=dy, shift_dx=dx)
@@ -239,21 +227,16 @@ def evaluate(manifest_path, checkpoint, out_csv, forward_fn=None, threads=1):
     else:
         rows = [score(r) for r in records]
 
-    n = len(rows)
-    mean = EvalRow(
-        record="MEAN",
-        psnr_db=sum(r.psnr_db for r in rows) / n,
-        isnr_db=sum(r.isnr_db for r in rows) / n,
-        ssim=sum(r.ssim for r in rows) / n,
-        kernel_rmse=sum(r.kernel_rmse for r in rows) / n,
-        shift_dy=0, shift_dx=0)
+    # the record column reads MEAN, each score column its mean, the
+    # integer (shift) columns 0
+    mean = EvalRow("MEAN", *(
+        sum(getattr(r, f.name) for r in rows) / len(rows) if f.type is float
+        else 0 for f in fields(EvalRow)[1:]))
 
     if out_csv is not None:
         with open(out_csv, "w", encoding="ascii", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(EVAL_FIELDS)
             for r in rows + [mean]:
-                writer.writerow([r.record, _fmt(r.psnr_db), _fmt(r.isnr_db),
-                                 _fmt(r.ssim), _fmt(r.kernel_rmse),
-                                 r.shift_dy, r.shift_dx])
+                writer.writerow([_fmt(v) for v in astuple(r)])
     return EvalReport(rows=rows, mean=mean)

@@ -142,6 +142,27 @@ def adam_step(params, grads, adam, step, lr, config):
 # checkpoints
 
 
+def check_layout(params, config):
+    """Raise unless params is a trainable model with config's layout.
+
+    A checkpoint stores the trainable arrays in the shapes that config's L
+    and C give, and reloads the kernel support from config. A fixed-bank
+    model or other shapes raise DimensionMismatch, another support
+    InvalidParameter, so no checkpoint is written that load_checkpoint
+    would reject or misread.
+    """
+    if params.fixed_bank is not None:
+        raise DimensionMismatch("a fixed-bank model has no trainable filters "
+                                "to checkpoint")
+    for name, shape in trainable_shapes(config.layers, config.channels).items():
+        got = np.shape(getattr(params, name))
+        if got != shape:
+            raise DimensionMismatch("%s is %s, config expects %s" % (name, got, shape))
+    if params.kernel_support != config.kernel_support:
+        raise InvalidParameter("model kernel support %d, config expects %d"
+                               % (params.kernel_support, config.kernel_support))
+
+
 def _write_array(fh, arr):
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     fh.write(struct.pack("<Q", arr.size))
@@ -149,6 +170,7 @@ def _write_array(fh, arr):
 
 
 def save_checkpoint(path, params, adam, step, epoch, lr, config):
+    check_layout(params, config)
     cfg = json.dumps(asdict(config), sort_keys=True,
                      separators=(",", ":")).encode("ascii")
     arrays = {name: getattr(params, name) for name in TRAINABLE}
@@ -261,28 +283,20 @@ def _record_loss(record, params, kappa):
             collect_gradients(total, state))
 
 
-def _sum_grads(acc, grads):
-    if acc is None:
-        return grads
-    return {k: acc[k] + v for k, v in grads.items()}
-
-
 def train(manifest_path, config, out_dir, resume=None, initial_params=None,
           log=None):
     """Train on a manifest; writes per-epoch checkpoints and loss_log.csv.
 
-    Returns the final Checkpoint. `resume` restores params, moments, step
-    count and learning rate from an earlier checkpoint of the same config
-    and continues from its epoch.
+    Each epoch walks a reshuffled record order in slices of batch_size;
+    a slice sums its records' gradients in order, takes one Adam step and
+    logs one row of mean losses. Returns the Checkpoint of the last epoch
+    run. `resume` restores params, moments, step count and learning rate
+    from an earlier checkpoint of the same config and continues from its
+    epoch. `initial_params` must have the config's layout (check_layout).
     """
     for what, n in (("epochs", config.epochs), ("batch size", config.batch_size)):
         if n < 1:
             raise InvalidParameter("%s must be >= 1, got %d" % (what, n))
-    records = kernelgen.load_manifest(manifest_path)
-    os.makedirs(out_dir, exist_ok=True)
-    if log is None:
-        log = sys.stderr
-
     if resume is not None:
         ckpt = load_checkpoint(resume)
         if ckpt.config != config:
@@ -292,35 +306,32 @@ def train(manifest_path, config, out_dir, resume=None, initial_params=None,
     else:
         params = initial_params if initial_params is not None \
             else init_params(config)
-        params.validate()
+        check_layout(params.validate(), config)
         adam = AdamState.zeros(params)
         step, start_epoch, lr = 0, 0, config.lr
+    records = kernelgen.load_manifest(manifest_path)
+    os.makedirs(out_dir, exist_ok=True)
+    if log is None:
+        log = sys.stderr
 
     log_path = os.path.join(out_dir, "loss_log.csv")
     mode = "a" if resume is not None and os.path.exists(log_path) else "w"
-    last = None
     with open(log_path, mode, encoding="ascii", newline="\n") as logf:
         if mode == "w":
             logf.write("epoch,step,loss,image_mse,kernel_mse,lr\n")
         for epoch in range(start_epoch, config.epochs):
             order = np.random.default_rng([config.seed, epoch]).permutation(
                 len(records))
-            batch_grads = None
-            batch_losses = []
-            for n, idx in enumerate(order):
-                total, image_mse, kernel_mse, grads = _record_loss(
-                    records[idx], params, config.kappa)
-                batch_grads = _sum_grads(batch_grads, grads)
-                batch_losses.append((total, image_mse, kernel_mse))
-                if len(batch_losses) == config.batch_size or n == len(order) - 1:
-                    step += 1
-                    adam_step(params, batch_grads, adam, step, lr, config)
-                    mean = [sum(c) / len(batch_losses)
-                            for c in zip(*batch_losses)]
-                    logf.write("%d,%d,%r,%r,%r,%r\n"
-                               % (epoch, step, mean[0], mean[1], mean[2], lr))
-                    batch_grads = None
-                    batch_losses = []
+            for start in range(0, len(order), config.batch_size):
+                # losses: the total, image and kernel columns of the slice
+                *losses, grads = zip(*(
+                    _record_loss(records[i], params, config.kappa)
+                    for i in order[start:start + config.batch_size]))
+                step += 1
+                adam_step(params, {k: sum((g[k] for g in grads[1:]), grads[0][k])
+                                   for k in grads[0]}, adam, step, lr, config)
+                logf.write("%d,%d,%r,%r,%r,%r\n"
+                           % (epoch, step, *(sum(c) / len(c) for c in losses), lr))
             logf.flush()
             lr = lr * config.decay
             ckpt_path = os.path.join(out_dir,
@@ -328,9 +339,5 @@ def train(manifest_path, config, out_dir, resume=None, initial_params=None,
             save_checkpoint(ckpt_path, params, adam, step, epoch + 1, lr, config)
             print("epoch %d done, step %d, checkpoint %s"
                   % (epoch + 1, step, ckpt_path), file=log)
-            last = Checkpoint(params=params, adam=adam, step=step,
-                              epoch=epoch + 1, lr=lr, config=config)
-    if last is None:  # resumed at or past the final epoch
-        last = Checkpoint(params=params, adam=adam, step=step,
-                          epoch=start_epoch, lr=lr, config=config)
-    return last
+    return Checkpoint(params=params, adam=adam, step=step,
+                      epoch=max(start_epoch, config.epochs), lr=lr, config=config)

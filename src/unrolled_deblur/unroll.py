@@ -98,15 +98,8 @@ class ModelParams:
     kernel_support: int = 31
     fixed_bank: np.ndarray | None = None  # (C, s, s), used by every layer
 
-    @property
-    def layers(self):
-        return self.b.shape[0]
-
-    @property
-    def channels(self):
-        return self.b.shape[1]
-
     def validate(self):
+        """Check shapes, then finiteness, signs, eps and support; returns self."""
         L, C = self.b.shape
         if L < 1 or C < 1:
             raise DimensionMismatch("need at least one layer and one channel, "
@@ -119,6 +112,9 @@ class ModelParams:
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise DimensionMismatch("%s is %s, expected %s" % (name, got, shape))
+        for name in (*shapes, "eps"):  # NaN passes the sign checks below
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NonFiniteInput("%s has non-finite values" % name)
         for name in NONNEGATIVE:
             if np.any(getattr(self, name) < 0):
                 raise InvalidParameter("%s must be nonnegative" % name)
@@ -149,16 +145,15 @@ def _check_bank(bank, channels):
 class ForwardState:
     """Everything a completed forward pass leaves behind.
 
-    kernel_plane (H, W), x_hat (H, W) and g (the final (C, H, W) feature
-    stack) hold tape Vars when the pass was recorded and plain arrays
-    otherwise; param_vars maps each TRAINABLE field the pass used to its
-    leaf (or to the plain array). kernel_planes collects the
-    post-projection kernel values per layer for invariant checks.
+    kernel_plane (H, W) and x_hat (H, W) hold tape Vars when the pass was
+    recorded and plain arrays otherwise; param_vars maps each TRAINABLE
+    field the pass used to its leaf (or to the plain array). kernel_planes
+    collects the post-projection kernel values per layer for invariant
+    checks.
     """
 
     x_hat: object
     kernel_plane: object
-    g: object
     kernel_planes: list
     tape: object = None
     param_vars: dict | None = None
@@ -478,7 +473,7 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     kernel = spectral.wrap_window(k_project(ad.value(k_plane), params.kernel_support),
                                   params.kernel_support)
     state = ForwardState(
-        x_hat=x_hat, kernel_plane=k_plane, g=g, kernel_planes=kernel_planes,
+        x_hat=x_hat, kernel_plane=k_plane, kernel_planes=kernel_planes,
         tape=tape, param_vars=pv,
         kink_signature=b"".join(kinks) if kinks is not None else None)
     return kernel, np.array(ad.value(g)), np.array(ad.value(x_hat)), state

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unrolled_deblur import cli, imaging
-from unrolled_deblur.training import load_checkpoint
+from unrolled_deblur.training import load_checkpoint, save_checkpoint
 
 SUBCOMMANDS = ["gen-kernels", "gen-dataset", "train", "deblur", "eval",
                "check-grad"]
@@ -134,6 +134,25 @@ def test_gen_dataset_rejects_non_finite_kernel(tmp_path, capsys):
     assert rc == 1
     assert "bad.txt" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan"])
+def test_gen_dataset_rejects_bad_sigma(tmp_path, capsys, sigma):
+    # these used to write noise-free records labelled -1 and nan
+    kernels = tmp_path / "kernels"
+    kernels.mkdir()
+    imaging.save_kernel(imaging.impulse_kernel(3), str(kernels / "k.txt"))
+    imgs = tmp_path / "imgs"
+    imgs.mkdir()
+    imaging.save_image(np.full((24, 24), 0.5), str(imgs / "a.pgm"))
+    out = tmp_path / "o"
+    rc = cli.main(["gen-dataset", "--images", str(imgs), "--kernels",
+                   str(kernels), "--sigma", sigma, "--patch", "16",
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sigma" in err
+    assert not out.exists() or os.listdir(out) == []
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +292,25 @@ def test_train_rejects_zero_channels(pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not os.path.exists(os.path.join(out, "checkpoint_epoch_0001.ckpt"))
+
+
+def test_deblur_rejects_non_finite_checkpoint_weights(pipeline, tmp_path,
+                                                     capsys):
+    # an Inf eta used to exit 0 with an all-black image
+    ckpt = load_checkpoint(pipeline["ckpt"])
+    ckpt.params.eta[0] = np.inf
+    bad = str(tmp_path / "bad.ckpt")
+    save_checkpoint(bad, ckpt.params, ckpt.adam, ckpt.step, ckpt.epoch,
+                    ckpt.lr, ckpt.config)
+    with open(pipeline["manifest"]) as fh:
+        row = next(csv.DictReader(fh))
+    out, kout = str(tmp_path / "x.pgm"), str(tmp_path / "k.txt")
+    rc = cli.main(["deblur", "--in", os.path.join(pipeline["data"], row["blurred"]),
+                   "--ckpt", bad, "--out", out, "--kernel-out", kout])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eta" in err
+    assert not os.path.exists(out) and not os.path.exists(kout)
 
 
 @pytest.mark.parametrize("flag", ["--epochs", "--batch"])

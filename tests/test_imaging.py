@@ -181,6 +181,17 @@ def test_save_rejects_non_2d(tmp_path):
         imaging.save_image(np.zeros(4), str(tmp_path / "x.pgm"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_image_rejects_non_finite_and_writes_nothing(tmp_path, bad):
+    # the clamp used to write NaN as black and Inf as white without a word
+    image = np.full((4, 4), 0.5)
+    image[1, 2] = bad
+    path = tmp_path / "x.pgm"
+    with pytest.raises(NonFiniteInput):
+        imaging.save_image(image, str(path))
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # kernel files
 

@@ -9,7 +9,8 @@ import pytest
 from unrolled_deblur import imaging, kernelgen
 from unrolled_deblur.errors import (CorruptHeader, DeblurError,
                                     EmptyDirectory, EvenSize, ImageTooSmall,
-                                    NoUsableImages, SupportTooSmall)
+                                    InvalidParameter, NoUsableImages,
+                                    SupportTooSmall)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,14 @@ def test_synthesize_noise_scale(make_kernel):
     assert abs(pooled - sigma) / sigma < 0.05
 
 
+@pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+def test_synthesize_rejects_bad_sigma(make_kernel, sigma):
+    # a negative or NaN sigma used to skip the noise silently
+    with pytest.raises(InvalidParameter, match="sigma"):
+        kernelgen.synthesize_blurred(np.full((8, 8), 0.5), make_kernel(3),
+                                     sigma, 0)
+
+
 def test_synthesize_leaves_values_unclamped():
     sharp = np.ones((16, 16))
     out = kernelgen.synthesize_blurred(sharp, imaging.impulse_kernel(3), 0.2, 0)
@@ -214,7 +223,6 @@ def test_build_dataset_roundtrip(tmp_path, rng):
     for rec in records:
         assert rec.blurred.shape == (32, 32)
         assert rec.sharp.shape == (32, 32)
-        assert rec.sigma == 0.01
         imaging.check_kernel(rec.kernel, tol=1e-6)
 
 

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import re
 
 import numpy as np
@@ -224,3 +226,44 @@ def test_circ_conv_against_double_sum(rng):
         h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         a, b = rng.random((h, w)), rng.random((h, w))
         assert np.abs(spectral.circ_conv(a, b) - direct_circ_conv(a, b)).max() < 1e-10
+
+
+def _numpy_fft_uses(source):
+    """Line numbers where a module imports or reaches numpy.fft."""
+    tree = ast.parse(source)
+    numpy_names = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   for a in node.names if a.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.fft") or (
+                node.module == "numpy" and any(a.name == "fft" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "fft"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in numpy_names)
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_numpy_fft_use_is_detected():
+    for source in ("import numpy as np\nnp.fft.fft2(x)",
+                   "import numpy\ny = numpy.fft.ifft2(x)",
+                   "from numpy import fft", "from numpy.fft import fft2",
+                   "import numpy.fft"):
+        assert _numpy_fft_uses(source), source
+    assert _numpy_fft_uses("import numpy as np\nimport scipy.fft\n"
+                           "scipy.fft.fft2(np.ones(2))") == []
+
+
+def test_package_has_one_fft_library():
+    # every transform goes through spectral (scipy.fft); numpy.fft would be
+    # a second library with its own rounding
+    package = pathlib.Path(spectral.__file__).parent
+    uses = {path.name: _numpy_fft_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in uses.items() if lines} == {}

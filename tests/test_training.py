@@ -10,8 +10,8 @@ import pytest
 
 from unrolled_deblur import gradcheck, imaging, kernelgen, training, unroll
 from unrolled_deblur.errors import (ConfigMismatch, CorruptCheckpoint,
-                                    InvalidParameter, NonFiniteLoss,
-                                    VersionMismatch)
+                                    DimensionMismatch, InvalidParameter,
+                                    NonFiniteLoss, VersionMismatch)
 from unrolled_deblur.training import (AdamState, TrainConfig, adam_step,
                                       glorot_bound, init_params,
                                       load_checkpoint, loss_terms,
@@ -343,6 +343,32 @@ def test_train_rejects_zero_epochs_or_batch(tmp_path, rng, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["fixed bank", "layers", "channels", "support"])
+def test_train_rejects_a_model_its_checkpoints_cannot_hold(tmp_path, case):
+    # these models were trained and then written as checkpoints that
+    # load_checkpoint refused (a NaN for each None array, other shapes) or
+    # reloaded with the config's kernel support
+    cfg = small_config(channels=2)
+    model, error = {
+        "fixed bank": (unroll.tv_prewitt_params(layers=1, kernel_support=5),
+                       DimensionMismatch),
+        "layers": (init_params(small_config(layers=2, channels=2)),
+                   DimensionMismatch),
+        "channels": (init_params(small_config(channels=3)), DimensionMismatch),
+        "support": (init_params(small_config(channels=2, kernel_support=7)),
+                    InvalidParameter),
+    }[case]
+    out = tmp_path / "run"
+    with pytest.raises(error):  # before the (missing) manifest is read
+        train(str(tmp_path / "none.csv"), cfg, str(out), initial_params=model,
+              log=open(os.devnull, "w"))
+    assert not out.exists()
+    path = tmp_path / "a.ckpt"
+    with pytest.raises(error):
+        save_checkpoint(str(path), model, AdamState.zeros(model), 0, 0, cfg.lr, cfg)
+    assert os.listdir(str(tmp_path)) == []
+
+
 def test_train_already_sharp_records_are_a_fixed_point(tmp_path):
     # blurred == sharp (impulse kernel, no noise) with kappa = 0 and the
     # lam = 0 init makes the reconstruction return the input exactly, the
@@ -376,7 +402,7 @@ def test_record_loss_rejects_non_finite(rng, make_kernel):
     # the loss guard is reached through a non-finite target
     rec = kernelgen.DatasetRecord(
         blurred_path="mem", blurred=rng.random((8, 8)),
-        sharp=np.full((8, 8), np.nan), kernel=make_kernel(3), sigma=0.0)
+        sharp=np.full((8, 8), np.nan), kernel=make_kernel(3))
     cfg = small_config()
     with np.errstate(invalid="ignore"):  # the NaN is the point
         with pytest.raises(NonFiniteLoss):

@@ -485,6 +485,22 @@ def test_forward_validates_params(rng):
         unroll.forward(rng.random((8, 8)), params)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", list(unroll.TRAINABLE) + ["eps"])
+def test_forward_rejects_non_finite_weights(rng, field, bad):
+    # NaN passes every sign check, and an Inf eta made forward return a
+    # non-finite image with only a RuntimeWarning
+    params = small_params()
+    if field == "eps":
+        params.eps = bad
+    else:
+        getattr(params, field).flat[-1] = bad
+    with pytest.raises(NonFiniteInput, match="^%s " % field):
+        params.validate()
+    with pytest.raises(NonFiniteInput, match="^%s " % field):
+        unroll.forward(rng.random((8, 8)), params)
+
+
 @pytest.mark.parametrize("layers, channels", [(0, 2), (2, 0)])
 def test_forward_rejects_empty_models(rng, layers, channels):
     shapes = unroll.trainable_shapes(layers, channels)
