@@ -13,8 +13,8 @@ kernel_estimate Z and Y_l; reconstruct the kernel plane, g, the last F_l,
 eta and y_spec. The generic primitives here are the few the program
 records besides: leaves, basic indexing, the DFT of the kernel plane, one
 filter-cascade generation, full convolution of small filters and the
-mean-squared loss. Indexing records no node: `take` on a Var gives a View,
-whose consumers send its adjoint to its base, scattered into zeros.
+mean-squared loss. Indexing (`take`) is one node like any other; its
+adjoint scatters into zeros of the indexed array's shape.
 
 Creation order on the tape is topological, so backward() is one sweep over
 the nodes reachable from the loss in reverse creation order. Nodes point
@@ -65,8 +65,7 @@ class Tape:
 class Var:
     """A tracked array value on a tape; a leaf has no parents.
 
-    routes holds, per parent, the position of its adjoint in pull's result
-    and the (index, shape) scatters that lead to it from a View input.
+    routes holds, per parent, the position of its adjoint in pull's result.
     """
 
     __slots__ = ("value", "tape", "parents", "pull", "routes", "idx")
@@ -83,18 +82,6 @@ class Var:
 
     def __repr__(self):
         return "Var(shape=%s, idx=%s)" % (self.value.shape, self.idx)
-
-
-class View(Var):
-    """base.value[index], tracked through base without a node of its own."""
-
-    __slots__ = ("base", "index")
-
-    def __init__(self, base, index):
-        self.base, self.index = base, index
-        self.value = base.value[index]
-        self.tape = base.tape
-        self.parents, self.pull, self.routes, self.idx = (), None, (), None
 
 
 def leaf(tape, value):
@@ -125,19 +112,11 @@ def record(out, inputs, pull):
     order (those of untracked inputs are ignored); it should keep inputs,
     never intermediates of the forward computation.
     """
-    parents, routes = [], []
-    for pos, x in enumerate(inputs):
-        if not isinstance(x, Var):
-            continue
-        scatters = []
-        while isinstance(x, View):
-            scatters.append((x.index, x.base.value.shape))
-            x = x.base
-        parents.append(x)
-        routes.append((pos, tuple(scatters)))
-    if not parents:
+    routes = tuple(pos for pos, x in enumerate(inputs) if isinstance(x, Var))
+    if not routes:
         return out
-    return Var(out, parents[0].tape, tuple(parents), pull, tuple(routes))
+    parents = tuple(inputs[pos] for pos in routes)
+    return Var(out, parents[0].tape, parents, pull, routes)
 
 
 def dft_adjoint(g):
@@ -161,8 +140,17 @@ def fft2(a):
 
 
 def take(x, idx):
-    """x[idx] for a basic index; a Var gives a View, which records no node."""
-    return View(x, idx) if isinstance(x, Var) else x[idx]
+    """x[idx] for a basic index; the adjoint scatters into zeros of x's shape."""
+    if not isinstance(x, Var):
+        return x[idx]
+    shape = x.value.shape
+
+    def pull(g):
+        full = np.zeros(shape, dtype=np.result_type(g))
+        full[idx] = g
+        return (full,)
+
+    return record(x.value[idx], (x,), pull)
 
 
 def conv_full(a, b):
@@ -225,7 +213,7 @@ def backward(loss, wrt):
     (zeros when the loss does not depend on it). The graph is read, never
     written, so repeated calls agree bitwise.
     """
-    if not isinstance(loss, Var) or isinstance(loss, View):
+    if not isinstance(loss, Var):
         raise UnrecordedNode("loss is not a tape node")
     if loss.value.shape != ():
         raise DimensionMismatch("loss must be scalar, got %s" % (loss.value.shape,))
@@ -244,12 +232,8 @@ def backward(loss, wrt):
         if not node.parents:
             continue  # leaf: keep its accumulated adjoint
         adjoints = node.pull(grads.pop(idx))
-        for parent, (pos, scatters) in zip(node.parents, node.routes):
+        for parent, pos in zip(node.parents, node.routes):
             pg = adjoints[pos]
-            for index, shape in scatters:
-                full = np.zeros(shape, dtype=np.result_type(pg))
-                full[index] = pg
-                pg = full
             if np.iscomplexobj(pg) and not np.iscomplexobj(parent.value):
                 pg = pg.real
             acc = grads.get(parent.idx)

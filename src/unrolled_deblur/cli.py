@@ -142,8 +142,7 @@ def _cmd_train(args):
         decay=args.decay, epochs=args.epochs, batch_size=args.batch,
         seed=args.seed)
     ckpt = training.train(args.manifest, config, args.out, resume=args.resume)
-    final = os.path.join(args.out, "checkpoint_epoch_%04d.ckpt" % ckpt.epoch)
-    print(final)
+    print(training.checkpoint_path(args.out, ckpt.epoch))
     return 0
 
 

@@ -57,16 +57,16 @@ class CheckInstance:
     kappa: float
 
 
-def make_check_instance(size=8, layers=2, channels=2, seed=0, kappa=1e5,
-                        kernel_support=None):
+def make_check_instance(size=8, layers=2, channels=2, seed=0):
     """Random image/target/params away from init-time degeneracies.
 
     b, lam, eta are drawn strictly positive so no parameter starts on the
     projection boundary, and the image is plain uniform noise so threshold
-    activations are generic.
+    activations are generic. The kernel weight kappa is 1e5 and the kernel
+    support the largest odd size up to 5 that fits the image.
     """
-    if kernel_support is None:
-        kernel_support = min(size - 1 if size % 2 == 0 else size, 5)
+    kappa = 1e5
+    kernel_support = min(size - 1 if size % 2 == 0 else size, 5)
     rng = np.random.default_rng([seed, layers, channels, size])
     cfg = training.TrainConfig(layers=layers, channels=channels,
                                kernel_support=kernel_support, kappa=kappa)

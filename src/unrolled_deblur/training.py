@@ -21,7 +21,7 @@ import json
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -121,8 +121,6 @@ def adam_step(params, grads, adam, step, lr, config):
     b1, b2, eps = config.beta1, config.beta2, config.adam_eps
     for name in TRAINABLE:
         p = getattr(params, name)
-        if p is None or p.size == 0:
-            continue
         g = grads[name]
         m = adam.m[name]
         v = adam.v[name]
@@ -143,21 +141,22 @@ def adam_step(params, grads, adam, step, lr, config):
 
 
 def check_layout(params, config):
-    """Raise unless params is a trainable model with config's layout.
+    """Raise unless params is a valid trainable model with config's layout.
 
     A checkpoint stores the trainable arrays in the shapes that config's L
     and C give, and reloads the kernel support from config. A fixed-bank
-    model or other shapes raise DimensionMismatch, another support
-    InvalidParameter, so no checkpoint is written that load_checkpoint
-    would reject or misread.
+    model or another L or C raises DimensionMismatch, another support
+    InvalidParameter, and a model that ModelParams.validate refuses (a
+    NaN or Inf weight, say) that error, so no checkpoint is written that
+    load_checkpoint would reject or misread.
     """
     if params.fixed_bank is not None:
         raise DimensionMismatch("a fixed-bank model has no trainable filters "
                                 "to checkpoint")
-    for name, shape in trainable_shapes(config.layers, config.channels).items():
-        got = np.shape(getattr(params, name))
-        if got != shape:
-            raise DimensionMismatch("%s is %s, config expects %s" % (name, got, shape))
+    params.validate()  # ties every trainable shape to b's (L, C)
+    if params.b.shape != (config.layers, config.channels):
+        raise DimensionMismatch("model has L, C = %s, config expects %s"
+                                % (params.b.shape, (config.layers, config.channels)))
     if params.kernel_support != config.kernel_support:
         raise InvalidParameter("model kernel support %d, config expects %d"
                                % (params.kernel_support, config.kernel_support))
@@ -167,6 +166,11 @@ def _write_array(fh, arr):
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     fh.write(struct.pack("<Q", arr.size))
     fh.write(arr.astype("<f8").tobytes())
+
+
+def checkpoint_path(out_dir, epoch):
+    """The file train writes at the end of the given (1-based) epoch."""
+    return os.path.join(out_dir, "checkpoint_epoch_%04d.ckpt" % epoch)
 
 
 def save_checkpoint(path, params, adam, step, epoch, lr, config):
@@ -289,24 +293,32 @@ def train(manifest_path, config, out_dir, resume=None, initial_params=None,
 
     Each epoch walks a reshuffled record order in slices of batch_size;
     a slice sums its records' gradients in order, takes one Adam step and
-    logs one row of mean losses. Returns the Checkpoint of the last epoch
-    run. `resume` restores params, moments, step count and learning rate
-    from an earlier checkpoint of the same config and continues from its
-    epoch. `initial_params` must have the config's layout (check_layout).
+    logs one row of mean losses. Returns the Checkpoint of the last epoch.
+    `resume` restores params, moments, step count and learning rate from an
+    earlier checkpoint and continues from its epoch; its config must equal
+    config but for epochs, which may grow, and a checkpoint with no epoch
+    left to run raises InvalidParameter. `initial_params` must have the
+    config's layout (check_layout).
     """
     for what, n in (("epochs", config.epochs), ("batch size", config.batch_size)):
         if n < 1:
             raise InvalidParameter("%s must be >= 1, got %d" % (what, n))
     if resume is not None:
         ckpt = load_checkpoint(resume)
-        if ckpt.config != config:
+        # lr decays per epoch and record order comes from (seed, epoch), so
+        # a run extended to more epochs equals an uninterrupted one
+        if replace(ckpt.config, epochs=config.epochs) != config:
             raise ConfigMismatch("resume config %s != %s" % (ckpt.config, config))
+        if ckpt.epoch >= config.epochs:
+            raise InvalidParameter("%s is at epoch %d, nothing left to run "
+                                   "with epochs=%d" % (resume, ckpt.epoch,
+                                                       config.epochs))
         params, adam = ckpt.params, ckpt.adam
         step, start_epoch, lr = ckpt.step, ckpt.epoch, ckpt.lr
     else:
         params = initial_params if initial_params is not None \
             else init_params(config)
-        check_layout(params.validate(), config)
+        check_layout(params, config)
         adam = AdamState.zeros(params)
         step, start_epoch, lr = 0, 0, config.lr
     records = kernelgen.load_manifest(manifest_path)
@@ -334,10 +346,9 @@ def train(manifest_path, config, out_dir, resume=None, initial_params=None,
                            % (epoch, step, *(sum(c) / len(c) for c in losses), lr))
             logf.flush()
             lr = lr * config.decay
-            ckpt_path = os.path.join(out_dir,
-                                     "checkpoint_epoch_%04d.ckpt" % (epoch + 1))
+            ckpt_path = checkpoint_path(out_dir, epoch + 1)
             save_checkpoint(ckpt_path, params, adam, step, epoch + 1, lr, config)
             print("epoch %d done, step %d, checkpoint %s"
                   % (epoch + 1, step, ckpt_path), file=log)
     return Checkpoint(params=params, adam=adam, step=step,
-                      epoch=max(start_epoch, config.epochs), lr=lr, config=config)
+                      epoch=config.epochs, lr=lr, config=config)

@@ -32,7 +32,8 @@ input is a tape Var, records one node whose hand-derived adjoint
 recomputes its quotients from the node's inputs (see autodiff), so the same
 code runs plain (inference) or recorded (training). A recorded layer makes
 five nodes: filter_spectra, g_update, z_spectrum, the kernel spectrum
-(autodiff.fft2) and kernel_estimate.
+(autodiff.fft2) and kernel_estimate, plus one autodiff.take node for each
+of its slices b[l], lam[l] and (in all but the last layer) w_mix[l].
 
 Layout: the C channels travel as one (C, H, W) stack and a filter bank is
 one (C, s, s) array, so each update is one call per layer whatever C is;

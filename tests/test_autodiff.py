@@ -277,6 +277,25 @@ def test_take_gradient_scatters_into_zeros(rng):
     assert ad.take(bank, 1) is bank[1]
 
 
+def test_take_slice_feeding_two_nodes_accumulates(rng):
+    # one take node with two consumers, as b[l] feeds g_update and
+    # z_spectrum: its adjoint sums both, and every entry outside the slice
+    # gets exactly zero
+    x = rng.uniform(0.5, 1.5, (3, 4))
+    a = rng.standard_normal((4, 5, 5))
+    t = rng.standard_normal((4, 5, 5))
+
+    def loss(v):
+        s = ad.take(v, (1, slice(None), None, None))
+        return composed.add(ad.mse(composed.mul(s, a), t),
+                            ad.mse(composed.div(a, s), t))
+
+    check(loss, x)
+    g = tape_grad(loss, x)
+    assert np.all(g[0] == 0.0) and np.all(g[2] == 0.0)
+    assert np.all(g[1] != 0.0)
+
+
 def test_mse_gradient_and_shape_check(rng):
     x = rng.standard_normal((4, 4))
     t = rng.standard_normal((4, 4))

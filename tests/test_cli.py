@@ -2,12 +2,13 @@
 
 import csv
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from unrolled_deblur import cli, imaging
-from unrolled_deblur.training import load_checkpoint, save_checkpoint
+from unrolled_deblur.training import load_checkpoint
 
 SUBCOMMANDS = ["gen-kernels", "gen-dataset", "train", "deblur", "eval",
                "check-grad"]
@@ -296,12 +297,23 @@ def test_train_rejects_zero_channels(pipeline, capsys):
 
 def test_deblur_rejects_non_finite_checkpoint_weights(pipeline, tmp_path,
                                                      capsys):
-    # an Inf eta used to exit 0 with an all-black image
+    # an Inf eta used to exit 0 with an all-black image; save_checkpoint
+    # refuses to write one, so overwrite eta[0] in a valid file: after the
+    # magic, version, config block, epoch, step and lr come the
+    # length-prefixed arrays w_top, w_mix, b, lam, eta
     ckpt = load_checkpoint(pipeline["ckpt"])
-    ckpt.params.eta[0] = np.inf
-    bad = str(tmp_path / "bad.ckpt")
-    save_checkpoint(bad, ckpt.params, ckpt.adam, ckpt.step, ckpt.epoch,
-                    ckpt.lr, ckpt.config)
+    with open(pipeline["ckpt"], "rb") as fh:
+        data = bytearray(fh.read())
+    (cfg_len,) = struct.unpack_from("<I", data, 12)
+    pos = 16 + cfg_len + 12 + 8
+    for name in ("w_top", "w_mix", "b", "lam"):
+        pos += 8 + 8 * getattr(ckpt.params, name).size
+    pos += 8  # eta's length prefix
+    assert struct.unpack_from("<d", data, pos)[0] == ckpt.params.eta[0]
+    data[pos:pos + 8] = struct.pack("<d", np.inf)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    bad = str(bad)
     with open(pipeline["manifest"]) as fh:
         row = next(csv.DictReader(fh))
     out, kout = str(tmp_path / "x.pgm"), str(tmp_path / "k.txt")
@@ -311,6 +323,28 @@ def test_deblur_rejects_non_finite_checkpoint_weights(pipeline, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "eta" in err
     assert not os.path.exists(out) and not os.path.exists(kout)
+
+
+def test_train_resume_may_raise_epochs(pipeline, capsys):
+    # the README's `train --resume run/checkpoint_epoch_0020.ckpt --epochs 40`
+    out = str(pipeline["root"] / "run_more")
+    assert cli.main(["train", "--manifest", pipeline["manifest"], "--out", out,
+                     "--layers", "1", "--channels", "1", "--support", "5",
+                     "--epochs", "2", "--resume", pipeline["ckpt"]]) == 0
+    printed = capsys.readouterr().out.strip().splitlines()[-1]
+    assert printed == os.path.join(out, "checkpoint_epoch_0002.ckpt")
+    assert load_checkpoint(printed).epoch == 2
+
+
+def test_train_resume_at_the_final_epoch_is_an_error(pipeline, capsys):
+    # it used to print a checkpoint path it never wrote
+    out = str(pipeline["root"] / "run_done")
+    assert cli.main(["train", "--manifest", pipeline["manifest"], "--out", out,
+                     "--layers", "1", "--channels", "1", "--support", "5",
+                     "--epochs", "1", "--resume", pipeline["ckpt"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("flag", ["--epochs", "--batch"])

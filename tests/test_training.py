@@ -11,7 +11,8 @@ import pytest
 from unrolled_deblur import gradcheck, imaging, kernelgen, training, unroll
 from unrolled_deblur.errors import (ConfigMismatch, CorruptCheckpoint,
                                     DimensionMismatch, InvalidParameter,
-                                    NonFiniteLoss, VersionMismatch)
+                                    NonFiniteInput, NonFiniteLoss,
+                                    VersionMismatch)
 from unrolled_deblur.training import (AdamState, TrainConfig, adam_step,
                                       glorot_bound, init_params,
                                       load_checkpoint, loss_terms,
@@ -185,6 +186,18 @@ def test_checkpoint_write_leaves_no_temp_file(tmp_path):
     assert os.listdir(str(tmp_path)) == ["a.ckpt"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_write_refuses_non_finite_weights(tmp_path, bad):
+    # load_checkpoint would refuse such a file, so none is written
+    cfg = small_config()
+    p = init_params(cfg)
+    p.w_top[0, 1, 1] = bad
+    with pytest.raises(NonFiniteInput, match="^w_top "):
+        save_checkpoint(str(tmp_path / "a.ckpt"), p, AdamState.zeros(p),
+                        0, 0, cfg.lr, cfg)
+    assert os.listdir(str(tmp_path)) == []
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "a.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
@@ -303,6 +316,42 @@ def test_train_resume_reproduces_run_bitwise(tmp_path, rng):
     with open(os.path.join(resumed, name), "rb") as fh:
         b = fh.read()
     assert a == b
+
+
+def test_train_resume_extends_epochs_bitwise(tmp_path, rng):
+    # lr decays per epoch and record order comes from (seed, epoch), so
+    # raising epochs on resume continues the uninterrupted run
+    man = tiny_dataset(tmp_path, rng)
+    full = str(tmp_path / "full")
+    train(man, small_config(epochs=2), full, log=open(os.devnull, "w"))
+
+    extended = str(tmp_path / "extended")
+    train(man, small_config(epochs=1), extended, log=open(os.devnull, "w"))
+    final = train(man, small_config(epochs=2), extended,
+                  log=open(os.devnull, "w"),
+                  resume=training.checkpoint_path(extended, 1))
+    assert final.epoch == 2
+    for name in ("checkpoint_epoch_0002.ckpt", "loss_log.csv"):
+        with open(os.path.join(full, name), "rb") as fh:
+            a = fh.read()
+        with open(os.path.join(extended, name), "rb") as fh:
+            b = fh.read()
+        assert a == b, name
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_train_resume_refuses_a_finished_run(tmp_path, rng, epochs):
+    # a checkpoint at or past the final epoch leaves nothing to run; this
+    # used to write a header-only loss log and return an unwritten epoch
+    man = tiny_dataset(tmp_path, rng)
+    run = str(tmp_path / "run")
+    train(man, small_config(epochs=2), run, log=open(os.devnull, "w"))
+    out = tmp_path / "r2"
+    with pytest.raises(InvalidParameter, match="nothing left to run"):
+        train(str(tmp_path / "none.csv"), small_config(epochs=epochs),
+              str(out), log=open(os.devnull, "w"),
+              resume=training.checkpoint_path(run, 2))
+    assert not out.exists()
 
 
 def test_train_rerun_identical(tmp_path, rng):

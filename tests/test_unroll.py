@@ -665,7 +665,7 @@ def test_taped_forward_records_no_per_filter_convolutions(rng):
 def test_taped_forward_records_one_node_per_update(rng):
     # each update is one node; the first layer's K is the untracked
     # identity, and the last bank's spectra are recorded once more for the
-    # reconstruction
+    # reconstruction; each slice b[l], lam[l] and w_mix[l] is one take node
     L, C = 3, 4
     state = _taped_forward(L, C, rng.random((16, 16)))
     ops = collections.Counter(node.pull.__qualname__.split(".")[0]
@@ -673,17 +673,19 @@ def test_taped_forward_records_one_node_per_update(rng):
                               if node.parents)
     assert ops == {"cascade": L - 1, "filter_spectra": L + 1, "g_update": L,
                    "z_spectrum": L, "fft2": L - 1, "kernel_estimate": L,
-                   "reconstruct": 1}
+                   "reconstruct": 1, "take": 3 * L - 1}
 
 
 def test_tape_nodes_do_not_depend_on_channels_or_size(rng):
     # the leaves, L-1 cascade generations, five nodes per layer (four in the
     # first, whose K is the plain identity), the last F_l and the
-    # reconstruction, whatever C and the image size
+    # reconstruction, plus the 3L-1 take nodes of b[l], lam[l] and w_mix[l],
+    # whatever C and the image size
     L = 3
     counts = {len(_taped_forward(L, c, rng.random((n, n))).tape)
               for c in (2, 4, 6) for n in (16, 24)}
-    assert counts == {len(unroll.TRAINABLE) + (L - 1) + (5 * L - 1) + 2}
+    assert counts == {len(unroll.TRAINABLE) + (L - 1) + (5 * L - 1) + 2
+                      + (3 * L - 1)}
 
 
 def test_tape_nodes_per_layer_do_not_depend_on_channels(rng):
