@@ -6,15 +6,15 @@ per input. `record` makes the node when any input is a Var and returns the
 plain value otherwise, so the same code serves inference and training.
 
 Each update of the solver (unroll) and the training loss is one node. A
-pull keeps only its node's inputs and recomputes the quotients it needs
-(Chen, Xu, Zhang & Guestrin, arXiv 1604.06174): filter_spectra keeps
-y_spec; g_update Y_l, Z, K, b_l and lam_l; z_spectrum g and b_l;
-kernel_estimate Z and Y_l; reconstruct the kernel plane, g, the last F_l,
-eta and y_spec. The generic primitives here are the few the program
-records besides: leaves, basic indexing, the DFT of the kernel plane, one
-filter-cascade generation, full convolution of small filters and the
-mean-squared loss. Indexing (`take`) is one node like any other; its
-adjoint scatters into zeros of the indexed array's shape.
+pull keeps only its node's inputs and recomputes what it needs (Chen, Xu,
+Zhang & Guestrin, arXiv 1604.06174): filter_spectra keeps y_spec; g_update
+Y_l, Z, K, b_l and lam_l; z_spectrum g and b_l; kernel_estimate Z and Y_l;
+reconstruct the kernel plane, g, the last F_l, eta and y_spec. g_update,
+kernel_estimate and reconstruct recompute one quotient (unroll._quotient)
+and take every adjoint from one term adjoint. The generic primitives here
+are the few the program records besides: leaves, basic indexing, the DFT of
+the kernel plane, one filter-cascade generation, full convolution of small
+filters and the mean-squared loss; `take` scatters into zeros of x's shape.
 
 Creation order on the tape is topological, so backward() is one sweep over
 the nodes reachable from the loss in reverse creation order. Nodes point

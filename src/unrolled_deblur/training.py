@@ -28,17 +28,19 @@ import numpy as np
 from . import autodiff as ad
 from . import kernelgen, spectral
 from .errors import (ConfigMismatch, CorruptCheckpoint, DimensionMismatch,
-                     InvalidParameter, NonFiniteLoss, VersionMismatch)
+                     InvalidParameter, NonFiniteInput, NonFiniteLoss,
+                     VersionMismatch)
 from .unroll import (NONNEGATIVE, TRAINABLE, ModelParams, collect_gradients,
                      forward, trainable_shapes)
 
 CHECKPOINT_MAGIC = b"DAUCKPT1"
 CHECKPOINT_VERSION = 1
 
-# serialization order of the float64 arrays in a checkpoint, as
-# (key, field whose shape it has): the parameters, eps, then both moments
-_ARRAY_ORDER = ([(n, n) for n in TRAINABLE] + [("eps", "eps")]
-                + [(m + n, n) for m in ("m_", "v_") for n in TRAINABLE])
+# serialization order of the float64 arrays in a checkpoint, as (key, field
+# whose shape it has): the parameters, eps, then the Adam moments, keyed
+# "m_<field>" and "v_<field>" after the AdamState dict they come from
+_MOMENTS = [(m + n, n) for m in ("m_", "v_") for n in TRAINABLE]
+_ARRAY_ORDER = [(n, n) for n in TRAINABLE] + [("eps", "eps")] + _MOMENTS
 
 
 @dataclass
@@ -162,6 +164,16 @@ def check_layout(params, config):
                                % (params.kernel_support, config.kernel_support))
 
 
+def _check_moments(arrays, shapes):
+    """Raise unless each Adam moment in arrays is finite and shaped as its field."""
+    for key, field in _MOMENTS:
+        if np.shape(arrays[key]) != shapes[field]:
+            raise DimensionMismatch("Adam moment %s is %s, expected %s"
+                                    % (key, np.shape(arrays[key]), shapes[field]))
+        if not np.all(np.isfinite(arrays[key])):
+            raise NonFiniteInput("Adam moment %s has non-finite values" % key)
+
+
 def _write_array(fh, arr):
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     fh.write(struct.pack("<Q", arr.size))
@@ -179,8 +191,8 @@ def save_checkpoint(path, params, adam, step, epoch, lr, config):
                      separators=(",", ":")).encode("ascii")
     arrays = {name: getattr(params, name) for name in TRAINABLE}
     arrays["eps"] = np.array([params.eps])
-    for name in TRAINABLE:
-        arrays["m_" + name], arrays["v_" + name] = adam.m[name], adam.v[name]
+    arrays.update({key: getattr(adam, key[0])[field] for key, field in _MOMENTS})
+    _check_moments(arrays, trainable_shapes(config.layers, config.channels))
     # write-temp-then-rename so a crash never leaves a truncated checkpoint
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -219,8 +231,7 @@ def load_checkpoint(path):
     if pos + cfg_len > len(data):
         raise CorruptCheckpoint("%s: truncated config block" % path)
     try:
-        cfg_dict = json.loads(data[pos:pos + cfg_len].decode("ascii"))
-        config = TrainConfig(**cfg_dict)
+        config = TrainConfig(**json.loads(data[pos:pos + cfg_len].decode("ascii")))
     except (ValueError, TypeError) as exc:
         raise CorruptCheckpoint("%s: bad config block (%s)" % (path, exc))
     pos += cfg_len
@@ -230,18 +241,16 @@ def load_checkpoint(path):
     shapes = dict(trainable_shapes(config.layers, config.channels), eps=(1,))
     arrays = {}
     for name, field in _ARRAY_ORDER:
-        shape = shapes[field]
         (count,) = take("<Q")
-        expected = int(np.prod(shape)) if shape else 1
+        expected = int(np.prod(shapes[field]))
         if count != expected:
             raise CorruptCheckpoint("%s: array %s has %d values, expected %d"
                                     % (path, name, count, expected))
-        nbytes = count * 8
-        if pos + nbytes > len(data):
+        if pos + 8 * count > len(data):
             raise CorruptCheckpoint("%s: truncated array %s" % (path, name))
         arrays[name] = np.frombuffer(data, dtype="<f8", count=count,
-                                     offset=pos).reshape(shape).copy()
-        pos += nbytes
+                                     offset=pos).reshape(shapes[field]).copy()
+        pos += 8 * count
     if pos != len(data):
         raise CorruptCheckpoint("%s: %d trailing bytes" % (path, len(data) - pos))
 
@@ -249,6 +258,7 @@ def load_checkpoint(path):
         **{name: arrays[name] for name in TRAINABLE},
         eps=float(arrays["eps"][0]),
         kernel_support=config.kernel_support).validate()
+    _check_moments(arrays, shapes)
     adam = AdamState(
         m={n: arrays["m_" + n] for n in TRAINABLE},
         v={n: arrays["v_" + n] for n in TRAINABLE})

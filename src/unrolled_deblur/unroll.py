@@ -1,51 +1,42 @@
 """Unrolled half-quadratic splitting solver for blind deconvolution.
 
 The observation model is y = k * x + n with circular convolution. Each of
-the L layers refines C filtered copies of the blurred image through three
-closed-form frequency-domain updates:
+the L layers refines C filtered copies of the blurred image through
+closed-form updates, each one per-frequency least-squares solve over a list
+of terms (w, A, B) (_quotient), Q = sum w conj(A) B / (sum w |A|^2 + d):
 
-  feature   g_i <- F^-1{ (b_i conj(K) Y_i + lam_i Z_i) / (b_i |K|^2 + lam_i) }
+  feature   g_i <- F^-1 Q of (b_i, K, Y_i) and (lam_i, 1, Z_i)
   sparsify  z_i <- soft_threshold(g_i, b_i)
-  kernel    k   <- project( F^-1{ sum_i conj(Z_i) Y_i / (sum_i |Z_i|^2 + eps) } )
+  kernel    k   <- project(F^-1 Q of (1, Z_i, Y_i) summed over i, d = eps)
 
 where Y_i is the spectrum of f_i * y for a per-layer filter bank f, and
 project clamps to nonnegative, optionally windows the plane to the kernel
-support, and normalizes to unit mass (k_project). The weights
-b_i, lam_i (the penalty reparametrized so lam_i = 0 is well defined), the
-filter mixing weights, and the reconstruction weights eta_i are trainable;
-eps is fixed.
+support, and normalizes to unit mass (k_project). The weights b_i, lam_i
+(the penalty reparametrized so lam_i = 0 is well defined), the cascade's
+mixing weights and the reconstruction weights eta_i are trainable; eps is fixed.
 
 Filter banks grow by cascading 3x3 generations: the last layer uses C raw
 3x3 filters and every earlier layer mixes the following layer's bank
 through full convolution, adding two pixels of support per step, so layer 1
-sees kernels up to (2L+1) pixels wide.
+sees kernels up to (2L+1) pixels wide. The final estimate x is F^-1 Q of
+(1, K, Y) and (eta_i, F_i, G_i) summed over i, with the last layer's bank.
 
-The final estimate combines the data term with the learned feature planes:
-
-  x = F^-1{ (conj(K) Y + sum_i eta_i conj(F_i) G_i)
-            / (|K|^2 + sum_i eta_i |F_i|^2) }
-
-using the last layer's 3x3 bank.
-
-Recording: each update below computes its value with numpy and, when an
-input is a tape Var, records one node whose hand-derived adjoint
-recomputes its quotients from the node's inputs (see autodiff), so the same
-code runs plain (inference) or recorded (training). A recorded layer makes
-five nodes: filter_spectra, g_update, z_spectrum, the kernel spectrum
-(autodiff.fft2) and kernel_estimate, plus one autodiff.take node for each
-of its slices b[l], lam[l] and (in all but the last layer) w_mix[l].
+Recording: each update computes its value with numpy and, when an input
+is a tape Var, records one node (see autodiff), so the same code runs plain
+or recorded. A pull recomputes its quotient from the node's inputs and
+each term's adjoint through the one _term_adjoint. A recorded layer makes
+five nodes (filter_spectra, g_update, z_spectrum, the kernel spectrum and
+kernel_estimate) and one autodiff.take node per slice b[l], lam[l], w_mix[l].
 
 Layout: the C channels travel as one (C, H, W) stack and a filter bank is
-one (C, s, s) array, so each update is one call per layer whatever C is;
-the kernel update sums over the channels. The weights of layer l are the
-(C, 1, 1) views b[l], lam[l] of the (L, C) arrays; when recorded, each of
-b, lam, eta, w_top and w_mix is one tape leaf.
+one (C, s, s) array, so each update is one call per layer whatever C is.
+Layer l reads the (C, 1, 1) slices b[l], lam[l] of the (L, C) arrays; when
+recorded, each of b, lam, eta, w_top and w_mix is one tape leaf.
 
-Filter spectra: forward alone transforms a filter bank, and only when it is
-not the very bank object of layer l-1, so the preset's one fixed_bank is
-transformed once while each trained layer's bank gets its own. The updates
-take spectra, never planes; reconstruct reuses the last layer's F_l.
-Shared stacks are kept read-only.
+Filter spectra: forward alone transforms a bank, and only when it is not
+layer l-1's very bank object, so the preset's fixed_bank is transformed
+once. The updates take spectra, never planes; reconstruct reuses the last
+F_l. Shared stacks are kept read-only.
 """
 
 from dataclasses import dataclass
@@ -101,10 +92,10 @@ class ModelParams:
 
     def validate(self):
         """Check shapes, then finiteness, signs, eps and support; returns self."""
+        if np.ndim(self.b) != 2 or min(np.shape(self.b)) < 1:
+            raise DimensionMismatch("b must be (L, C) with at least one layer "
+                                    "and one channel, got %s" % (np.shape(self.b),))
         L, C = self.b.shape
-        if L < 1 or C < 1:
-            raise DimensionMismatch("need at least one layer and one channel, "
-                                    "got L=%d, C=%d" % (L, C))
         shapes = trainable_shapes(L, C)
         if self.fixed_bank is not None:  # it replaces the filter weights
             _check_bank(self.fixed_bank, C)
@@ -168,12 +159,10 @@ def tv_prewitt_params(layers=30, kernel_support=31):
     continuation: b_l = 2 * 0.9^l and lam_l = 2e-3 * 0.9^l for l = 1..L,
     eps = 1, eta = 20 per channel.
     """
-    ll = np.arange(1, layers + 1, dtype=np.float64)
-    sched = 0.9 ** ll
+    sched = 0.9 ** np.arange(1, layers + 1, dtype=np.float64)
     b = np.repeat((2.0 * sched)[:, None], 2, axis=1)
     lam = np.repeat((2e-3 * sched)[:, None], 2, axis=1)
-    eta = np.array([20.0, 20.0])
-    return ModelParams(b=b, lam=lam, eta=eta, eps=1.0,
+    return ModelParams(b=b, lam=lam, eta=np.array([20.0, 20.0]), eps=1.0,
                        kernel_support=kernel_support,
                        fixed_bank=np.stack([PREWITT_X, PREWITT_Y]))
 
@@ -195,15 +184,60 @@ def build_filters(w_top, w_mix):
     return banks
 
 
-def _abs2(x):
-    return (x * np.conj(x)).real
+def _unit(x):  # the literal 1 marks a term without that factor
+    return isinstance(x, int) and x == 1
 
 
-def _floored(den, update):
-    if float(np.min(den)) < DENOM_FLOOR:
-        raise SingularDenominator("%s denominator floor %.3e"
-                                  % (update, float(np.min(den))))
-    return den
+def _quotient(terms, summed=(), ridge=0.0, update=None):
+    """The per-frequency least-squares solve Q = N / D; returns (Q, D).
+
+    Each term (w, A, B) adds w (conj(A) B) to N and w |A|^2 to D (w = 1 or
+    A = 1 skips a multiply); summed terms are summed over their leading
+    (channel) axis, and ridge is added to D. N accumulates in the first
+    term's product, so its A is an array. Given an update name, a D below
+    DENOM_FLOOR raises SingularDenominator.
+
+    Adjoint (_term_adjoint): with t = qbar / D for the adjoint qbar of Q and
+    R = B - A Q, N gets t and D gets -Re(t conj(Q)); since 2 A Re(t conj(Q))
+    = t A conj(Q) + conj(t) A Q, each term pulls back to
+      B: w t A    A: w (conj(t) R - t A conj(Q))    w: Re(conj(t A) R).
+    """
+    num = den = None
+    for (w, a, b), summing in [(t, False) for t in terms] + [(t, True) for t in summed]:
+        den = _add(den, 1 if _unit(a) else (a * np.conj(a)).real, summing, w)
+        num = _add(num, b if _unit(a) else np.conj(a) * b, summing, w, not _unit(a))
+    if ridge:
+        den += ridge
+    if update is not None and np.min(den) < DENOM_FLOOR:
+        raise SingularDenominator("%s denominator floor %.3e" % (update, np.min(den)))
+    num /= den
+    return num, den
+
+
+def _add(acc, part, summing, w=1, own=False):
+    """acc + w part (in part's buffer if own, then summed over its leading
+    axis if summing), in acc's buffer, so no term's stacks outlive the call."""
+    if not own and not _unit(w) and acc is not None and np.shape(part) == acc.shape:
+        # plane by plane: a stack-sized temporary makes glibc re-fault pages
+        for i in np.ndindex(acc.shape[:-2]):
+            acc[i] += np.broadcast_to(w, acc.shape)[i] * part[i]
+        return acc
+    if not _unit(w):
+        part = np.multiply(w, part, out=part if own else None)
+    if summing:
+        part = np.sum(part, axis=0)
+    return part if acc is None else np.add(acc, part, out=acc)
+
+
+def _term_adjoint(t, q, w, a, b):
+    """Unreduced adjoints (B, A, w) of one _quotient term; None for a 1."""
+    ta, r = (t, b - q) if _unit(a) else (t * a, b - a * q)
+    gw, gb = (None, ta) if _unit(w) else ((np.conj(ta) * r).real, w * ta)
+    if _unit(a):
+        return gb, None, gw
+    ga = np.multiply(np.conj(t), r, out=r)  # in R's buffer, which gw has read
+    ga -= ta * np.conj(q)
+    return gb, (ga if _unit(w) else np.multiply(w, ga, out=ga)), gw
 
 
 def filter_spectra(bank, f_spec, y_spec=None):
@@ -222,46 +256,27 @@ def filter_spectra(bank, f_spec, y_spec=None):
     return ad.record(out, (bank,), pull)
 
 
-def _g_quotient(y, z, k, b, lam):
-    """The feature update's spectrum (one stack live) and denominator."""
-    den = _floored(b * _abs2(k) + lam, "feature update")
-    # b (conj(K) Y) in this operand order, which keeps the product's bits
-    num = np.conj(k) * y
-    np.multiply(b, num, out=num)
-    lam_b, z_b = np.broadcast_to(lam, num.shape), np.broadcast_to(z, num.shape)
-    for idx in np.ndindex(num.shape[:-2]):
-        num[idx] += lam_b[idx] * z_b[idx]
-    num /= den
-    return num, den
-
-
 def g_update(y_spec, z_spec, k_spec, b, lam):
     """Closed-form feature update in the frequency domain, as one node.
 
-    Minimizes (b/2)|y_i - k * g|^2 + (lam/2)|g - z|^2 per frequency, given
-    the spectra Y_i of the filtered image, Z of the shrunk features and K of
-    the kernel plane. The parametrization keeps lam = 0 well defined (pure
-    data term) as long as the denominator b |K|^2 + lam stays above
+    Minimizes (b/2)|y_i - k * g|^2 + (lam/2)|g - z|^2 per frequency: the
+    quotient of the terms (b, K, Y) and (lam, 1, Z) for the spectra Y_i of
+    the filtered image, Z of the shrunk features and K of the kernel plane.
+    lam = 0 (pure data term) is well defined while b |K|^2 + lam stays above
     DENOM_FLOOR. y_spec has the output's shape, e.g. a (C, H, W) stack with
     z_spec, b and lam broadcast to it; k_spec is shared by all channels.
-    With Q the quotient, D the denominator and t = F{gbar} / (H W D), the
-    adjoint is
-      Y: t b K   Z: t lam   K: sum_i b (conj(t) Y - 2 K Re(t conj(Q)))
-      b: Re(conj(t) (conj(K) Y - Q |K|^2))   lam: Re(conj(t) (Z - Q)).
     """
     y, z, k, vb, vl = (ad.value(a) for a in (y_spec, z_spec, k_spec, b, lam))
-    out = spectral.ifft2(_g_quotient(y, z, k, vb, vl)[0])
+    terms = ((vb, k, y), (vl, 1, z))
+    out = spectral.ifft2(_quotient(terms, update="feature update")[0])
 
     def pull(gg):
-        quotient, den = _g_quotient(y, z, k, vb, vl)
+        q, den = _quotient(terms, update="feature update")
         t = ad.idft_adjoint(gg) / den
-        ct = np.conj(t)
-        cross = (t * np.conj(quotient)).real
-        return (t * (vb * k), t * vl,
-                ad.unbroadcast(vb * (ct * y - 2.0 * k * cross), np.shape(k)),
-                ad.unbroadcast((ct * (np.conj(k) * y - quotient * _abs2(k))).real,
-                               np.shape(vb)),
-                ad.unbroadcast((ct * (z - quotient)).real, np.shape(vl)))
+        gy, gk, gb = _term_adjoint(t, q, *terms[0])
+        gz, _, gl = _term_adjoint(t, q, *terms[1])
+        return (gy, gz, ad.unbroadcast(gk, np.shape(k)),
+                ad.unbroadcast(gb, np.shape(vb)), ad.unbroadcast(gl, np.shape(vl)))
 
     return ad.record(out, (y_spec, z_spec, k_spec, b, lam), pull)
 
@@ -291,20 +306,14 @@ def z_spectrum(g, b):
     return ad.record(out, (g, b), pull)
 
 
-def _k_quotient(z, y, eps):
-    """The kernel update's spectrum and its denominator."""
-    den = np.sum(_abs2(z), axis=0) + eps
-    return np.sum(np.conj(z) * y, axis=0) / den, den
-
-
 def k_update(z_specs, y_specs, eps):
     """Least-squares kernel plane from all channels, ridge eps > 0.
 
     z_specs and y_specs are (C, H, W) stacks (or sequences of C spectra);
-    both sums run over the channels.
+    the term (1, Z_i, Y_i) is summed over the channels.
     """
-    return spectral.ifft2(_k_quotient(np.asarray(z_specs), np.asarray(y_specs),
-                                      eps)[0])
+    return spectral.ifft2(_quotient(
+        (), ((1, np.asarray(z_specs), np.asarray(y_specs)),), eps)[0])
 
 
 def _kept(plane, support):
@@ -351,31 +360,19 @@ def _project_adjoint(raw, support, g):
 def kernel_estimate(z_spec, y_specs, eps, support=None):
     """k_project(k_update(z_spec, y_specs, eps), support) as one node.
 
-    With R the quotient, D its denominator and a = F{rbar} / (H W) the
-    adjoint of the raw plane's spectrum, the adjoint is
-      Z_i: (conj(a) Y_i - 2 Z_i Re(a conj(R))) / D   Y_i: a Z_i / D,
-    zero where the projection fell back to the (constant) impulse.
+    The adjoint passes through the projection first (zero where it fell
+    back to the constant impulse), then through k_update's quotient.
     """
     z, y = ad.value(z_spec), ad.value(y_specs)
     out = k_project(k_update(z, y, eps), support)
 
     def pull(gk):
-        quotient, den = _k_quotient(z, y, eps)
-        a = ad.idft_adjoint(_project_adjoint(spectral.ifft2(quotient), support, gk))
-        return ((np.conj(a) * y - 2.0 * z * (a * np.conj(quotient)).real) / den,
-                a * z / den)
+        q, den = _quotient((), ((1, z, y),), eps)
+        t = ad.idft_adjoint(_project_adjoint(spectral.ifft2(q), support, gk)) / den
+        gy, gz, _ = _term_adjoint(t, q, 1, z, y)
+        return gz, gy
 
     return ad.record(out, (z_spec, y_specs), pull)
-
-
-def _x_quotient(y_spec, k, gs, f, e):
-    """The reconstruction's spectrum and denominator, checked against the floor."""
-    den = _floored(_abs2(k) + np.sum(e * _abs2(f), axis=0), "reconstruction")
-    prior = np.conj(f) * gs
-    np.multiply(e, prior, out=prior)
-    num = np.conj(k) * y_spec + np.sum(prior, axis=0)
-    num /= den
-    return num, den
 
 
 def reconstruct(y_spec, k_plane, g, f_spec, eta):
@@ -384,28 +381,24 @@ def reconstruct(y_spec, k_plane, g, f_spec, eta):
     y_spec is the spectrum of the blurred image, g the (C, H, W) feature
     planes, f_spec the spectra of the filter bank they belong to (stacks or
     sequences of C) and eta the (C,) channel weights. Returns one (H, W)
-    plane. With G = F{g}, X the quotient, D the denominator and
-    t = F{xbar} / (H W D), the adjoint is
-      K: conj(t) Y - 2 K Re(t conj(X))   G_i: t eta_i F_i
-      F_i: eta_i (conj(t) G_i - 2 F_i Re(t conj(X)))
-      eta_i: Re(conj(t) (conj(F_i) G_i - X |F_i|^2)).
+    plane: the quotient of the term (1, K, Y) and the channel sum of the
+    terms (eta_i, F_i, G_i), with K and G the spectra of k_plane and g.
     """
     vk, vg, vf = ad.value(k_plane), np.asarray(ad.value(g)), np.asarray(ad.value(f_spec))
     e = np.asarray(ad.value(eta))[:, None, None]
-    out = spectral.ifft2(_x_quotient(y_spec, spectral.fft2(vk), spectral.fft2(vg),
-                                     vf, e)[0])
+
+    def terms():  # the data term and the channel-summed prior term
+        return ((1, spectral.fft2(vk), y_spec),), ((e, vf, spectral.fft2(vg)),)
+
+    out = spectral.ifft2(_quotient(*terms(), update="reconstruction")[0])
 
     def pull(gx):
-        k, gs = spectral.fft2(vk), spectral.fft2(vg)
-        quotient, den = _x_quotient(y_spec, k, gs, vf, e)
+        data, prior = terms()
+        q, den = _quotient(data, prior, update="reconstruction")
         t = ad.idft_adjoint(gx) / den
-        ct = np.conj(t)
-        cross = (t * np.conj(quotient)).real
-        return (ad.dft_adjoint(ct * y_spec - 2.0 * k * cross),
-                ad.dft_adjoint(t * e * vf),
-                e * (ct * gs - 2.0 * vf * cross),
-                np.sum((ct * (np.conj(vf) * gs - quotient * _abs2(vf))).real,
-                       axis=(-2, -1)))
+        gg, gf, ge = _term_adjoint(t, q, *prior[0])
+        return (ad.dft_adjoint(_term_adjoint(t, q, *data[0])[1]), ad.dft_adjoint(gg),
+                gf, np.sum(ge, axis=(-2, -1)))
 
     return ad.record(out, (k_plane, g, f_spec, eta), pull)
 
@@ -437,10 +430,8 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     if tape is not None:
         pv = {name: ad.leaf(tape, arr) for name, arr in pv.items()}
 
-    if params.fixed_bank is not None:
-        banks = [params.fixed_bank] * L
-    else:
-        banks = build_filters(pv["w_top"], pv["w_mix"])
+    banks = ([params.fixed_bank] * L if params.fixed_bank is not None
+             else build_filters(pv["w_top"], pv["w_mix"]))
 
     y_spec = spectral.fft2(y)
     k_plane = spectral.embed_kernel(np.array([[1.0]]), h, w)  # identity init
@@ -474,9 +465,8 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     kernel = spectral.wrap_window(k_project(ad.value(k_plane), params.kernel_support),
                                   params.kernel_support)
     state = ForwardState(
-        x_hat=x_hat, kernel_plane=k_plane, kernel_planes=kernel_planes,
-        tape=tape, param_vars=pv,
-        kink_signature=b"".join(kinks) if kinks is not None else None)
+        x_hat=x_hat, kernel_plane=k_plane, kernel_planes=kernel_planes, tape=tape,
+        param_vars=pv, kink_signature=None if kinks is None else b"".join(kinks))
     return kernel, np.array(ad.value(g)), np.array(ad.value(x_hat)), state
 
 

@@ -198,6 +198,52 @@ def test_checkpoint_write_refuses_non_finite_weights(tmp_path, bad):
     assert os.listdir(str(tmp_path)) == []
 
 
+def _bad_shape(adam):
+    adam.m["b"] = np.zeros((2, 2))
+
+
+def _nan_moment(adam):
+    adam.v["eta"][0] = np.nan
+
+
+@pytest.mark.parametrize("spoil, error", [(_bad_shape, DimensionMismatch),
+                                          (_nan_moment, NonFiniteInput)])
+def test_checkpoint_write_refuses_bad_moments(tmp_path, spoil, error):
+    # load_checkpoint would refuse the first and restore the second
+    cfg = small_config()
+    p = init_params(cfg)
+    adam = AdamState.zeros(p)
+    spoil(adam)
+    with pytest.raises(error, match="Adam moment"):
+        save_checkpoint(str(tmp_path / "a.ckpt"), p, adam, 0, 0, cfg.lr, cfg)
+    assert os.listdir(str(tmp_path)) == []  # neither .ckpt nor .tmp
+
+
+def test_checkpoint_load_refuses_non_finite_moments(tmp_path):
+    cfg = small_config(layers=2, channels=2)
+    p = init_params(cfg)
+    path = str(tmp_path / "a.ckpt")
+    save_checkpoint(path, p, AdamState.zeros(p), 0, 0, cfg.lr, cfg)
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    # after the magic, version, config block, epoch, step and lr come the
+    # length-prefixed arrays: the TRAINABLE parameters, eps, then every m_
+    # and every v_ moment in TRAINABLE order; patch the first value of v_b
+    (cfg_len,) = struct.unpack_from("<I", data, 12)
+    pos = 16 + cfg_len + 12 + 8
+    shapes = dict(unroll.trainable_shapes(2, 2), eps=(1,))
+    for name in [*unroll.TRAINABLE, "eps", *unroll.TRAINABLE, "w_top", "w_mix"]:
+        (count,) = struct.unpack_from("<Q", data, pos)
+        assert count == np.prod(shapes[name])
+        pos += 8 + 8 * count
+    assert struct.unpack_from("<Q", data, pos)[0] == 4  # v_b's length prefix
+    data[pos + 8:pos + 16] = struct.pack("<d", np.inf)
+    with open(path, "wb") as fh:
+        fh.write(bytes(data))
+    with pytest.raises(NonFiniteInput, match="^Adam moment v_b "):
+        load_checkpoint(path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "a.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)

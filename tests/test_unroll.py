@@ -501,6 +501,14 @@ def test_forward_rejects_non_finite_weights(rng, field, bad):
         unroll.forward(rng.random((8, 8)), params)
 
 
+@pytest.mark.parametrize("b", [np.ones(3), np.ones((2, 2, 2))])
+def test_validate_rejects_b_that_is_not_2d(b):
+    # b's shape states L and C, so it is checked before it is unpacked
+    params = unroll.ModelParams(b=b, lam=np.zeros(np.shape(b)), eta=np.ones(3))
+    with pytest.raises(DimensionMismatch, match="^b must be"):
+        params.validate()
+
+
 @pytest.mark.parametrize("layers, channels", [(0, 2), (2, 0)])
 def test_forward_rejects_empty_models(rng, layers, channels):
     shapes = unroll.trainable_shapes(layers, channels)
@@ -622,6 +630,23 @@ def test_forward_recorded_gradients_have_model_shapes(rng):
     assert grads["w_mix"].shape == (1, 2, 2, 3, 3)
     for arr in grads.values():
         assert np.all(np.isfinite(arr))
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+@pytest.mark.parametrize("model", ["trained", "preset"])
+def test_plain_and_taped_forwards_agree_bitwise(rng, model, restrict):
+    # both paths run the same update code, recorded or not
+    if model == "preset":
+        params = unroll.tv_prewitt_params(layers=5, kernel_support=7)
+    else:
+        params = small_params(layers=3, channels=3, support=7)
+        params.b = np.full((3, 3), 0.02)
+        params.lam = np.full((3, 3), 1e-3)
+    y = rng.random((20, 18))
+    plain = unroll.forward(y, params, restrict_support=restrict)[:3]
+    taped = unroll.forward(y, params, tape=ad.Tape(), restrict_support=restrict)[:3]
+    for name, a, b in zip(("kernel", "g", "x_hat"), plain, taped):
+        assert np.array_equal(a, b), name
 
 
 def test_forward_tracks_kink_signature(rng):
