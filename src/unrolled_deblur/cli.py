@@ -73,8 +73,9 @@ def _build_parser():
     p.add_argument("--out", required=True, help="restored PGM path")
     p.add_argument("--kernel-out", default=None,
                    help="write the kernel estimate here")
-    p.add_argument("--support", type=int, default=31,
-                   help="odd kernel support for the preset")
+    p.add_argument("--support", type=int, default=None,
+                   help="odd kernel support for the preset (default 31); "
+                        "a checkpoint keeps its own")
     p.add_argument("--restrict-support", action="store_true",
                    help="re-project the kernel plane onto its support "
                         "after every layer")
@@ -150,7 +151,11 @@ def _cmd_deblur(args):
     if (args.ckpt is None) == (args.preset is None):
         raise DeblurError("give exactly one of --ckpt or --preset")
     if args.preset is not None:
-        params = unroll.tv_prewitt_params(kernel_support=args.support)
+        params = unroll.tv_prewitt_params(
+            kernel_support=31 if args.support is None else args.support)
+    elif args.support is not None:
+        raise DeblurError("--support applies to --preset only; a checkpoint "
+                          "keeps the support it was trained with")
     else:
         params = training.load_checkpoint(args.ckpt).params
     blurred = imaging.load_image(args.input)

@@ -5,8 +5,9 @@ intermediate computation may leave that range and values are clamped only
 when written to disk. Kernels are odd square float64 arrays, nonnegative,
 summing to one within 1e-12.
 
-Image files are PGM (P2 ascii or P5 binary, maxval 255 or 65535, 16-bit
-samples big-endian as in the Netpbm spec). Kernels use a small text format:
+Image files are PGM with maxval 255 or 65535, read as P2 (ascii) or P5
+(binary) and always written as P5, 16-bit samples big-endian as in the
+Netpbm spec. Kernels use a small text format:
 
     KERNEL v1
     <K> <K>
@@ -15,6 +16,8 @@ samples big-endian as in the Netpbm spec). Kernels use a small text format:
 check_kernel is the one place the kernel invariants are checked; both
 save_kernel and load_kernel go through it.
 """
+
+import re
 
 import numpy as np
 
@@ -58,33 +61,25 @@ def impulse_kernel(size):
 # PGM
 
 
-def _header_tokens(data):
-    """Return the first four header tokens and the offset just past them.
+# the supported maxvals and their P5 sample types (16-bit is big-endian)
+_SAMPLE_DTYPE = {255: np.dtype(np.uint8), 65535: np.dtype(">u2")}
+# a token after whitespace and comments; the lookahead keeps a comment whole
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
 
-    Comments run from '#' to end of line and may appear between tokens.
-    """
-    tokens = []
-    i = 0
-    n = len(data)
-    while len(tokens) < 4:
-        if i >= n:
+
+def _header_tokens(data):
+    """Return the first four header tokens and the offset just past them."""
+    tokens, pos = [], 0
+    for _ in range(4):
+        match = _HEADER_TOKEN.match(data, pos)
+        if match is None:
             raise CorruptHeader("file ends inside header")
-        c = data[i:i + 1]
-        if c == b"#":
-            while i < n and data[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
+        tokens.append(match.group(1))
+        pos = match.end()
     # a single whitespace byte separates the maxval from the raster
-    if i < n and data[i:i + 1].isspace():
-        i += 1
-    return tokens, i
+    if data[pos:pos + 1].isspace():
+        pos += 1
+    return tokens, pos
 
 
 def load_image(path):
@@ -109,17 +104,16 @@ def load_image(path):
         raise CorruptHeader("%s: non-numeric header fields %s" % (path, tokens[1:4]))
     if width < 1 or height < 1:
         raise CorruptHeader("%s: bad dimensions %dx%d" % (path, width, height))
-    if maxval not in (255, 65535):
+    if maxval not in _SAMPLE_DTYPE:
         raise UnsupportedFormat("%s: maxval %d (only 255 and 65535)" % (path, maxval))
 
     count = width * height
     if magic == b"P5":
-        itemsize = 1 if maxval == 255 else 2
-        raster = data[offset:offset + count * itemsize]
-        if len(raster) < count * itemsize:
+        dtype = _SAMPLE_DTYPE[maxval]
+        raster = data[offset:offset + count * dtype.itemsize]
+        if len(raster) < count * dtype.itemsize:
             raise TruncatedData("%s: expected %d raster bytes, got %d"
-                                % (path, count * itemsize, len(raster)))
-        dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
+                                % (path, count * dtype.itemsize, len(raster)))
         pixels = np.frombuffer(raster, dtype=dtype, count=count)
     else:
         fields = data[offset:].split()
@@ -137,12 +131,12 @@ def load_image(path):
     return img
 
 
-def save_image(image, path, maxval=255, binary=True):
-    """Write an image as PGM, clamping to [0, 1] and quantizing to maxval.
+def save_image(image, path, maxval=255):
+    """Write an image as P5 PGM, clamping to [0, 1] and quantizing to maxval.
 
     A NaN or Inf pixel raises NonFiniteInput before the file is opened.
     """
-    if maxval not in (255, 65535):
+    if maxval not in _SAMPLE_DTYPE:
         raise UnsupportedFormat("maxval %d (only 255 and 65535)" % maxval)
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -150,18 +144,11 @@ def save_image(image, path, maxval=255, binary=True):
     if not np.all(np.isfinite(image)):  # the clip would write NaN as 0
         raise NonFiniteInput("image has %d non-finite pixels"
                              % int(np.sum(~np.isfinite(image))))
-    q = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(np.uint32)
+    q = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(_SAMPLE_DTYPE[maxval])
     height, width = image.shape
-    magic = "P5" if binary else "P2"
-    header = ("%s\n%d %d\n%d\n" % (magic, width, height, maxval)).encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(header)
-        if binary:
-            dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
-            fh.write(q.astype(dtype).tobytes())
-        else:
-            lines = (" ".join(str(v) for v in row) for row in q)
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(b"P5\n%d %d\n%d\n" % (width, height, maxval))
+        fh.write(q.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Linear kernels rasterize a centered segment by dense point sampling with
 bilinear splatting; trajectory kernels integrate a damped random walk and
-splat its path the same way. Records pair a blurred observation (circular
-convolution plus unclamped gaussian noise) with its sharp source and true
-kernel, listed in a manifest CSV. write_records is the one record builder:
-it takes kernel arrays, whether loaded from kernel files or made by the
-generators here.
+splat its path the same way. The splat clips positions onto the grid.
+Records pair a blurred observation (circular convolution plus unclamped
+gaussian noise) with its sharp source and true kernel, listed in a
+manifest CSV. write_records is the one record builder: it takes kernel
+arrays, whether loaded from kernel files or made by the generators here.
 """
 
 import csv
@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import signal
 
 from . import imaging, spectral
 from .errors import (CorruptHeader, DeblurError, EmptyDirectory, EvenSize,
@@ -30,22 +31,22 @@ MANIFEST_FIELDS = ["blurred", "sharp", "kernel", "sigma"]
 
 
 def _splat(rows, cols, size):
-    """Accumulate unit masses at fractional positions with bilinear weights."""
+    """Unit masses at fractional positions, splatted bilinearly and normalized.
+
+    Positions are clipped onto the grid, so rounding cannot put one off it;
+    a far corner on the edge has zero weight and is clamped onto the grid.
+    """
+    rows, cols = np.clip(rows, 0, size - 1), np.clip(cols, 0, size - 1)
+    r0, c0 = np.floor(rows).astype(np.int64), np.floor(cols).astype(np.int64)
+    r1, c1 = np.minimum(r0 + 1, size - 1), np.minimum(c0 + 1, size - 1)
+    fr, fc = rows - r0, cols - c0
     grid = np.zeros((size, size))
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    fr = rows - r0
-    fc = cols - c0
-    for dr, dc, wt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
-                       (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        rr = r0 + dr
-        cc = c0 + dc
-        keep = wt > 0
-        if np.any((rr[keep] < 0) | (rr[keep] >= size)
-                  | (cc[keep] < 0) | (cc[keep] >= size)):
-            raise SupportTooSmall("splat position outside %dx%d grid" % (size, size))
-        np.add.at(grid, (rr[keep], cc[keep]), wt[keep])
-    return grid
+    # corners in the order (0, 0), (0, 1), (1, 0), (1, 1)
+    np.add.at(grid, (np.concatenate([r0, r0, r1, r1]),
+                     np.concatenate([c0, c1, c0, c1])),
+              np.concatenate([(1 - fr) * (1 - fc), (1 - fr) * fc,
+                              fr * (1 - fc), fr * fc]))
+    return grid / grid.sum()
 
 
 def linear_motion_kernel(angle, length, support):
@@ -69,8 +70,7 @@ def linear_motion_kernel(angle, length, support):
     t = np.linspace(-0.5, 0.5, n)
     cols = center + t * (length * math.cos(angle))
     rows = center + t * (length * math.sin(angle))
-    grid = _splat(rows, cols, support)
-    return grid / grid.sum()
+    return _splat(rows, cols, support)
 
 
 def trajectory_motion_kernel(seed, support):
@@ -86,21 +86,14 @@ def trajectory_motion_kernel(seed, support):
         raise SupportTooSmall("support %d too small for a trajectory" % support)
     rng = np.random.default_rng(seed)
     steps = rng.normal(0.0, math.sqrt(TRAJ_STEP_VAR), size=(TRAJ_STEPS, 2))
-    velocity = np.zeros(2)
-    position = np.zeros(2)
-    path = np.empty((TRAJ_STEPS, 2))
-    for i, kick in enumerate(steps):
-        velocity = TRAJ_DAMPING * velocity + kick
-        position = position + velocity
-        path[i] = position
+    path = np.cumsum(signal.lfilter([1.0], [1.0, -TRAJ_DAMPING], steps, axis=0),
+                     axis=0)
     path = path - path.mean(axis=0)
     extent = float(np.abs(path).max())
     half = (support - 1) / 2.0
     if extent > half:
         path = path * (half / extent)
-    center = (support - 1) / 2.0
-    grid = _splat(center + path[:, 0], center + path[:, 1], support)
-    return grid / grid.sum()
+    return _splat(half + path[:, 0], half + path[:, 1], support)
 
 
 def synthesize_blurred(sharp, kernel, sigma, seed):
@@ -121,7 +114,12 @@ def synthesize_blurred(sharp, kernel, sigma, seed):
 
 
 def center_crop(image, patch):
-    """Centered square crop; raises ImageTooSmall when it cannot fit."""
+    """Centered square crop; raises ImageTooSmall when it cannot fit.
+
+    A patch below 1 raises InvalidParameter.
+    """
+    if patch < 1:
+        raise InvalidParameter("patch must be >= 1, got %d" % patch)
     h, w = image.shape
     if h < patch or w < patch:
         raise ImageTooSmall("image %dx%d smaller than patch %d" % (h, w, patch))
@@ -154,16 +152,20 @@ def write_records(image_dir, kernels, sigma, patch, out_dir, seed):
 
     `kernels` is a list of kernel arrays. Every usable image is paired
     with every kernel; record i draws its noise from (seed, i) so the
-    stream never depends on generation order. Returns the record count.
+    stream never depends on generation order. out_dir is made only once
+    the first record is ready, so bad arguments leave nothing behind.
+    Returns the record count.
     """
+    if not kernels:
+        raise InvalidParameter("no kernels to pair with the images")
     usable = _usable_images(image_dir, patch)
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     index = 0
     for img in usable:
         sharp = center_crop(img, patch)
         for kernel in kernels:
             blurred = synthesize_blurred(sharp, kernel, sigma, (seed, index))
+            os.makedirs(out_dir, exist_ok=True)
             stem = "rec_%05d" % index
             blur_file = stem + "_blur.pgm"
             sharp_file = stem + "_sharp.pgm"

@@ -25,7 +25,8 @@ import numpy as np
 from scipy import signal
 
 from . import kernelgen, spectral, training, unroll
-from .errors import DimensionMismatch, ImageTooSmall, NonFiniteInput
+from .errors import (DimensionMismatch, ImageTooSmall, InvalidParameter,
+                     NonFiniteInput)
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -199,7 +200,10 @@ def evaluate(manifest_path, checkpoint, out_csv, forward_fn=None, threads=1):
     oracle. Reconstructions are aligned to the reference by circular shift
     before the image metrics; the blurred baseline inside ISNR is never
     shifted. The CSV has the EvalRow columns and ends with a MEAN row.
+    `threads` below 1 raises InvalidParameter before the manifest is read.
     """
+    if threads < 1:
+        raise InvalidParameter("threads must be >= 1, got %d" % threads)
     records = kernelgen.load_manifest(manifest_path)
     if forward_fn is None:
         params = training.load_checkpoint(checkpoint).params

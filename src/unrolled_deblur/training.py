@@ -18,10 +18,11 @@ in a fixed documented order.
 """
 
 import json
+import math
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -234,6 +235,13 @@ def load_checkpoint(path):
         config = TrainConfig(**json.loads(data[pos:pos + cfg_len].decode("ascii")))
     except (ValueError, TypeError) as exc:
         raise CorruptCheckpoint("%s: bad config block (%s)" % (path, exc))
+    for f in fields(TrainConfig):
+        # an int field takes an int (not a bool), a float field a finite number
+        value = getattr(config, f.name)
+        if not (type(value) is int or f.type is float and type(value) is float
+                and math.isfinite(value)):
+            raise CorruptCheckpoint("%s: config field %s is %r, expected %s"
+                                    % (path, f.name, value, f.type.__name__))
     pos += cfg_len
     epoch, step = take("<IQ")
     (lr,) = take("<d")

@@ -112,6 +112,16 @@ def test_gen_kernels_zero_lengths_writes_no_linear_kernels(tmp_path, capsys):
     assert os.listdir(out) == ["traj_000.txt"]
 
 
+def test_gen_kernels_trajectories_on_the_grid_edge(tmp_path, capsys):
+    # trajectory 4 of seed 0 at support 31 reaches the grid edge only up
+    # to rounding; it used to end the command after writing four files
+    out = tmp_path / "k"
+    assert cli.main(["gen-kernels", "--out", str(out), "--angles", "0",
+                     "--lengths", "0", "--trajectories", "40",
+                     "--support", "31", "--seed", "0"]) == 0
+    assert len(os.listdir(out)) == 40
+
+
 def test_gen_dataset_requires_kernels(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -154,6 +164,26 @@ def test_gen_dataset_rejects_bad_sigma(tmp_path, capsys, sigma):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "sigma" in err
     assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("flag, value", [("--sigma", "-1"), ("--patch", "0")])
+def test_gen_dataset_bad_argument_creates_nothing(tmp_path, capsys, flag,
+                                                  value):
+    kernels = tmp_path / "kernels"
+    kernels.mkdir()
+    imaging.save_kernel(imaging.impulse_kernel(3), str(kernels / "k.txt"))
+    imgs = tmp_path / "imgs"
+    imgs.mkdir()
+    imaging.save_image(np.full((24, 24), 0.5), str(imgs / "a.pgm"))
+    out = tmp_path / "o"
+    args = {"--sigma": "0.01", "--patch": "16", flag: value}
+    rc = cli.main(["gen-dataset", "--images", str(imgs), "--kernels",
+                   str(kernels), "--out", str(out),
+                   *(x for kv in args.items() for x in kv)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:] in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +287,57 @@ def test_deblur_rejects_bad_support(pipeline, tmp_path, capsys, support):
     assert not os.path.exists(out)
 
 
+def test_deblur_support_with_checkpoint_is_an_error(pipeline, tmp_path,
+                                                   capsys):
+    # a checkpoint keeps its own support; --support used to be ignored
+    with open(pipeline["manifest"]) as fh:
+        row = next(csv.DictReader(fh))
+    blurred = os.path.join(pipeline["data"], row["blurred"])
+    out, kout = str(tmp_path / "x.pgm"), str(tmp_path / "k.txt")
+    rc = cli.main(["deblur", "--in", blurred, "--ckpt", pipeline["ckpt"],
+                   "--support", "3", "--out", out, "--kernel-out", kout])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--support" in err
+    assert not os.path.exists(out) and not os.path.exists(kout)
+
+
+def test_deblur_preset_keeps_its_default_support(pipeline, tmp_path, capsys):
+    with open(pipeline["manifest"]) as fh:
+        row = next(csv.DictReader(fh))
+    blurred = os.path.join(pipeline["data"], row["blurred"])
+    out, kout = str(tmp_path / "x.pgm"), str(tmp_path / "k.txt")
+    # the default support 31 is wider than the 16 px record
+    assert cli.main(["deblur", "--in", blurred, "--preset", "tv-prewitt",
+                     "--out", out]) == 1
+    assert "31" in capsys.readouterr().err
+    big = str(tmp_path / "big.pgm")
+    imaging.save_image(np.full((40, 40), 0.5), big)
+    assert cli.main(["deblur", "--in", big, "--preset", "tv-prewitt",
+                     "--out", out, "--kernel-out", kout]) == 0
+    assert imaging.load_kernel(kout).shape == (31, 31)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kernel_support", 9.0), ("layers", 2.0), ("layers", True),
+    ("layers", "x")])
+def test_deblur_rejects_mistyped_checkpoint_config(pipeline, tmp_path, capsys,
+                                                   rewrite_config, field,
+                                                   value):
+    bad = rewrite_config(pipeline["ckpt"], tmp_path / "bad.ckpt",
+                         **{field: value})
+    with open(pipeline["manifest"]) as fh:
+        row = next(csv.DictReader(fh))
+    out, kout = str(tmp_path / "x.pgm"), str(tmp_path / "k.txt")
+    rc = cli.main(["deblur", "--in", os.path.join(pipeline["data"], row["blurred"]),
+                   "--ckpt", bad, "--out", out, "--kernel-out", kout])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out) and not os.path.exists(kout)
+
+
 def test_eval_writes_report(pipeline, tmp_path, capsys):
     out = str(tmp_path / "report.csv")
     rc = cli.main(["eval", "--manifest", pipeline["manifest"],
@@ -269,6 +350,18 @@ def test_eval_writes_report(pipeline, tmp_path, capsys):
                        "kernel_rmse", "shift_dy", "shift_dx"]
     assert rows[-1][0] == "MEAN"
     assert len(rows) == 4  # header + 2 records + mean
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_eval_rejects_threads_below_one(pipeline, tmp_path, capsys, threads):
+    out = str(tmp_path / "report.csv")
+    rc = cli.main(["eval", "--manifest", pipeline["manifest"],
+                   "--ckpt", pipeline["ckpt"], "--out", out,
+                   "--threads", threads])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "threads" in err
+    assert not os.path.exists(out)
 
 
 def test_check_grad_passes_on_default_instance(capsys):

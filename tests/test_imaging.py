@@ -31,12 +31,21 @@ def test_p5_roundtrip_16bit(tmp_path, rng):
     assert np.max(np.abs(back - img)) <= 0.5 / 65535 + 1e-15
 
 
+def _write_p2(path, image, maxval):
+    """Write image as ascii P2 text, quantized as save_image quantizes."""
+    q = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(np.int64)
+    rows = "\n".join(" ".join(str(v) for v in row) for row in q)
+    header = "P2\n%d %d\n%d\n" % (image.shape[1], image.shape[0], maxval)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + rows + "\n")
+
+
 def test_p2_matches_p5(tmp_path, rng):
     img = rng.random((7, 5))
     pb = str(tmp_path / "b.pgm")
     pa = str(tmp_path / "a.pgm")
-    imaging.save_image(img, pb, binary=True)
-    imaging.save_image(img, pa, binary=False)
+    imaging.save_image(img, pb)
+    _write_p2(pa, img, 255)
     assert np.array_equal(imaging.load_image(pb), imaging.load_image(pa))
 
 
@@ -44,9 +53,19 @@ def test_p2_matches_p5_16bit(tmp_path, rng):
     img = rng.random((4, 6))
     pb = str(tmp_path / "b.pgm")
     pa = str(tmp_path / "a.pgm")
-    imaging.save_image(img, pb, maxval=65535, binary=True)
-    imaging.save_image(img, pa, maxval=65535, binary=False)
+    imaging.save_image(img, pb, maxval=65535)
+    _write_p2(pa, img, 65535)
     assert np.array_equal(imaging.load_image(pb), imaging.load_image(pa))
+
+
+@pytest.mark.parametrize("maxval, raster", [
+    (255, bytes([0, 64, 255])),
+    (65535, bytes([0x00, 0x00, 0x40, 0x00, 0xFF, 0xFF])),
+])
+def test_save_image_writes_p5(tmp_path, maxval, raster):
+    path = tmp_path / "a.pgm"
+    imaging.save_image(np.array([[0.0, 0.25, 1.0]]), str(path), maxval=maxval)
+    assert path.read_bytes() == b"P5\n3 1\n%d\n" % maxval + raster
 
 
 def test_save_clamps_out_of_range(tmp_path):
@@ -119,6 +138,14 @@ def test_header_ends_early(tmp_path):
     path = tmp_path / "x.pgm"
     path.write_bytes(b"P5\n4 4")
     with pytest.raises(CorruptHeader):
+        imaging.load_image(str(path))
+
+
+def test_comment_at_end_of_file_is_not_a_token(tmp_path):
+    # a scanner that splits the comment would return 9 as the maxval
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P2 2 2 #9\n")
+    with pytest.raises(CorruptHeader, match="^file ends inside header$"):
         imaging.load_image(str(path))
 
 

@@ -1,5 +1,6 @@
 """Synthetic kernels and dataset generation."""
 
+import hashlib
 import math
 import os
 
@@ -74,6 +75,29 @@ def test_linear_kernels_are_valid(rng):
         imaging.check_kernel(k)
 
 
+# a grid covering the angles, lengths and supports that the benchmark's and
+# criterion 7's records use; the digest is of the kernels' float64 bytes
+PIN_ANGLES = ([math.pi * k / 12 for k in range(12)]
+              + [math.pi * (r + 0.5) / n for n in (2, 4) for r in range(n)])
+PIN_LENGTHS = [4.0, 5.0, 7.0, 9.0, 11.0, 12.5]
+PIN_SUPPORTS = [7, 13, 15, 31]
+PIN_SHA256 = "5955b154487a46d49c584f4a3ca42690c0b6ab9137c0e7ae860c1f70fee4892b"
+
+
+def test_linear_kernel_bytes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for angle in PIN_ANGLES:
+        for length in PIN_LENGTHS:
+            for support in PIN_SUPPORTS:
+                if support >= math.ceil(length) + 2:
+                    k = kernelgen.linear_motion_kernel(angle, length, support)
+                    digest.update(k.astype("<f8").tobytes())
+                    count += 1
+    assert count == 342
+    assert digest.hexdigest() == PIN_SHA256
+
+
 def test_linear_support_requirement():
     with pytest.raises(SupportTooSmall):
         kernelgen.linear_motion_kernel(0.0, 5.0, 5)
@@ -119,6 +143,51 @@ def test_trajectory_fits_small_support():
     for seed in range(5):
         k = kernelgen.trajectory_motion_kernel(seed, 5)
         imaging.check_kernel(k)
+
+
+def test_trajectory_kernels_are_valid_when_rounding_reaches_the_edge():
+    # the path's extreme point is scaled onto the grid edge, where rounding
+    # can leave it a few ulp outside (-4.4e-16); the splat clips it back
+    for support in (7, 15, 21, 31):
+        for s in range(3):
+            for t in range(200):
+                imaging.check_kernel(
+                    kernelgen.trajectory_motion_kernel((s, t), support))
+
+
+def _loop_trajectory(seed, support):
+    """Reference: the damped walk step by step, the splat corner by corner."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, math.sqrt(kernelgen.TRAJ_STEP_VAR),
+                       size=(kernelgen.TRAJ_STEPS, 2))
+    velocity, position = np.zeros(2), np.zeros(2)
+    path = np.empty((kernelgen.TRAJ_STEPS, 2))
+    for i, kick in enumerate(steps):
+        velocity = kernelgen.TRAJ_DAMPING * velocity + kick
+        position = position + velocity
+        path[i] = position
+    path = path - path.mean(axis=0)
+    half = (support - 1) / 2.0
+    extent = float(np.abs(path).max())
+    if extent > half:
+        path = path * (half / extent)
+    rows = np.clip(half + path[:, 0], 0, support - 1)
+    cols = np.clip(half + path[:, 1], 0, support - 1)
+    r0, c0 = np.floor(rows).astype(np.int64), np.floor(cols).astype(np.int64)
+    fr, fc = rows - r0, cols - c0
+    grid = np.zeros((support, support))
+    for dr, dc, wt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
+                       (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
+        keep = wt > 0
+        np.add.at(grid, (r0[keep] + dr, c0[keep] + dc), wt[keep])
+    return grid / grid.sum()
+
+
+@pytest.mark.parametrize("support", [5, 15, 31])
+def test_trajectory_matches_the_step_by_step_reference(support):
+    for t in range(40):
+        got = kernelgen.trajectory_motion_kernel((0, t), support)
+        assert got.tobytes() == _loop_trajectory((0, t), support).tobytes()
 
 
 def test_trajectory_rejects_bad_support():
@@ -190,6 +259,12 @@ def test_center_crop():
     assert np.array_equal(got, img[1:5, 1:5])
     with pytest.raises(ImageTooSmall):
         kernelgen.center_crop(img, 7)
+
+
+@pytest.mark.parametrize("patch", [0, -1])
+def test_center_crop_rejects_patch_below_one(patch):
+    with pytest.raises(InvalidParameter, match="patch"):
+        kernelgen.center_crop(np.zeros((6, 6)), patch)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +340,20 @@ def test_build_dataset_empty_and_unusable_dirs(tmp_path, rng):
     imaging.save_image(rng.random((8, 8)), str(bad / "tiny.pgm"))
     with pytest.raises(NoUsableImages):
         kernelgen.write_records(str(bad), LINEAR, 0.0, 32, str(tmp_path / "o2"), 0)
+
+
+@pytest.mark.parametrize("kernels, sigma, patch, what", [
+    (LINEAR, -1.0, 32, "sigma"), (LINEAR, float("nan"), 32, "sigma"),
+    (LINEAR, 0.01, 0, "patch"), ([], 0.01, 32, "kernels"),
+])
+def test_build_dataset_bad_argument_creates_nothing(tmp_path, rng, kernels,
+                                                    sigma, patch, what):
+    src = str(tmp_path / "src")
+    _seed_images(src, rng)
+    out = tmp_path / "out"
+    with pytest.raises(InvalidParameter, match=what):
+        kernelgen.write_records(src, kernels, sigma, patch, str(out), 0)
+    assert not out.exists()
 
 
 def test_load_manifest_rejects_wrong_header(tmp_path):

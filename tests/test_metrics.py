@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from unrolled_deblur import imaging, metrics
-from unrolled_deblur.errors import DimensionMismatch, ImageTooSmall, NonFiniteInput
+from unrolled_deblur.errors import (DimensionMismatch, ImageTooSmall,
+                                    InvalidParameter, NonFiniteInput)
 
 
 def align_shift_reference(estimate, reference, max_shift):
@@ -441,3 +442,11 @@ def test_evaluate_rejects_non_finite_reconstruction(tmp_path, rng):
 
     with pytest.raises(NonFiniteInput):
         metrics.evaluate(man, None, None, forward_fn=broken)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_evaluate_rejects_threads_below_one_before_reading(tmp_path, threads):
+    # the manifest does not exist: the check comes before it is read
+    with pytest.raises(InvalidParameter, match="threads"):
+        metrics.evaluate(str(tmp_path / "none.csv"), None, None,
+                         forward_fn=lambda b: None, threads=threads)

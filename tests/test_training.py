@@ -307,6 +307,31 @@ def test_checkpoint_corrupt_config_block(tmp_path):
         load_checkpoint(str(bad))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("kernel_support", 9.0), ("layers", 2.0), ("layers", True),
+    ("layers", "x"), ("seed", None), ("kappa", True), ("lr", "x"),
+    ("lr", float("nan")), ("decay", float("inf")),
+])
+def test_checkpoint_config_values_must_have_their_field_type(
+        tmp_path, rewrite_config, field, value):
+    cfg = small_config()
+    p = init_params(cfg)
+    path = str(tmp_path / "a.ckpt")
+    save_checkpoint(path, p, AdamState.zeros(p), 0, 0, cfg.lr, cfg)
+    bad = rewrite_config(path, tmp_path / "b.ckpt", **{field: value})
+    with pytest.raises(CorruptCheckpoint, match="config field %s " % field):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_config_float_field_takes_an_int(tmp_path, rewrite_config):
+    cfg = small_config()
+    p = init_params(cfg)
+    path = str(tmp_path / "a.ckpt")
+    save_checkpoint(path, p, AdamState.zeros(p), 0, 0, cfg.lr, cfg)
+    good = rewrite_config(path, tmp_path / "b.ckpt", kappa=100000)
+    assert load_checkpoint(good).config == cfg
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
