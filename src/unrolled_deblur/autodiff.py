@@ -12,9 +12,10 @@ Y_l, Z, K, b_l and lam_l; z_spectrum g and b_l; kernel_estimate Z and Y_l;
 reconstruct the kernel plane, g, the last F_l, eta and y_spec. g_update,
 kernel_estimate and reconstruct recompute one quotient (unroll._quotient)
 and take every adjoint from one term adjoint. The generic primitives here
-are the few the program records besides: leaves, basic indexing, the DFT of
-the kernel plane, one filter-cascade generation, full convolution of small
-filters and the mean-squared loss; `take` scatters into zeros of x's shape.
+are the few the program records besides: leaves, basic indexing, the half
+spectrum of the kernel plane, one filter-cascade generation, full
+convolution of small filters and the mean-squared loss; `take` scatters
+into zeros of x's shape.
 
 Creation order on the tape is topological, so backward() is one sweep over
 the nodes reachable from the loss in reverse creation order. Nodes point
@@ -26,9 +27,17 @@ Adjoint conventions, for a real-valued loss L:
 * a real node with value x carries dL/dx;
 * a complex node u = a + ib carries dL/da + i dL/db, so a holomorphic map
   with complex derivative D pulls back as g -> g * conj(D);
+* a half spectrum (..., H, W//2+1) of real planes is an array like any
+  other: each stored entry is its own variable and adjoints pair with the
+  Euclidean inner product Re sum conj(g) u over the half array. Column v
+  of it stands for v and its mirror W - v, except column 0 and, for even
+  W, column W/2 (spectral.doubled_columns), so only the two transform
+  adjoints carry weights, and entrywise nodes and frequency sums need none;
 * the adjoint of the unnormalized forward DFT is the unnormalized inverse
   (ifft2 scaled by H*W), and the adjoint of the normalized inverse is
-  the forward DFT scaled by 1/(H*W);
+  the forward DFT scaled by 1/(H*W); on half spectra these become irfft2
+  with weight 1/2 on the doubled columns, and rfft2 with weight 2 on them
+  (dft_adjoint, idft_adjoint);
 * an adjoint flowing into a real-valued node drops its imaginary part;
 * kinks (the shrinkage threshold, the clamp, the l1 norm) take the zero
   subgradient exactly at the kink.
@@ -119,24 +128,46 @@ def record(out, inputs, pull):
     return Var(out, parents[0].tape, parents, pull, routes)
 
 
-def dft_adjoint(g):
-    """Adjoint of the unnormalized forward DFT of real planes: H*W Re ifft2."""
-    scale = float(g.shape[-2] * g.shape[-1])
-    return scipy.fft.ifft2(g).real * scale
+def dft_adjoint(g, shape=None):
+    """Adjoint of the unnormalized forward DFT of real planes.
+
+    For full spectra H*W Re ifft2(g); for half spectra of (H, W) = shape
+    planes H*W irfft2 of g weighted 1/2 on the doubled columns.
+    """
+    if shape is None:
+        return scipy.fft.ifft2(g).real * float(g.shape[-2] * g.shape[-1])
+    g = np.array(g, dtype=np.complex128)
+    g[..., spectral.doubled_columns(shape[1])] *= 0.5
+    # irfft2 as two passes in g's buffer (see spectral.irfft2)
+    g = scipy.fft.ifft(g, axis=-2, overwrite_x=True)
+    out = scipy.fft.irfft(g, n=shape[1], axis=-1, overwrite_x=True)
+    out *= float(shape[0] * shape[1])
+    return out
 
 
-def idft_adjoint(g):
-    """Adjoint of the normalized inverse DFT taken to real planes: fft2 / (H*W)."""
-    return spectral.fft2(g) / float(g.shape[-2] * g.shape[-1])
+def idft_adjoint(g, shape=None):
+    """Adjoint of the normalized inverse DFT taken to real planes.
+
+    For full spectra fft2(g) / (H*W); for half spectra (shape given, the
+    planes' (H, W)) rfft2(g) / (H*W) weighted 2 on the doubled columns.
+    """
+    if shape is None:
+        return spectral.fft2(g) / float(g.shape[-2] * g.shape[-1])
+    out = spectral.rfft2(g)
+    out /= float(shape[0] * shape[1])
+    out[..., spectral.doubled_columns(shape[1])] *= 2.0
+    return out
 
 
 # ---------------------------------------------------------------------------
 # generic primitives
 
 
-def fft2(a):
-    """Unnormalized forward DFT of real planes (spectral.fft2)."""
-    return record(spectral.fft2(value(a)), (a,), lambda g: (dft_adjoint(g),))
+def rfft2(a):
+    """Half spectra of real planes (spectral.rfft2)."""
+    shape = np.shape(value(a))[-2:]
+    return record(spectral.rfft2(value(a)), (a,),
+                  lambda g: (dft_adjoint(g, shape),))
 
 
 def take(x, idx):

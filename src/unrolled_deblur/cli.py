@@ -105,21 +105,20 @@ def _cmd_gen_kernels(args):
     for flag in ("angles", "lengths", "trajectories"):
         if getattr(args, flag) < 0:
             raise DeblurError("--%s must be >= 0" % flag)
-    os.makedirs(args.out, exist_ok=True)
-    count = 0
     angles = np.linspace(0.0, math.pi, args.angles, endpoint=False)
     lengths = np.linspace(5.0, 20.0, args.lengths)  # one count gives [5.0]
-    for i, angle in enumerate(angles):
-        for j, length in enumerate(lengths):
-            kernel = kernelgen.linear_motion_kernel(angle, length, args.support)
-            imaging.save_kernel(kernel, os.path.join(
-                args.out, "linear_a%02d_l%02d.txt" % (i, j)))
-            count += 1
+    # every kernel is made (and every length checked against the support)
+    # before the first file is written, so a bad grid leaves nothing behind
+    kernels = {"linear_a%02d_l%02d.txt" % (i, j):
+               kernelgen.linear_motion_kernel(angle, length, args.support)
+               for i, angle in enumerate(angles) for j, length in enumerate(lengths)}
     for t in range(args.trajectories):
-        kernel = kernelgen.trajectory_motion_kernel((args.seed, t), args.support)
-        imaging.save_kernel(kernel, os.path.join(args.out, "traj_%03d.txt" % t))
-        count += 1
-    print("%d kernels -> %s" % (count, args.out))
+        kernels["traj_%03d.txt" % t] = kernelgen.trajectory_motion_kernel(
+            (args.seed, t), args.support)
+    os.makedirs(args.out, exist_ok=True)
+    for name, kernel in kernels.items():
+        imaging.save_kernel(kernel, os.path.join(args.out, name))
+    print("%d kernels -> %s" % (len(kernels), args.out))
     return 0
 
 

@@ -9,13 +9,22 @@ interchangeable.
 Convention: the forward transform is unnormalized and the inverse carries
 the 1/(H*W) factor (the default of numpy and scipy.fft).
 
-Both transforms work on the last two axes, so a (..., H, W) stack is
-transformed plane by plane in one call, and both return full (H, W)
-spectra and planes: scipy.fft (pocketfft) computes them, for real and
-complex input alike. A real plane's spectrum is Hermitian to rounding,
-not bit for bit. The inverse deliberately stays complex-to-complex: it
-checks the imaginary residue that a real-output inverse would discard
-unseen.
+Every transform works on the last two axes, so a (..., H, W) stack is
+transformed plane by plane in one call; scipy.fft (pocketfft) computes
+them all. Two pairs:
+
+* fft2/ifft2 take full (H, W) spectra, for real and complex input alike.
+  A real plane's spectrum is Hermitian to rounding, not bit for bit, and
+  ifft2 stays complex-to-complex so it sees the imaginary residue it
+  discards.
+* rfft2/irfft2 take the half spectra (H, W//2+1) of real planes, which is
+  all of a Hermitian spectrum: column v stands for itself and for its
+  mirror W - v, except column 0 and, for even W, column W/2, which are
+  their own mirrors (doubled_columns gives the others). The unrolled
+  solver carries only these. irfft2 keeps the Hermitian part of the two
+  self-mirrored columns, and their anti-Hermitian part is exactly what a
+  complex inverse would put into the imaginary part, so irfft2 checks that
+  part against the same bound as ifft2.
 """
 
 import numpy as np
@@ -52,14 +61,58 @@ def ifft2(spectrum):
     sees the imaginary part it discards.
     """
     planes = scipy.fft.ifft2(np.asarray(spectrum, dtype=np.complex128))
-    imag_energy = np.einsum("...ij,...ij->...", planes.imag, planes.imag)
-    total = np.einsum("...ij,...ij->...", planes.real, planes.real) + imag_energy
+    _check_residue(planes.real, _energy(planes.imag))
+    return np.ascontiguousarray(planes.real)
+
+
+def rfft2(plane):
+    """Half spectra (..., H, W//2+1) of real (..., H, W) planes, unnormalized."""
+    return scipy.fft.rfft2(np.asarray(plane, dtype=np.float64))
+
+
+def irfft2(spectrum, shape):
+    """Real (H, W) = shape planes from half spectra, with the 1/(H*W) factor.
+
+    The inverse of rfft2 over the last two axes. It drops the
+    anti-Hermitian part of columns 0 and, for even W, W/2; the energy of
+    that part (by Parseval, what ifft2 of the full spectrum would find in
+    its imaginary part) is held to IMAG_ENERGY_TOL of each plane's total,
+    and ImaginaryResidue names the first plane above it, as in ifft2.
+    """
+    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    h, w = shape
+    if spectrum.shape[-2:] != (h, w // 2 + 1):
+        raise DimensionMismatch("half spectrum %s does not match planes %dx%d"
+                                % (spectrum.shape, h, w))
+    # irfft2's two passes, the real one in the column pass's buffer:
+    # scipy.fft.irfft2 would make one more stack-sized temporary
+    planes = scipy.fft.irfft(scipy.fft.ifft(spectrum, axis=-2), n=w, axis=-1,
+                             overwrite_x=True)
+    own = spectrum[..., [0, w // 2] if w % 2 == 0 else [0]]
+    anti = own - np.conj(own[..., -np.arange(h), :])  # twice the part dropped
+    _check_residue(planes, _energy(anti.real, anti.imag) / (4.0 * h * w))
+    return planes
+
+
+def doubled_columns(width):
+    """The columns of a half spectrum that stand for two columns of the full one."""
+    return slice(1, (width + 1) // 2)
+
+
+def _energy(*parts):
+    """Sum of squares over the last two axes, summed over the given arrays."""
+    return sum(np.einsum("...ij,...ij->...", p, p) for p in parts)
+
+
+def _check_residue(planes, imag_energy):
+    """Raise ImaginaryResidue for the first plane whose imaginary energy
+    exceeds IMAG_ENERGY_TOL of its total (real plus imaginary) energy."""
+    total = _energy(planes) + imag_energy
     bad = np.flatnonzero((total > 0.0) & (imag_energy > IMAG_ENERGY_TOL * total))
     if bad.size:
         raise ImaginaryResidue(
             "imaginary energy %.3e exceeds %g of total %.3e"
             % (imag_energy.flat[bad[0]], IMAG_ENERGY_TOL, total.flat[bad[0]]))
-    return np.ascontiguousarray(planes.real)
 
 
 def embed_kernel(kernel, height, width):

@@ -232,9 +232,13 @@ def load_checkpoint(path):
     if pos + cfg_len > len(data):
         raise CorruptCheckpoint("%s: truncated config block" % path)
     try:
-        config = TrainConfig(**json.loads(data[pos:pos + cfg_len].decode("ascii")))
+        block = json.loads(data[pos:pos + cfg_len].decode("ascii"))
+        config = TrainConfig(**block)  # an unknown field raises TypeError
     except (ValueError, TypeError) as exc:
         raise CorruptCheckpoint("%s: bad config block (%s)" % (path, exc))
+    missing = [f.name for f in fields(TrainConfig) if f.name not in block]
+    if missing:  # no default may stand in for a value the model was trained with
+        raise CorruptCheckpoint("%s: config block lacks %s" % (path, ", ".join(missing)))
     for f in fields(TrainConfig):
         # an int field takes an int (not a bool), a float field a finite number
         value = getattr(config, f.name)

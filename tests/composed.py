@@ -60,6 +60,12 @@ def abs2(a):
     return ad.record(out, (a,), lambda g: (2.0 * g * va,))
 
 
+def fft2(a):
+    """Unnormalized forward DFT of real planes, as full spectra."""
+    return ad.record(spectral.fft2(ad.value(a)), (a,),
+                     lambda g: (ad.dft_adjoint(g),))
+
+
 def ifft2(a):
     """Normalized inverse DFT returning the real part (residue-checked)."""
     va = ad.value(a)
@@ -121,7 +127,7 @@ def inner(x, w):
 
 def filter_spectra(bank, y_spec, h, w):
     """(F, F Y) for a bank on an (h, w) grid."""
-    f_spec = ad.fft2(embed_plane(bank, h, w))
+    f_spec = fft2(embed_plane(bank, h, w))
     return f_spec, mul(f_spec, y_spec)
 
 
@@ -134,7 +140,7 @@ def g_update(y_spec, z_spec, k_spec, b, lam):
 
 
 def z_spectrum(g, b):
-    return ad.fft2(soft_threshold(g, b))
+    return fft2(soft_threshold(g, b))
 
 
 def kernel_estimate(z_spec, y_specs, eps, support=None):
@@ -148,13 +154,13 @@ def kernel_estimate(z_spec, y_specs, eps, support=None):
 
 
 def reconstruct(y_spec, k_plane, g, f_spec, eta):
-    k_spec = ad.fft2(k_plane)
+    k_spec = fft2(k_plane)
     e = ad.take(eta, (slice(None), None, None))
     den = add(abs2(k_spec), channel_sum(mul(e, abs2(f_spec))))
     if float(np.min(ad.value(den))) < DENOM_FLOOR:
         raise SingularDenominator("reconstruction denominator")
     num = add(mul(conj(k_spec), y_spec),
-              channel_sum(mul(e, mul(conj(f_spec), ad.fft2(g)))))
+              channel_sum(mul(e, mul(conj(f_spec), fft2(g)))))
     return ifft2(div(num, den))
 
 
@@ -175,7 +181,7 @@ def forward(y, params, tape, restrict_support=False):
         per_channel = (l, slice(None), None, None)
         b_l = ad.take(pv["b"], per_channel)
         f_spec, y_specs = filter_spectra(banks[l], y_spec, h, w)
-        g = g_update(y_specs, z_spec, ad.fft2(k_plane), b_l,
+        g = g_update(y_specs, z_spec, fft2(k_plane), b_l,
                      ad.take(pv["lam"], per_channel))
         z_spec = z_spectrum(g, b_l)
         k_plane = kernel_estimate(z_spec, y_specs, params.eps, support)

@@ -25,17 +25,19 @@ def make_kernel(rng):
 
 @pytest.fixture
 def rewrite_config():
-    """Copy a checkpoint with some config values replaced.
+    """Copy a checkpoint with some config values replaced or dropped.
 
     The config block sits after the 8-byte magic and the u32 version,
     behind its own u32 length prefix, which the copy updates.
     """
-    def _rewrite(src, dst, **changes):
+    def _rewrite(src, dst, drop=(), **changes):
         with open(src, "rb") as fh:
             data = fh.read()
         (n,) = struct.unpack_from("<I", data, 12)
         config = json.loads(data[16:16 + n])
         config.update(changes)
+        for name in drop:
+            del config[name]
         block = json.dumps(config).encode("ascii")
         with open(dst, "wb") as fh:
             fh.write(data[:12] + struct.pack("<I", len(block)) + block

@@ -9,6 +9,14 @@ projection: it normalizes once where the chain normalizes, windows and
 normalizes again (the same function), so its values agree to 1e-15. A
 whole taped forward is compared with the composed forward, on fixed cases
 and on hypothesis-drawn sizes, channel and layer counts and zero weights.
+
+The solver carries half spectra, and the chains full ones. filter_spectra
+and z_spectrum take or give half spectra only, and the half_spectrum tests
+feed the other nodes half spectra, at an odd and an even width; there the
+adjoint of a spectral input compares as the chain's times 2 on the doubled
+columns, to the same 1e-12 bound. The other node tests check the updates
+on full spectra, their mode without a shape. The whole forward compares as
+is, because its leaves and outputs are real.
 """
 
 import numpy as np
@@ -62,24 +70,60 @@ def cplx(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def halve(full):
+    """The half spectrum: columns 0..W//2 of a full (..., H, W) spectrum."""
+    return full[..., :full.shape[-1] // 2 + 1]
+
+
+def doubled(w):
+    """1 on the columns of a half spectrum that stand for themselves, else 2."""
+    weights = np.ones(w // 2 + 1)
+    weights[spectral.doubled_columns(w)] = 2.0
+    return weights
+
+
+def assert_half_matches_chain(fused, chain, inputs, seed, spectral_at):
+    """fused on half spectra against chain on full ones.
+
+    inputs are given full; those at the positions in spectral_at are
+    halved for fused, and their adjoints compare as doubled(W) times the
+    chain's halved. A complex seed is the full spectrum of a real plane and is
+    weighted alike, so both sides differentiate the same real loss. Values
+    agree to rounding, since the transforms differ.
+    """
+    c = doubled(np.shape(seed)[-1])  # the seed is a full-width array
+    half_seed = c * halve(seed) if np.iscomplexobj(seed) else seed
+    got, got_adj = vjp(fused, [halve(x) if i in spectral_at else x
+                               for i, x in enumerate(inputs)], half_seed)
+    want, want_adj = vjp(chain, inputs, seed)
+    assert rel_err(got, halve(want) if np.iscomplexobj(want) else want) <= 1e-14
+    for i, (a, b) in enumerate(zip(got_adj, want_adj)):
+        b = c * halve(b) if i in spectral_at else b
+        assert np.all(np.isfinite(a))
+        assert rel_err(a, b) <= TOL, "input %d: %.2e" % (i, rel_err(a, b))
+
+
 C, H, W = 3, 10, 13
+
+# the node tests on half spectra run at an odd and an even width
+widths = pytest.mark.parametrize("w", [W, W - 1])
 
 
 def test_filter_spectra_adjoint(rng):
-    bank = rng.standard_normal((C, 5, 5))
-    y_spec = spectra(rng, H, W)
+    # the node takes half spectra only
+    for w in (W, W - 1):
+        bank = rng.standard_normal((C, 5, 5))
+        y_spec = spectra(rng, H, w)
 
-    def f_spec(b):
-        return spectral.fft2(spectral.embed_kernels(ad.value(b), H, W))
+        def f_spec(b):
+            return spectral.rfft2(spectral.embed_kernels(ad.value(b), H, w))
 
-    assert_matches_chain(
-        lambda b: unroll.filter_spectra(b, f_spec(b), y_spec),
-        lambda b: composed.filter_spectra(b, y_spec, H, W)[1],
-        [bank], cplx(rng, C, H, W))
-    assert_matches_chain(
-        lambda b: unroll.filter_spectra(b, f_spec(b)),
-        lambda b: composed.filter_spectra(b, y_spec, H, W)[0],
-        [bank], cplx(rng, C, H, W))
+        for y, which in ((y_spec, 1), (None, 0)):
+            assert_half_matches_chain(
+                lambda b: unroll.filter_spectra(
+                    b, f_spec(b), (H, w), None if y is None else halve(y)),
+                lambda b: composed.filter_spectra(b, y_spec, H, w)[which],
+                [bank], spectra(rng, C, H, w), ())
 
 
 def test_g_update_adjoint(rng):
@@ -90,10 +134,12 @@ def test_g_update_adjoint(rng):
 
 
 def test_z_spectrum_adjoint(rng):
-    g = rng.standard_normal((C, H, W))
-    b = rng.uniform(0.2, 0.8, (C, 1, 1))
-    assert_matches_chain(unroll.z_spectrum, composed.z_spectrum, [g, b],
-                         cplx(rng, C, H, W))
+    # the node gives half spectra only
+    for w in (W, W - 1):
+        g = rng.standard_normal((C, H, w))
+        b = rng.uniform(0.2, 0.8, (C, 1, 1))
+        assert_half_matches_chain(unroll.z_spectrum, composed.z_spectrum, [g, b],
+                                  spectra(rng, C, H, w), ())
 
 
 @pytest.mark.parametrize("support", [None, 5])
@@ -117,6 +163,37 @@ def test_reconstruct_adjoint(rng):
         lambda *a: unroll.reconstruct(y_spec, *a),
         lambda *a: composed.reconstruct(y_spec, *a),
         inputs, rng.standard_normal((H, W)))
+
+
+@widths
+def test_half_spectrum_g_update_adjoint(rng, w):
+    inputs = [spectra(rng, C, H, w), spectra(rng, C, H, w), spectra(rng, H, w),
+              rng.uniform(0.1, 2.0, (C, 1, 1)), rng.uniform(0.05, 1.0, (C, 1, 1))]
+    assert_half_matches_chain(
+        lambda *a: unroll.g_update(*a, shape=(H, w)), composed.g_update, inputs,
+        rng.standard_normal((C, H, w)), (0, 1, 2))
+
+
+@widths
+@pytest.mark.parametrize("support", [None, 5])
+def test_half_spectrum_kernel_estimate_adjoint(rng, w, support):
+    inputs = [spectra(rng, C, H, w), spectra(rng, C, H, w)]
+    assert_half_matches_chain(
+        lambda z, y: unroll.kernel_estimate(z, y, 0.7, support, (H, w)),
+        lambda z, y: composed.kernel_estimate(z, y, 0.7, support),
+        inputs, rng.standard_normal((H, w)), (0, 1))
+
+
+@widths
+def test_half_spectrum_reconstruct_adjoint(rng, w):
+    y_spec = spectra(rng, H, w)
+    k_plane = rng.random((H, w))
+    inputs = [k_plane / k_plane.sum(), rng.standard_normal((C, H, w)),
+              spectra(rng, C, H, w), rng.uniform(0.5, 20.0, C)]
+    assert_half_matches_chain(
+        lambda *a: unroll.reconstruct(halve(y_spec), *a, shape=(H, w)),
+        lambda *a: composed.reconstruct(y_spec, *a),
+        inputs, rng.standard_normal((H, w)), (2,))
 
 
 def _impulse(h, w):
@@ -179,13 +256,21 @@ def composed_grads(blurred, sharp, params, restrict):
 
 @pytest.mark.parametrize("restrict", [False, True])
 def test_taped_forward_matches_composed_forward(rng, restrict):
+    # the solver's half spectra against the chain's full ones, on odd and
+    # even widths: the plain forward's values and every leaf gradient
     params = _model(3, 3)
-    blurred, sharp = rng.random((16, 18)), rng.random((16, 18))
-    fused = fused_grads(blurred, sharp, params, restrict)
-    chain = composed_grads(blurred, sharp, params, restrict)
-    assert set(fused) == set(chain) == set(unroll.TRAINABLE)
-    for name in fused:
-        assert rel_err(fused[name], chain[name]) <= 1e-10, name
+    for h, w in ((16, 18), (13, 10), (9, 9), (12, 12), (10, 13)):
+        blurred, sharp = rng.random((h, w)), rng.random((h, w))
+        _, _, x_hat, state = unroll.forward(blurred, params,
+                                            restrict_support=restrict)
+        want_x, want_k, _ = composed.forward(blurred, params, ad.Tape(), restrict)
+        assert rel_err(x_hat, ad.value(want_x)) <= TOL
+        assert rel_err(state.kernel_plane, ad.value(want_k)) <= TOL
+        fused = fused_grads(blurred, sharp, params, restrict)
+        chain = composed_grads(blurred, sharp, params, restrict)
+        assert set(fused) == set(chain) == set(unroll.TRAINABLE)
+        for name in fused:
+            assert rel_err(fused[name], chain[name]) <= TOL, (h, w, name)
 
 
 def test_backward_twice_is_bitwise_equal(rng):
@@ -200,9 +285,9 @@ def test_backward_twice_is_bitwise_equal(rng):
         assert np.array_equal(first[name], second[name])
 
 
-def rounding_decides_a_kink(blurred, params):
+def rounding_decides_a_kink(blurred, params, restrict):
     """Whether a one-ulp change of the image flips a threshold or clamp."""
-    return len({unroll.forward(y, params, restrict_support=True,
+    return len({unroll.forward(y, params, restrict_support=restrict,
                                track_kinks=True)[3].kink_signature
                 for y in (blurred, np.nextafter(blurred, 2.0))}) > 1
 
@@ -237,9 +322,10 @@ def test_taped_forward_gradients_match_oracle_or_raise_typed(
         return
     chain = composed_grads(blurred, sharp, params, restrict)
     # a zero threshold meets features left at +-1e-17 by an FFT round trip,
-    # so rounding alone decides its mask; the windowed projection rounds
-    # unlike the chain's and may decide it the other way. Only that one
-    # entry of b is exempt, and only when a one-ulp nudge flips a kink.
+    # so rounding alone decides its mask; the solver's half transforms (and
+    # its windowed projection) round unlike the chain's full ones and may
+    # decide it the other way. Only that one entry of b is exempt, and only
+    # when a one-ulp nudge flips a kink.
     exempt = np.zeros(params.b.shape, bool)
     exempt[-1, 0] = zero_b
     for name in fused:
@@ -247,4 +333,4 @@ def test_taped_forward_gradients_match_oracle_or_raise_typed(
         keep = ~exempt if name == "b" else Ellipsis
         assert rel_err(fused[name][keep], chain[name][keep]) <= 1e-10, name
     if rel_err(fused["b"][exempt], chain["b"][exempt]) > 1e-10:
-        assert restrict and rounding_decides_a_kink(blurred, params)
+        assert rounding_decides_a_kink(blurred, params, restrict)

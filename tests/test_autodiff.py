@@ -13,6 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import composed
 from unrolled_deblur import autodiff as ad
@@ -93,15 +94,40 @@ def test_dft_roundtrip_gradient_is_analytic(rng):
     # ifft2(fft2(x)) == x, so grad of mse against t is 2 (x - t) / size
     x = rng.standard_normal((6, 5))
     t = rng.standard_normal((6, 5))
-    g = tape_grad(lambda v: ad.mse(composed.ifft2(ad.fft2(v)), t), x)
+    g = tape_grad(lambda v: ad.mse(composed.ifft2(composed.fft2(v)), t), x)
     assert np.max(np.abs(g - 2.0 * (x - t) / x.size)) < 1e-12
+
+
+@pytest.mark.parametrize("h, w", [(6, 5), (5, 8), (7, 7), (4, 2), (3, 1)])
+def test_half_transform_adjoints_satisfy_the_inner_product_identity(rng, h, w):
+    # <rfft2 x, g> = <x, dft_adjoint(g)> and <irfft2 y, x> = <y, idft_adjoint(x)>
+    # in the Euclidean inner product of half arrays, for any half g and y,
+    # whether or not their columns 0 and W/2 are Hermitian
+    x = rng.standard_normal((2, h, w))
+    g, y = (rng.standard_normal((2, 2, h, w // 2 + 1))
+            + 1j * rng.standard_normal((2, 2, h, w // 2 + 1)))
+    pairs = [(np.sum(np.conj(g) * scipy.fft.rfft2(x)).real,
+              np.sum(x * ad.dft_adjoint(g, (h, w)))),
+             (np.sum(scipy.fft.irfft2(y, s=(h, w)) * x),
+              np.sum(np.conj(y) * ad.idft_adjoint(x, (h, w))).real)]
+    for lhs, rhs in pairs:
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def test_half_spectrum_magnitude_gradient(rng):
+    x = rng.standard_normal((6, 7)) + 2.0
+
+    def loss(v):
+        return ad.mse(composed.abs2(ad.rfft2(v)), np.zeros((6, 4)))
+
+    check(loss, x, tol=1e-5)
 
 
 def test_spectrum_magnitude_gradient(rng):
     x = rng.standard_normal((4, 4)) + 2.0  # keep |X| away from zero
 
     def loss(v):
-        return ad.mse(composed.abs2(ad.fft2(v)), np.zeros((4, 4)))
+        return ad.mse(composed.abs2(composed.fft2(v)), np.zeros((4, 4)))
 
     check(loss, x, tol=1e-5)
 
@@ -113,7 +139,7 @@ def test_complex_product_gradient(rng):
 
     def loss(v):
         # the complex offset d makes the result depend on the conjugation
-        spec = composed.add(composed.conj(composed.mul(ad.fft2(v), c)), d)
+        spec = composed.add(composed.conj(composed.mul(composed.fft2(v), c)), d)
         return ad.mse(composed.abs2(spec), np.zeros((4, 4)))
 
     check(loss, x)
@@ -126,7 +152,7 @@ def test_complex_quotient_gradient(rng):
     c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 
     def loss(v):
-        quotient = composed.add(composed.div(ad.fft2(v), d), c)
+        quotient = composed.add(composed.div(composed.fft2(v), d), c)
         return ad.mse(composed.abs2(quotient), np.zeros((4, 4)))
 
     check(loss, x)
@@ -319,7 +345,7 @@ def test_backward_is_idempotent(rng):
     x = rng.standard_normal((4, 4))
     tape = ad.Tape()
     v = ad.leaf(tape, x)
-    loss = ad.mse(composed.abs2(ad.fft2(v)), np.ones((4, 4)))
+    loss = ad.mse(composed.abs2(composed.fft2(v)), np.ones((4, 4)))
     g1 = ad.backward(loss, [v])[0]
     g2 = ad.backward(loss, [v])[0]
     assert np.array_equal(g1, g2)
@@ -360,7 +386,7 @@ def test_fanout_accumulates(rng):
 
 def test_untracked_inputs_compute_plain_arrays(rng):
     x = rng.standard_normal((4, 4))
-    out = composed.ifft2(composed.mul(ad.fft2(x), 1.0))
+    out = composed.ifft2(composed.mul(composed.fft2(x), 1.0))
     assert isinstance(out, np.ndarray)
     assert np.max(np.abs(out - x)) < 1e-12
 
@@ -370,7 +396,7 @@ def test_recorded_graph_is_freed_without_the_cycle_collector(rng):
     try:
         tape = ad.Tape()
         x = ad.leaf(tape, rng.standard_normal((4, 4)))
-        spec = ad.fft2(x)
+        spec = composed.fft2(x)
         loss = ad.mse(composed.abs2(composed.mul(spec, 2.0)), np.zeros((4, 4)))
         ad.backward(loss, [x])
         probe = weakref.ref(spec.value)

@@ -122,6 +122,26 @@ def test_gen_kernels_trajectories_on_the_grid_edge(tmp_path, capsys):
     assert len(os.listdir(out)) == 40
 
 
+def test_gen_kernels_length_grid_beyond_support_writes_nothing(tmp_path, capsys):
+    # the grid runs to 20 px, which needs support >= 22; the third length
+    # fails, and no kernel of the first two (nor the directory) is left
+    out = tmp_path / "k"
+    assert cli.main(["gen-kernels", "--out", str(out), "--angles", "8",
+                     "--lengths", "4", "--support", "21",
+                     "--trajectories", "8", "--seed", "0"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: support 21 < ceil(length) + 2 = 22")
+    assert not out.exists()
+
+
+def test_gen_kernels_readme_example_runs(tmp_path, capsys):
+    out = tmp_path / "kernels"
+    assert cli.main(["gen-kernels", "--out", str(out), "--angles", "8",
+                     "--lengths", "4", "--support", "23",
+                     "--trajectories", "8", "--seed", "0"]) == 0
+    assert len(os.listdir(out)) == 8 * 4 + 8
+
+
 def test_gen_dataset_requires_kernels(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()

@@ -150,6 +150,90 @@ def test_ifft2_stack_equals_each_plane(rng):
         assert np.array_equal(planes[idx], spectral.ifft2(spec[idx]))
 
 
+# ---------------------------------------------------------------------------
+# half spectra
+
+
+def hermitian_extension(spec, w):
+    """The full spectrum whose column W - v mirrors column v of a half one."""
+    h = spec.shape[-2]
+    full = np.empty(spec.shape[:-1] + (w,), dtype=complex)
+    full[..., :w // 2 + 1] = spec
+    v = np.arange(w // 2 + 1, w)
+    full[..., v] = np.conj(spec[..., -np.arange(h)[:, None], w - v])
+    return full
+
+
+def residue_energies(message):
+    """The imaginary and total energy an ImaginaryResidue message reports."""
+    return [float(x) for x in re.findall(r"\d\.\d{3}e[+-]\d+", message)]
+
+
+@pytest.mark.parametrize("h", range(2, 18))
+def test_half_transform_roundtrip(rng, h):
+    for w in range(2, 18):
+        a = rng.standard_normal((h, w))
+        spec = spectral.rfft2(a)
+        assert spec.shape == (h, w // 2 + 1)
+        assert np.abs(spec - spectral.fft2(a)[:, :w // 2 + 1]).max() < 1e-12
+        assert np.abs(spectral.irfft2(spec, a.shape) - a).max() < 1e-12
+
+
+@pytest.mark.parametrize("w", [1, 2, 7, 8])
+def test_doubled_columns_weigh_parseval(rng, w):
+    # every other column stands for itself and its mirror W - v
+    a = rng.standard_normal((5, w))
+    weights = np.ones(w // 2 + 1)
+    weights[spectral.doubled_columns(w)] = 2.0
+    half = np.sum(weights * np.abs(spectral.rfft2(a)) ** 2) / a.size
+    assert abs(half - np.sum(a ** 2)) < 1e-12 * np.sum(a ** 2)
+
+
+@pytest.mark.parametrize("w, col", [(8, 0), (8, 4), (7, 0)])
+def test_irfft2_checks_self_mirrored_columns_per_plane(rng, w, col):
+    # plane 0 gets an anti-Hermitian part in column 0 or W/2, about 1e-5 of
+    # its energy; pooled with 99 planes of 1e4x the energy it falls below
+    # IMAG_ENERGY_TOL, so only a per-plane check sees it
+    planes = rng.standard_normal((100, 8, w))
+    planes[1:] *= 100.0
+    spec = spectral.rfft2(planes)
+    spec[0, :, col] += 3e-2j * spec[0, :, col]
+    out = np.fft.ifft2(hermitian_extension(spec, w))
+    pooled = np.sum(out.imag ** 2) / np.sum(np.abs(out) ** 2)
+    assert pooled < spectral.IMAG_ENERGY_TOL
+    with pytest.raises(ImaginaryResidue) as half:
+        spectral.irfft2(spec, (8, w))
+    # the energies are those a complex inverse of the full spectrum reports
+    with pytest.raises(ImaginaryResidue) as full:
+        spectral.ifft2(hermitian_extension(spec[0], w))
+    assert np.allclose(residue_energies(str(half.value)),
+                       residue_energies(str(full.value)), rtol=2e-3)
+    assert np.array_equal(spectral.irfft2(spec[1:], (8, w)),
+                          scipy.fft.irfft2(spec[1:], s=(8, w)))
+
+
+def test_irfft2_names_a_bad_middle_plane(rng):
+    planes = rng.standard_normal((3, 4, 8, 6))
+    spec = spectral.rfft2(planes)
+    spec[1, 2, :, 3] += 3e-2j * spec[1, 2, :, 3]
+    bad = np.fft.ifft2(hermitian_extension(spec[1, 2], 6))
+    imag = np.sum(bad.imag ** 2)
+    want = [imag, np.sum(bad.real ** 2) + imag]
+    with pytest.raises(ImaginaryResidue) as err:
+        spectral.irfft2(spec, (8, 6))
+    assert np.allclose(residue_energies(str(err.value)), want, rtol=2e-3)
+    spec[1, 2, :, 1] += 1j * spec[1, 2, :, 1]  # a doubled column is free
+    spec[1, 2, :, 3] = spectral.rfft2(planes[1, 2])[:, 3]
+    spectral.irfft2(spec, (8, 6))
+
+
+def test_irfft2_rejects_a_spectrum_of_other_planes(rng):
+    spec = spectral.rfft2(rng.standard_normal((6, 8)))
+    for shape in ((6, 10), (6, 5), (7, 8)):
+        with pytest.raises(DimensionMismatch):
+            spectral.irfft2(spec, shape)
+
+
 def test_stacked_embedding_matches_each_kernel(rng):
     stack = rng.standard_normal((2, 3, 5, 5))
     planes = spectral.embed_kernels(stack, 7, 6)

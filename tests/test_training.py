@@ -332,6 +332,23 @@ def test_checkpoint_config_float_field_takes_an_int(tmp_path, rewrite_config):
     assert load_checkpoint(good).config == cfg
 
 
+@pytest.mark.parametrize("drop, extra, message", [
+    (("kernel_support",), {}, "config block lacks kernel_support"),
+    ((), {"momentum": 0.5}, "bad config block"),
+])
+def test_checkpoint_config_needs_exactly_the_train_config_fields(
+        tmp_path, rewrite_config, drop, extra, message):
+    # a support-5 model loaded with the default support 31 would run at a
+    # support it was not trained with
+    cfg = small_config()
+    p = init_params(cfg)
+    path = str(tmp_path / "a.ckpt")
+    save_checkpoint(path, p, AdamState.zeros(p), 0, 0, cfg.lr, cfg)
+    bad = rewrite_config(path, tmp_path / "b.ckpt", drop=drop, **extra)
+    with pytest.raises(CorruptCheckpoint, match=message):
+        load_checkpoint(bad)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 

@@ -520,7 +520,7 @@ def test_forward_rejects_empty_models(rng, layers, channels):
 
 
 def test_forward_rejects_support_larger_than_image(rng, monkeypatch):
-    seen = _counting_fft2(monkeypatch)
+    seen = _counting_transforms(monkeypatch)
     for params in (small_params(support=9),
                    unroll.tv_prewitt_params(layers=2, kernel_support=9)):
         with pytest.raises(KernelTooLarge):
@@ -553,17 +553,37 @@ def test_forward_validates_fixed_banks(rng, bank, error):
         unroll.forward(rng.random((16, 16)), params)
 
 
-def _counting_fft2(monkeypatch):
-    """Record every input of spectral.fft2 (and so of ad.fft2)."""
+def _counting_transforms(monkeypatch):
+    """Record every input of spectral.fft2 and spectral.rfft2 (and so of
+    ad.rfft2)."""
     seen = []
-    fft2 = spectral.fft2
+    for name in ("fft2", "rfft2"):
+        def counting(plane, transform=getattr(spectral, name)):
+            seen.append(np.array(plane))
+            return transform(plane)
 
-    def counting(plane):
-        seen.append(np.array(plane))
-        return fft2(plane)
-
-    monkeypatch.setattr(spectral, "fft2", counting)
+        monkeypatch.setattr(spectral, name, counting)
     return seen
+
+
+@pytest.mark.parametrize("model", ["trained", "preset"])
+def test_solver_runs_on_half_spectra(rng, monkeypatch, model):
+    # forward, plain and taped, and the backward sweep: no full-spectrum
+    # inverse, and one full forward transform, of the image itself, whose
+    # half is cut from it (perfbench's spectral spans trace that one)
+    params = (unroll.tv_prewitt_params(layers=3, kernel_support=7)
+              if model == "preset" else small_params(layers=3, channels=3))
+    y = rng.random((13, 10))
+    fft2, ifft2 = spectral.fft2, spectral.ifft2
+    seen = []
+    monkeypatch.setattr(spectral, "fft2", lambda a: seen.append(a) or fft2(a))
+    monkeypatch.setattr(spectral, "ifft2", lambda a: seen.append(a) or ifft2(a))
+    for tape in (None, ad.Tape()):
+        seen.clear()
+        state = unroll.forward(y, params, tape=tape, restrict_support=True)[3]
+        if tape is not None:
+            unroll.collect_gradients(ad.mse(state.x_hat, y), state)
+        assert len(seen) == 1 and np.array_equal(seen[0], y)
 
 
 def test_repeated_bank_is_transformed_once(rng, monkeypatch):
@@ -572,7 +592,7 @@ def test_repeated_bank_is_transformed_once(rng, monkeypatch):
     L, n = 4, 16
     params = unroll.tv_prewitt_params(layers=L, kernel_support=7)
     bank_planes = spectral.embed_kernels(params.fixed_bank, n, n)
-    seen = _counting_fft2(monkeypatch)
+    seen = _counting_transforms(monkeypatch)
     unroll.forward(rng.random((n, n)), params)
     assert sum(np.array_equal(p, bank_planes) for p in seen) == 1
     planes = sum(int(np.prod(p.shape[:-2])) for p in seen)
@@ -600,17 +620,21 @@ def test_shared_bank_spectra_match_recomputed_ones(rng):
     y = rng.random((n, n))
     kernel, g, x_hat, _ = unroll.forward(y, params)
 
-    y_spec = spectral.fft2(y)
+    # the solver's half spectra; the image's is cut from its full spectrum
+    shape = (n, n)
+    y_spec = spectral.fft2(y)[:, :n // 2 + 1]
     k_plane = spectral.embed_kernel(np.array([[1.0]]), n, n)
-    z_spec = np.zeros((2, n, n), dtype=np.complex128)
+    z_spec = 0.0
     for l in range(L):
-        f_spec = bank_spectra(params.fixed_bank, n, n)
+        f_spec = spectral.rfft2(spectral.embed_kernels(params.fixed_bank, n, n))
         y_specs = f_spec * y_spec
         b, lam = params.b[l, :, None, None], params.lam[l, :, None, None]
-        ref_g = unroll.g_update(y_specs, z_spec, spectral.fft2(k_plane), b, lam)
-        z_spec = spectral.fft2(unroll.z_update(ref_g, b))
-        k_plane = unroll.k_project(unroll.k_update(z_spec, y_specs, params.eps))
-    ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta)
+        ref_g = unroll.g_update(y_specs, z_spec, spectral.rfft2(k_plane), b, lam,
+                                shape)
+        z_spec = spectral.rfft2(unroll.z_update(ref_g, b))
+        k_plane = unroll.k_project(unroll.k_update(z_spec, y_specs, params.eps,
+                                                   shape))
+    ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta, shape)
     assert np.array_equal(g, ref_g)
     assert np.array_equal(x_hat, ref_x)
     assert np.array_equal(kernel, spectral.wrap_window(unroll.k_project(k_plane, 7), 7))
@@ -697,7 +721,7 @@ def test_taped_forward_records_one_node_per_update(rng):
                               for node in _graph(state.x_hat, state.kernel_plane)
                               if node.parents)
     assert ops == {"cascade": L - 1, "filter_spectra": L + 1, "g_update": L,
-                   "z_spectrum": L, "fft2": L - 1, "kernel_estimate": L,
+                   "z_spectrum": L, "rfft2": L - 1, "kernel_estimate": L,
                    "reconstruct": 1, "take": 3 * L - 1}
 
 
