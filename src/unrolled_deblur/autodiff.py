@@ -138,9 +138,7 @@ def dft_adjoint(g, shape=None):
         return scipy.fft.ifft2(g).real * float(g.shape[-2] * g.shape[-1])
     g = np.array(g, dtype=np.complex128)
     g[..., spectral.doubled_columns(shape[1])] *= 0.5
-    # irfft2 as two passes in g's buffer (see spectral.irfft2)
-    g = scipy.fft.ifft(g, axis=-2, overwrite_x=True)
-    out = scipy.fft.irfft(g, n=shape[1], axis=-1, overwrite_x=True)
+    out = spectral._irfft2_passes(g, shape, overwrite=True)
     out *= float(shape[0] * shape[1])
     return out
 

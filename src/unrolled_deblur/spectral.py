@@ -84,14 +84,22 @@ def irfft2(spectrum, shape):
     if spectrum.shape[-2:] != (h, w // 2 + 1):
         raise DimensionMismatch("half spectrum %s does not match planes %dx%d"
                                 % (spectrum.shape, h, w))
-    # irfft2's two passes, the real one in the column pass's buffer:
-    # scipy.fft.irfft2 would make one more stack-sized temporary
-    planes = scipy.fft.irfft(scipy.fft.ifft(spectrum, axis=-2), n=w, axis=-1,
-                             overwrite_x=True)
+    planes = _irfft2_passes(spectrum, shape)
     own = spectrum[..., [0, w // 2] if w % 2 == 0 else [0]]
     anti = own - np.conj(own[..., -np.arange(h), :])  # twice the part dropped
     _check_residue(planes, _energy(anti.real, anti.imag) / (4.0 * h * w))
     return planes
+
+
+def _irfft2_passes(spectrum, shape, overwrite=False):
+    """scipy.fft.irfft2 of half spectra to shape planes, unchecked.
+
+    Runs its two passes itself, the real one in the column pass's buffer:
+    scipy.fft.irfft2 would make one more stack-sized temporary. With
+    overwrite the column pass may take spectrum's buffer too.
+    """
+    columns = scipy.fft.ifft(spectrum, axis=-2, overwrite_x=overwrite)
+    return scipy.fft.irfft(columns, n=shape[1], axis=-1, overwrite_x=True)
 
 
 def doubled_columns(width):

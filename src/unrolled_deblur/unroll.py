@@ -40,8 +40,9 @@ F_l. Shared stacks are kept read-only.
 
 Half spectra: every plane the solver transforms is real, so forward
 carries each spectrum as its half (..., H, W//2+1) and passes the image
-shape (H, W) to every update, which then inverts with spectral.irfft2 (and
-its residue check on the self-mirrored columns 0 and W/2). _quotient and
+shape (H, W) to every update (reconstruct reads it off the kernel plane),
+which then inverts with spectral.irfft2 (and its residue check on the
+self-mirrored columns 0 and W/2). _quotient and
 _term_adjoint work entrywise, so they are the same on half and full
 arrays; adjoints pair with the Euclidean inner product over the half, so
 the weights of the columns that stand for two (2 in idft_adjoint, 1/2 in
@@ -401,7 +402,7 @@ def kernel_estimate(z_spec, y_specs, eps, support=None, shape=None):
     return ad.record(out, (z_spec, y_specs), pull)
 
 
-def reconstruct(y_spec, k_plane, g, f_spec, eta, shape=None):
+def reconstruct(y_spec, k_plane, g, f_spec, eta):
     """Final image estimate from the kernel plane and feature planes, one node.
 
     y_spec is the spectrum of the blurred image, g the (C, H, W) feature
@@ -409,9 +410,11 @@ def reconstruct(y_spec, k_plane, g, f_spec, eta, shape=None):
     sequences of C) and eta the (C,) channel weights. Returns one (H, W)
     plane: the quotient of the term (1, K, Y) and the channel sum of the
     terms (eta_i, F_i, G_i), with K and G the spectra of k_plane and g.
-    The spectra are half spectra when shape (k_plane's) is given.
+    The spectra are half spectra when y_spec is narrower than k_plane (for
+    W <= 2 the two are the same arrays).
     """
     vk, vg, vf = ad.value(k_plane), np.asarray(ad.value(g)), np.asarray(ad.value(f_spec))
+    shape = np.shape(vk) if np.shape(y_spec)[-1] != np.shape(vk)[-1] else None
     e = np.asarray(ad.value(eta))[:, None, None]
 
     def terms():  # the data term and the channel-summed prior term
@@ -492,7 +495,7 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
 
     del y_specs, z_spec  # the reconstruction allocates stacks of its own
     x_hat = reconstruct(y_spec, k_plane, g, filter_spectra(banks[-1], f_spec, shape),
-                        pv["eta"], shape)
+                        pv["eta"])
 
     kernel = spectral.wrap_window(k_project(ad.value(k_plane), params.kernel_support),
                                   params.kernel_support)

@@ -634,7 +634,7 @@ def test_shared_bank_spectra_match_recomputed_ones(rng):
         z_spec = spectral.rfft2(unroll.z_update(ref_g, b))
         k_plane = unroll.k_project(unroll.k_update(z_spec, y_specs, params.eps,
                                                    shape))
-    ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta, shape)
+    ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta)
     assert np.array_equal(g, ref_g)
     assert np.array_equal(x_hat, ref_x)
     assert np.array_equal(kernel, spectral.wrap_window(unroll.k_project(k_plane, 7), 7))
