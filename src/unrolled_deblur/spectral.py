@@ -70,7 +70,7 @@ def rfft2(plane):
     return scipy.fft.rfft2(np.asarray(plane, dtype=np.float64))
 
 
-def irfft2(spectrum, shape):
+def irfft2(spectrum, shape, overwrite=False):
     """Real (H, W) = shape planes from half spectra, with the 1/(H*W) factor.
 
     The inverse of rfft2 over the last two axes. It drops the
@@ -78,15 +78,18 @@ def irfft2(spectrum, shape):
     that part (by Parseval, what ifft2 of the full spectrum would find in
     its imaginary part) is held to IMAG_ENERGY_TOL of each plane's total,
     and ImaginaryResidue names the first plane above it, as in ifft2.
+    With overwrite the transform may take a complex128 spectrum's buffer,
+    which then holds no spectrum any more; the planes are the same.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     h, w = shape
     if spectrum.shape[-2:] != (h, w // 2 + 1):
         raise DimensionMismatch("half spectrum %s does not match planes %dx%d"
                                 % (spectrum.shape, h, w))
-    planes = _irfft2_passes(spectrum, shape)
+    # a copy, read before the passes may take spectrum's buffer
     own = spectrum[..., [0, w // 2] if w % 2 == 0 else [0]]
     anti = own - np.conj(own[..., -np.arange(h), :])  # twice the part dropped
+    planes = _irfft2_passes(spectrum, shape, overwrite)
     _check_residue(planes, _energy(anti.real, anti.imag) / (4.0 * h * w))
     return planes
 
@@ -146,10 +149,10 @@ def embed_kernels(kernels, height, width):
         raise EvenSize("kernel size %d is even" % k)
     if k > min(height, width):
         raise KernelTooLarge("kernel %d exceeds grid %dx%d" % (k, height, width))
-    r = (k - 1) // 2
     planes = np.zeros(kernels.shape[:-2] + (height, width))
-    planes[..., :k, :k] = kernels
-    return np.roll(planes, (-r, -r), axis=(-2, -1))
+    for at, tap in _wrapped_corners(k, height, width):
+        planes[at] = kernels[tap]
+    return planes
 
 
 def wrap_window(plane, size):
@@ -164,8 +167,28 @@ def wrap_window(plane, size):
         raise EvenSize("window size %d is even" % size)
     if size > min(h, w):
         raise KernelTooLarge("window %d exceeds grid %dx%d" % (size, h, w))
+    window = np.empty(plane.shape[:-2] + (size, size), dtype=plane.dtype)
+    for at, tap in _wrapped_corners(size, h, w):
+        window[tap] = plane[at]
+    return window
+
+
+def _wrapped_corners(size, height, width):
+    """(plane, window) index pairs of the four corners of an odd size x size
+    window wrapped around the origin of a (height, width) plane.
+
+    Window row i sits at plane row (i - r) mod height, r = (size - 1) / 2:
+    window rows r.. are plane rows 0..r, and rows ..r-1 the last r plane
+    rows; the same for columns.
+    """
     r = (size - 1) // 2
-    return np.roll(plane, (r, r), axis=(-2, -1))[..., :size, :size].copy()
+
+    def halves(n):
+        return ((slice(0, r + 1), slice(r, size)), (slice(n - r, n), slice(0, r)))
+
+    for at_row, tap_row in halves(height):
+        for at_col, tap_col in halves(width):
+            yield (..., at_row, at_col), (..., tap_row, tap_col)
 
 
 def circ_conv(a, b):

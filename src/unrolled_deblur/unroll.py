@@ -49,6 +49,15 @@ the weights of the columns that stand for two (2 in idft_adjoint, 1/2 in
 dft_adjoint) are all it takes, and the frequency sums for b, lam and eta
 come out right as they are. Without a shape the updates take full spectra
 and invert with spectral.ifft2, as the closed-form oracles call them.
+
+Passes: the plain forward makes no pass or stack-sized temporary its
+arithmetic does not need, and each short form gives the same bits as the
+textbook one. _quotient returns Q = N (1/D) and 1/D, which the pulls
+multiply by; the inverse transform of a quotient that nothing reads again
+(in g_update, k_update and reconstruct) runs in the quotient's buffer;
+z_update is one clip and one subtraction; spectral embeds and windows a
+kernel by copying its four wrapped corners; and forward keeps each layer's
+own kernel plane, read-only.
 """
 
 from dataclasses import dataclass
@@ -152,8 +161,9 @@ class ForwardState:
     kernel_plane (H, W) and x_hat (H, W) hold tape Vars when the pass was
     recorded and plain arrays otherwise; param_vars maps each TRAINABLE
     field the pass used to its leaf (or to the plain array). kernel_planes
-    collects the post-projection kernel values per layer for invariant
-    checks.
+    holds each layer's post-projection kernel plane for invariant checks:
+    the arrays the layers made (the last is kernel_plane's value), not
+    copies, so they are marked read-only.
     """
 
     x_hat: object
@@ -201,13 +211,16 @@ def _unit(x):  # the literal 1 marks a term without that factor
 
 
 def _quotient(terms, summed=(), ridge=0.0, update=None):
-    """The per-frequency least-squares solve Q = N / D; returns (Q, D).
+    """The per-frequency least-squares solve Q = N / D; returns (Q, 1/D).
 
     Each term (w, A, B) adds w (conj(A) B) to N and w |A|^2 to D (w = 1 or
     A = 1 skips a multiply); summed terms are summed over their leading
     (channel) axis, and ridge is added to D. N accumulates in the first
     term's product, so its A is an array. Given an update name, a D below
-    DENOM_FLOOR raises SingularDenominator.
+    DENOM_FLOOR raises SingularDenominator. Q is N times 1/D, each in its
+    own buffer: numpy divides a complex by a real as a multiply by the
+    real's reciprocal, so this is N / D bit for bit (up to the sign of an
+    exact zero), and the pulls multiply by the same 1/D.
 
     Adjoint (_term_adjoint): with t = qbar / D for the adjoint qbar of Q and
     R = B - A Q, N gets t and D gets -Re(t conj(Q)); since 2 A Re(t conj(Q))
@@ -222,8 +235,9 @@ def _quotient(terms, summed=(), ridge=0.0, update=None):
         den += ridge
     if update is not None and np.min(den) < DENOM_FLOOR:
         raise SingularDenominator("%s denominator floor %.3e" % (update, np.min(den)))
-    num /= den
-    return num, den
+    inv = np.reciprocal(den, out=den)
+    num *= inv
+    return num, inv
 
 
 def _add(acc, part, summing, w=1, own=False):
@@ -257,9 +271,11 @@ def _dft(planes, shape):
     return spectral.fft2(planes) if shape is None else spectral.rfft2(planes)
 
 
-def _idft(spectrum, shape):
-    """Real planes of full spectra, or of half spectra of shape planes."""
-    return spectral.ifft2(spectrum) if shape is None else spectral.irfft2(spectrum, shape)
+def _idft(spectrum, shape, overwrite=False):
+    """Real planes of full spectra, or of half spectra of shape planes; with
+    overwrite, a half spectrum's buffer may go to the transform."""
+    return (spectral.ifft2(spectrum) if shape is None
+            else spectral.irfft2(spectrum, shape, overwrite))
 
 
 def filter_spectra(bank, f_spec, shape, y_spec=None):
@@ -293,11 +309,12 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape=None):
     """
     y, z, k, vb, vl = (ad.value(a) for a in (y_spec, z_spec, k_spec, b, lam))
     terms = ((vb, k, y), (vl, 1, z))
-    out = _idft(_quotient(terms, update="feature update")[0], shape)
+    out = _idft(_quotient(terms, update="feature update")[0], shape, overwrite=True)
 
     def pull(gg):
-        q, den = _quotient(terms, update="feature update")
-        t = ad.idft_adjoint(gg, shape) / den
+        q, inv = _quotient(terms, update="feature update")
+        t = ad.idft_adjoint(gg, shape)
+        t *= inv
         gy, gk, gb = _term_adjoint(t, q, *terms[0])
         gz, _, gl = _term_adjoint(t, q, *terms[1])
         return (gy, gz, ad.unbroadcast(gk, np.shape(k)),
@@ -307,11 +324,14 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape=None):
 
 
 def z_update(g, b):
-    """Sparsifying shrinkage sign(g) max(|g| - b, 0) of a feature stack."""
-    out = np.abs(g) - b
-    np.maximum(out, 0.0, out=out)
-    out *= np.sign(g)
-    return out
+    """Sparsifying shrinkage sign(g) max(|g| - b, 0) of a feature stack.
+
+    Computed as g - clip(g, -b, b) in one buffer, which rounds the same
+    (g - b = |g| - b for g > b, g + b = -(|g| - b) for g < -b) and differs
+    only in the sign of an exact zero.
+    """
+    out = np.clip(g, -b, b)
+    return np.subtract(g, out, out=out)
 
 
 def z_spectrum(g, b):
@@ -339,7 +359,8 @@ def k_update(z_specs, y_specs, eps, shape=None):
     is summed over the channels.
     """
     return _idft(_quotient(
-        (), ((1, np.asarray(z_specs), np.asarray(y_specs)),), eps)[0], shape)
+        (), ((1, np.asarray(z_specs), np.asarray(y_specs)),), eps)[0], shape,
+        overwrite=True)
 
 
 def _kept(plane, support):
@@ -393,9 +414,9 @@ def kernel_estimate(z_spec, y_specs, eps, support=None, shape=None):
     out = k_project(k_update(z, y, eps, shape), support)
 
     def pull(gk):
-        q, den = _quotient((), ((1, z, y),), eps)
-        t = ad.idft_adjoint(_project_adjoint(_idft(q, shape), support, gk),
-                            shape) / den
+        q, inv = _quotient((), ((1, z, y),), eps)  # q is read again below
+        t = ad.idft_adjoint(_project_adjoint(_idft(q, shape), support, gk), shape)
+        t *= inv
         gy, gz, _ = _term_adjoint(t, q, 1, z, y)
         return gz, gy
 
@@ -420,12 +441,13 @@ def reconstruct(y_spec, k_plane, g, f_spec, eta):
     def terms():  # the data term and the channel-summed prior term
         return ((1, _dft(vk, shape), y_spec),), ((e, vf, _dft(vg, shape)),)
 
-    out = _idft(_quotient(*terms(), update="reconstruction")[0], shape)
+    out = _idft(_quotient(*terms(), update="reconstruction")[0], shape, overwrite=True)
 
     def pull(gx):
         data, prior = terms()
-        q, den = _quotient(data, prior, update="reconstruction")
-        t = ad.idft_adjoint(gx, shape) / den
+        q, inv = _quotient(data, prior, update="reconstruction")
+        t = ad.idft_adjoint(gx, shape)
+        t *= inv
         gg, gf, ge = _term_adjoint(t, q, *prior[0])
         return (ad.dft_adjoint(_term_adjoint(t, q, *data[0])[1], shape),
                 ad.dft_adjoint(gg, shape), gf, np.sum(ge, axis=(-2, -1)))
@@ -491,7 +513,8 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
             kinks.append(np.packbits(k_update(ad.value(z_spec), ad.value(y_specs),
                                               params.eps, shape) > 0).tobytes())
         k_plane = kernel_estimate(z_spec, y_specs, params.eps, support, shape)
-        kernel_planes.append(np.array(ad.value(k_plane)))
+        kernel_planes.append(ad.value(k_plane))  # a new array every layer
+        kernel_planes[-1].flags.writeable = False
 
     del y_specs, z_spec  # the reconstruction allocates stacks of its own
     x_hat = reconstruct(y_spec, k_plane, g, filter_spectra(banks[-1], f_spec, shape),

@@ -362,3 +362,22 @@ def test_taped_forward_gradients_match_oracle_or_raise_typed(
         aligned = aligned_composed_grads(blurred, sharp, params, restrict,
                                          features)
         assert rel_err(fused["b"], aligned["b"]) <= 1e-10
+
+
+def test_pinned_zero_threshold_case_needs_the_exemption():
+    # the pinned unrestricted example above (9x14, C=3, L=2, zero b and lam,
+    # seed 3): the plain chain misses b[-1, 0], because its full transforms
+    # round the features a zero threshold passes unlike the solver's half
+    # ones; fed the solver's noise there, the chain matches the whole of b
+    params = _model(2, 3, support=5, seed=3)
+    params.b[-1, 0] = 0.0
+    params.lam[0, -1] = 0.0
+    rng = np.random.default_rng(3)
+    blurred, sharp = rng.random((9, 14)), rng.random((9, 14))
+    fused = fused_grads(blurred, sharp, params, False)
+    chain = composed_grads(blurred, sharp, params, False)
+    assert rel_err(fused["b"][-1, 0], chain["b"][-1, 0]) > 1e-10
+    features = unroll.forward(blurred, params, tape=ad.Tape())[1]
+    aligned = aligned_composed_grads(blurred, sharp, params, False, features)
+    assert rel_err(fused["b"][-1, 0], aligned["b"][-1, 0]) <= 1e-10
+    assert rel_err(fused["b"], aligned["b"]) <= 1e-10

@@ -227,6 +227,25 @@ def test_irfft2_names_a_bad_middle_plane(rng):
     spectral.irfft2(spec, (8, 6))
 
 
+@pytest.mark.parametrize("w", [1, 2, 7, 8])
+def test_irfft2_overwrite_gives_the_same_planes(rng, w):
+    spec = spectral.rfft2(rng.standard_normal((3, 9, w)))
+    kept = spec.copy()
+    want = spectral.irfft2(spec, (9, w))
+    assert np.array_equal(spec, kept)  # the copying mode leaves it alone
+    assert np.array_equal(spectral.irfft2(spec, (9, w), overwrite=True), want)
+
+
+def test_irfft2_overwrite_names_the_same_bad_middle_plane(rng):
+    spec = spectral.rfft2(rng.standard_normal((3, 4, 8, 6)))
+    spec[1, 2, :, 3] += 3e-2j * spec[1, 2, :, 3]
+    with pytest.raises(ImaginaryResidue) as copying:
+        spectral.irfft2(spec, (8, 6))
+    with pytest.raises(ImaginaryResidue) as overwriting:
+        spectral.irfft2(spec, (8, 6), overwrite=True)
+    assert str(overwriting.value) == str(copying.value)
+
+
 def test_irfft2_rejects_a_spectrum_of_other_planes(rng):
     spec = spectral.rfft2(rng.standard_normal((6, 8)))
     for shape in ((6, 10), (6, 5), (7, 8)):
@@ -243,6 +262,40 @@ def test_stacked_embedding_matches_each_kernel(rng):
     assert np.array_equal(spectral.wrap_window(planes, 5), stack)
     with pytest.raises(DimensionMismatch):
         spectral.embed_kernel(stack[0], 7, 6)  # user kernels stay 2-D
+
+
+def roll_embedding(kernels, h, w):
+    """embed_kernels by np.roll of the zero-padded stack."""
+    k = kernels.shape[-1]
+    planes = np.zeros(kernels.shape[:-2] + (h, w), kernels.dtype)
+    planes[..., :k, :k] = kernels
+    return np.roll(planes, (-(k // 2), -(k // 2)), axis=(-2, -1))
+
+
+def roll_window(planes, size):
+    """wrap_window by np.roll of the whole stack."""
+    r = size // 2
+    return np.roll(planes, (r, r), axis=(-2, -1))[..., :size, :size]
+
+
+def test_embed_and_window_match_roll_references(rng):
+    for h in range(1, 13):
+        for w in range(1, 13):
+            for size in range(1, min(h, w) + 1, 2):
+                for lead in ((), (3,), (2, 2)):
+                    kernels = rng.standard_normal(lead + (size, size))
+                    planes = rng.standard_normal(lead + (h, w))
+                    assert np.array_equal(spectral.embed_kernels(kernels, h, w),
+                                          roll_embedding(kernels, h, w))
+                    window = spectral.wrap_window(planes, size)
+                    assert np.array_equal(window, roll_window(planes, size))
+                    assert window.flags.c_contiguous
+                    assert not np.shares_memory(window, planes)
+                spec = spectral.rfft2(rng.standard_normal((2, h, w)))
+                if size <= spec.shape[-1]:  # complex stacks keep their dtype
+                    got = spectral.wrap_window(spec, size)
+                    assert got.dtype == spec.dtype
+                    assert np.array_equal(got, roll_window(spec, size))
 
 
 def test_embed_kernel_impulse():

@@ -199,6 +199,52 @@ def test_z_update_matches_scalar_loop(rng):
         assert got[i, j] == ref
 
 
+def test_z_update_equals_the_sign_max_form(rng):
+    # exact ties |g| = b, a zero threshold and zero features included; the
+    # two forms may differ only in the sign of an exact zero
+    b = np.array([0.0, 0.25, 0.5, 1e-300])
+    g = rng.standard_normal((4, 6, 6))
+    g[:, 0] = np.stack([b, -b, 0.0 * b, -0.0 * b, np.nextafter(b, 1),
+                        np.nextafter(-b, -1)], axis=-1)
+    for thresholds in (b[:, None, None], 0.0, 0.25):
+        got = unroll.z_update(g, thresholds)
+        want = np.sign(g) * np.maximum(np.abs(g) - thresholds, 0.0)
+        assert np.array_equal(got, want)
+        assert np.all(got[np.abs(g) <= thresholds] == 0.0)
+
+
+def _g_terms(rng, c, h, w):
+    """g_update's terms on random half spectra, with D within 3x of
+    DENOM_FLOOR at a tenth of the frequencies; returns (terms, N, D)."""
+    k = spectral.rfft2(rng.standard_normal((h, w)))
+    near = rng.random(k.shape) < 0.1
+    k[near] *= np.sqrt(unroll.DENOM_FLOOR) / np.abs(k[near])
+    y = spectral.rfft2(rng.standard_normal((c, h, w)))
+    z = spectral.rfft2(rng.standard_normal((c, h, w)))
+    b = rng.uniform(0.5, 2.0, (c, 1, 1))
+    lam = rng.uniform(0.6, 1.0, (c, 1, 1)) * unroll.DENOM_FLOOR
+    num = b * (np.conj(k) * y) + lam * z
+    den = b * (k * np.conj(k)).real + lam
+    return ((b, k, y), (lam, 1, z)), num, den
+
+
+def test_quotient_equals_the_complex_by_real_division(rng):
+    # _quotient scales N by 1/D; numpy's N / D divides a complex by a real
+    # as a multiply by the reciprocal, so the two agree bit for bit
+    for h, w in ((9, 14), (16, 16), (7, 5)):
+        terms, num, den = _g_terms(rng, 3, h, w)
+        assert unroll.DENOM_FLOOR < np.min(den) < 3 * unroll.DENOM_FLOOR
+        q, inv = unroll._quotient(terms, update="feature update")
+        assert np.array_equal(q, num / den)
+        assert np.array_equal(inv, 1.0 / den)
+        t = spectral.rfft2(rng.standard_normal((3, h, w)))
+        assert np.array_equal(t * inv, t / den)  # the pulls' form
+        z, y = terms[1][2], terms[0][2]
+        q, inv = unroll._quotient((), ((1, z, y),), 0.7)
+        summed = np.sum((z * np.conj(z)).real, axis=0) + 0.7
+        assert np.array_equal(q, np.sum(np.conj(z) * y, axis=0) / summed)
+
+
 # ---------------------------------------------------------------------------
 # kernel update
 
@@ -435,6 +481,20 @@ def test_forward_kernel_planes_stay_on_simplex(rng):
         assert np.all(np.isfinite(kernel))
         for gi in g:
             assert np.all(np.isfinite(gi))
+
+
+@pytest.mark.parametrize("tape", [None, ad.Tape])
+def test_forward_kernel_planes_are_read_only(rng, tape):
+    # each layer's own kernel plane, kept without a copy
+    _, _, _, state = unroll.forward(rng.random((16, 16)), small_params(layers=3),
+                                    tape=tape and tape())
+    planes = state.kernel_planes
+    assert len(planes) == 3
+    for i, plane in enumerate(planes):
+        assert not plane.flags.writeable
+        with pytest.raises(ValueError):
+            plane[0, 0] = 0.5
+        assert not any(np.shares_memory(plane, other) for other in planes[:i])
 
 
 def test_forward_is_deterministic(rng):
