@@ -35,9 +35,9 @@ Adjoint conventions, for a real-valued loss L:
   adjoints carry weights, and entrywise nodes and frequency sums need none;
 * the adjoint of the unnormalized forward DFT is the unnormalized inverse
   (ifft2 scaled by H*W), and the adjoint of the normalized inverse is
-  the forward DFT scaled by 1/(H*W); on half spectra these become irfft2
-  with weight 1/2 on the doubled columns, and rfft2 with weight 2 on them
-  (dft_adjoint, idft_adjoint);
+  the forward DFT scaled by 1/(H*W); on the half spectra the program
+  carries these become irfft2 with weight 1/2 on the doubled columns, and
+  rfft2 with weight 2 on them (dft_adjoint, idft_adjoint);
 * an adjoint flowing into a real-valued node drops its imaginary part;
 * kinks (the shrinkage threshold, the clamp, the l1 norm) take the zero
   subgradient exactly at the kink.
@@ -47,7 +47,6 @@ never mutates the graph, so repeated sweeps agree bitwise.
 """
 
 import numpy as np
-import scipy.fft
 from scipy import signal
 
 from . import spectral
@@ -128,14 +127,12 @@ def record(out, inputs, pull):
     return Var(out, parents[0].tape, parents, pull, routes)
 
 
-def dft_adjoint(g, shape=None):
-    """Adjoint of the unnormalized forward DFT of real planes.
+def dft_adjoint(g, shape):
+    """Adjoint of the unnormalized forward DFT of real planes to half spectra.
 
-    For full spectra H*W Re ifft2(g); for half spectra of (H, W) = shape
-    planes H*W irfft2 of g weighted 1/2 on the doubled columns.
+    H*W irfft2 of the half spectra g of (H, W) = shape planes, weighted 1/2
+    on the doubled columns.
     """
-    if shape is None:
-        return scipy.fft.ifft2(g).real * float(g.shape[-2] * g.shape[-1])
     g = np.array(g, dtype=np.complex128)
     g[..., spectral.doubled_columns(shape[1])] *= 0.5
     out = spectral._irfft2_passes(g, shape, overwrite=True)
@@ -143,14 +140,12 @@ def dft_adjoint(g, shape=None):
     return out
 
 
-def idft_adjoint(g, shape=None):
-    """Adjoint of the normalized inverse DFT taken to real planes.
+def idft_adjoint(g, shape):
+    """Adjoint of the normalized inverse DFT of half spectra to real planes.
 
-    For full spectra fft2(g) / (H*W); for half spectra (shape given, the
-    planes' (H, W)) rfft2(g) / (H*W) weighted 2 on the doubled columns.
+    rfft2(g) / (H*W) of the (H, W) = shape planes g, weighted 2 on the
+    doubled columns.
     """
-    if shape is None:
-        return spectral.fft2(g) / float(g.shape[-2] * g.shape[-1])
     out = spectral.rfft2(g)
     out /= float(shape[0] * shape[1])
     out[..., spectral.doubled_columns(shape[1])] *= 2.0

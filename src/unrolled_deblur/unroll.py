@@ -38,17 +38,15 @@ layer l-1's very bank object, so the preset's fixed_bank is transformed
 once. The updates take spectra, never planes; reconstruct reuses the last
 F_l. Shared stacks are kept read-only.
 
-Half spectra: every plane the solver transforms is real, so forward
-carries each spectrum as its half (..., H, W//2+1) and passes the image
-shape (H, W) to every update (reconstruct reads it off the kernel plane),
-which then inverts with spectral.irfft2 (and its residue check on the
-self-mirrored columns 0 and W/2). _quotient and
-_term_adjoint work entrywise, so they are the same on half and full
-arrays; adjoints pair with the Euclidean inner product over the half, so
-the weights of the columns that stand for two (2 in idft_adjoint, 1/2 in
-dft_adjoint) are all it takes, and the frequency sums for b, lam and eta
-come out right as they are. Without a shape the updates take full spectra
-and invert with spectral.ifft2, as the closed-form oracles call them.
+Half spectra: every plane the solver transforms is real, so each spectrum
+is its half (..., H, W//2+1) and every update takes the image shape
+(H, W) (reconstruct reads it off the kernel plane), raises
+DimensionMismatch for a spectrum of any other width, and inverts with
+spectral.irfft2 (and its residue check on the self-mirrored columns 0 and
+W/2). _quotient and _term_adjoint work entrywise; adjoints pair with the
+Euclidean inner product over the half, so the weights of the columns that
+stand for two (2 in idft_adjoint, 1/2 in dft_adjoint) are all it takes,
+and the frequency sums for b, lam and eta come out right as they are.
 
 Passes: the plain forward makes no pass or stack-sized temporary its
 arithmetic does not need, and each short form gives the same bits as the
@@ -266,16 +264,13 @@ def _term_adjoint(t, q, w, a, b):
     return gb, (ga if _unit(w) else np.multiply(w, ga, out=ga)), gw
 
 
-def _dft(planes, shape):
-    """Spectra of real planes: half spectra when shape is given, else full."""
-    return spectral.fft2(planes) if shape is None else spectral.rfft2(planes)
-
-
-def _idft(spectrum, shape, overwrite=False):
-    """Real planes of full spectra, or of half spectra of shape planes; with
-    overwrite, a half spectrum's buffer may go to the transform."""
-    return (spectral.ifft2(spectrum) if shape is None
-            else spectral.irfft2(spectrum, shape, overwrite))
+def _check_half(shape, update, *spectra):
+    """Raise DimensionMismatch unless each spectrum (a scalar broadcasts) is
+    the (..., H, W//2+1) half spectrum of (H, W) = shape planes."""
+    for spec in spectra:
+        if np.ndim(spec) and np.shape(spec)[-2:] != (shape[0], shape[1] // 2 + 1):
+            raise DimensionMismatch("%s: spectrum %s is not the half of %dx%d "
+                                    "planes" % (update, np.shape(spec), *shape))
 
 
 def filter_spectra(bank, f_spec, shape, y_spec=None):
@@ -295,21 +290,23 @@ def filter_spectra(bank, f_spec, shape, y_spec=None):
     return ad.record(out, (bank,), pull)
 
 
-def g_update(y_spec, z_spec, k_spec, b, lam, shape=None):
+def g_update(y_spec, z_spec, k_spec, b, lam, shape):
     """Closed-form feature update in the frequency domain, as one node.
 
     Minimizes (b/2)|y_i - k * g|^2 + (lam/2)|g - z|^2 per frequency: the
     quotient of the terms (b, K, Y) and (lam, 1, Z) for the spectra Y_i of
     the filtered image, Z of the shrunk features and K of the kernel plane.
     lam = 0 (pure data term) is well defined while b |K|^2 + lam stays above
-    DENOM_FLOOR. y_spec has the output's shape, e.g. a (C, H, W) stack with
-    z_spec, b and lam broadcast to it; k_spec is shared by all channels.
-    Given the planes' shape (H, W), the spectra are half spectra
-    (..., H, W//2+1); without it they are full.
+    DENOM_FLOOR. The spectra are half spectra (..., H, W//2+1) of planes of
+    the image shape (H, W) = shape: y_spec has the output's, e.g. a
+    (C, H, W//2+1) stack with z_spec (or the scalar 0), b and lam broadcast
+    to it; k_spec is shared by all channels.
     """
     y, z, k, vb, vl = (ad.value(a) for a in (y_spec, z_spec, k_spec, b, lam))
+    _check_half(shape, "feature update", y, z, k)
     terms = ((vb, k, y), (vl, 1, z))
-    out = _idft(_quotient(terms, update="feature update")[0], shape, overwrite=True)
+    out = spectral.irfft2(_quotient(terms, update="feature update")[0], shape,
+                          overwrite=True)
 
     def pull(gg):
         q, inv = _quotient(terms, update="feature update")
@@ -351,16 +348,16 @@ def z_spectrum(g, b):
     return ad.record(out, (g, b), pull)
 
 
-def k_update(z_specs, y_specs, eps, shape=None):
+def k_update(z_specs, y_specs, eps, shape):
     """Least-squares kernel plane from all channels, ridge eps > 0.
 
-    z_specs and y_specs are (C, H, W) stacks (or sequences of C spectra),
-    half spectra of shape planes when shape is given; the term (1, Z_i, Y_i)
-    is summed over the channels.
+    z_specs and y_specs are (C, H, W//2+1) stacks (or sequences of C) of
+    half spectra of (H, W) = shape planes; the term (1, Z_i, Y_i) is summed
+    over the channels.
     """
-    return _idft(_quotient(
-        (), ((1, np.asarray(z_specs), np.asarray(y_specs)),), eps)[0], shape,
-        overwrite=True)
+    z, y = np.asarray(z_specs), np.asarray(y_specs)
+    _check_half(shape, "kernel update", z, y)
+    return spectral.irfft2(_quotient((), ((1, z, y),), eps)[0], shape, overwrite=True)
 
 
 def _kept(plane, support):
@@ -404,7 +401,7 @@ def _project_adjoint(raw, support, g):
     return pulled if support is None else spectral.embed_kernel(pulled, *raw.shape)
 
 
-def kernel_estimate(z_spec, y_specs, eps, support=None, shape=None):
+def kernel_estimate(z_spec, y_specs, eps, support, shape):
     """k_project(k_update(z_spec, y_specs, eps, shape), support) as one node.
 
     The adjoint passes through the projection first (zero where it fell
@@ -415,7 +412,8 @@ def kernel_estimate(z_spec, y_specs, eps, support=None, shape=None):
 
     def pull(gk):
         q, inv = _quotient((), ((1, z, y),), eps)  # q is read again below
-        t = ad.idft_adjoint(_project_adjoint(_idft(q, shape), support, gk), shape)
+        t = ad.idft_adjoint(_project_adjoint(spectral.irfft2(q, shape), support, gk),
+                            shape)
         t *= inv
         gy, gz, _ = _term_adjoint(t, q, 1, z, y)
         return gz, gy
@@ -431,17 +429,22 @@ def reconstruct(y_spec, k_plane, g, f_spec, eta):
     sequences of C) and eta the (C,) channel weights. Returns one (H, W)
     plane: the quotient of the term (1, K, Y) and the channel sum of the
     terms (eta_i, F_i, G_i), with K and G the spectra of k_plane and g.
-    The spectra are half spectra when y_spec is narrower than k_plane (for
-    W <= 2 the two are the same arrays).
+    g has the kernel plane's (H, W), and y_spec and f_spec are half
+    spectra (..., H, W//2+1) of planes of that shape.
     """
     vk, vg, vf = ad.value(k_plane), np.asarray(ad.value(g)), np.asarray(ad.value(f_spec))
-    shape = np.shape(vk) if np.shape(y_spec)[-1] != np.shape(vk)[-1] else None
+    shape = np.shape(vk)
+    if np.shape(vg)[-2:] != shape:  # a wider g's half spectrum may still fit
+        raise DimensionMismatch("reconstruction: features %s vs kernel plane %s"
+                                % (np.shape(vg), shape))
+    _check_half(shape, "reconstruction", y_spec, vf)
     e = np.asarray(ad.value(eta))[:, None, None]
 
     def terms():  # the data term and the channel-summed prior term
-        return ((1, _dft(vk, shape), y_spec),), ((e, vf, _dft(vg, shape)),)
+        return ((1, spectral.rfft2(vk), y_spec),), ((e, vf, spectral.rfft2(vg)),)
 
-    out = _idft(_quotient(*terms(), update="reconstruction")[0], shape, overwrite=True)
+    out = spectral.irfft2(_quotient(*terms(), update="reconstruction")[0], shape,
+                          overwrite=True)
 
     def pull(gx):
         data, prior = terms()

@@ -9,6 +9,7 @@ chains, and the primitives themselves against central differences
 """
 
 import numpy as np
+import scipy.fft
 
 from unrolled_deblur import autodiff as ad
 from unrolled_deblur import spectral
@@ -61,15 +62,25 @@ def abs2(a):
 
 
 def fft2(a):
-    """Unnormalized forward DFT of real planes, as full spectra."""
-    return ad.record(spectral.fft2(ad.value(a)), (a,),
-                     lambda g: (ad.dft_adjoint(g),))
+    """Unnormalized forward DFT of real planes, as full spectra.
+
+    Its adjoint is the unnormalized inverse, H*W Re ifft2(g), taken
+    complex-to-complex because g need not be Hermitian.
+    """
+    va = ad.value(a)
+    size = float(va.shape[-2] * va.shape[-1])
+    return ad.record(spectral.fft2(va), (a,),
+                     lambda g: (scipy.fft.ifft2(g).real * size,))
 
 
 def ifft2(a):
-    """Normalized inverse DFT returning the real part (residue-checked)."""
+    """Normalized inverse DFT returning the real part (residue-checked).
+
+    Its adjoint is the forward DFT scaled by 1/(H*W).
+    """
     va = ad.value(a)
-    return ad.record(spectral.ifft2(va), (a,), lambda g: (ad.idft_adjoint(g),))
+    size = float(va.shape[-2] * va.shape[-1])
+    return ad.record(spectral.ifft2(va), (a,), lambda g: (spectral.fft2(g) / size,))
 
 
 def soft_threshold(x, thresh):

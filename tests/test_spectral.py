@@ -365,23 +365,24 @@ def test_circ_conv_against_double_sum(rng):
         assert np.abs(spectral.circ_conv(a, b) - direct_circ_conv(a, b)).max() < 1e-10
 
 
-def _numpy_fft_uses(source):
-    """Line numbers where a module imports or reaches numpy.fft."""
+def _fft_uses(source, library="numpy"):
+    """Line numbers where a module imports or reaches library.fft."""
     tree = ast.parse(source)
-    numpy_names = {a.asname or a.name for node in ast.walk(tree)
-                   if isinstance(node, ast.Import)
-                   for a in node.names if a.name == "numpy"}
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             for a in node.names if a.name == library}
+    module = library + ".fft"
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+            hit = any(a.name.startswith(module) for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            hit = (node.module or "").startswith("numpy.fft") or (
-                node.module == "numpy" and any(a.name == "fft" for a in node.names))
+            hit = (node.module or "").startswith(module) or (
+                node.module == library and any(a.name == "fft" for a in node.names))
         else:
             hit = (isinstance(node, ast.Attribute) and node.attr == "fft"
                    and isinstance(node.value, ast.Name)
-                   and node.value.id in numpy_names)
+                   and node.value.id in names)
         if hit:
             lines.append(node.lineno)
     return lines
@@ -392,15 +393,30 @@ def test_numpy_fft_use_is_detected():
                    "import numpy\ny = numpy.fft.ifft2(x)",
                    "from numpy import fft", "from numpy.fft import fft2",
                    "import numpy.fft"):
-        assert _numpy_fft_uses(source), source
-    assert _numpy_fft_uses("import numpy as np\nimport scipy.fft\n"
-                           "scipy.fft.fft2(np.ones(2))") == []
+        assert _fft_uses(source), source
+    assert _fft_uses("import numpy as np\nimport scipy.fft\n"
+                     "scipy.fft.fft2(np.ones(2))") == []
+
+
+def test_scipy_fft_use_is_detected():
+    for source in ("import scipy.fft", "from scipy import fft",
+                   "from scipy import signal, fft as f", "import scipy.fft as sf",
+                   "from scipy.fft import rfft2", "import scipy\nscipy.fft.fft2(x)"):
+        assert _fft_uses(source, "scipy"), source
+    assert _fft_uses("import numpy as np\nfrom scipy import signal\n"
+                     "np.fft.fft2(signal.convolve2d(x, y))", "scipy") == []
 
 
 def test_package_has_one_fft_library():
     # every transform goes through spectral (scipy.fft); numpy.fft would be
-    # a second library with its own rounding
+    # a second library with its own rounding, and a scipy.fft call in
+    # another module a second place the transforms are made
     package = pathlib.Path(spectral.__file__).parent
-    uses = {path.name: _numpy_fft_uses(path.read_text(encoding="utf-8"))
-            for path in sorted(package.glob("*.py"))}
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    uses = {name: _fft_uses(text) for name, text in sources.items()}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+    uses = {name: _fft_uses(text, "scipy") for name, text in sources.items()
+            if name != "spectral.py"}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+    assert _fft_uses(sources["spectral.py"], "scipy")  # the detector sees it

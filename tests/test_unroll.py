@@ -37,8 +37,13 @@ def filter_planes(image, bank):
 
 
 def bank_spectra(bank, h, w):
-    """Spectra of a bank's filters embedded on an (h, w) grid."""
-    return spectral.fft2(spectral.embed_kernels(bank, h, w))
+    """Half spectra of a bank's filters embedded on an (h, w) grid."""
+    return spectral.rfft2(spectral.embed_kernels(bank, h, w))
+
+
+def halve(full):
+    """The half spectrum: columns 0..W//2 of a full (..., H, W) spectrum."""
+    return full[..., :np.shape(full)[-1] // 2 + 1]
 
 
 def impulse3():
@@ -98,17 +103,18 @@ def test_build_filters_support_growth(rng):
 
 def test_g_update_pure_data_term(rng):
     y = rng.random((8, 8))
-    y_spec = spectral.fft2(y)
-    k_spec = spectral.fft2(spectral.embed_kernel(np.array([[1.0]]), 8, 8))
-    g = unroll.g_update(y_spec, np.zeros((8, 8), complex), k_spec, 1.0, 0.0)
+    y_spec = spectral.rfft2(y)
+    k_spec = spectral.rfft2(spectral.embed_kernel(np.array([[1.0]]), 8, 8))
+    g = unroll.g_update(y_spec, np.zeros((8, 5), complex), k_spec, 1.0, 0.0, (8, 8))
     assert np.max(np.abs(g - y)) < 1e-12
 
 
 def test_g_update_balanced_average(rng):
     y = rng.random((8, 8))
     z = rng.random((8, 8))
-    k_spec = spectral.fft2(spectral.embed_kernel(np.array([[1.0]]), 8, 8))
-    g = unroll.g_update(spectral.fft2(y), spectral.fft2(z), k_spec, 1.0, 1.0)
+    k_spec = spectral.rfft2(spectral.embed_kernel(np.array([[1.0]]), 8, 8))
+    g = unroll.g_update(spectral.rfft2(y), spectral.rfft2(z), k_spec, 1.0, 1.0,
+                        (8, 8))
     assert np.max(np.abs(g - (y + z) / 2.0)) < 1e-12
 
 
@@ -124,7 +130,12 @@ def test_g_update_matches_scalar_solve(rng, make_kernel):
         lam = float(rng.random() + 0.01)
 
         z_spec = np.fft.fft2(z)
-        got = unroll.g_update(y_spec, z_spec, k_spec, b, lam)
+        full = (y_spec, z_spec, k_spec)
+        got = unroll.g_update(*map(halve, full), b, lam, (size, size))
+        for i in range(3):  # a full-width spectrum is refused, typed
+            mixed = [x if j == i else halve(x) for j, x in enumerate(full)]
+            with pytest.raises(DimensionMismatch, match="^feature update"):
+                unroll.g_update(*mixed, b, lam, (size, size))
 
         ref_spec = np.zeros((size, size), dtype=np.complex128)
         for p in range(size):
@@ -144,8 +155,8 @@ def test_g_update_is_a_local_minimum(rng, make_kernel):
     k = make_kernel(3)
     k_plane = spectral.embed_kernel(k, size, size)
     b, lam = 0.7, 0.3
-    g0 = unroll.g_update(spectral.fft2(y), spectral.fft2(z),
-                         spectral.fft2(k_plane), b, lam)
+    g0 = unroll.g_update(spectral.rfft2(y), spectral.rfft2(z),
+                         spectral.rfft2(k_plane), b, lam, (size, size))
 
     def objective(g):
         resid = spectral.circ_conv(k_plane, g) - y
@@ -159,19 +170,20 @@ def test_g_update_is_a_local_minimum(rng, make_kernel):
 
 
 def test_g_update_singular_denominator():
-    y_spec = spectral.fft2(np.ones((4, 4)))
-    k_spec = spectral.fft2(spectral.embed_kernel(np.array([[1.0]]), 4, 4))
+    y_spec = spectral.rfft2(np.ones((4, 4)))
+    k_spec = spectral.rfft2(spectral.embed_kernel(np.array([[1.0]]), 4, 4))
     with pytest.raises(SingularDenominator):
-        unroll.g_update(y_spec, np.zeros((4, 4), complex), k_spec, 0.0, 0.0)
+        unroll.g_update(y_spec, np.zeros((4, 3), complex), k_spec, 0.0, 0.0, (4, 4))
 
 
 def test_g_update_accepts_precomputed_z_spectrum(rng):
     # the half-spectrum DFT forward uses and numpy's complex one agree
     y = rng.random((6, 6))
     z = rng.random((6, 6))
-    k_spec = spectral.fft2(spectral.embed_kernel(np.array([[1.0]]), 6, 6))
-    a = unroll.g_update(spectral.fft2(y), spectral.fft2(z), k_spec, 0.5, 0.25)
-    b = unroll.g_update(spectral.fft2(y), np.fft.fft2(z), k_spec, 0.5, 0.25)
+    k_spec = spectral.rfft2(spectral.embed_kernel(np.array([[1.0]]), 6, 6))
+    y_spec = spectral.rfft2(y)
+    a = unroll.g_update(y_spec, spectral.rfft2(z), k_spec, 0.5, 0.25, (6, 6))
+    b = unroll.g_update(y_spec, halve(np.fft.fft2(z)), k_spec, 0.5, 0.25, (6, 6))
     assert np.max(np.abs(a - b)) < 1e-14
 
 
@@ -258,9 +270,9 @@ def test_k_update_recovers_kernel_from_true_features(rng, make_kernel):
     # the impulse channel keeps every frequency observable; the Prewitt
     # pair alone is blind to the DC/Nyquist axes where both responses vanish
     bank = [unroll.PREWITT_X, unroll.PREWITT_Y, impulse3()]
-    z_specs = [spectral.fft2(p) for p in filter_planes(x, bank)]
-    y_specs = [spectral.fft2(p) for p in filter_planes(y, bank)]
-    plane = unroll.k_update(z_specs, y_specs, 1e-12)
+    z_specs = [spectral.rfft2(p) for p in filter_planes(x, bank)]
+    y_specs = [spectral.rfft2(p) for p in filter_planes(y, bank)]
+    plane = unroll.k_update(z_specs, y_specs, 1e-12, (size, size))
     assert np.max(np.abs(plane - k_plane)) < 1e-6
 
 
@@ -268,10 +280,13 @@ def test_k_update_matches_scalar_solve(rng):
     size = 8
     zs = [rng.random((size, size)) for _ in range(3)]
     ys = [rng.random((size, size)) for _ in range(3)]
-    z_specs = [spectral.fft2(z) for z in zs]
-    y_specs = [spectral.fft2(y) for y in ys]
+    z_specs = spectral.fft2(np.array(zs))
+    y_specs = spectral.fft2(np.array(ys))
     eps = 0.37
-    got = unroll.k_update(z_specs, y_specs, eps)
+    got = unroll.k_update(halve(z_specs), halve(y_specs), eps, (size, size))
+    for mixed in ((z_specs, halve(y_specs)), (halve(z_specs), y_specs)):
+        with pytest.raises(DimensionMismatch, match="^kernel update"):
+            unroll.k_update(*mixed, eps, (size, size))
 
     ref_spec = np.zeros((size, size), dtype=np.complex128)
     for p in range(size):
@@ -288,8 +303,8 @@ def test_k_update_is_a_local_minimum(rng):
     zs = [rng.random((size, size)) for _ in range(2)]
     ys = [rng.random((size, size)) for _ in range(2)]
     eps = 0.5
-    plane = unroll.k_update([spectral.fft2(z) for z in zs],
-                            [spectral.fft2(y) for y in ys], eps)
+    plane = unroll.k_update(spectral.rfft2(zs), spectral.rfft2(ys), eps,
+                            (size, size))
 
     def objective(p):
         j = eps / 2 * np.sum(p ** 2) * p.size  # Parseval: sum|K|^2 = N sum p^2
@@ -306,9 +321,9 @@ def test_k_update_is_a_local_minimum(rng):
 
 def test_k_update_all_zero_features(rng):
     size = 6
-    zeros = [np.zeros((size, size), dtype=np.complex128)] * 2
-    y_specs = [spectral.fft2(rng.random((size, size))) for _ in range(2)]
-    plane = unroll.k_update(zeros, y_specs, 1.0)
+    zeros = np.zeros((2, size, size // 2 + 1), dtype=np.complex128)
+    y_specs = spectral.rfft2(rng.random((2, size, size)))
+    plane = unroll.k_update(zeros, y_specs, 1.0, (size, size))
     assert np.max(np.abs(plane)) == 0.0
 
 
@@ -391,7 +406,7 @@ def test_k_project_clamps_and_renormalizes():
 def test_reconstruct_identity_kernel_zero_eta(rng):
     y = rng.random((8, 8))
     k_plane = spectral.embed_kernel(np.array([[1.0]]), 8, 8)
-    x = unroll.reconstruct(spectral.fft2(y), k_plane, [np.zeros((8, 8))],
+    x = unroll.reconstruct(spectral.rfft2(y), k_plane, [np.zeros((8, 8))],
                            bank_spectra([impulse3()], 8, 8), np.zeros(1))
     assert np.max(np.abs(x - y)) < 1e-12
 
@@ -405,7 +420,7 @@ def test_reconstruct_consistent_features_give_exact_image(rng, make_kernel):
     bank = [unroll.PREWITT_X, unroll.PREWITT_Y]
     g = filter_planes(x, bank)
     for eta in (np.array([1.0, 1.0]), np.array([20.0, 5.0])):
-        got = unroll.reconstruct(spectral.fft2(y), k_plane, g,
+        got = unroll.reconstruct(spectral.rfft2(y), k_plane, g,
                                  bank_spectra(bank, size, size), eta)
         assert np.max(np.abs(got - x)) < 1e-10
 
@@ -419,8 +434,12 @@ def test_reconstruct_matches_scalar_solve(rng, make_kernel):
     eta = np.array([2.0, 0.5])
     y_spec = np.fft.fft2(y)
     k_spec = np.fft.fft2(k_plane)
-    f_specs = [np.fft.fft2(spectral.embed_kernel(f, size, size)) for f in bank]
-    got = unroll.reconstruct(y_spec, k_plane, g, f_specs, eta)
+    f_specs = np.fft.fft2(spectral.embed_kernels(np.array(bank), size, size))
+    got = unroll.reconstruct(halve(y_spec), k_plane, g, halve(f_specs), eta)
+    for mixed in ((y_spec, g, halve(f_specs)), (halve(y_spec), g, f_specs),
+                  (halve(y_spec), np.pad(g, ((0, 0), (0, 0), (0, 1))), halve(f_specs))):
+        with pytest.raises(DimensionMismatch, match="^reconstruction"):
+            unroll.reconstruct(mixed[0], k_plane, mixed[1], mixed[2], eta)
 
     g_specs = [np.fft.fft2(gi) for gi in g]
     ref_spec = np.zeros((size, size), dtype=np.complex128)
@@ -439,7 +458,7 @@ def test_reconstruct_matches_scalar_solve(rng, make_kernel):
 def test_reconstruct_singular_denominator():
     y = np.ones((4, 4))
     with pytest.raises(SingularDenominator):
-        unroll.reconstruct(spectral.fft2(y), np.zeros((4, 4)), [np.zeros((4, 4))],
+        unroll.reconstruct(spectral.rfft2(y), np.zeros((4, 4)), [np.zeros((4, 4))],
                            bank_spectra([impulse3()], 4, 4), np.zeros(1))
 
 
@@ -698,6 +717,26 @@ def test_shared_bank_spectra_match_recomputed_ones(rng):
     assert np.array_equal(g, ref_g)
     assert np.array_equal(x_hat, ref_x)
     assert np.array_equal(kernel, spectral.wrap_window(unroll.k_project(k_plane, 7), 7))
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+def test_trained_layout_gives_the_preset_bitwise(rng, make_kernel, restrict):
+    # the Prewitt pair on top and centred deltas on the mixing diagonal make
+    # each layer's cascaded bank the preset's pair, zero-padded: the cascade
+    # branch must give the shared-bank branch's kernel, features and image
+    L, support, n = 30, 15, 128
+    preset = unroll.tv_prewitt_params(L, support)
+    w_mix = np.zeros((L - 1, 2, 2, 3, 3))
+    w_mix[:, [0, 1], [0, 1], 1, 1] = 1.0
+    trained = unroll.ModelParams(
+        b=preset.b, lam=preset.lam, eta=preset.eta, w_top=preset.fixed_bank,
+        w_mix=w_mix, eps=preset.eps, kernel_support=support)
+    k_plane = spectral.embed_kernel(make_kernel(support), n, n)
+    y = spectral.circ_conv(k_plane, rng.random((n, n)))
+    want = unroll.forward(y, preset, restrict_support=restrict)[:3]
+    got = unroll.forward(y, trained, restrict_support=restrict)[:3]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_forward_recorded_gradients_have_model_shapes(rng):
