@@ -11,7 +11,12 @@ Zhang & Guestrin, arXiv 1604.06174): filter_spectra keeps y_spec; g_update
 Y_l, Z, K, b_l and lam_l; z_spectrum g and b_l; kernel_estimate Z and Y_l;
 reconstruct the kernel plane, g, the last F_l, eta and y_spec. g_update,
 kernel_estimate and reconstruct recompute one quotient (unroll._quotient)
-and take every adjoint from one term adjoint. The generic primitives here
+and take every adjoint from its terms' residual form. A pull may write
+only into buffers it made: the adjoint it is given may be another node's
+input or a sum that backward still holds, and forward shares its spectra
+read-only. Within its own buffers a pull works in place, so that it makes
+few new stacks; a new stack costs page faults as well as a pass once glibc
+has handed the pages back. The generic primitives here
 are the few the program records besides: leaves, basic indexing, the half
 spectrum of the kernel plane, one filter-cascade generation, full
 convolution of small filters and the mean-squared loss; `take` scatters
@@ -127,17 +132,29 @@ def record(out, inputs, pull):
     return Var(out, parents[0].tape, parents, pull, routes)
 
 
-def dft_adjoint(g, shape):
+def dft_adjoint(g, shape, size=None):
     """Adjoint of the unnormalized forward DFT of real planes to half spectra.
 
     H*W irfft2 of the half spectra g of (H, W) = shape planes, weighted 1/2
-    on the doubled columns.
+    on the doubled columns. The weight is applied after the column pass, in
+    its new buffer: that pass acts on each column alone and 1/2 is a power
+    of two, so the planes are those of weighting a copy of g first, bit for
+    bit. With an odd size, only the size x size window of each plane
+    around the origin (spectral.wrap_window of the planes) is made, and the
+    real pass runs on the window's rows alone.
     """
-    g = np.array(g, dtype=np.complex128)
-    g[..., spectral.doubled_columns(shape[1])] *= 0.5
-    out = spectral._irfft2_passes(g, shape, overwrite=True)
-    out *= float(shape[0] * shape[1])
-    return out
+    h, w = shape
+    columns = spectral.column_pass(np.asarray(g, dtype=np.complex128))
+    if size is not None:
+        # rows 0..r and H-r..H-1, in that order, are a size-row plane with
+        # the same wrapped window
+        r = size // 2
+        columns = np.concatenate((columns[..., :r + 1, :], columns[..., h - r:, :]),
+                                 axis=-2)
+    columns[..., spectral.doubled_columns(w)] *= 0.5
+    out = spectral.real_pass(columns, w)
+    out *= float(h * w)
+    return out if size is None else spectral.wrap_window(out, size)
 
 
 def idft_adjoint(g, shape):

@@ -89,20 +89,26 @@ def irfft2(spectrum, shape, overwrite=False):
     # a copy, read before the passes may take spectrum's buffer
     own = spectrum[..., [0, w // 2] if w % 2 == 0 else [0]]
     anti = own - np.conj(own[..., -np.arange(h), :])  # twice the part dropped
-    planes = _irfft2_passes(spectrum, shape, overwrite)
+    # scipy's two passes, the real one in the column pass's buffer:
+    # scipy.fft.irfft2 would make one more stack-sized temporary
+    planes = real_pass(column_pass(spectrum, overwrite), w)
     _check_residue(planes, _energy(anti.real, anti.imag) / (4.0 * h * w))
     return planes
 
 
-def _irfft2_passes(spectrum, shape, overwrite=False):
-    """scipy.fft.irfft2 of half spectra to shape planes, unchecked.
+def column_pass(spectrum, overwrite=False):
+    """The first pass of irfft2: the inverse DFT of each column of half spectra.
 
-    Runs its two passes itself, the real one in the column pass's buffer:
-    scipy.fft.irfft2 would make one more stack-sized temporary. With
-    overwrite the column pass may take spectrum's buffer too.
+    It acts on each column alone. The result is a new complex128 buffer,
+    unless overwrite lets it take spectrum's.
     """
-    columns = scipy.fft.ifft(spectrum, axis=-2, overwrite_x=overwrite)
-    return scipy.fft.irfft(columns, n=shape[1], axis=-1, overwrite_x=True)
+    return scipy.fft.ifft(spectrum, axis=-2, overwrite_x=overwrite)
+
+
+def real_pass(columns, width):
+    """The second pass of irfft2: width-point real rows from the column
+    pass's output, computed in its buffer, row by row."""
+    return scipy.fft.irfft(columns, n=width, axis=-1, overwrite_x=True)
 
 
 def doubled_columns(width):

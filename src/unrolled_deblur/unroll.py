@@ -24,7 +24,8 @@ sees kernels up to (2L+1) pixels wide. The final estimate x is F^-1 Q of
 Recording: each update computes its value with numpy and, when an input
 is a tape Var, records one node (see autodiff), so the same code runs plain
 or recorded. A pull recomputes its quotient from the node's inputs and
-each term's adjoint through the one _term_adjoint. A recorded layer makes
+takes each term's adjoint in residual form, through _term_adjoint or, in
+g_update's pull, in that pull's own buffers. A recorded layer makes
 five nodes (filter_spectra, g_update, z_spectrum, the kernel spectrum and
 kernel_estimate) and one autodiff.take node per slice b[l], lam[l], w_mix[l].
 
@@ -55,7 +56,12 @@ multiply by; the inverse transform of a quotient that nothing reads again
 (in g_update, k_update and reconstruct) runs in the quotient's buffer;
 z_update is one clip and one subtraction; spectral embeds and windows a
 kernel by copying its four wrapped corners; and forward keeps each layer's
-own kernel plane, read-only.
+own kernel plane, read-only. The pulls write only into buffers they made
+(see autodiff) and work in place there: g_update's takes both terms'
+adjoints in its quotient's, t's and one residual buffer; each weight's
+gradient is one reduction over float views (_re_inner); and
+filter_spectra's inverts only the rows of the filter window
+(autodiff.dft_adjoint).
 """
 
 from dataclasses import dataclass
@@ -254,14 +260,34 @@ def _add(acc, part, summing, w=1, own=False):
 
 
 def _term_adjoint(t, q, w, a, b):
-    """Unreduced adjoints (B, A, w) of one _quotient term; None for a 1."""
-    ta, r = (t, b - q) if _unit(a) else (t * a, b - a * q)
-    gw, gb = (None, ta) if _unit(w) else ((np.conj(ta) * r).real, w * ta)
-    if _unit(a):
-        return gb, None, gw
-    ga = np.multiply(np.conj(t), r, out=r)  # in R's buffer, which gw has read
-    ga -= ta * np.conj(q)
-    return gb, (ga if _unit(w) else np.multiply(w, ga, out=ga)), gw
+    """Adjoints (B, A, w) of one _quotient term with an array A; w's is
+    reduced over the last two axes (_re_inner), and None for w = 1.
+
+    It makes two new arrays the shape of t A: R, in whose buffer A's
+    adjoint is taken, and t A, scratch once B's adjoint w t A is made from
+    it (for w = 1, B's adjoint is t A itself, made again afterwards).
+    """
+    ta = t * a
+    r = np.multiply(a, q)
+    np.subtract(b, r, out=r)
+    gw, gb = (None, ta) if _unit(w) else (_re_inner(ta, r), w * ta)
+    ga = np.multiply(np.conj(t), r, out=r)
+    ga -= np.multiply(ta, np.conj(q), out=ta)
+    if _unit(w):
+        return np.multiply(t, a, out=ta), ga, None
+    return gb, np.multiply(w, ga, out=ga), gw
+
+
+def _re_inner(a, b):
+    """Re sum conj(a) b over the last two axes (sum a b for real arrays).
+
+    One reduction over the float64 views of a and b, both complex128 or
+    both float64, with a's leading axes broadcast against b's: the real
+    and imaginary parts of an entry sit side by side, so the view's dot
+    product is a.real b.real + a.imag b.imag summed.
+    """
+    a, b = (np.ascontiguousarray(x).view(np.float64) for x in (a, b))
+    return np.einsum("...ij,...ij->...", a, b)
 
 
 def _check_half(shape, update, *spectra):
@@ -271,6 +297,16 @@ def _check_half(shape, update, *spectra):
         if np.ndim(spec) and np.shape(spec)[-2:] != (shape[0], shape[1] // 2 + 1):
             raise DimensionMismatch("%s: spectrum %s is not the half of %dx%d "
                                     "planes" % (update, np.shape(spec), *shape))
+
+
+def _check_per_plane(update, *weights):
+    """Raise DimensionMismatch unless each weight is one number per plane:
+    a scalar, or an array whose last two axes have length 1. The pulls sum
+    a weight's adjoint over each plane's frequencies or pixels."""
+    for w in weights:
+        if any(n != 1 for n in np.shape(w)[-2:]):
+            raise DimensionMismatch("%s: weight %s is not one per plane"
+                                    % (update, np.shape(w)))
 
 
 def filter_spectra(bank, f_spec, shape, y_spec=None):
@@ -285,7 +321,7 @@ def filter_spectra(bank, f_spec, shape, y_spec=None):
 
     def pull(gs):
         gs = gs if y_spec is None else gs * np.conj(y_spec)
-        return (spectral.wrap_window(ad.dft_adjoint(gs, shape), size),)
+        return (ad.dft_adjoint(gs, shape, size),)
 
     return ad.record(out, (bank,), pull)
 
@@ -299,11 +335,13 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape):
     lam = 0 (pure data term) is well defined while b |K|^2 + lam stays above
     DENOM_FLOOR. The spectra are half spectra (..., H, W//2+1) of planes of
     the image shape (H, W) = shape: y_spec has the output's, e.g. a
-    (C, H, W//2+1) stack with z_spec (or the scalar 0), b and lam broadcast
-    to it; k_spec is shared by all channels.
+    (C, H, W//2+1) stack with z_spec (or the scalar 0) broadcast to it;
+    k_spec is shared by all channels, and b and lam are one weight per
+    plane, e.g. (C, 1, 1).
     """
     y, z, k, vb, vl = (ad.value(a) for a in (y_spec, z_spec, k_spec, b, lam))
     _check_half(shape, "feature update", y, z, k)
+    _check_per_plane("feature update", vb, vl)
     terms = ((vb, k, y), (vl, 1, z))
     out = spectral.irfft2(_quotient(terms, update="feature update")[0], shape,
                           overwrite=True)
@@ -312,10 +350,26 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape):
         q, inv = _quotient(terms, update="feature update")
         t = ad.idft_adjoint(gg, shape)
         t *= inv
-        gy, gk, gb = _term_adjoint(t, q, *terms[0])
-        gz, _, gl = _term_adjoint(t, q, *terms[1])
-        return (gy, gz, ad.unbroadcast(gk, np.shape(k)),
-                ad.unbroadcast(gb, np.shape(vb)), ad.unbroadcast(gl, np.shape(vl)))
+        # the prior term (lam, 1, Z) with R = Z - Q, then the data term
+        # (b, K, Y) with R = Y - KQ in the same buffer (see _quotient)
+        gz = vl * t
+        r = np.subtract(z, q)
+        gl = _re_inner(t, r)
+        np.multiply(k, q, out=r)
+        np.subtract(y, r, out=r)
+        np.conjugate(t, out=t)  # conj conj t is t again, bit for bit
+        np.multiply(t, r, out=r)  # conj(t) R
+        gb = _re_inner(k, r)  # Re sum conj(tK) R
+        np.conjugate(t, out=t)
+        t *= k
+        np.conjugate(q, out=q)
+        q *= t
+        r -= q  # conj(t) R - tK conj(Q)
+        r *= vb
+        t *= vb
+        return (t, gz, ad.unbroadcast(r, np.shape(k)),
+                ad.unbroadcast(gb[..., None, None], np.shape(vb)),
+                ad.unbroadcast(gl[..., None, None], np.shape(vl)))
 
     return ad.record(out, (y_spec, z_spec, k_spec, b, lam), pull)
 
@@ -335,15 +389,18 @@ def z_spectrum(g, b):
     """The half spectrum Z of z_update(g, b), as one node.
 
     The shrinkage passes the adjoint where |g| > b (zero subgradient on the
-    kink) and sends -sign(g) times it to b.
+    kink) and sends -sign(g) times it to b, one threshold per plane.
     """
     vg, vb = ad.value(g), ad.value(b)
+    _check_per_plane("shrinkage", vb)
     out = spectral.rfft2(z_update(vg, vb))
 
     def pull(gz):
         gs = ad.dft_adjoint(gz, np.shape(vg)[-2:])
-        gs *= np.abs(vg) > vb
-        return gs, ad.unbroadcast(-gs * np.sign(vg), np.shape(vb))
+        m = np.abs(vg)
+        gs *= m > vb
+        gb = _re_inner(gs, np.sign(vg, out=m))
+        return gs, ad.unbroadcast(-gb[..., None, None], np.shape(vb))
 
     return ad.record(out, (g, b), pull)
 
@@ -385,7 +442,8 @@ def k_project(plane, support=None):
 
 
 def _project_adjoint(raw, support, g):
-    """Adjoint of k_project at raw, recomputed; zero where it fell back.
+    """Adjoint of k_project at raw, recomputed; None where it fell back to
+    the impulse, a constant, whose adjoint is zero.
 
     x / sum(x) pulls g back as g / s - sum(g x) sign(x) / s^2, the clamp
     passes it where x > 0, and the window's adjoint embeds it again.
@@ -393,7 +451,7 @@ def _project_adjoint(raw, support, g):
     kept = _kept(raw, support)
     mass = float(np.sum(kept))
     if mass == 0.0:
-        return np.zeros_like(raw)
+        return None
     if support is not None:
         g = spectral.wrap_window(g, support)
     pulled = g / mass - (np.sum(g * kept) / (mass * mass)) * np.sign(kept)
@@ -412,8 +470,10 @@ def kernel_estimate(z_spec, y_specs, eps, support, shape):
 
     def pull(gk):
         q, inv = _quotient((), ((1, z, y),), eps)  # q is read again below
-        t = ad.idft_adjoint(_project_adjoint(spectral.irfft2(q, shape), support, gk),
-                            shape)
+        gp = _project_adjoint(spectral.irfft2(q, shape), support, gk)
+        if gp is None:
+            return np.zeros(np.shape(z), complex), np.zeros(np.shape(y), complex)
+        t = ad.idft_adjoint(gp, shape)
         t *= inv
         gy, gz, _ = _term_adjoint(t, q, 1, z, y)
         return gz, gy
@@ -453,7 +513,7 @@ def reconstruct(y_spec, k_plane, g, f_spec, eta):
         t *= inv
         gg, gf, ge = _term_adjoint(t, q, *prior[0])
         return (ad.dft_adjoint(_term_adjoint(t, q, *data[0])[1], shape),
-                ad.dft_adjoint(gg, shape), gf, np.sum(ge, axis=(-2, -1)))
+                ad.dft_adjoint(gg, shape), gf, ge)
 
     return ad.record(out, (k_plane, g, f_spec, eta), pull)
 

@@ -192,6 +192,85 @@ def test_kernel_estimate_fallback_has_zero_adjoint(rng):
             assert np.array_equal(adj, np.zeros_like(adj))
 
 
+def test_kernel_estimate_fallback_pull_stops_at_the_projection(rng, monkeypatch):
+    # once the projection is known to have fallen back, the pull returns
+    # zeros of the input shapes without transforming the projection's
+    # adjoint or taking the term's adjoints over the channel stacks
+    def unreachable(*args):
+        raise AssertionError("transform after the fallback")
+
+    monkeypatch.setattr(ad, "idft_adjoint", unreachable)
+    z, y = np.zeros((C, H, W // 2 + 1), complex), halve(spectra(rng, C, H, W))
+    tape = ad.Tape()
+    node = unroll.kernel_estimate(ad.Var(z, tape), ad.Var(y, tape), 0.5, None, (H, W))
+    gz, gy = node.pull(rng.standard_normal((H, W)))
+    assert gz.shape == z.shape and gy.shape == y.shape
+    assert not np.any(gz) and not np.any(gy)
+
+
+def _read_only(x):
+    x = np.array(x)
+    x.flags.writeable = False
+    return x
+
+
+def _pull_cases(rng, w):
+    """(name, node builder, inputs) for every node the solver records."""
+    shape = (H, w)
+    bank = rng.standard_normal((C, 5, 5))
+    f_spec = _read_only(spectral.rfft2(spectral.embed_kernels(bank, H, w)))
+    y_spec = _read_only(halve(spectra(rng, H, w)))
+    stack = [halve(spectra(rng, C, H, w)) for _ in range(2)]
+    k_spec = halve(spectra(rng, H, w))
+    b, lam = rng.uniform(0.1, 2.0, (C, 1, 1)), rng.uniform(0.05, 1.0, (C, 1, 1))
+    k_plane = rng.random(shape)
+    return [
+        ("filter_spectra", lambda f: unroll.filter_spectra(f, f_spec, shape, y_spec),
+         [bank]),
+        ("filter_spectra without y", lambda f: unroll.filter_spectra(f, f_spec, shape),
+         [bank]),
+        ("g_update", lambda *a: unroll.g_update(*a, shape=shape),
+         [stack[0], stack[1], k_spec, b, lam]),
+        ("g_update at Z = 0", lambda y, k, bb, ll: unroll.g_update(y, 0.0, k, bb, ll, shape),
+         [stack[0], k_spec, b, lam]),
+        ("z_spectrum", unroll.z_spectrum,
+         [rng.standard_normal((C, H, w)), rng.uniform(0.2, 0.8, (C, 1, 1))]),
+        ("kernel_estimate", lambda z, y: unroll.kernel_estimate(z, y, 0.7, None, shape),
+         stack),
+        ("kernel_estimate restricted",
+         lambda z, y: unroll.kernel_estimate(z, y, 0.7, 5, shape), stack),
+        ("reconstruct", lambda *a: unroll.reconstruct(y_spec, *a),
+         [k_plane / k_plane.sum(), rng.standard_normal((C, H, w)),
+          f_spec, rng.uniform(0.5, 20.0, C)]),
+        ("rfft2", ad.rfft2, [rng.standard_normal((C, H, w))]),
+    ]
+
+
+@widths
+def test_pulls_never_write_into_what_they_were_given(rng, w):
+    # a node's adjoint may be another node's input or a sum that backward
+    # still holds, and forward shares its spectra read-only: so each pull
+    # runs on read-only adjoints over read-only inputs, and changes neither
+    for name, build, inputs in _pull_cases(rng, w):
+        inputs = [_read_only(x) for x in inputs]
+        kept = [x.copy() for x in inputs]
+        tape = ad.Tape()
+        node = build(*[ad.Var(x, tape) for x in inputs])
+        out = node.value
+        seed = rng.standard_normal(out.shape)
+        if np.iscomplexobj(out):
+            seed = seed + 1j * rng.standard_normal(out.shape)
+        seed = _read_only(seed)
+        before = seed.copy()
+        adjoints = node.pull(seed)
+        assert np.array_equal(seed, before), name
+        for x, k in zip(inputs, kept):
+            assert np.array_equal(x, k), name
+        for x, pos in zip(inputs, node.routes):
+            assert np.shape(adjoints[pos]) == x.shape, name
+            assert np.all(np.isfinite(adjoints[pos])), name
+
+
 def _model(layers, channels, support=5, seed=0):
     params = init_params(TrainConfig(layers=layers, channels=channels,
                                      kernel_support=support, seed=seed))

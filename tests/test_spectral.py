@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from unrolled_deblur import autodiff as ad
 from unrolled_deblur import spectral
 from unrolled_deblur.errors import (DimensionMismatch, ImaginaryResidue,
                                     KernelTooLarge)
@@ -296,6 +297,42 @@ def test_embed_and_window_match_roll_references(rng):
                     got = spectral.wrap_window(spec, size)
                     assert got.dtype == spec.dtype
                     assert np.array_equal(got, roll_window(spec, size))
+
+
+def weighted_inverse(g, shape):
+    """The DFT adjoint as a copy of g weighted 1/2 on the doubled columns,
+    then scipy's two passes and the H*W scale."""
+    g = np.array(g, dtype=np.complex128)
+    g[..., spectral.doubled_columns(shape[1])] *= 0.5
+    planes = scipy.fft.irfft(scipy.fft.ifft(g, axis=-2), n=shape[1], axis=-1)
+    return planes * float(shape[0] * shape[1])
+
+
+def test_dft_adjoint_weights_after_the_column_pass_bitwise(rng):
+    # the weight 1/2 is a power of two and the column pass acts on each
+    # column alone, so weighting its output equals weighting a copy of g
+    for lead in ((), (3,), (2, 2), (16,)):
+        for h, w in ((1, 1), (2, 9), (9, 7), (15, 14), (12, 12), (128, 128)):
+            g = spectral.rfft2(rng.standard_normal(lead + (h, w)))
+            kept = g.copy()
+            got = ad.dft_adjoint(g, (h, w))
+            assert np.array_equal(got, weighted_inverse(g, (h, w)))
+            assert np.array_equal(g, kept)
+            assert got.shape == lead + (h, w) and got.flags.c_contiguous
+
+
+def test_windowed_dft_adjoint_is_the_window_of_the_planes_bitwise(rng):
+    for h in range(1, 13):
+        for w in range(1, 13):
+            for lead in ((), (3,)):
+                g = spectral.rfft2(rng.standard_normal(lead + (h, w)))
+                kept = g.copy()
+                planes = ad.dft_adjoint(g, (h, w))
+                for size in range(1, min(h, w) + 1, 2):
+                    got = ad.dft_adjoint(g, (h, w), size)
+                    assert np.array_equal(got, spectral.wrap_window(planes, size))
+                    assert got.flags.c_contiguous
+                assert np.array_equal(g, kept)
 
 
 def test_embed_kernel_impulse():

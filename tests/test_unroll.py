@@ -176,6 +176,24 @@ def test_g_update_singular_denominator():
         unroll.g_update(y_spec, np.zeros((4, 3), complex), k_spec, 0.0, 0.0, (4, 4))
 
 
+def test_weights_must_be_one_per_plane(rng):
+    # the pulls sum b's and lam's adjoints over each plane, so a weight
+    # that varies within a plane is refused, typed, before any work
+    y_spec = spectral.rfft2(rng.standard_normal((2, 4, 4)))
+    k_spec = spectral.rfft2(spectral.embed_kernel(np.array([[1.0]]), 4, 4))
+    g = rng.standard_normal((2, 4, 4))
+    for bad in (np.ones((2, 4, 3)), np.ones(3), np.ones((2, 1, 3))):
+        with pytest.raises(DimensionMismatch, match="^feature update"):
+            unroll.g_update(y_spec, 0.0, k_spec, bad, 1.0, (4, 4))
+        with pytest.raises(DimensionMismatch, match="^feature update"):
+            unroll.g_update(y_spec, 0.0, k_spec, 1.0, bad, (4, 4))
+    with pytest.raises(DimensionMismatch, match="^shrinkage"):
+        unroll.z_spectrum(g, np.full((2, 4, 4), 0.5))
+    for fine in (0.5, np.full((2, 1, 1), 0.5), np.full((1, 1), 0.5)):
+        unroll.g_update(y_spec, 0.0, k_spec, fine, fine, (4, 4))
+        unroll.z_spectrum(g, fine)
+
+
 def test_g_update_accepts_precomputed_z_spectrum(rng):
     # the half-spectrum DFT forward uses and numpy's complex one agree
     y = rng.random((6, 6))
@@ -255,6 +273,28 @@ def test_quotient_equals_the_complex_by_real_division(rng):
         q, inv = unroll._quotient((), ((1, z, y),), 0.7)
         summed = np.sum((z * np.conj(z)).real, axis=0) + 0.7
         assert np.array_equal(q, np.sum(np.conj(z) * y, axis=0) / summed)
+
+
+def test_re_inner_is_re_sum_conj_a_b_per_plane(rng):
+    # one reduction over float views, for strided operands, widths down to
+    # 1, a plane broadcast against a stack and real pairs; it sums in
+    # another order than the textbook form, so they agree to rounding
+    def check(a, b):
+        got = unroll._re_inner(a, b)
+        want = np.sum((np.conj(a) * b).real, axis=(-2, -1))
+        scale = np.sum(np.abs(a) * np.abs(b), axis=(-2, -1))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    for h, w in ((5, 1), (4, 2), (6, 3), (9, 7)):
+        a, b = (rng.standard_normal((2, 3, h, 2 * w))
+                + 1j * rng.standard_normal((2, 3, h, 2 * w)) for _ in range(2))
+        strided = a[..., ::2]
+        assert not strided.flags.c_contiguous
+        check(strided, b[..., 1::2])
+        check(strided[0, 0], b[..., :w])  # a plane against (2, 3) planes
+        check(strided.real, b[..., :w].imag)
+        check(a[..., :w].real, b[..., :w].real)
 
 
 # ---------------------------------------------------------------------------
