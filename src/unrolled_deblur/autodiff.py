@@ -18,9 +18,9 @@ read-only. Within its own buffers a pull works in place, so that it makes
 few new stacks; a new stack costs page faults as well as a pass once glibc
 has handed the pages back. The generic primitives here
 are the few the program records besides: leaves, basic indexing, the half
-spectrum of the kernel plane, one filter-cascade generation, full
-convolution of small filters and the mean-squared loss; `take` scatters
-into zeros of x's shape.
+spectrum of the kernel plane or window, embedding a window, one
+filter-cascade generation, full convolution of small filters and the
+mean-squared loss; `take` scatters into zeros of x's shape.
 
 Creation order on the tape is topological, so backward() is one sweep over
 the nodes reachable from the loss in reverse creation order. Nodes point
@@ -136,34 +136,31 @@ def dft_adjoint(g, shape, size=None):
     """Adjoint of the unnormalized forward DFT of real planes to half spectra.
 
     H*W irfft2 of the half spectra g of (H, W) = shape planes, weighted 1/2
-    on the doubled columns. The weight is applied after the column pass, in
-    its new buffer: that pass acts on each column alone and 1/2 is a power
-    of two, so the planes are those of weighting a copy of g first, bit for
-    bit. With an odd size, only the size x size window of each plane
-    around the origin (spectral.wrap_window of the planes) is made, and the
-    real pass runs on the window's rows alone.
+    on the doubled columns, with no residue check: an adjoint's anti-Hermitian
+    part is what a real input drops. The weight is applied after the column
+    pass, in its new buffer: that pass acts on each column alone and 1/2 is
+    a power of two, so the planes are those of weighting a copy of g first,
+    bit for bit. With an odd size, only the size x size window of each plane
+    around the origin (spectral.wrap_window of the planes) is made, from the
+    window's rows alone (spectral.column_pass and real_pass).
     """
     h, w = shape
-    columns = spectral.column_pass(np.asarray(g, dtype=np.complex128))
-    if size is not None:
-        # rows 0..r and H-r..H-1, in that order, are a size-row plane with
-        # the same wrapped window
-        r = size // 2
-        columns = np.concatenate((columns[..., :r + 1, :], columns[..., h - r:, :]),
-                                 axis=-2)
+    columns = spectral.column_pass(np.asarray(g, dtype=np.complex128), size=size)
     columns[..., spectral.doubled_columns(w)] *= 0.5
-    out = spectral.real_pass(columns, w)
+    out = spectral.real_pass(columns, w, size)
     out *= float(h * w)
-    return out if size is None else spectral.wrap_window(out, size)
+    return out
 
 
-def idft_adjoint(g, shape):
+def idft_adjoint(g, shape, size=None):
     """Adjoint of the normalized inverse DFT of half spectra to real planes.
 
     rfft2(g) / (H*W) of the (H, W) = shape planes g, weighted 2 on the
-    doubled columns.
+    doubled columns. With a size, g holds the size x size windows of
+    planes that are zero elsewhere, as irfft2(..., size=size) returns them
+    (spectral.window_rfft2).
     """
-    out = spectral.rfft2(g)
+    out = spectral.rfft2(g) if size is None else spectral.window_rfft2(g, shape)
     out /= float(shape[0] * shape[1])
     out[..., spectral.doubled_columns(shape[1])] *= 2.0
     return out
@@ -173,11 +170,23 @@ def idft_adjoint(g, shape):
 # generic primitives
 
 
-def rfft2(a):
-    """Half spectra of real planes (spectral.rfft2)."""
-    shape = np.shape(value(a))[-2:]
-    return record(spectral.rfft2(value(a)), (a,),
-                  lambda g: (dft_adjoint(g, shape),))
+def rfft2(a, shape=None):
+    """Half spectra of real planes (spectral.rfft2), or with shape, of the
+    (H, W) = shape planes that windows a embed into (spectral.window_rfft2)."""
+    va = value(a)
+    if shape is None:
+        shape, size, out = np.shape(va)[-2:], None, spectral.rfft2(va)
+    else:
+        size, out = np.shape(va)[-1], spectral.window_rfft2(va, shape)
+    return record(out, (a,), lambda g: (dft_adjoint(g, shape, size),))
+
+
+def embed(a, shape):
+    """Windows a embedded on (H, W) = shape planes (spectral.embed_kernels);
+    the adjoint is the planes' window."""
+    size = np.shape(value(a))[-1]
+    return record(spectral.embed_kernels(value(a), *shape), (a,),
+                  lambda g: (spectral.wrap_window(g, size),))
 
 
 def take(x, idx):

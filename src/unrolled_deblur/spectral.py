@@ -25,6 +25,13 @@ them all. Two pairs:
   self-mirrored columns, and their anti-Hermitian part is exactly what a
   complex inverse would put into the imaginary part, so irfft2 checks that
   part against the same bound as ifft2.
+
+The plane of a kernel restricted to an odd size x size window around the
+origin is zero outside the window's rows, and only the window is wanted
+back from an inverse. window_rfft2 transforms windows and irfft2 with a
+size returns them; both skip the other rows, as a pruned FFT does (Markel
+1971; Sorensen & Burrus 1993), with the same bits: scipy transforms each
+row on its own, and a zero row to exact zeros.
 """
 
 import numpy as np
@@ -61,7 +68,8 @@ def ifft2(spectrum):
     sees the imaginary part it discards.
     """
     planes = scipy.fft.ifft2(np.asarray(spectrum, dtype=np.complex128))
-    _check_residue(planes.real, _energy(planes.imag))
+    imag = _energy(planes.imag)
+    _check_residue(_energy(planes.real) + imag, imag)
     return np.ascontiguousarray(planes.real)
 
 
@@ -70,7 +78,7 @@ def rfft2(plane):
     return scipy.fft.rfft2(np.asarray(plane, dtype=np.float64))
 
 
-def irfft2(spectrum, shape, overwrite=False):
+def irfft2(spectrum, shape, overwrite=False, size=None):
     """Real (H, W) = shape planes from half spectra, with the 1/(H*W) factor.
 
     The inverse of rfft2 over the last two axes. It drops the
@@ -78,6 +86,10 @@ def irfft2(spectrum, shape, overwrite=False):
     that part (by Parseval, what ifft2 of the full spectrum would find in
     its imaginary part) is held to IMAG_ENERGY_TOL of each plane's total,
     and ImaginaryResidue names the first plane above it, as in ifft2.
+    The total is read off the half spectrum by Parseval too, so no check
+    needs a whole plane. With an odd size only the size x size window of
+    each plane around the origin is made (wrap_window of the planes, bit
+    for bit): the real pass runs on the window's rows alone.
     With overwrite the transform may take a complex128 spectrum's buffer,
     which then holds no spectrum any more; the planes are the same.
     """
@@ -86,29 +98,61 @@ def irfft2(spectrum, shape, overwrite=False):
     if spectrum.shape[-2:] != (h, w // 2 + 1):
         raise DimensionMismatch("half spectrum %s does not match planes %dx%d"
                                 % (spectrum.shape, h, w))
-    # a copy, read before the passes may take spectrum's buffer
+    if size is not None:
+        _radius(size, h, w, "window")
+    # read before the passes may take spectrum's buffer: a self-mirrored
+    # column counts once and the doubled ones twice (doubled_columns)
     own = spectrum[..., [0, w // 2] if w % 2 == 0 else [0]]
     anti = own - np.conj(own[..., -np.arange(h), :])  # twice the part dropped
+    total = (2.0 * _energy(np.ascontiguousarray(spectrum).view(np.float64))
+             - _energy(own.real, own.imag))
     # scipy's two passes, the real one in the column pass's buffer:
     # scipy.fft.irfft2 would make one more stack-sized temporary
-    planes = real_pass(column_pass(spectrum, overwrite), w)
-    _check_residue(planes, _energy(anti.real, anti.imag) / (4.0 * h * w))
+    planes = real_pass(column_pass(spectrum, overwrite, size), w, size)
+    _check_residue(total / (h * w), _energy(anti.real, anti.imag) / (4.0 * h * w))
     return planes
 
 
-def column_pass(spectrum, overwrite=False):
+def window_rfft2(windows, shape):
+    """rfft2(embed_kernels(windows, *shape)), bit for bit, skipping zero rows.
+
+    The embedded planes are zero outside the window's rows, and each row is
+    transformed on its own, to exact zeros if it is zero: so the row pass
+    runs on the window's rows alone (a size-row plane with the same wrapped
+    window), and the column pass on the whole (..., H, W//2+1) half spectra.
+    Raises what embed_kernels raises.
+    """
+    h, w = shape
+    windows = _check_square(windows)
+    r = _radius(windows.shape[-1], h, w, "kernel")
+    rows = scipy.fft.rfft(embed_kernels(windows, 2 * r + 1, w), axis=-1)
+    spectrum = np.zeros(rows.shape[:-2] + (h, w // 2 + 1), dtype=np.complex128)
+    spectrum[..., :r + 1, :] = rows[..., :r + 1, :]
+    spectrum[..., h - r:, :] = rows[..., r + 1:, :]
+    return scipy.fft.fft(spectrum, axis=-2, overwrite_x=True)
+
+
+def column_pass(spectrum, overwrite=False, size=None):
     """The first pass of irfft2: the inverse DFT of each column of half spectra.
 
     It acts on each column alone. The result is a new complex128 buffer,
-    unless overwrite lets it take spectrum's.
+    unless overwrite lets it take spectrum's. With an odd size it keeps
+    only rows 0..r and H-r..H-1 (r = size // 2), in that order: a size-row
+    plane with the same wrapped size x size window.
     """
-    return scipy.fft.ifft(spectrum, axis=-2, overwrite_x=overwrite)
+    columns = scipy.fft.ifft(spectrum, axis=-2, overwrite_x=overwrite)
+    if size is None:
+        return columns
+    r, h = size // 2, columns.shape[-2]
+    return np.concatenate((columns[..., :r + 1, :], columns[..., h - r:, :]), axis=-2)
 
 
-def real_pass(columns, width):
+def real_pass(columns, width, size=None):
     """The second pass of irfft2: width-point real rows from the column
-    pass's output, computed in its buffer, row by row."""
-    return scipy.fft.irfft(columns, n=width, axis=-1, overwrite_x=True)
+    pass's output, computed in its buffer, row by row. With the size given
+    to column_pass, it returns the size x size windows (wrap_window)."""
+    planes = scipy.fft.irfft(columns, n=width, axis=-1, overwrite_x=True)
+    return planes if size is None else wrap_window(planes, size)
 
 
 def doubled_columns(width):
@@ -121,10 +165,9 @@ def _energy(*parts):
     return sum(np.einsum("...ij,...ij->...", p, p) for p in parts)
 
 
-def _check_residue(planes, imag_energy):
+def _check_residue(total, imag_energy):
     """Raise ImaginaryResidue for the first plane whose imaginary energy
     exceeds IMAG_ENERGY_TOL of its total (real plus imaginary) energy."""
-    total = _energy(planes) + imag_energy
     bad = np.flatnonzero((total > 0.0) & (imag_energy > IMAG_ENERGY_TOL * total))
     if bad.size:
         raise ImaginaryResidue(
@@ -147,16 +190,10 @@ def embed_kernel(kernel, height, width):
 
 def embed_kernels(kernels, height, width):
     """embed_kernel applied to each kernel of a (..., k, k) stack."""
-    kernels = np.asarray(kernels, dtype=np.float64)
-    if kernels.ndim < 2 or kernels.shape[-2] != kernels.shape[-1]:
-        raise DimensionMismatch("kernel must be square, got %s" % (kernels.shape,))
-    k = kernels.shape[-1]
-    if k % 2 == 0:
-        raise EvenSize("kernel size %d is even" % k)
-    if k > min(height, width):
-        raise KernelTooLarge("kernel %d exceeds grid %dx%d" % (k, height, width))
+    kernels = _check_square(kernels)
+    _radius(kernels.shape[-1], height, width, "kernel")
     planes = np.zeros(kernels.shape[:-2] + (height, width))
-    for at, tap in _wrapped_corners(k, height, width):
+    for at, tap in _wrapped_corners(kernels.shape[-1], height, width):
         planes[at] = kernels[tap]
     return planes
 
@@ -169,14 +206,29 @@ def wrap_window(plane, size):
     """
     plane = np.asarray(plane)
     h, w = plane.shape[-2:]
-    if size % 2 == 0:
-        raise EvenSize("window size %d is even" % size)
-    if size > min(h, w):
-        raise KernelTooLarge("window %d exceeds grid %dx%d" % (size, h, w))
+    _radius(size, h, w, "window")
     window = np.empty(plane.shape[:-2] + (size, size), dtype=plane.dtype)
     for at, tap in _wrapped_corners(size, h, w):
         window[tap] = plane[at]
     return window
+
+
+def _check_square(kernels):
+    """kernels as float64, or DimensionMismatch unless a (..., k, k) stack."""
+    kernels = np.asarray(kernels, dtype=np.float64)
+    if kernels.ndim < 2 or kernels.shape[-2] != kernels.shape[-1]:
+        raise DimensionMismatch("kernel must be square, got %s" % (kernels.shape,))
+    return kernels
+
+
+def _radius(size, height, width, what):
+    """r = (size - 1) / 2 of an odd size x size window on a (height, width)
+    grid; EvenSize or KernelTooLarge otherwise."""
+    if size % 2 == 0:
+        raise EvenSize("%s size %d is even" % (what, size))
+    if size > min(height, width):
+        raise KernelTooLarge("%s %d exceeds grid %dx%d" % (what, size, height, width))
+    return size // 2
 
 
 def _wrapped_corners(size, height, width):

@@ -10,8 +10,9 @@ of terms (w, A, B) (_quotient), Q = sum w conj(A) B / (sum w |A|^2 + d):
   kernel    k   <- project(F^-1 Q of (1, Z_i, Y_i) summed over i, d = eps)
 
 where Y_i is the spectrum of f_i * y for a per-layer filter bank f, and
-project clamps to nonnegative, optionally windows the plane to the kernel
-support, and normalizes to unit mass (k_project). The weights b_i, lam_i
+project clamps to nonnegative and normalizes to unit mass (k_project).
+Restricted to a support s, the kernel is its s x s window around the
+origin throughout (see Windows below). The weights b_i, lam_i
 (the penalty reparametrized so lam_i = 0 is well defined), the cascade's
 mixing weights and the reconstruction weights eta_i are trainable; eps is fixed.
 
@@ -34,10 +35,21 @@ one (C, s, s) array, so each update is one call per layer whatever C is.
 Layer l reads the (C, 1, 1) slices b[l], lam[l] of the (L, C) arrays; when
 recorded, each of b, lam, eta, w_top and w_mix is one tape leaf.
 
-Filter spectra: forward alone transforms a bank, and only when it is not
-layer l-1's very bank object, so the preset's fixed_bank is transformed
-once. The updates take spectra, never planes; reconstruct reuses the last
-F_l. Shared stacks are kept read-only.
+Filter spectra: forward alone transforms a bank, with
+spectral.window_rfft2, and only when it is not layer l-1's very bank
+object, so the preset's fixed_bank is transformed once. The updates take
+spectra, never planes; reconstruct reuses the last F_l. Shared stacks are
+kept read-only.
+
+Windows: with restrict_support, each layer's kernel is its projected
+s x s window around the origin (spectral.wrap_window of a plane that is
+zero outside it). kernel_estimate inverts only the window's rows
+(spectral.irfft2 with a size) and projects the window; the next layer's
+kernel spectrum is spectral.window_rfft2 of it (ad.rfft2 with the image
+shape), which transforms only its rows. Only the last window is embedded
+into an (H, W) plane, once, for reconstruct and the loss (ad.embed).
+Each short form gives the plane form's bits. Without a support the
+kernel is the whole (H, W) plane.
 
 Half spectra: every plane the solver transforms is real, so each spectrum
 is its half (..., H, W//2+1) and every update takes the image shape
@@ -56,12 +68,12 @@ multiply by; the inverse transform of a quotient that nothing reads again
 (in g_update, k_update and reconstruct) runs in the quotient's buffer;
 z_update is one clip and one subtraction; spectral embeds and windows a
 kernel by copying its four wrapped corners; and forward keeps each layer's
-own kernel plane, read-only. The pulls write only into buffers they made
+own kernel plane or window, read-only. The pulls write only into buffers they made
 (see autodiff) and work in place there: g_update's takes both terms'
 adjoints in its quotient's, t's and one residual buffer; each weight's
-gradient is one reduction over float views (_re_inner); and
-filter_spectra's inverts only the rows of the filter window
-(autodiff.dft_adjoint).
+gradient is one reduction over float views (_re_inner); and the pulls
+of filter_spectra and of a window's spectrum invert only the window's
+rows (autodiff.dft_adjoint with a size).
 """
 
 from dataclasses import dataclass
@@ -165,9 +177,12 @@ class ForwardState:
     kernel_plane (H, W) and x_hat (H, W) hold tape Vars when the pass was
     recorded and plain arrays otherwise; param_vars maps each TRAINABLE
     field the pass used to its leaf (or to the plain array). kernel_planes
-    holds each layer's post-projection kernel plane for invariant checks:
-    the arrays the layers made (the last is kernel_plane's value), not
-    copies, so they are marked read-only.
+    holds each layer's post-projection kernel for invariant checks: the
+    (H, W) plane, or with restrict_support the (s, s) support window, so
+    that a restricted pass holds no plane per layer. They are the arrays
+    the layers made, not copies, so they are marked read-only. The last
+    is kernel_plane's value, or restricted, its window; kernel_plane is
+    the only embedded plane.
     """
 
     x_hat: object
@@ -405,75 +420,77 @@ def z_spectrum(g, b):
     return ad.record(out, (g, b), pull)
 
 
-def k_update(z_specs, y_specs, eps, shape):
+def k_update(z_specs, y_specs, eps, shape, size=None):
     """Least-squares kernel plane from all channels, ridge eps > 0.
 
     z_specs and y_specs are (C, H, W//2+1) stacks (or sequences of C) of
     half spectra of (H, W) = shape planes; the term (1, Z_i, Y_i) is summed
-    over the channels.
+    over the channels. With an odd size only the plane's size x size window
+    around the origin is made (spectral.irfft2).
     """
     z, y = np.asarray(z_specs), np.asarray(y_specs)
     _check_half(shape, "kernel update", z, y)
-    return spectral.irfft2(_quotient((), ((1, z, y),), eps)[0], shape, overwrite=True)
+    return spectral.irfft2(_quotient((), ((1, z, y),), eps)[0], shape, overwrite=True,
+                           size=size)
 
 
-def _kept(plane, support):
-    """The positive part of the plane, or of its support window if given."""
-    return np.maximum(plane if support is None
-                      else spectral.wrap_window(plane, support), 0.0)
+def k_project(kernel, support=None):
+    """Project a kernel onto the nonnegative unit-mass kernels.
 
-
-def k_project(plane, support=None):
-    """Project a plane onto the nonnegative unit-mass kernels.
-
-    Clamps negatives to zero and, when a support is given, keeps only the
-    odd support window around the origin, then normalizes once. A plane
-    with no positive mass left degrades to the impulse at the origin.
-    forward reads its s x s kernel estimate off this projection.
+    kernel is a plane, or with a support the odd support x support window
+    around its origin (spectral.wrap_window of a plane, as the restricted
+    solver carries it). Clamps negatives to zero and normalizes once. A
+    kernel with no positive mass left degrades to the impulse at its
+    origin: [0, 0] of a plane, the centre of a window
+    (imaging.impulse_kernel). forward reads its kernel estimate off this
+    projection of the last kernel's window.
     """
-    kept = _kept(plane, support)
+    if support is not None and np.shape(kernel) != (support, support):
+        raise DimensionMismatch("kernel %s is not a %dx%d window"
+                                % (np.shape(kernel), support, support))
+    kept = np.maximum(kernel, 0.0)
     mass = float(np.sum(kept))
     if mass == 0.0:
-        impulse = np.zeros(plane.shape)
-        impulse[0, 0] = 1.0
+        impulse = np.zeros(np.shape(kernel))
+        impulse[(0, 0) if support is None else (support // 2, support // 2)] = 1.0
         return impulse
     kept /= mass
-    return kept if support is None else spectral.embed_kernel(kept, *plane.shape)
+    return kept
 
 
-def _project_adjoint(raw, support, g):
+def _project_adjoint(raw, g):
     """Adjoint of k_project at raw, recomputed; None where it fell back to
     the impulse, a constant, whose adjoint is zero.
 
-    x / sum(x) pulls g back as g / s - sum(g x) sign(x) / s^2, the clamp
-    passes it where x > 0, and the window's adjoint embeds it again.
+    x / sum(x) pulls g back as g / s - sum(g x) sign(x) / s^2, and the
+    clamp passes it where x > 0.
     """
-    kept = _kept(raw, support)
+    kept = np.maximum(raw, 0.0)
     mass = float(np.sum(kept))
     if mass == 0.0:
         return None
-    if support is not None:
-        g = spectral.wrap_window(g, support)
     pulled = g / mass - (np.sum(g * kept) / (mass * mass)) * np.sign(kept)
     pulled *= kept > 0
-    return pulled if support is None else spectral.embed_kernel(pulled, *raw.shape)
+    return pulled
 
 
 def kernel_estimate(z_spec, y_specs, eps, support, shape):
-    """k_project(k_update(z_spec, y_specs, eps, shape), support) as one node.
+    """k_project(k_update(z_spec, y_specs, eps, shape, support), support) as
+    one node: the projected (H, W) = shape kernel plane, or with a support
+    its projected support x support window, never made whole.
 
     The adjoint passes through the projection first (zero where it fell
     back to the constant impulse), then through k_update's quotient.
     """
     z, y = ad.value(z_spec), ad.value(y_specs)
-    out = k_project(k_update(z, y, eps, shape), support)
+    out = k_project(k_update(z, y, eps, shape, support), support)
 
     def pull(gk):
         q, inv = _quotient((), ((1, z, y),), eps)  # q is read again below
-        gp = _project_adjoint(spectral.irfft2(q, shape), support, gk)
+        gp = _project_adjoint(spectral.irfft2(q, shape, size=support), gk)
         if gp is None:
             return np.zeros(np.shape(z), complex), np.zeros(np.shape(y), complex)
-        t = ad.idft_adjoint(gp, shape)
+        t = ad.idft_adjoint(gp, shape, support)
         t *= inv
         gy, gz, _ = _term_adjoint(t, q, 1, z, y)
         return gz, gy
@@ -521,8 +538,8 @@ def reconstruct(y_spec, k_plane, g, f_spec, eta):
 def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     """Run the unrolled solver on a blurred image.
 
-    Returns (kernel, g, x_hat, state): the kernel estimate (the support
-    window of the last kernel plane's k_project), the final (C, H, W)
+    Returns (kernel, g, x_hat, state): the kernel estimate (k_project of
+    the last kernel's support window), the final (C, H, W)
     feature planes and the full-precision reconstruction as plain arrays,
     plus a ForwardState carrying the tape ends when recorded. With a tape,
     each trainable array of params is one leaf.
@@ -554,9 +571,11 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     # transform per forward
     shape = (h, w)
     y_spec = np.ascontiguousarray(spectral.fft2(y)[:, :w // 2 + 1])
-    k_plane = spectral.embed_kernel(np.array([[1.0]]), h, w)  # identity init
-    z_spec = 0.0  # no shrinkage precedes the first layer
     support = params.kernel_support if restrict_support else None
+    k, grid = spectral.embed_kernel(np.array([[1.0]]), h, w), None  # identity init
+    if support is not None:  # the layers carry the support window of the plane
+        k, grid = spectral.wrap_window(k, support), shape
+    z_spec = 0.0  # no shrinkage precedes the first layer
     kernel_planes = []
     kinks = [] if track_kinks else None
 
@@ -564,27 +583,28 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
         per_channel = (l, slice(None), None, None)
         b_l = ad.take(pv["b"], per_channel)
         if l == 0 or banks[l] is not banks[l - 1]:
-            f_spec = spectral.rfft2(spectral.embed_kernels(ad.value(banks[l]), h, w))
+            f_spec = spectral.window_rfft2(ad.value(banks[l]), shape)
             y_specs = filter_spectra(banks[l], f_spec, shape, y_spec)
             for shared in (f_spec, y_specs):  # reused by later layers
                 ad.value(shared).flags.writeable = False
-        g = g_update(y_specs, z_spec, ad.rfft2(k_plane), b_l,
+        g = g_update(y_specs, z_spec, ad.rfft2(k, grid), b_l,
                      ad.take(pv["lam"], per_channel), shape)
         z_spec = z_spectrum(g, b_l)
         if kinks is not None:
             kinks.append(np.packbits(np.abs(ad.value(g)) > ad.value(b_l)).tobytes())
             kinks.append(np.packbits(k_update(ad.value(z_spec), ad.value(y_specs),
                                               params.eps, shape) > 0).tobytes())
-        k_plane = kernel_estimate(z_spec, y_specs, params.eps, support, shape)
-        kernel_planes.append(ad.value(k_plane))  # a new array every layer
+        k = kernel_estimate(z_spec, y_specs, params.eps, support, shape)
+        kernel_planes.append(ad.value(k))  # a new array every layer
         kernel_planes[-1].flags.writeable = False
 
     del y_specs, z_spec  # the reconstruction allocates stacks of its own
+    k_plane = k if support is None else ad.embed(k, shape)  # the one embedding
     x_hat = reconstruct(y_spec, k_plane, g, filter_spectra(banks[-1], f_spec, shape),
                         pv["eta"])
 
-    kernel = spectral.wrap_window(k_project(ad.value(k_plane), params.kernel_support),
-                                  params.kernel_support)
+    kernel = k_project(spectral.wrap_window(ad.value(k_plane), params.kernel_support),
+                       params.kernel_support)
     state = ForwardState(
         x_hat=x_hat, kernel_plane=k_plane, kernel_planes=kernel_planes, tape=tape,
         param_vars=pv, kink_signature=None if kinks is None else b"".join(kinks))

@@ -142,14 +142,22 @@ def test_half_spectrum_g_update_adjoint(rng, w):
         rng.standard_normal((C, H, w)), (0, 1, 2))
 
 
+def embedded(kernel, support, shape):
+    """A kernel_estimate node's plane: its window embedded if restricted."""
+    return kernel if support is None else ad.embed(kernel, shape)
+
+
 @widths
 @pytest.mark.parametrize("support", [None, 5])
 def test_half_spectrum_kernel_estimate_adjoint(rng, w, support):
     inputs = [spectra(rng, C, H, w), spectra(rng, C, H, w)]
     raw = unroll.k_update(*map(halve, inputs), 0.7, (H, w))
     assert np.any(raw > 0) and np.any(raw < 0)  # both sides of the clamp
+    # the restricted node returns the support window, which the chain's
+    # plane holds embedded
     assert_half_matches_chain(
-        lambda z, y: unroll.kernel_estimate(z, y, 0.7, support, (H, w)),
+        lambda z, y: embedded(unroll.kernel_estimate(z, y, 0.7, support, (H, w)),
+                              support, (H, w)),
         lambda z, y: composed.kernel_estimate(z, y, 0.7, support),
         inputs, rng.standard_normal((H, w)), (0, 1))
 
@@ -185,7 +193,8 @@ def test_kernel_estimate_fallback_has_zero_adjoint(rng):
               (1 + eps) * spectral.rfft2(r)[None], 5)]
     for z, y, support in cases:
         plane, adjoints = vjp(
-            lambda zz, yy: unroll.kernel_estimate(zz, yy, eps, support, (H, W)),
+            lambda zz, yy: embedded(
+                unroll.kernel_estimate(zz, yy, eps, support, (H, W)), support, (H, W)),
             [z, y], rng.standard_normal((H, W)))
         assert np.array_equal(plane, _impulse(H, W))
         for adj in adjoints:
@@ -239,6 +248,8 @@ def _pull_cases(rng, w):
          stack),
         ("kernel_estimate restricted",
          lambda z, y: unroll.kernel_estimate(z, y, 0.7, 5, shape), stack),
+        ("rfft2 of windows", lambda k: ad.rfft2(k, shape), [rng.random((5, 5))]),
+        ("embed", lambda k: ad.embed(k, shape), [rng.random((5, 5))]),
         ("reconstruct", lambda *a: unroll.reconstruct(y_spec, *a),
          [k_plane / k_plane.sum(), rng.standard_normal((C, H, w)),
           f_spec, rng.uniform(0.5, 20.0, C)]),

@@ -17,6 +17,7 @@ import scipy.fft
 
 import composed
 from unrolled_deblur import autodiff as ad
+from unrolled_deblur import spectral
 from unrolled_deblur.errors import DimensionMismatch, UnrecordedNode
 
 
@@ -110,6 +111,14 @@ def test_half_transform_adjoints_satisfy_the_inner_product_identity(rng, h, w):
               np.sum(x * ad.dft_adjoint(g, (h, w)))),
              (np.sum(scipy.fft.irfft2(y, s=(h, w)) * x),
               np.sum(np.conj(y) * ad.idft_adjoint(x, (h, w))).real)]
+    # and on size x size windows of planes that are zero elsewhere
+    for size in range(1, min(h, w) + 1, 2):
+        xw = spectral.wrap_window(x, size)
+        yw = spectral.wrap_window(scipy.fft.irfft2(y, s=(h, w)), size)
+        pairs += [(np.sum(np.conj(g) * spectral.window_rfft2(xw, (h, w))).real,
+                   np.sum(xw * ad.dft_adjoint(g, (h, w), size))),
+                  (np.sum(yw * xw),
+                   np.sum(np.conj(y) * ad.idft_adjoint(xw, (h, w), size)).real)]
     for lhs, rhs in pairs:
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 

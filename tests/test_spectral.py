@@ -8,8 +8,8 @@ import scipy.fft
 
 from unrolled_deblur import autodiff as ad
 from unrolled_deblur import spectral
-from unrolled_deblur.errors import (DimensionMismatch, ImaginaryResidue,
-                                    KernelTooLarge)
+from unrolled_deblur.errors import (DeblurError, DimensionMismatch, EvenSize,
+                                    ImaginaryResidue, KernelTooLarge)
 
 
 def direct_circ_conv(a, b):
@@ -333,6 +333,86 @@ def test_windowed_dft_adjoint_is_the_window_of_the_planes_bitwise(rng):
                     assert np.array_equal(got, spectral.wrap_window(planes, size))
                     assert got.flags.c_contiguous
                 assert np.array_equal(g, kept)
+
+
+def _odd_sizes(h, w):
+    return range(1, min(h, w) + 1, 2)
+
+
+def _raised(fn, *args):
+    """The type of the DeblurError fn raises, or None."""
+    try:
+        fn(*args)
+    except DeblurError as err:
+        return type(err)
+    return None
+
+
+def test_window_rfft2_is_rfft2_of_the_embedded_planes_bitwise(rng):
+    # each row is transformed on its own, and a zero row to exact zeros, so
+    # transforming only the window's rows changes no bit; a bad window
+    # raises what embedding it raises
+    for h in range(1, 13):
+        for w in range(1, 13):
+            for size in _odd_sizes(h, w):
+                for lead in ((), (3,)):
+                    windows = rng.standard_normal(lead + (size, size))
+                    kept = windows.copy()
+                    want = spectral.rfft2(spectral.embed_kernels(windows, h, w))
+                    got = spectral.window_rfft2(windows, (h, w))
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(windows, kept)
+            big = min(h, w) + 1 + min(h, w) % 2  # the smallest odd size too large
+            for bad in ((2, 2), (4, 4), (big, big), (big + 1, big + 1), (1, 3),
+                        (3,), ()):
+                windows = np.ones(bad)
+                want = _raised(lambda: spectral.rfft2(spectral.embed_kernels(
+                    windows, h, w)))
+                assert want is not None
+                assert _raised(spectral.window_rfft2, windows, (h, w)) is want
+
+
+def test_windowed_irfft2_is_the_window_of_the_planes_bitwise(rng):
+    # the real pass runs row by row, so the window's rows alone give the
+    # window's bits; the residue check reads the whole half spectrum either
+    # way, so it names the same plane with the same energies
+    for h in range(1, 13):
+        for w in range(1, 13):
+            for lead in ((), (3,)):
+                spec = spectral.rfft2(rng.standard_normal(lead + (h, w)))
+                kept = spec.copy()
+                planes = spectral.irfft2(spec, (h, w))
+                bad = spec.copy()
+                bad.reshape(-1, h, w // 2 + 1)[-1, :, 0] += 1j  # the last plane's
+                with pytest.raises(ImaginaryResidue) as whole:
+                    spectral.irfft2(bad, (h, w))
+                for size in _odd_sizes(h, w):
+                    got = spectral.irfft2(spec, (h, w), size=size)
+                    assert np.array_equal(got, spectral.wrap_window(planes, size))
+                    assert got.flags.c_contiguous
+                    with pytest.raises(ImaginaryResidue) as window:
+                        spectral.irfft2(bad, (h, w), size=size)
+                    assert str(window.value) == str(whole.value)
+                assert np.array_equal(spec, kept)
+
+
+def test_windowed_irfft2_names_a_bad_middle_plane(rng):
+    spec = spectral.rfft2(rng.standard_normal((3, 4, 8, 6)))
+    spec[1, 2, :, 3] += 3e-2j * spec[1, 2, :, 3]
+    with pytest.raises(ImaginaryResidue) as whole:
+        spectral.irfft2(spec, (8, 6))
+    for size in (1, 3, 5):
+        with pytest.raises(ImaginaryResidue) as window:
+            spectral.irfft2(spec.copy(), (8, 6), overwrite=True, size=size)
+        assert str(window.value) == str(whole.value)
+
+
+def test_windowed_irfft2_rejects_bad_sizes(rng):
+    spec = spectral.rfft2(rng.standard_normal((6, 8)))
+    for size, error in ((2, EvenSize), (7, KernelTooLarge), (9, KernelTooLarge)):
+        with pytest.raises(error):
+            spectral.irfft2(spec, (6, 8), size=size)
 
 
 def test_embed_kernel_impulse():

@@ -6,6 +6,7 @@ minimizer cannot be improved by small perturbations.
 """
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,27 +402,47 @@ def test_k_project_simplex_property(rng):
         assert abs(got.sum() - 1.0) < 1e-12
 
 
+def _support_window(plane, support):
+    """What k_project takes: the plane, or with a support its window."""
+    return plane if support is None else spectral.wrap_window(plane, support)
+
+
+def _as_plane(kernel, support, shape):
+    """k_project's result as a plane: a window is embedded."""
+    return kernel if support is None else spectral.embed_kernel(kernel, *shape)
+
+
 @pytest.mark.parametrize("support", [None, 5, 7])
 def test_k_project_inverts_embedding(make_kernel, support):
-    # a kernel embedded at the origin is its own projection, and the
-    # support window reads it back
+    # a kernel embedded at the origin is its own projection, as a plane and
+    # as a support window, and the window reads it back
     k = make_kernel(5)
     plane = spectral.embed_kernel(k, 16, 16)
-    got = unroll.k_project(plane, support)
+    got = _as_plane(unroll.k_project(_support_window(plane, support), support),
+                    support, (16, 16))
     assert np.max(np.abs(got - plane)) < 1e-15
     assert np.max(np.abs(spectral.wrap_window(got, 5) - k)) < 1e-15
 
 
 @pytest.mark.parametrize("support", [None, 3])
 def test_k_project_zero_plane_degrades_to_impulse(support):
+    # the impulse at the origin: [0, 0] of a plane, the centre of a window
     impulse = spectral.embed_kernel(np.array([[1.0]]), 8, 8)
-    got = unroll.k_project(np.zeros((8, 8)), support)
+    got = _as_plane(unroll.k_project(_support_window(np.zeros((8, 8)), support),
+                                     support), support, (8, 8))
     assert np.array_equal(got, impulse)
     assert np.array_equal(spectral.wrap_window(got, 3), imaging.impulse_kernel(3))
     outside = np.zeros((8, 8))
     outside[4, 4] = 2.0  # all the positive mass lies outside the window
-    want = impulse if support is not None else outside / 2.0
-    assert np.array_equal(unroll.k_project(outside, support), want)
+    want = imaging.impulse_kernel(3) if support is not None else outside / 2.0
+    assert np.array_equal(
+        unroll.k_project(_support_window(outside, support), support), want)
+
+
+def test_k_project_takes_a_window_of_the_support_only():
+    for kernel in (np.zeros((8, 8)), np.zeros((5, 5)), np.zeros((3, 5))):
+        with pytest.raises(DimensionMismatch):
+            unroll.k_project(kernel, 3)
 
 
 def test_k_project_clamps_and_renormalizes():
@@ -429,7 +450,7 @@ def test_k_project_clamps_and_renormalizes():
     plane[0, 0], plane[0, 1] = 3.0, 1.0
     plane[1, 0] = -2.0  # inside the window, must clamp to zero
     plane[4, 4] = 4.0  # outside the 3x3 window around the origin
-    got = unroll.k_project(plane, 3)
+    got = _as_plane(unroll.k_project(_support_window(plane, 3), 3), 3, (8, 8))
     assert got.min() >= 0.0 and got[1, 0] == 0.0 and got[4, 4] == 0.0
     assert got[0, 0] == 0.75 and got[0, 1] == 0.25
     assert np.array_equal(spectral.wrap_window(got, 3)[1, 1:], [0.75, 0.25])
@@ -568,12 +589,103 @@ def test_forward_is_deterministic(rng):
 
 
 def test_forward_restrict_support_zeroes_far_coefficients(rng):
+    # the layers carry support windows; the one plane, kernel_plane, is the
+    # last window embedded
     params = small_params(support=5)
     y = rng.random((16, 16))
-    _, _, _, state = unroll.forward(y, params, restrict_support=True)
-    for plane in state.kernel_planes:
-        inside = spectral.embed_kernel(spectral.wrap_window(plane, 5), 16, 16)
-        assert np.max(np.abs(plane - inside)) == 0.0
+    kernel, _, _, state = unroll.forward(y, params, restrict_support=True)
+    assert all(np.shape(window) == (5, 5) for window in state.kernel_planes)
+    plane = state.kernel_plane
+    inside = spectral.embed_kernel(spectral.wrap_window(plane, 5), 16, 16)
+    assert np.max(np.abs(plane - inside)) == 0.0
+    assert np.array_equal(spectral.wrap_window(plane, 5), state.kernel_planes[-1])
+    assert np.array_equal(kernel, unroll.k_project(state.kernel_planes[-1], 5))
+
+
+@pytest.mark.parametrize("w", [17, 18])
+@pytest.mark.parametrize("model", ["trained", "preset"])
+def test_restricted_forward_gives_the_plane_path_bitwise(rng, model, w):
+    # the layers carry projected support windows and transform them with
+    # spectral.window_rfft2; a loop over the public updates on full planes
+    # gives the same windows, kernel, features and image, bit for bit
+    h, support = 16, 5
+    if model == "preset":
+        params = unroll.tv_prewitt_params(layers=4, kernel_support=support)
+        banks = [params.fixed_bank] * 4
+    else:
+        params = small_params(layers=3, channels=3, support=support)
+        params.b = np.full((3, 3), 0.02)
+        params.lam = np.full((3, 3), 1e-3)
+        banks = unroll.build_filters(params.w_top, params.w_mix)
+    y = rng.random((h, w))
+    kernel, g, x_hat, state = unroll.forward(y, params, restrict_support=True)
+
+    shape = (h, w)
+    y_spec = spectral.fft2(y)[:, :w // 2 + 1]
+    k_plane = spectral.embed_kernel(np.array([[1.0]]), h, w)
+    z_spec = 0.0
+    for l, bank in enumerate(banks):
+        f_spec = spectral.rfft2(spectral.embed_kernels(bank, h, w))
+        y_specs = f_spec * y_spec
+        b, lam = params.b[l, :, None, None], params.lam[l, :, None, None]
+        ref_g = unroll.g_update(y_specs, z_spec, spectral.rfft2(k_plane), b, lam,
+                                shape)
+        z_spec = spectral.rfft2(unroll.z_update(ref_g, b))
+        plane = unroll.k_update(z_spec, y_specs, params.eps, shape)
+        window = unroll.k_project(spectral.wrap_window(plane, support), support)
+        assert np.array_equal(state.kernel_planes[l], window), l
+        k_plane = spectral.embed_kernel(window, h, w)
+    ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta)
+    assert np.array_equal(kernel, unroll.k_project(window, support))
+    assert np.array_equal(g, ref_g)
+    assert np.array_equal(x_hat, ref_x)
+    assert np.array_equal(state.kernel_plane, k_plane)
+
+
+def test_restricted_forward_falls_back_to_the_centred_impulse(rng):
+    # thresholds above every feature leave Z = 0 and so a zero raw kernel
+    # window in every layer: the projection falls back to the impulse at
+    # the window's centre, whose plane is the identity, and each
+    # kernel_estimate's pull returns zero adjoints
+    support, L, C = 5, 3, 2
+    params = small_params(layers=L, channels=C, support=support)
+    params.b = np.full((L, C), 1e6)
+    y = rng.random((16, 17))
+    for tape in (None, ad.Tape()):
+        kernel, _, _, state = unroll.forward(y, params, tape=tape,
+                                             restrict_support=True)
+        assert np.array_equal(kernel, imaging.impulse_kernel(support))
+        assert len(state.kernel_planes) == L
+        for window in state.kernel_planes:
+            assert np.array_equal(window, imaging.impulse_kernel(support))
+        assert np.array_equal(ad.value(state.kernel_plane),
+                              spectral.embed_kernel(np.array([[1.0]]), 16, 17))
+    nodes = [node for node in _graph(state.x_hat, state.kernel_plane)
+             if node.parents and node.pull.__qualname__.startswith("kernel_estimate.")]
+    assert len(nodes) == L
+    for node in nodes:
+        adjoints = node.pull(rng.standard_normal((support, support)))
+        for parent, pos in zip(node.parents, node.routes):
+            assert adjoints[pos].shape == parent.shape
+            assert not np.any(adjoints[pos])
+
+
+def test_restricted_preset_forward_holds_no_plane_per_layer(rng):
+    # restricted layers carry (s, s) windows, so nothing plane-sized piles
+    # up with L: the traced peak stays below the L planes that keeping each
+    # layer's (H, W) kernel plane would hold by themselves
+    n, L, support = 128, 30, 15
+    params = unroll.tv_prewitt_params(layers=L, kernel_support=support)
+    y = rng.random((n, n))
+    tracemalloc.start()
+    try:
+        state = unroll.forward(y, params, restrict_support=True)[3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(state.kernel_planes) == L
+    assert all(np.shape(k) == (support, support) for k in state.kernel_planes)
+    assert peak < L * n * n * np.dtype(np.float64).itemsize
 
 
 def test_forward_rejects_non_2d():
@@ -674,7 +786,7 @@ def test_forward_validates_fixed_banks(rng, bank, error):
 
 def _counting_transforms(monkeypatch):
     """Record every input of spectral.fft2 and spectral.rfft2 (and so of
-    ad.rfft2)."""
+    ad.rfft2), and the planes spectral.window_rfft2 transforms."""
     seen = []
     for name in ("fft2", "rfft2"):
         def counting(plane, transform=getattr(spectral, name)):
@@ -682,6 +794,10 @@ def _counting_transforms(monkeypatch):
             return transform(plane)
 
         monkeypatch.setattr(spectral, name, counting)
+    window_rfft2 = spectral.window_rfft2
+    monkeypatch.setattr(spectral, "window_rfft2", lambda windows, shape: (
+        seen.append(spectral.embed_kernels(windows, *shape))
+        or window_rfft2(windows, shape)))
     return seen
 
 
@@ -756,7 +872,7 @@ def test_shared_bank_spectra_match_recomputed_ones(rng):
     ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta)
     assert np.array_equal(g, ref_g)
     assert np.array_equal(x_hat, ref_x)
-    assert np.array_equal(kernel, spectral.wrap_window(unroll.k_project(k_plane, 7), 7))
+    assert np.array_equal(kernel, unroll.k_project(spectral.wrap_window(k_plane, 7), 7))
 
 
 @pytest.mark.parametrize("restrict", [False, True])
