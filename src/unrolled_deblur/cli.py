@@ -77,8 +77,8 @@ def _build_parser():
                    help="odd kernel support for the preset (default 31); "
                         "a checkpoint keeps its own")
     p.add_argument("--restrict-support", action="store_true",
-                   help="re-project the kernel plane onto its support "
-                        "after every layer")
+                   help="carry every layer's kernel as its projected "
+                        "support window around the origin")
 
     p = sub.add_parser("eval", help="score a model over a manifest")
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")

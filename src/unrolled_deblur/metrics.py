@@ -99,9 +99,8 @@ def _mse_exact(a, b):
 
 
 # Rounding slack of the FFT-ranked MSE, in units of eps * energy / n (see
-# align_shift): a generous constant on the normwise FFT bound, plus the
+# align_shift): spectral.FFT_SLACK on the normwise FFT bound, plus the
 # rounding of the exact re-score itself.
-_FFT_SLACK = 64.0
 _EXACT_SLACK = 16.0
 
 
@@ -139,7 +138,7 @@ def align_shift(estimate, reference, max_shift):
     # exact minimum: it can neither win nor tie, and dropping it cannot
     # change what the ordered strict-< scan below returns.
     eps = np.finfo(np.float64).eps
-    slack = (_FFT_SLACK * max(math.log2(n), 1.0) * math.sqrt(n)
+    slack = (spectral.FFT_SLACK * max(math.log2(n), 1.0) * math.sqrt(n)
              + _EXACT_SLACK) * eps * energy / n
     keep = np.flatnonzero(approx <= approx.min() + 2.0 * slack)
 

@@ -44,6 +44,14 @@ from .errors import DimensionMismatch, EvenSize, ImaginaryResidue, KernelTooLarg
 # never legitimate data
 IMAG_ENERGY_TOL = 1e-6
 
+# normwise rounding bound of a computed transform: a DFT of n points, or
+# its inverse, has 2-norm error at most FFT_SLACK u log2(n) times the 2-norm
+# of the exact result (u the unit roundoff, eps / 2). A generous constant on
+# the bound for radix algorithms (Higham, Accuracy and Stability of Numerical
+# Algorithms, Thm. 24.2); metrics.align_shift and unroll.forward take their
+# rounding slack from it.
+FFT_SLACK = 64.0
+
 
 def fft2(plane):
     """Unnormalized forward 2-D DFT over the last two axes, as complex128.

@@ -74,8 +74,28 @@ adjoints in its quotient's, t's and one residual buffer; each weight's
 gradient is one reduction over float views (_re_inner); and the pulls
 of filter_spectra and of a window's spectrum invert only the window's
 rows (autodiff.dft_adjoint with a size).
+
+Dead layers: untaped, forward tracks the solver's initial state, Z = 0 and
+the impulse kernel, which lasts until a layer keeps a feature. A layer in
+that state whose shrinkage keeps nothing (max|g| <= b in every channel)
+skips its Z transform and kernel update, which could only give Z = 0 and
+the fallback impulse again. With one shared bank (fixed_bank), K = 1 makes
+each such layer's features c_l = b_l / (b_l + lam_l) times one filtered
+image, so the first layer's features bound every later layer's: a layer
+l < L-1 with c_l max|g_0| / c_0 (1 + slack) <= b_l in every channel is
+certified dead and skipped whole (_dead_slack derives the slack from the
+normwise FFT bound). The first layer not certified and every later one run; the last
+always runs. A skipped layer still raises SingularDenominator when
+b_l + lam_l, its denominator, is below DENOM_FLOOR, appends a fresh
+read-only impulse to kernel_planes and adds all-zero kink bits, so every
+output keeps its bits. The preset's continuation starts far above the
+data: on the benchmark's 512 px deblur records (seeds 0-3, 31, 77, 360)
+its first 9-11 of 30 layers are dead, while the generated train/eval
+model keeps 75-99% of its features in layer 1 and skips nothing. A
+recorded forward never skips, so its tape is unchanged.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,7 +200,8 @@ class ForwardState:
     holds each layer's post-projection kernel for invariant checks: the
     (H, W) plane, or with restrict_support the (s, s) support window, so
     that a restricted pass holds no plane per layer. They are the arrays
-    the layers made, not copies, so they are marked read-only. The last
+    the layers made, not copies, so they are marked read-only (a dead
+    layer's is a fresh impulse, see the module docstring). The last
     is kernel_plane's value, or restricted, its window; kernel_plane is
     the only embedded plane.
     """
@@ -252,11 +273,17 @@ def _quotient(terms, summed=(), ridge=0.0, update=None):
         num = _add(num, b if _unit(a) else np.conj(a) * b, summing, w, not _unit(a))
     if ridge:
         den += ridge
-    if update is not None and np.min(den) < DENOM_FLOOR:
-        raise SingularDenominator("%s denominator floor %.3e" % (update, np.min(den)))
+    if update is not None:
+        _check_floor(den, update)
     inv = np.reciprocal(den, out=den)
     num *= inv
     return num, inv
+
+
+def _check_floor(den, update):
+    """Raise SingularDenominator if any denominator is below DENOM_FLOOR."""
+    if np.min(den) < DENOM_FLOOR:
+        raise SingularDenominator("%s denominator floor %.3e" % (update, np.min(den)))
 
 
 def _add(acc, part, summing, w=1, own=False):
@@ -451,11 +478,17 @@ def k_project(kernel, support=None):
     kept = np.maximum(kernel, 0.0)
     mass = float(np.sum(kept))
     if mass == 0.0:
-        impulse = np.zeros(np.shape(kernel))
-        impulse[(0, 0) if support is None else (support // 2, support // 2)] = 1.0
-        return impulse
+        return _impulse(np.shape(kernel), support)
     kept /= mass
     return kept
+
+
+def _impulse(shape, support=None):
+    """The unit impulse at the origin: [0, 0] of a plane, or with a support
+    the centre of its support x support window."""
+    impulse = np.zeros(shape)
+    impulse[(0, 0) if support is None else (support // 2, support // 2)] = 1.0
+    return impulse
 
 
 def _project_adjoint(raw, g):
@@ -572,23 +605,55 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     shape = (h, w)
     y_spec = np.ascontiguousarray(spectral.fft2(y)[:, :w // 2 + 1])
     support = params.kernel_support if restrict_support else None
-    k, grid = spectral.embed_kernel(np.array([[1.0]]), h, w), None  # identity init
-    if support is not None:  # the layers carry the support window of the plane
-        k, grid = spectral.wrap_window(k, support), shape
+    # the layers carry the kernel plane, or its support window
+    kshape, grid = (shape, None) if support is None else ((support, support), shape)
+    k = _impulse(kshape, support)  # identity init
     z_spec = 0.0  # no shrinkage precedes the first layer
     kernel_planes = []
     kinks = [] if track_kinks else None
+    # untaped, the solver stays in its initial state (Z = 0, k the impulse)
+    # until a layer keeps a feature; with a shared bank and a dead first
+    # layer, reach bounds max|g_l| / c_l of every later layer in that state
+    initial, reach = tape is None, None
+
+    def dead():
+        """A layer in the initial state that keeps no feature: its Z is 0,
+        so k_update's plane is 0 and the kernel is the fallback impulse
+        (read-only, like every layer's kernel); no kink bit is set."""
+        impulse = _impulse(kshape, support)
+        impulse.flags.writeable = False
+        kernel_planes.append(impulse)
+        if kinks is not None:  # the bytes of |g| > b and of k_update's plane > 0
+            kinks.append(bytes(-(-C * h * w // 8)) + bytes(-(-h * w // 8)))
+        return impulse
 
     for l in range(L):
         per_channel = (l, slice(None), None, None)
         b_l = ad.take(pv["b"], per_channel)
+        if reach is not None:  # certify the layer dead before computing it
+            if l < L - 1 and np.all(_gain(b_l, pv["lam"][per_channel]) * reach <= b_l):
+                k = dead()
+                continue
+            reach = None  # this layer and every later one run
         if l == 0 or banks[l] is not banks[l - 1]:
             f_spec = spectral.window_rfft2(ad.value(banks[l]), shape)
             y_specs = filter_spectra(banks[l], f_spec, shape, y_spec)
             for shared in (f_spec, y_specs):  # reused by later layers
                 ad.value(shared).flags.writeable = False
+        if z_spec is None:  # what z_spectrum makes of a dead layer's g
+            z_spec = spectral.rfft2(np.zeros((C, h, w)))
         g = g_update(y_specs, z_spec, ad.rfft2(k, grid), b_l,
                      ad.take(pv["lam"], per_channel), shape)
+        if initial:
+            peak = np.maximum(np.max(g, axis=(-2, -1), keepdims=True),
+                              -np.min(g, axis=(-2, -1), keepdims=True))
+            if np.all(peak <= b_l):  # nothing passes the shrinkage
+                gain = _gain(b_l, pv["lam"][per_channel])
+                if l == 0 and params.fixed_bank is not None and np.all(gain > 0):
+                    reach = peak * (1.0 + _dead_slack(h * w)) / gain
+                k, z_spec = dead(), None
+                continue
+            initial = False
         z_spec = z_spectrum(g, b_l)
         if kinks is not None:
             kinks.append(np.packbits(np.abs(ad.value(g)) > ad.value(b_l)).tobytes())
@@ -609,6 +674,41 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
         x_hat=x_hat, kernel_plane=k_plane, kernel_planes=kernel_planes, tape=tape,
         param_vars=pv, kink_signature=None if kinks is None else b"".join(kinks))
     return kernel, np.array(ad.value(g)), np.array(ad.value(x_hat)), state
+
+
+def _gain(b, lam):
+    """b / (b + lam): with Z = 0 and K = 1, the factor g_update's quotient
+    b Y / (b + lam) applies to Y. Raises the SingularDenominator g_update
+    raises when b + lam, its denominator there, is below DENOM_FLOOR."""
+    den = b + lam
+    _check_floor(den, "feature update")
+    return b / den
+
+
+def _dead_slack(n):
+    """Relative rounding slack of forward's bound on the features of a layer
+    in the initial state, for n-pixel planes.
+
+    With K = 1 exactly (the impulse's spectrum), layer l's quotient is
+    Q_l = c_l Y (1 + theta) per real component, c_l = _gain(b_l, lam_l),
+    |theta| <= 4u (u = eps / 2): the product b Y, the sum b + lam, its
+    reciprocal and the product with it round once each. So Q_l = (c_l / c_0)
+    Q_0 (1 + phi), |phi| <= 9u. With P the exact inverse (irfft2), the
+    computed g_0 = P Q_0 + E_0 and g_l = P Q_l + E_l, so
+      g_l - (c_l / c_0) g_0 = (c_l / c_0) (P (Q_0 phi) - E_0) + E_l.
+    The normwise FFT bound gives |E|_2 <= FFT_SLACK u log2(n) |P Q|_2, and
+    |P v|_2 <= sqrt(2 / n) |v|_2 for a half spectrum v (a column stands for
+    two at most); irfft2's residue check leaves |Q_0|_2 within a factor
+    1 + 1e-5 of sqrt(n) |P Q_0|_2. Each of the three terms is then at most
+    (c_l / c_0) (FFT_SLACK log2(n) + 9) u sqrt(2) |g_0|_2 (1 + 1e-5), and
+    |g_0|_2 <= sqrt(n) max|g_0|:
+      max|g_l| <= (c_l / c_0) max|g_0| (1 + slack)
+    with twice the terms' sum, which also covers the few roundings of the
+    bound itself.
+    """
+    eps = np.finfo(np.float64).eps
+    terms = (spectral.FFT_SLACK * max(math.log2(n), 1.0) + 16.0) * math.sqrt(2.0 * n)
+    return 3.0 * terms * eps
 
 
 def collect_gradients(loss_var, state):

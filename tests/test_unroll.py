@@ -6,17 +6,20 @@ minimizer cannot be improved by small perturbations.
 """
 
 import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from unrolled_deblur import autodiff as ad
-from unrolled_deblur import imaging, spectral, unroll
+from unrolled_deblur import imaging, kernelgen, spectral, unroll
 from unrolled_deblur.errors import (DimensionMismatch, EvenSize,
                                     KernelTooLarge, NonFiniteInput,
                                     SingularDenominator)
 from unrolled_deblur.training import TrainConfig, init_params, loss_terms
+
+from test_edge_images import IMAGES
 
 
 def conv_full_oracle(a, b):
@@ -893,6 +896,168 @@ def test_trained_layout_gives_the_preset_bitwise(rng, make_kernel, restrict):
     got = unroll.forward(y, trained, restrict_support=restrict)[:3]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# dead layers of the initial state
+
+
+def block_image(seed, n):
+    """A blurred multi-scale block texture like the benchmark's records: its
+    Prewitt features stay below the preset's first thresholds."""
+    rng = np.random.default_rng(seed)
+    sharp = np.full((n, n), 0.5)
+    for cell in (32, 16, 8):
+        m = -(-n // cell)
+        blocks = np.kron(rng.random((m, m)) - 0.5, np.ones((cell, cell)))
+        sharp += 0.4 * np.sqrt(cell / 32) * blocks[:n, :n]
+    kernel = kernelgen.linear_motion_kernel(0.7, 9.0, 15)
+    return kernelgen.synthesize_blurred(np.clip(sharp, 0.0, 1.0), kernel, 0.005, seed)
+
+
+def reference_forward(y, params, restrict):
+    """The untaped shared-bank forward rebuilt from the public updates, every
+    layer computed; returns kernel, g, x_hat, the layers' kernels and the
+    kink signature."""
+    (h, w), s = y.shape, params.kernel_support
+    shape, support = (h, w), s if restrict else None
+    y_spec = spectral.fft2(y)[:, :w // 2 + 1]
+    f_spec = spectral.window_rfft2(params.fixed_bank, shape)
+    y_specs = f_spec * y_spec
+    k = spectral.embed_kernel(np.array([[1.0]]), h, w)
+    if restrict:
+        k = spectral.wrap_window(k, s)
+    z_spec, kernels, kinks = 0.0, [], []
+    for l in range(len(params.b)):
+        b, lam = params.b[l, :, None, None], params.lam[l, :, None, None]
+        k_spec = spectral.window_rfft2(k, shape) if restrict else spectral.rfft2(k)
+        g = unroll.g_update(y_specs, z_spec, k_spec, b, lam, shape)
+        z_spec = unroll.z_spectrum(g, b)
+        plane = unroll.k_update(z_spec, y_specs, params.eps, shape)
+        kinks += [np.packbits(np.abs(g) > b).tobytes(), np.packbits(plane > 0).tobytes()]
+        k = unroll.kernel_estimate(z_spec, y_specs, params.eps, support, shape)
+        kernels.append(k)
+    k_plane = spectral.embed_kernel(k, h, w) if restrict else k
+    x_hat = unroll.reconstruct(y_spec, k_plane, g, f_spec, params.eta)
+    kernel = unroll.k_project(spectral.wrap_window(k_plane, s), s)
+    return kernel, g, x_hat, kernels, b"".join(kinks)
+
+
+def counted_forward(monkeypatch, y, params, **kwargs):
+    """forward's result, and how often it called each layer update."""
+    calls = collections.Counter()
+    with monkeypatch.context() as m:
+        for name in ("g_update", "z_spectrum", "kernel_estimate"):
+            update = getattr(unroll, name)
+            m.setattr(unroll, name, lambda *args, update=update, name=name: (
+                calls.update([name]) or update(*args)))
+        return unroll.forward(y, params, **kwargs), calls
+
+
+def assert_reference_bits(monkeypatch, y, params, restrict):
+    """forward gives reference_forward's bytes: kernel, g, x_hat, every
+    kernel_planes entry and the kink signature. Returns forward's calls."""
+    (kernel, g, x_hat, state), calls = counted_forward(
+        monkeypatch, y, params, restrict_support=restrict, track_kinks=True)
+    *want, kernels, kinks = reference_forward(y, params, restrict)
+    for name, got, ref in zip(("kernel", "g", "x_hat"), (kernel, g, x_hat), want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+    assert len(state.kernel_planes) == len(kernels)
+    for l, (got, ref) in enumerate(zip(state.kernel_planes, kernels)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), l
+        assert not got.flags.writeable
+    assert state.kink_signature == kinks
+    return calls
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+@pytest.mark.parametrize("support", [7, 15])
+@pytest.mark.parametrize("n", [64, 128])
+def test_skipped_layers_give_the_reference_loop_bitwise(monkeypatch, n, support,
+                                                        restrict):
+    # the preset's first layers keep no feature on block textures: layer 1
+    # runs without its Z and kernel update, the next ones are certified dead
+    # and skipped, and no byte of any output changes
+    params = unroll.tv_prewitt_params(layers=30, kernel_support=support)
+    calls = assert_reference_bits(monkeypatch, block_image(n + support, n), params,
+                                  restrict)
+    assert calls["g_update"] < 30
+    assert calls["kernel_estimate"] == calls["z_spectrum"] < calls["g_update"]
+
+
+def test_near_threshold_layer_is_not_certified(monkeypatch):
+    # lam = 0 makes every gain c_l exactly 1, and layer 2's threshold b[1]
+    # is max|g| of layer 1, so the bound c_2 max|g_1| / c_1 equals it. The
+    # image is chosen so that one of layer 2's own features rounds above
+    # b[1]: certified without the rounding slack, a live layer is skipped.
+    bank = np.stack([unroll.PREWITT_X, unroll.PREWITT_Y])
+    params = unroll.ModelParams(b=np.full((3, 2), 2.0), lam=np.zeros((3, 2)),
+                                eta=np.full(2, 20.0), kernel_support=7,
+                                fixed_bank=bank)
+    params.b[2] = 0.1
+
+    def features(y, layers):
+        first = dataclasses.replace(params, b=params.b[:layers], lam=params.lam[:layers])
+        return np.max(np.abs(reference_forward(y, first, False)[1]), axis=(1, 2))
+
+    for seed in range(20):
+        y = block_image(seed, 64)
+        params.b[1] = features(y, 1)
+        if np.any(features(y, 2) > params.b[1]):
+            break
+    else:
+        pytest.fail("no image has a layer-2 feature that rounds above max|g_1|")
+    for restrict in (False, True):
+        calls = assert_reference_bits(monkeypatch, y, params, restrict)
+        assert calls["g_update"] == 3
+
+
+@pytest.mark.parametrize("image", sorted(IMAGES))
+def test_edge_images_give_the_reference_loop_bitwise(monkeypatch, image):
+    # flat images have no feature in any layer: only the first layer and
+    # the last run, neither with a Z or kernel update
+    y, support = IMAGES[image]
+    params = unroll.tv_prewitt_params(layers=30, kernel_support=support)
+    for restrict in (False, True):
+        calls = assert_reference_bits(monkeypatch, y, params, restrict)
+        if np.ptp(y) == 0.0:
+            assert calls == {"g_update": 2}
+
+
+def test_skip_fires_only_untaped_with_a_shared_bank(monkeypatch):
+    # a benchmark-like record: at least 8 of the preset's 30 layers do not
+    # run untaped; with its own bank per layer (the trained layout of the
+    # same filters) or with a tape every layer runs
+    L, support = 30, 15
+    preset = unroll.tv_prewitt_params(L, support)
+    w_mix = np.zeros((L - 1, 2, 2, 3, 3))
+    w_mix[:, [0, 1], [0, 1], 1, 1] = 1.0
+    trained = unroll.ModelParams(
+        b=preset.b, lam=preset.lam, eta=preset.eta, w_top=preset.fixed_bank,
+        w_mix=w_mix, eps=preset.eps, kernel_support=support)
+    y = block_image(0, 128)
+    for restrict in (False, True):
+        calls = counted_forward(monkeypatch, y, preset, restrict_support=restrict)[1]
+        assert calls["g_update"] <= L - 8
+        calls = counted_forward(monkeypatch, y, trained, restrict_support=restrict)[1]
+        assert calls["g_update"] == L and calls["kernel_estimate"] < L
+        for params in (preset, trained):
+            calls = counted_forward(monkeypatch, y, params, tape=ad.Tape(),
+                                    restrict_support=restrict)[1]
+            assert calls == {"g_update": L, "z_spectrum": L, "kernel_estimate": L}
+
+
+def test_skipped_layer_still_raises_singular_denominator(monkeypatch):
+    # b_l + lam_l is the denominator of a layer in the initial state; a zero
+    # one where the layer would be skipped raises as the computed layer does
+    params = unroll.tv_prewitt_params(layers=30, kernel_support=15)
+    y = block_image(0, 128)
+    calls = counted_forward(monkeypatch, y, params)[1]
+    assert calls["g_update"] <= 30 - 8  # layers 2 to 9 are skipped
+    params.b[5] = params.lam[5] = 0.0
+    with pytest.raises(SingularDenominator,
+                       match=r"^feature update denominator floor 0\.000e\+00$"):
+        unroll.forward(y, params)
 
 
 def test_forward_recorded_gradients_have_model_shapes(rng):
