@@ -200,7 +200,8 @@ def load_manifest(manifest_path):
     """Load every record listed in a manifest CSV (paths relative to it).
 
     A bad header, a row without exactly one value per field, or a sigma
-    that is not a number raises CorruptHeader naming the manifest line.
+    that is not a finite number >= 0 raises CorruptHeader naming the
+    manifest line.
     The sigma column records how a record was made; nothing reads it.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -217,10 +218,13 @@ def load_manifest(manifest_path):
                 raise CorruptHeader("%s: expected %d fields"
                                     % (where, len(MANIFEST_FIELDS)))
             try:
-                float(row["sigma"])
+                sigma = float(row["sigma"])
             except ValueError:
                 raise CorruptHeader("%s: sigma %r is not a number"
                                     % (where, row["sigma"])) from None
+            if not (math.isfinite(sigma) and sigma >= 0):  # as synthesize_blurred
+                raise CorruptHeader("%s: sigma %r is not finite and >= 0"
+                                    % (where, row["sigma"]))
             records.append(DatasetRecord(
                 blurred_path=row["blurred"],
                 blurred=imaging.load_image(os.path.join(base, row["blurred"])),

@@ -28,7 +28,8 @@ or recorded. A pull recomputes its quotient from the node's inputs and
 takes each term's adjoint in residual form, through _term_adjoint or, in
 g_update's pull, in that pull's own buffers. A recorded layer makes
 five nodes (filter_spectra, g_update, z_spectrum, the kernel spectrum and
-kernel_estimate) and one autodiff.take node per slice b[l], lam[l], w_mix[l].
+kernel_estimate; a dead one fewer, see Dead layers) and one autodiff.take
+node per slice b[l], lam[l], w_mix[l].
 
 Layout: the C channels travel as one (C, H, W) stack and a filter bank is
 one (C, s, s) array, so each update is one call per layer whatever C is.
@@ -75,24 +76,30 @@ gradient is one reduction over float views (_re_inner); and the pulls
 of filter_spectra and of a window's spectrum invert only the window's
 rows (autodiff.dft_adjoint with a size).
 
-Dead layers: untaped, forward tracks the solver's initial state, Z = 0 and
-the impulse kernel, which lasts until a layer keeps a feature. A layer in
-that state whose shrinkage keeps nothing (max|g| <= b in every channel)
-skips its Z transform and kernel update, which could only give Z = 0 and
-the fallback impulse again. With one shared bank (fixed_bank), K = 1 makes
-each such layer's features c_l = b_l / (b_l + lam_l) times one filtered
-image, so the first layer's features bound every later layer's: a layer
-l < L-1 with c_l max|g_0| / c_0 (1 + slack) <= b_l in every channel is
-certified dead and skipped whole (_dead_slack derives the slack from the
-normwise FFT bound). The first layer not certified and every later one run; the last
-always runs. A skipped layer still raises SingularDenominator when
-b_l + lam_l, its denominator, is below DENOM_FLOOR, appends a fresh
-read-only impulse to kernel_planes and adds all-zero kink bits, so every
-output keeps its bits. The preset's continuation starts far above the
+Dead layers: forward, plain or recorded, tracks the solver's initial
+state, Z = 0 and the impulse kernel, which lasts until a layer keeps a
+feature. A layer in that state whose shrinkage keeps nothing (max|g| <= b
+in every channel) skips its Z transform and kernel update, which could
+only give Z = 0 and the fallback impulse again. With one shared bank
+(fixed_bank), K = 1 makes each such layer's features c_l = b_l / (b_l +
+lam_l) times one filtered image, so the first layer's features bound
+every later layer's: a layer l < L-1 with c_l max|g_0| / c_0 (1 + slack)
+<= b_l in every channel is certified dead and skipped whole (_dead_slack
+derives the slack from the normwise FFT bound). The first layer not
+certified and every later one run; the last always runs. A skipped layer
+still raises SingularDenominator when b_l + lam_l, its denominator, is
+below DENOM_FLOOR, appends a fresh read-only impulse to kernel_planes and
+adds the impulse's kink bits, so every output keeps its bits. Recorded, a
+dead layer makes its g_update node but no z_spectrum, kernel_estimate or
+next-layer kernel spectrum node; no path from the loss reaches that
+g_update (the last layer's g excepted, which reconstruct reads), and
+backward through the layer could only return zeros (its shrinkage mask is
+empty, the fallback projection's adjoint is zero), so losses and
+gradients keep their bits. The preset's continuation starts far above the
 data: on the benchmark's 512 px deblur records (seeds 0-3, 31, 77, 360)
 its first 9-11 of 30 layers are dead, while the generated train/eval
-model keeps 75-99% of its features in layer 1 and skips nothing. A
-recorded forward never skips, so its tape is unchanged.
+model keeps 75-99% of its features in layer 1 and skips nothing; at the
+default init (b = 1, lam = 0) every layer of criterion 7's model is dead.
 """
 
 import math
@@ -580,9 +587,16 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise DimensionMismatch("image must be 2-D, got %s" % (y.shape,))
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInput("image has %d non-finite pixels"
-                             % int(np.sum(~np.isfinite(y))))
+    # |Y| <= n max|y| for the spectrum Y of an n-pixel image, so below this
+    # bound every |Y|^2 and the energy sum |Y|^2 are at most 2^1022; NaN
+    # fails the comparison too. Two reductions and no image-sized temporary
+    limit = 2.0 ** 511 / max(y.size, 1)
+    peak = np.maximum(np.max(y, initial=0.0), -np.min(y, initial=0.0))
+    if not peak <= limit:
+        bad = int(np.sum(~np.isfinite(y)))
+        raise NonFiniteInput("image has %d non-finite pixels" % bad if bad else
+                             "image peak %.3e exceeds 2^511 / %d pixels = %.3e: "
+                             "its spectra would not be finite" % (peak, y.size, limit))
     params.validate()
     h, w = y.shape
     L, C = params.b.shape
@@ -597,6 +611,10 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
 
     banks = ([params.fixed_bank] * L if params.fixed_bank is not None
              else build_filters(pv["w_top"], pv["w_mix"]))
+    width = np.shape(ad.value(banks[0]))[-1]  # the cascade widens upwards
+    if width > min(h, w):
+        raise KernelTooLarge("layer 1's filters are %dx%d, wider than the "
+                             "%dx%d image" % (width, width, h, w))
 
     # every spectrum is the half spectrum of an (h, w) plane; the image's is
     # cut from its full spectral.fft2, so that perfbench's spectral.fft2
@@ -611,27 +629,29 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     z_spec = 0.0  # no shrinkage precedes the first layer
     kernel_planes = []
     kinks = [] if track_kinks else None
-    # untaped, the solver stays in its initial state (Z = 0, k the impulse)
-    # until a layer keeps a feature; with a shared bank and a dead first
-    # layer, reach bounds max|g_l| / c_l of every later layer in that state
-    initial, reach = tape is None, None
+    # the solver stays in its initial state (Z = 0, k the impulse) until a
+    # layer keeps a feature; with a shared bank and a dead first layer,
+    # reach bounds max|g_l| / c_l of every later layer in that state
+    initial, reach = True, None
 
     def dead():
         """A layer in the initial state that keeps no feature: its Z is 0,
         so k_update's plane is 0 and the kernel is the fallback impulse
-        (read-only, like every layer's kernel); no kink bit is set."""
+        (read-only, like every layer's kernel); no |g| > b bit is set."""
         impulse = _impulse(kshape, support)
         impulse.flags.writeable = False
         kernel_planes.append(impulse)
-        if kinks is not None:  # the bytes of |g| > b and of k_update's plane > 0
-            kinks.append(bytes(-(-C * h * w // 8)) + bytes(-(-h * w // 8)))
+        if kinks is not None:  # the bytes of |g| > b and of the kernel > 0
+            kinks.extend((bytes(-(-C * h * w // 8)),
+                          np.packbits(impulse > 0).tobytes()))
         return impulse
 
     for l in range(L):
         per_channel = (l, slice(None), None, None)
         b_l = ad.take(pv["b"], per_channel)
+        vb, vl = ad.value(b_l), ad.value(pv["lam"])[per_channel]
         if reach is not None:  # certify the layer dead before computing it
-            if l < L - 1 and np.all(_gain(b_l, pv["lam"][per_channel]) * reach <= b_l):
+            if l < L - 1 and np.all(_gain(vb, vl) * reach <= vb):
                 k = dead()
                 continue
             reach = None  # this layer and every later one run
@@ -645,23 +665,22 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
         g = g_update(y_specs, z_spec, ad.rfft2(k, grid), b_l,
                      ad.take(pv["lam"], per_channel), shape)
         if initial:
-            peak = np.maximum(np.max(g, axis=(-2, -1), keepdims=True),
-                              -np.min(g, axis=(-2, -1), keepdims=True))
-            if np.all(peak <= b_l):  # nothing passes the shrinkage
-                gain = _gain(b_l, pv["lam"][per_channel])
+            peak = np.maximum(np.max(ad.value(g), axis=(-2, -1), keepdims=True),
+                              -np.min(ad.value(g), axis=(-2, -1), keepdims=True))
+            if np.all(peak <= vb):  # nothing passes the shrinkage
+                gain = _gain(vb, vl)
                 if l == 0 and params.fixed_bank is not None and np.all(gain > 0):
                     reach = peak * (1.0 + _dead_slack(h * w)) / gain
                 k, z_spec = dead(), None
                 continue
             initial = False
         z_spec = z_spectrum(g, b_l)
-        if kinks is not None:
-            kinks.append(np.packbits(np.abs(ad.value(g)) > ad.value(b_l)).tobytes())
-            kinks.append(np.packbits(k_update(ad.value(z_spec), ad.value(y_specs),
-                                              params.eps, shape) > 0).tobytes())
         k = kernel_estimate(z_spec, y_specs, params.eps, support, shape)
         kernel_planes.append(ad.value(k))  # a new array every layer
         kernel_planes[-1].flags.writeable = False
+        if kinks is not None:
+            kinks.extend((np.packbits(np.abs(ad.value(g)) > vb).tobytes(),
+                          np.packbits(kernel_planes[-1] > 0).tobytes()))
 
     del y_specs, z_spec  # the reconstruction allocates stacks of its own
     k_plane = k if support is None else ad.embed(k, shape)  # the one embedding

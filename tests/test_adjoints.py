@@ -316,11 +316,19 @@ def composed_grads(blurred, sharp, params, restrict):
     return dict(zip(names, ad.backward(loss, [leaves[n] for n in names])))
 
 
-@pytest.mark.parametrize("restrict", [False, True])
-def test_taped_forward_matches_composed_forward(rng, restrict):
+@pytest.mark.parametrize("restrict, model", [
+    (False, "alive"), (True, "alive"), (False, "default"), (True, "default")],
+    ids=["False", "True", "False-default", "True-default"])
+def test_taped_forward_matches_composed_forward(rng, restrict, model):
     # the solver's half spectra against the chain's full ones, on odd and
-    # even widths: the plain forward's values and every leaf gradient
-    params = _model(3, 3)
+    # even widths: the plain forward's values and every leaf gradient. At
+    # the default init (b = 1, lam = 0; criterion 7's layout scaled down)
+    # no layer keeps a feature, so the solver records no Z or kernel node
+    # while the chain records every layer
+    if model == "alive":
+        params = _model(3, 3)
+    else:
+        params = init_params(TrainConfig(layers=3, channels=4, kernel_support=5))
     for h, w in ((16, 18), (13, 10), (9, 9), (12, 12), (10, 13)):
         blurred, sharp = rng.random((h, w)), rng.random((h, w))
         _, _, x_hat, state = unroll.forward(blurred, params,
@@ -331,6 +339,18 @@ def test_taped_forward_matches_composed_forward(rng, restrict):
         fused = fused_grads(blurred, sharp, params, restrict)
         chain = composed_grads(blurred, sharp, params, restrict)
         assert set(fused) == set(chain) == set(unroll.TRAINABLE)
+        if model == "default":
+            impulse = unroll.k_project(np.zeros(np.shape(state.kernel_planes[0])),
+                                       params.kernel_support if restrict else None)
+            assert all(np.array_equal(k, impulse) for k in state.kernel_planes)
+            # the layers whose g reaches no loss, all but the last
+            for name in ("b", "lam"):
+                assert not np.any(fused[name][:-1]), (h, w, name)
+            # x_hat is Y whatever the filters and eta, so only lam[-1] has a
+            # gradient above rounding: the arrays compare as one vector
+            fused, chain = ({"all": np.concatenate([g[n].ravel()
+                                                    for n in unroll.TRAINABLE])}
+                            for g in (fused, chain))
         for name in fused:
             assert rel_err(fused[name], chain[name]) <= TOL, (h, w, name)
 

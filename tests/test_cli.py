@@ -507,6 +507,14 @@ def test_malformed_manifest_row_is_an_error_line(pipeline, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_check_grad_rejects_a_bank_wider_than_the_image(capsys):
+    # four layers cascade 9x9 filters in layer 1, wider than the 8x8 image
+    assert cli.main(["check-grad", "--size", "8", "--layers", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "layer 1's filters are 9x9" in err
+    assert "Traceback" not in err
+
+
 def test_check_grad_rejects_negative_samples(capsys):
     assert cli.main(["check-grad", "--size", "6", "--samples", "-1"]) == 1
     err = capsys.readouterr().err

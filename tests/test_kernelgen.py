@@ -374,6 +374,10 @@ def test_load_manifest_rejects_empty(tmp_path):
     ("x_blur.pgm,x_sharp.pgm", "expected 4 fields"),
     ("x_blur.pgm,x_sharp.pgm,x_kernel.txt,0.01,extra", "expected 4 fields"),
     ("x_blur.pgm,x_sharp.pgm,x_kernel.txt,abc", "sigma 'abc' is not a number"),
+    ("x_blur.pgm,x_sharp.pgm,x_kernel.txt,nan", "sigma 'nan' is not finite and >= 0"),
+    ("x_blur.pgm,x_sharp.pgm,x_kernel.txt,inf", "sigma 'inf' is not finite and >= 0"),
+    ("x_blur.pgm,x_sharp.pgm,x_kernel.txt,1e400", "sigma '1e400' is not finite and >= 0"),
+    ("x_blur.pgm,x_sharp.pgm,x_kernel.txt,-1", "sigma '-1' is not finite and >= 0"),
 ])
 def test_load_manifest_rejects_malformed_row(tmp_path, row, why):
     path = tmp_path / "manifest.csv"

@@ -7,7 +7,9 @@ minimizer cannot be improved by small perturbations.
 
 import collections
 import dataclasses
+import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -648,8 +650,7 @@ def test_restricted_forward_gives_the_plane_path_bitwise(rng, model, w):
 def test_restricted_forward_falls_back_to_the_centred_impulse(rng):
     # thresholds above every feature leave Z = 0 and so a zero raw kernel
     # window in every layer: the projection falls back to the impulse at
-    # the window's centre, whose plane is the identity, and each
-    # kernel_estimate's pull returns zero adjoints
+    # the window's centre, whose plane is the identity, plain or recorded
     support, L, C = 5, 3, 2
     params = small_params(layers=L, channels=C, support=support)
     params.b = np.full((L, C), 1e6)
@@ -663,14 +664,19 @@ def test_restricted_forward_falls_back_to_the_centred_impulse(rng):
             assert np.array_equal(window, imaging.impulse_kernel(support))
         assert np.array_equal(ad.value(state.kernel_plane),
                               spectral.embed_kernel(np.array([[1.0]]), 16, 17))
-    nodes = [node for node in _graph(state.x_hat, state.kernel_plane)
-             if node.parents and node.pull.__qualname__.startswith("kernel_estimate.")]
-    assert len(nodes) == L
-    for node in nodes:
-        adjoints = node.pull(rng.standard_normal((support, support)))
-        for parent, pos in zip(node.parents, node.routes):
-            assert adjoints[pos].shape == parent.shape
-            assert not np.any(adjoints[pos])
+    # such layers record no kernel_estimate; one recorded on a window with
+    # Z = 0 falls back too, and its pull returns zero adjoints
+    shape, tape = (16, 17), ad.Tape()
+    bank = ad.leaf(tape, params.w_top)
+    y_specs = unroll.filter_spectra(bank, spectral.window_rfft2(params.w_top, shape),
+                                    shape, spectral.rfft2(y))
+    z_spec = unroll.z_spectrum(ad.leaf(tape, rng.random((C, *shape))), 1.0)
+    node = unroll.kernel_estimate(z_spec, y_specs, params.eps, support, shape)
+    assert np.array_equal(node.value, imaging.impulse_kernel(support))
+    adjoints = node.pull(rng.standard_normal((support, support)))
+    for parent, pos in zip(node.parents, node.routes):
+        assert adjoints[pos].shape == parent.shape
+        assert not np.any(adjoints[pos])
 
 
 def test_restricted_preset_forward_holds_no_plane_per_layer(rng):
@@ -761,6 +767,46 @@ def test_forward_rejects_support_larger_than_image(rng, monkeypatch):
             unroll.forward(rng.random((8, 12)), params)
     assert seen == []  # rejected before the first transform
     unroll.forward(rng.random((9, 12)), small_params(support=9))
+
+
+@pytest.mark.parametrize("n, scale", [(128, 1e152), (16, 1e154)])
+def test_forward_rejects_images_whose_spectra_would_overflow(rng, monkeypatch, n,
+                                                             scale):
+    # these images overflowed the quotients' squares of their spectra and
+    # came back as a non-finite kernel and image with only RuntimeWarnings;
+    # an image whose peak is the limit 2^511 / n^2 (|Y| <= n^2 max|y|) runs
+    limit = 2.0 ** 511 / n ** 2
+    models = (small_params(layers=3, support=5),
+              unroll.tv_prewitt_params(layers=3, kernel_support=5))
+    seen = _counting_transforms(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, tape, restrict in itertools.product(models, (None, ad.Tape()),
+                                                        (False, True)):
+            y = rng.random((n, n)) * (scale if tape is None else -scale)  # both signs
+            with pytest.raises(NonFiniteInput, match="spectra would not be finite"):
+                unroll.forward(y, params, tape=tape, restrict_support=restrict)
+        assert seen == []  # rejected before the first transform
+        y = rng.random((n, n)) * (limit / 2)
+        y[0, 0] = limit
+        for params in models:
+            kernel, _, x_hat, _ = unroll.forward(y, params)
+            assert np.all(np.isfinite(kernel)) and np.all(np.isfinite(x_hat))
+
+
+def test_forward_rejects_a_bank_wider_than_the_image(rng, monkeypatch):
+    # a trained layer 1's filters are 2L+1 pixels wide: 9x9 at L = 4, wider
+    # than an 8x12 image that the kernel support fits
+    wide = unroll.tv_prewitt_params(layers=2, kernel_support=5)
+    wide.fixed_bank = np.pad(wide.fixed_bank, ((0, 0), (3, 3), (3, 3)))
+    seen = _counting_transforms(monkeypatch)
+    for params in (small_params(layers=4, support=5), wide):
+        for tape in (None, ad.Tape()):
+            with pytest.raises(KernelTooLarge, match="^layer 1's filters are 9x9, "
+                                                     "wider than the 8x12 image$"):
+                unroll.forward(rng.random((8, 12)), params, tape=tape)
+    assert seen == []  # rejected before the first transform
+    unroll.forward(rng.random((9, 12)), small_params(layers=4, support=5))
 
 
 def test_forward_classical_preset_runs(rng):
@@ -933,9 +979,8 @@ def reference_forward(y, params, restrict):
         k_spec = spectral.window_rfft2(k, shape) if restrict else spectral.rfft2(k)
         g = unroll.g_update(y_specs, z_spec, k_spec, b, lam, shape)
         z_spec = unroll.z_spectrum(g, b)
-        plane = unroll.k_update(z_spec, y_specs, params.eps, shape)
-        kinks += [np.packbits(np.abs(g) > b).tobytes(), np.packbits(plane > 0).tobytes()]
         k = unroll.kernel_estimate(z_spec, y_specs, params.eps, support, shape)
+        kinks += [np.packbits(np.abs(g) > b).tobytes(), np.packbits(k > 0).tobytes()]
         kernels.append(k)
     k_plane = spectral.embed_kernel(k, h, w) if restrict else k
     x_hat = unroll.reconstruct(y_spec, k_plane, g, f_spec, params.eta)
@@ -1024,10 +1069,11 @@ def test_edge_images_give_the_reference_loop_bitwise(monkeypatch, image):
             assert calls == {"g_update": 2}
 
 
-def test_skip_fires_only_untaped_with_a_shared_bank(monkeypatch):
+def test_recorded_and_plain_forwards_skip_the_same_layers(monkeypatch):
     # a benchmark-like record: at least 8 of the preset's 30 layers do not
-    # run untaped; with its own bank per layer (the trained layout of the
-    # same filters) or with a tape every layer runs
+    # run; with its own bank per layer (the trained layout of the same
+    # filters) every g update runs but the dead layers' Z and kernel
+    # updates do not. A tape changes none of these calls
     L, support = 30, 15
     preset = unroll.tv_prewitt_params(L, support)
     w_mix = np.zeros((L - 1, 2, 2, 3, 3))
@@ -1042,9 +1088,10 @@ def test_skip_fires_only_untaped_with_a_shared_bank(monkeypatch):
         calls = counted_forward(monkeypatch, y, trained, restrict_support=restrict)[1]
         assert calls["g_update"] == L and calls["kernel_estimate"] < L
         for params in (preset, trained):
-            calls = counted_forward(monkeypatch, y, params, tape=ad.Tape(),
+            plain = counted_forward(monkeypatch, y, params, restrict_support=restrict)[1]
+            taped = counted_forward(monkeypatch, y, params, tape=ad.Tape(),
                                     restrict_support=restrict)[1]
-            assert calls == {"g_update": L, "z_spectrum": L, "kernel_estimate": L}
+            assert taped == plain
 
 
 def test_skipped_layer_still_raises_singular_denominator(monkeypatch):
@@ -1155,6 +1202,23 @@ def test_tape_nodes_do_not_depend_on_channels_or_size(rng):
               for c in (2, 4, 6) for n in (16, 24)}
     assert counts == {len(unroll.TRAINABLE) + (L - 1) + (5 * L - 1) + 2
                       + (3 * L - 1)}
+
+
+def test_default_init_records_no_dead_layer_nodes(rng):
+    # at the default init (b = 1, lam = 0) no layer of criterion 7's layout
+    # keeps a feature: each records its take nodes, its filter spectra and
+    # its g update, and no Z, kernel or next-layer K node, so the loss is
+    # 37 nodes where recording every layer made 52
+    L, C, n, support = 5, 8, 64, 13
+    params = small_params(layers=L, channels=C, support=support)
+    y = rng.random((n, n))
+    tape = ad.Tape()
+    state = unroll.forward(y, params, tape=tape)[3]
+    assert len(tape) == len(unroll.TRAINABLE) + (L - 1) + (3 * L - 1) + 2 * L + 2
+    loss_terms(state.x_hat, state.kernel_plane, y,
+               spectral.embed_kernel(np.ones((support, support)) / support ** 2, n, n),
+               1e5)
+    assert len(tape) == 37
 
 
 def test_tape_nodes_per_layer_do_not_depend_on_channels(rng):
