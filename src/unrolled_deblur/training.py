@@ -320,11 +320,15 @@ def train(manifest_path, config, out_dir, resume=None, initial_params=None,
     earlier checkpoint and continues from its epoch; its config must equal
     config but for epochs, which may grow, and a checkpoint with no epoch
     left to run raises InvalidParameter. `initial_params` must have the
-    config's layout (check_layout).
+    config's layout (check_layout); it starts a new run, so giving it with
+    `resume` raises InvalidParameter.
     """
     for what, n in (("epochs", config.epochs), ("batch size", config.batch_size)):
         if n < 1:
             raise InvalidParameter("%s must be >= 1, got %d" % (what, n))
+    if resume is not None and initial_params is not None:
+        raise InvalidParameter("resume continues %s's params; initial_params "
+                               "would be ignored" % resume)
     if resume is not None:
         ckpt = load_checkpoint(resume)
         # lr decays per epoch and record order comes from (seed, epoch), so

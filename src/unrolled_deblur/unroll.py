@@ -27,9 +27,11 @@ is a tape Var, records one node (see autodiff), so the same code runs plain
 or recorded. A pull recomputes its quotient from the node's inputs and
 takes each term's adjoint in residual form, through _term_adjoint or, in
 g_update's pull, in that pull's own buffers. A recorded layer makes
-five nodes (filter_spectra, g_update, z_spectrum, the kernel spectrum and
-kernel_estimate; a dead one fewer, see Dead layers) and one autodiff.take
-node per slice b[l], lam[l], w_mix[l].
+five nodes (filter_spectra, the spectrum of the kernel it reads, g_update,
+z_spectrum and kernel_estimate; the first and dead ones fewer, see Dead
+layers), the reconstruction three (the last bank's filter_spectra, the
+last kernel's spectrum and reconstruct), and each slice b[l], lam[l],
+w_mix[l] one autodiff.take node.
 
 Layout: the C channels travel as one (C, H, W) stack and a filter bank is
 one (C, s, s) array, so each update is one call per layer whatever C is.
@@ -39,28 +41,29 @@ recorded, each of b, lam, eta, w_top and w_mix is one tape leaf.
 Filter spectra: forward alone transforms a bank, with
 spectral.window_rfft2, and only when it is not layer l-1's very bank
 object, so the preset's fixed_bank is transformed once. The updates take
-spectra, never planes; reconstruct reuses the last F_l. Shared stacks are
-kept read-only.
+spectra, never planes: forward transforms each kernel with ad.rfft2 in
+the call that reads it, each layer's g_update or the reconstruction, and
+reconstruct reuses the last F_l. Shared stacks are kept read-only.
 
 Windows: with restrict_support, each layer's kernel is its projected
 s x s window around the origin (spectral.wrap_window of a plane that is
 zero outside it). kernel_estimate inverts only the window's rows
 (spectral.irfft2 with a size) and projects the window; the next layer's
-kernel spectrum is spectral.window_rfft2 of it (ad.rfft2 with the image
-shape), which transforms only its rows. Only the last window is embedded
-into an (H, W) plane, once, for reconstruct and the loss (ad.embed).
-Each short form gives the plane form's bits. Without a support the
-kernel is the whole (H, W) plane.
+kernel spectrum, or the reconstruction's, is spectral.window_rfft2 of it
+(ad.rfft2 with the image shape), which transforms only its rows. Only the
+last window is embedded into an (H, W) plane, once, for the loss
+(ad.embed). Each short form gives the plane form's bits. Without a
+support the kernel is the whole (H, W) plane.
 
 Half spectra: every plane the solver transforms is real, so each spectrum
 is its half (..., H, W//2+1) and every update takes the image shape
-(H, W) (reconstruct reads it off the kernel plane), raises
-DimensionMismatch for a spectrum of any other width, and inverts with
-spectral.irfft2 (and its residue check on the self-mirrored columns 0 and
-W/2). _quotient and _term_adjoint work entrywise; adjoints pair with the
-Euclidean inner product over the half, so the weights of the columns that
-stand for two (2 in idft_adjoint, 1/2 in dft_adjoint) are all it takes,
-and the frequency sums for b, lam and eta come out right as they are.
+(H, W), raises DimensionMismatch for a spectrum of any other width, and
+inverts with spectral.irfft2 (and its residue check on the self-mirrored
+columns 0 and W/2). _quotient and _term_adjoint work entrywise; adjoints
+pair with the Euclidean inner product over the half, so the weights of
+the columns that stand for two (2 in idft_adjoint, 1/2 in dft_adjoint)
+are all it takes, and the frequency sums for b, lam and eta come out
+right as they are.
 
 Passes: the plain forward makes no pass or stack-sized temporary its
 arithmetic does not need, and each short form gives the same bits as the
@@ -88,18 +91,20 @@ every later layer's: a layer l < L-1 with c_l max|g_0| / c_0 (1 + slack)
 derives the slack from the normwise FFT bound). The first layer not
 certified and every later one run; the last always runs. A skipped layer
 still raises SingularDenominator when b_l + lam_l, its denominator, is
-below DENOM_FLOOR, appends a fresh read-only impulse to kernel_planes and
-adds the impulse's kink bits, so every output keeps its bits. Recorded, a
-dead layer makes its g_update node but no z_spectrum, kernel_estimate or
-next-layer kernel spectrum node; no path from the loss reaches that
-g_update (the last layer's g excepted, which reconstruct reads), and
-backward through the layer could only return zeros (its shrinkage mask is
-empty, the fallback projection's adjoint is zero), so losses and
-gradients keep their bits. The preset's continuation starts far above the
-data: on the benchmark's 512 px deblur records (seeds 0-3, 31, 77, 360)
-its first 9-11 of 30 layers are dead, while the generated train/eval
-model keeps 75-99% of its features in layer 1 and skips nothing; at the
-default init (b = 1, lam = 0) every layer of criterion 7's model is dead.
+below DENOM_FLOOR. Every layer, computed or dead, ends alike: it appends
+its kernel to kernel_planes, read-only (a fresh impulse if dead), and
+with track_kinks its |g| > b bytes (all zero if dead), so every output
+keeps its bits. Recorded, a dead layer makes its g_update node but no
+z_spectrum, kernel_estimate or next-layer kernel spectrum node; no path
+from the loss reaches that g_update (the last layer's g excepted, which
+reconstruct reads), and backward through the layer could only return
+zeros (its shrinkage mask is empty, the fallback projection's adjoint is
+zero), so losses and gradients keep their bits. The preset's
+continuation starts far above the data: on the benchmark's 512 px deblur
+records (seeds 0-3, 31, 77, 360) its first 9-11 of 30 layers are dead,
+while the generated train/eval model keeps 75-99% of its features in
+layer 1 and skips nothing; at the default init (b = 1, lam = 0) every
+layer of criterion 7's model is dead.
 """
 
 import math
@@ -210,7 +215,9 @@ class ForwardState:
     the layers made, not copies, so they are marked read-only (a dead
     layer's is a fresh impulse, see the module docstring). The last
     is kernel_plane's value, or restricted, its window; kernel_plane is
-    the only embedded plane.
+    the only embedded plane. With track_kinks, kink_signature holds the
+    shrinkage's activation pattern, the packed |g| > b bits of every
+    layer's (C, H, W) features; the clamp's is each kernel_planes entry > 0.
     """
 
     x_hat: object
@@ -538,27 +545,26 @@ def kernel_estimate(z_spec, y_specs, eps, support, shape):
     return ad.record(out, (z_spec, y_specs), pull)
 
 
-def reconstruct(y_spec, k_plane, g, f_spec, eta):
-    """Final image estimate from the kernel plane and feature planes, one node.
+def reconstruct(y_spec, k_spec, g, f_spec, eta, shape):
+    """Final image estimate from the kernel spectrum and feature planes, one node.
 
-    y_spec is the spectrum of the blurred image, g the (C, H, W) feature
-    planes, f_spec the spectra of the filter bank they belong to (stacks or
-    sequences of C) and eta the (C,) channel weights. Returns one (H, W)
-    plane: the quotient of the term (1, K, Y) and the channel sum of the
-    terms (eta_i, F_i, G_i), with K and G the spectra of k_plane and g.
-    g has the kernel plane's (H, W), and y_spec and f_spec are half
-    spectra (..., H, W//2+1) of planes of that shape.
+    y_spec and k_spec are the spectra of the blurred image and the kernel, g
+    the (C, H, W) feature planes, f_spec the spectra of the filter bank they
+    belong to (stacks or sequences of C) and eta the (C,) channel weights.
+    Returns one (H, W) plane: the quotient of the term (1, K, Y) and the
+    channel sum of the terms (eta_i, F_i, G_i), with G the spectra of g.
+    g has the image shape (H, W) = shape, and the spectra are half spectra
+    (..., H, W//2+1) of planes of that shape.
     """
-    vk, vg, vf = ad.value(k_plane), np.asarray(ad.value(g)), np.asarray(ad.value(f_spec))
-    shape = np.shape(vk)
-    if np.shape(vg)[-2:] != shape:  # a wider g's half spectrum may still fit
-        raise DimensionMismatch("reconstruction: features %s vs kernel plane %s"
-                                % (np.shape(vg), shape))
-    _check_half(shape, "reconstruction", y_spec, vf)
+    vk, vg, vf = ad.value(k_spec), np.asarray(ad.value(g)), np.asarray(ad.value(f_spec))
+    if np.shape(vg)[-2:] != tuple(shape):  # a wider g's half spectrum may still fit
+        raise DimensionMismatch("reconstruction: features %s vs image %dx%d"
+                                % (np.shape(vg), *shape))
+    _check_half(shape, "reconstruction", y_spec, vk, vf)
     e = np.asarray(ad.value(eta))[:, None, None]
 
     def terms():  # the data term and the channel-summed prior term
-        return ((1, spectral.rfft2(vk), y_spec),), ((e, vf, spectral.rfft2(vg)),)
+        return ((1, vk, y_spec),), ((e, vf, spectral.rfft2(vg)),)
 
     out = spectral.irfft2(_quotient(*terms(), update="reconstruction")[0], shape,
                           overwrite=True)
@@ -569,10 +575,9 @@ def reconstruct(y_spec, k_plane, g, f_spec, eta):
         t = ad.idft_adjoint(gx, shape)
         t *= inv
         gg, gf, ge = _term_adjoint(t, q, *prior[0])
-        return (ad.dft_adjoint(_term_adjoint(t, q, *data[0])[1], shape),
-                ad.dft_adjoint(gg, shape), gf, ge)
+        return (_term_adjoint(t, q, *data[0])[1], ad.dft_adjoint(gg, shape), gf, ge)
 
-    return ad.record(out, (k_plane, g, f_spec, eta), pull)
+    return ad.record(out, (k_spec, g, f_spec, eta), pull)
 
 
 def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
@@ -582,7 +587,8 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     the last kernel's support window), the final (C, H, W)
     feature planes and the full-precision reconstruction as plain arrays,
     plus a ForwardState carrying the tape ends when recorded. With a tape,
-    each trainable array of params is one leaf.
+    each trainable array of params is one leaf. An overflow or invalid
+    value in the layers or the reconstruction raises NonFiniteInput.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
@@ -633,60 +639,55 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     # layer keeps a feature; with a shared bank and a dead first layer,
     # reach bounds max|g_l| / c_l of every later layer in that state
     initial, reach = True, None
+    # the image bound leaves room for its own spectrum, not for the gains
+    # the filters and quotients add on top of it
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for l in range(L):
+                per_channel = (l, slice(None), None, None)
+                b_l = ad.take(pv["b"], per_channel)
+                vb, vl = ad.value(b_l), ad.value(pv["lam"])[per_channel]
+                certified = (reach is not None and l < L - 1
+                             and np.all(_gain(vb, vl) * reach <= vb))
+                if not certified:  # computed up to its g update
+                    reach = None  # this layer and every later one run
+                    if l == 0 or banks[l] is not banks[l - 1]:
+                        f_spec = spectral.window_rfft2(ad.value(banks[l]), shape)
+                        y_specs = filter_spectra(banks[l], f_spec, shape, y_spec)
+                        for shared in (f_spec, y_specs):  # reused by later layers
+                            ad.value(shared).flags.writeable = False
+                    if z_spec is None:  # what z_spectrum makes of a dead layer's g
+                        z_spec = spectral.rfft2(np.zeros((C, h, w)))
+                    g = g_update(y_specs, z_spec, ad.rfft2(k, grid), b_l,
+                                 ad.take(pv["lam"], per_channel), shape)
+                    if initial:  # dead if nothing passes the shrinkage
+                        peak = np.maximum(
+                            np.max(ad.value(g), axis=(-2, -1), keepdims=True),
+                            -np.min(ad.value(g), axis=(-2, -1), keepdims=True))
+                        initial = bool(np.all(peak <= vb))
+                        if initial and l == 0 and params.fixed_bank is not None \
+                                and np.all(_gain(vb, vl) > 0):
+                            reach = peak * (1.0 + _dead_slack(h * w)) / _gain(vb, vl)
+                if initial:  # Z = 0: k_update's plane is 0 and projects to the impulse
+                    k, z_spec = _impulse(kshape, support), None
+                else:
+                    z_spec = z_spectrum(g, b_l)
+                    k = kernel_estimate(z_spec, y_specs, params.eps, support, shape)
+                kernel_planes.append(ad.value(k))  # a new array every layer
+                kernel_planes[-1].flags.writeable = False
+                if kinks is not None:  # the bytes of |g| > b, none set in a dead layer
+                    kinks.append(bytes(-(-C * h * w // 8)) if initial
+                                 else np.packbits(np.abs(ad.value(g)) > vb).tobytes())
 
-    def dead():
-        """A layer in the initial state that keeps no feature: its Z is 0,
-        so k_update's plane is 0 and the kernel is the fallback impulse
-        (read-only, like every layer's kernel); no |g| > b bit is set."""
-        impulse = _impulse(kshape, support)
-        impulse.flags.writeable = False
-        kernel_planes.append(impulse)
-        if kinks is not None:  # the bytes of |g| > b and of the kernel > 0
-            kinks.extend((bytes(-(-C * h * w // 8)),
-                          np.packbits(impulse > 0).tobytes()))
-        return impulse
+            del y_specs, z_spec  # the reconstruction allocates stacks of its own
+            x_hat = reconstruct(y_spec, ad.rfft2(k, grid), g,
+                                filter_spectra(banks[-1], f_spec, shape), pv["eta"],
+                                shape)
+    except FloatingPointError as err:
+        raise NonFiniteInput("the solver's arithmetic left the float range (%s): "
+                             "the image is too large for this model" % err) from None
 
-    for l in range(L):
-        per_channel = (l, slice(None), None, None)
-        b_l = ad.take(pv["b"], per_channel)
-        vb, vl = ad.value(b_l), ad.value(pv["lam"])[per_channel]
-        if reach is not None:  # certify the layer dead before computing it
-            if l < L - 1 and np.all(_gain(vb, vl) * reach <= vb):
-                k = dead()
-                continue
-            reach = None  # this layer and every later one run
-        if l == 0 or banks[l] is not banks[l - 1]:
-            f_spec = spectral.window_rfft2(ad.value(banks[l]), shape)
-            y_specs = filter_spectra(banks[l], f_spec, shape, y_spec)
-            for shared in (f_spec, y_specs):  # reused by later layers
-                ad.value(shared).flags.writeable = False
-        if z_spec is None:  # what z_spectrum makes of a dead layer's g
-            z_spec = spectral.rfft2(np.zeros((C, h, w)))
-        g = g_update(y_specs, z_spec, ad.rfft2(k, grid), b_l,
-                     ad.take(pv["lam"], per_channel), shape)
-        if initial:
-            peak = np.maximum(np.max(ad.value(g), axis=(-2, -1), keepdims=True),
-                              -np.min(ad.value(g), axis=(-2, -1), keepdims=True))
-            if np.all(peak <= vb):  # nothing passes the shrinkage
-                gain = _gain(vb, vl)
-                if l == 0 and params.fixed_bank is not None and np.all(gain > 0):
-                    reach = peak * (1.0 + _dead_slack(h * w)) / gain
-                k, z_spec = dead(), None
-                continue
-            initial = False
-        z_spec = z_spectrum(g, b_l)
-        k = kernel_estimate(z_spec, y_specs, params.eps, support, shape)
-        kernel_planes.append(ad.value(k))  # a new array every layer
-        kernel_planes[-1].flags.writeable = False
-        if kinks is not None:
-            kinks.extend((np.packbits(np.abs(ad.value(g)) > vb).tobytes(),
-                          np.packbits(kernel_planes[-1] > 0).tobytes()))
-
-    del y_specs, z_spec  # the reconstruction allocates stacks of its own
     k_plane = k if support is None else ad.embed(k, shape)  # the one embedding
-    x_hat = reconstruct(y_spec, k_plane, g, filter_spectra(banks[-1], f_spec, shape),
-                        pv["eta"])
-
     kernel = k_project(spectral.wrap_window(ad.value(k_plane), params.kernel_support),
                        params.kernel_support)
     state = ForwardState(

@@ -192,8 +192,8 @@ def test_criterion_2_update_optimality():
         fp1 = spectral.embed_kernel(f1, n, n)
         fp2 = spectral.embed_kernel(f2, n, n)
         fs1, fs2, gs1, gs2 = (np.fft.fft2(im) for im in (fp1, fp2, g1, g2))
-        got_x = unroll.reconstruct(half(ys), k_plane, [g1, g2],
-                                   [half(fs1), half(fs2)], eta)
+        got_x = unroll.reconstruct(half(ys), half(ks), [g1, g2],
+                                   [half(fs1), half(fs2)], eta, shape)
         spec = np.empty_like(ys)
         for u in range(n):
             for v in range(n):

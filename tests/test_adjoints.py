@@ -169,7 +169,7 @@ def test_half_spectrum_reconstruct_adjoint(rng, w):
     inputs = [k_plane / k_plane.sum(), rng.standard_normal((C, H, w)),
               spectra(rng, C, H, w), rng.uniform(0.5, 20.0, C)]
     assert_half_matches_chain(
-        lambda *a: unroll.reconstruct(halve(y_spec), *a),
+        lambda k, *a: unroll.reconstruct(halve(y_spec), ad.rfft2(k), *a, (H, w)),
         lambda *a: composed.reconstruct(y_spec, *a),
         inputs, rng.standard_normal((H, w)), (2,))
 
@@ -232,7 +232,6 @@ def _pull_cases(rng, w):
     stack = [halve(spectra(rng, C, H, w)) for _ in range(2)]
     k_spec = halve(spectra(rng, H, w))
     b, lam = rng.uniform(0.1, 2.0, (C, 1, 1)), rng.uniform(0.05, 1.0, (C, 1, 1))
-    k_plane = rng.random(shape)
     return [
         ("filter_spectra", lambda f: unroll.filter_spectra(f, f_spec, shape, y_spec),
          [bank]),
@@ -250,9 +249,8 @@ def _pull_cases(rng, w):
          lambda z, y: unroll.kernel_estimate(z, y, 0.7, 5, shape), stack),
         ("rfft2 of windows", lambda k: ad.rfft2(k, shape), [rng.random((5, 5))]),
         ("embed", lambda k: ad.embed(k, shape), [rng.random((5, 5))]),
-        ("reconstruct", lambda *a: unroll.reconstruct(y_spec, *a),
-         [k_plane / k_plane.sum(), rng.standard_normal((C, H, w)),
-          f_spec, rng.uniform(0.5, 20.0, C)]),
+        ("reconstruct", lambda *a: unroll.reconstruct(y_spec, *a, shape),
+         [k_spec, rng.standard_normal((C, H, w)), f_spec, rng.uniform(0.5, 20.0, C)]),
         ("rfft2", ad.rfft2, [rng.standard_normal((C, H, w))]),
     ]
 

@@ -442,6 +442,18 @@ def test_train_resume_refuses_a_finished_run(tmp_path, rng, epochs):
     assert not out.exists()
 
 
+def test_train_refuses_resume_with_initial_params(tmp_path):
+    # a resumed run restores its checkpoint's params, so it would ignore
+    # initial_params; neither the (missing) checkpoint nor the (missing)
+    # manifest is read, and nothing is written
+    cfg = small_config()
+    out = tmp_path / "run"
+    with pytest.raises(InvalidParameter, match="initial_params would be ignored"):
+        train(str(tmp_path / "none.csv"), cfg, str(out), log=open(os.devnull, "w"),
+              resume=str(tmp_path / "none.ckpt"), initial_params=init_params(cfg))
+    assert os.listdir(str(tmp_path)) == []
+
+
 def test_train_rerun_identical(tmp_path, rng):
     man = tiny_dataset(tmp_path, rng)
     cfg = small_config()
@@ -553,6 +565,20 @@ def test_gradcheck_checks_the_training_loss():
     assert res.checked > 0
     for e in res.entries:
         assert e.analytic == grads[e.name].flat[e.index]
+
+
+def test_gradcheck_skips_samples_whose_activation_pattern_changes():
+    # low thresholds leave features within h of them: those samples move a
+    # shrinkage bit and are skipped, where their central differences would
+    # straddle the kink (compared on the clamp bits alone, this instance
+    # skips none and its worst effective error reads 0.19)
+    inst = gradcheck.make_check_instance(size=12, layers=3, channels=2, seed=3)
+    inst.params.b *= 0.05
+    res = gradcheck.finite_diff_check(inst, samples=60, seed=3)
+    assert res.skipped and res.checked + len(res.skipped) == 60
+    assert {reason for _, _, reason in res.skipped} == {
+        "activation pattern changes within h"}
+    assert res.max_effective_err < 1e-4
 
 
 def test_gradcheck_rejects_negative_samples():

@@ -472,8 +472,9 @@ def test_k_project_clamps_and_renormalizes():
 def test_reconstruct_identity_kernel_zero_eta(rng):
     y = rng.random((8, 8))
     k_plane = spectral.embed_kernel(np.array([[1.0]]), 8, 8)
-    x = unroll.reconstruct(spectral.rfft2(y), k_plane, [np.zeros((8, 8))],
-                           bank_spectra([impulse3()], 8, 8), np.zeros(1))
+    x = unroll.reconstruct(spectral.rfft2(y), spectral.rfft2(k_plane),
+                           [np.zeros((8, 8))], bank_spectra([impulse3()], 8, 8),
+                           np.zeros(1), (8, 8))
     assert np.max(np.abs(x - y)) < 1e-12
 
 
@@ -486,8 +487,8 @@ def test_reconstruct_consistent_features_give_exact_image(rng, make_kernel):
     bank = [unroll.PREWITT_X, unroll.PREWITT_Y]
     g = filter_planes(x, bank)
     for eta in (np.array([1.0, 1.0]), np.array([20.0, 5.0])):
-        got = unroll.reconstruct(spectral.rfft2(y), k_plane, g,
-                                 bank_spectra(bank, size, size), eta)
+        got = unroll.reconstruct(spectral.rfft2(y), spectral.rfft2(k_plane), g,
+                                 bank_spectra(bank, size, size), eta, (size, size))
         assert np.max(np.abs(got - x)) < 1e-10
 
 
@@ -501,11 +502,15 @@ def test_reconstruct_matches_scalar_solve(rng, make_kernel):
     y_spec = np.fft.fft2(y)
     k_spec = np.fft.fft2(k_plane)
     f_specs = np.fft.fft2(spectral.embed_kernels(np.array(bank), size, size))
-    got = unroll.reconstruct(halve(y_spec), k_plane, g, halve(f_specs), eta)
-    for mixed in ((y_spec, g, halve(f_specs)), (halve(y_spec), g, f_specs),
-                  (halve(y_spec), np.pad(g, ((0, 0), (0, 0), (0, 1))), halve(f_specs))):
+    shape = (size, size)
+    got = unroll.reconstruct(halve(y_spec), halve(k_spec), g, halve(f_specs), eta, shape)
+    for mixed in ((y_spec, halve(k_spec), g, halve(f_specs)),
+                  (halve(y_spec), k_spec, g, halve(f_specs)),
+                  (halve(y_spec), halve(k_spec), g, f_specs),
+                  (halve(y_spec), halve(k_spec), np.pad(g, ((0, 0), (0, 0), (0, 1))),
+                   halve(f_specs))):
         with pytest.raises(DimensionMismatch, match="^reconstruction"):
-            unroll.reconstruct(mixed[0], k_plane, mixed[1], mixed[2], eta)
+            unroll.reconstruct(*mixed, eta, shape)
 
     g_specs = [np.fft.fft2(gi) for gi in g]
     ref_spec = np.zeros((size, size), dtype=np.complex128)
@@ -524,8 +529,9 @@ def test_reconstruct_matches_scalar_solve(rng, make_kernel):
 def test_reconstruct_singular_denominator():
     y = np.ones((4, 4))
     with pytest.raises(SingularDenominator):
-        unroll.reconstruct(spectral.rfft2(y), np.zeros((4, 4)), [np.zeros((4, 4))],
-                           bank_spectra([impulse3()], 4, 4), np.zeros(1))
+        unroll.reconstruct(spectral.rfft2(y), spectral.rfft2(np.zeros((4, 4))),
+                           [np.zeros((4, 4))], bank_spectra([impulse3()], 4, 4),
+                           np.zeros(1), (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +646,8 @@ def test_restricted_forward_gives_the_plane_path_bitwise(rng, model, w):
         window = unroll.k_project(spectral.wrap_window(plane, support), support)
         assert np.array_equal(state.kernel_planes[l], window), l
         k_plane = spectral.embed_kernel(window, h, w)
-    ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta)
+    ref_x = unroll.reconstruct(y_spec, spectral.rfft2(k_plane), ref_g, f_spec,
+                               params.eta, shape)
     assert np.array_equal(kernel, unroll.k_project(window, support))
     assert np.array_equal(g, ref_g)
     assert np.array_equal(x_hat, ref_x)
@@ -794,6 +801,26 @@ def test_forward_rejects_images_whose_spectra_would_overflow(rng, monkeypatch, n
             assert np.all(np.isfinite(kernel)) and np.all(np.isfinite(x_hat))
 
 
+@pytest.mark.parametrize("model", ["default", "trained"])
+def test_forward_types_an_overflow_past_the_image_bound(model):
+    # a checkerboard whose peak is the image bound keeps its own spectrum
+    # finite, but the filters' gains push the kernel update's channel sum
+    # of |Z|^2 past the float range: the kernel and image came back
+    # non-finite with only RuntimeWarnings
+    n = 64
+    y = np.where(np.indices((n, n)).sum(axis=0) % 2, -1.0, 1.0) * (2.0 ** 511 / n ** 2)
+    params = small_params(layers=5, channels=8, support=7)
+    if model == "trained":
+        params.b = np.full((5, 8), 0.02)
+        params.lam = np.full((5, 8), 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for tape, restrict in itertools.product((None, ad.Tape()), (False, True)):
+            with pytest.raises(NonFiniteInput, match=r"^the solver's arithmetic left "
+                                                     r"the float range \(overflow "):
+                unroll.forward(y, params, tape=tape, restrict_support=restrict)
+
+
 def test_forward_rejects_a_bank_wider_than_the_image(rng, monkeypatch):
     # a trained layer 1's filters are 2L+1 pixels wide: 9x9 at L = 4, wider
     # than an 8x12 image that the kernel support fits
@@ -918,7 +945,8 @@ def test_shared_bank_spectra_match_recomputed_ones(rng):
         z_spec = spectral.rfft2(unroll.z_update(ref_g, b))
         k_plane = unroll.k_project(unroll.k_update(z_spec, y_specs, params.eps,
                                                    shape))
-    ref_x = unroll.reconstruct(y_spec, k_plane, ref_g, f_spec, params.eta)
+    ref_x = unroll.reconstruct(y_spec, spectral.rfft2(k_plane), ref_g, f_spec,
+                               params.eta, shape)
     assert np.array_equal(g, ref_g)
     assert np.array_equal(x_hat, ref_x)
     assert np.array_equal(kernel, unroll.k_project(spectral.wrap_window(k_plane, 7), 7))
@@ -964,7 +992,7 @@ def block_image(seed, n):
 def reference_forward(y, params, restrict):
     """The untaped shared-bank forward rebuilt from the public updates, every
     layer computed; returns kernel, g, x_hat, the layers' kernels and the
-    kink signature."""
+    kink signature (the shrinkage bits; the clamp's are the kernels > 0)."""
     (h, w), s = y.shape, params.kernel_support
     shape, support = (h, w), s if restrict else None
     y_spec = spectral.fft2(y)[:, :w // 2 + 1]
@@ -980,10 +1008,11 @@ def reference_forward(y, params, restrict):
         g = unroll.g_update(y_specs, z_spec, k_spec, b, lam, shape)
         z_spec = unroll.z_spectrum(g, b)
         k = unroll.kernel_estimate(z_spec, y_specs, params.eps, support, shape)
-        kinks += [np.packbits(np.abs(g) > b).tobytes(), np.packbits(k > 0).tobytes()]
+        kinks.append(np.packbits(np.abs(g) > b).tobytes())
         kernels.append(k)
     k_plane = spectral.embed_kernel(k, h, w) if restrict else k
-    x_hat = unroll.reconstruct(y_spec, k_plane, g, f_spec, params.eta)
+    x_hat = unroll.reconstruct(y_spec, spectral.rfft2(k_plane), g, f_spec, params.eta,
+                               shape)
     kernel = unroll.k_project(spectral.wrap_window(k_plane, s), s)
     return kernel, g, x_hat, kernels, b"".join(kinks)
 
@@ -1141,12 +1170,19 @@ def test_plain_and_taped_forwards_agree_bitwise(rng, model, restrict):
 
 
 def test_forward_tracks_kink_signature(rng):
+    # the shrinkage's |g| > b bits, one block of C H W bits per layer; the
+    # clamp's bits are read off kernel_planes
     params = small_params()
+    params.b = np.full((2, 2), 0.02)
+    params.lam = np.full((2, 2), 1e-3)
     y = rng.random((12, 12))
-    _, _, _, s1 = unroll.forward(y, params, track_kinks=True)
+    _, g, _, s1 = unroll.forward(y, params, track_kinks=True)
     _, _, _, s2 = unroll.forward(y, params, track_kinks=True)
-    assert s1.kink_signature is not None
     assert s1.kink_signature == s2.kink_signature
+    assert len(s1.kink_signature) == 2 * (2 * 12 * 12 // 8)
+    last = np.packbits(np.abs(g) > params.b[-1][:, None, None]).tobytes()
+    assert s1.kink_signature[-len(last):] == last and any(last)
+    assert unroll.forward(y, params)[3].kink_signature is None
 
 
 def _taped_forward(layers, channels, y):
@@ -1180,27 +1216,28 @@ def test_taped_forward_records_no_per_filter_convolutions(rng):
 
 def test_taped_forward_records_one_node_per_update(rng):
     # each update is one node; the first layer's K is the untracked
-    # identity, and the last bank's spectra are recorded once more for the
-    # reconstruction; each slice b[l], lam[l] and w_mix[l] is one take node
+    # identity, and the last bank's spectra and the last kernel's are
+    # recorded for the reconstruction; each slice b[l], lam[l] and w_mix[l]
+    # is one take node
     L, C = 3, 4
     state = _taped_forward(L, C, rng.random((16, 16)))
     ops = collections.Counter(node.pull.__qualname__.split(".")[0]
                               for node in _graph(state.x_hat, state.kernel_plane)
                               if node.parents)
     assert ops == {"cascade": L - 1, "filter_spectra": L + 1, "g_update": L,
-                   "z_spectrum": L, "rfft2": L - 1, "kernel_estimate": L,
+                   "z_spectrum": L, "rfft2": L, "kernel_estimate": L,
                    "reconstruct": 1, "take": 3 * L - 1}
 
 
 def test_tape_nodes_do_not_depend_on_channels_or_size(rng):
     # the leaves, L-1 cascade generations, five nodes per layer (four in the
-    # first, whose K is the plain identity), the last F_l and the
+    # first, whose K is the plain identity), the last F_l and K and the
     # reconstruction, plus the 3L-1 take nodes of b[l], lam[l] and w_mix[l],
     # whatever C and the image size
     L = 3
     counts = {len(_taped_forward(L, c, rng.random((n, n))).tape)
               for c in (2, 4, 6) for n in (16, 24)}
-    assert counts == {len(unroll.TRAINABLE) + (L - 1) + (5 * L - 1) + 2
+    assert counts == {len(unroll.TRAINABLE) + (L - 1) + (5 * L - 1) + 3
                       + (3 * L - 1)}
 
 
