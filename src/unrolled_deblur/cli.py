@@ -77,8 +77,10 @@ def _build_parser():
                    help="odd kernel support for the preset (default 31); "
                         "a checkpoint keeps its own")
     p.add_argument("--restrict-support", action="store_true",
-                   help="carry every layer's kernel as its projected "
-                        "support window around the origin")
+                   help="accepted with --preset, whose layers always carry "
+                        "the kernel as its projected support window; a "
+                        "checkpoint carries the whole plane it was trained "
+                        "on, so with --ckpt it is an error")
 
     p = sub.add_parser("eval", help="score a model over a manifest")
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
@@ -155,11 +157,14 @@ def _cmd_deblur(args):
     elif args.support is not None:
         raise DeblurError("--support applies to --preset only; a checkpoint "
                           "keeps the support it was trained with")
+    elif args.restrict_support:
+        raise DeblurError("--restrict-support applies to --preset only; a "
+                          "checkpoint carries the whole kernel plane it was "
+                          "trained on")
     else:
         params = training.load_checkpoint(args.ckpt).params
     blurred = imaging.load_image(args.input)
-    kernel, _, x_hat, _ = unroll.forward(
-        blurred, params, restrict_support=args.restrict_support)
+    kernel, _, x_hat, _ = unroll.forward(blurred, params)
     imaging.save_image(x_hat, args.out, maxval=65535)
     print(args.out)
     if args.kernel_out is not None:

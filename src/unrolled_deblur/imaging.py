@@ -48,15 +48,6 @@ def check_kernel(kernel, tol=1e-12):
     return kernel
 
 
-def impulse_kernel(size):
-    """Identity blur: a single unit weight at the center."""
-    if size % 2 == 0:
-        raise EvenSize("kernel size %d is even" % size)
-    k = np.zeros((size, size))
-    k[size // 2, size // 2] = 1.0
-    return k
-
-
 # ---------------------------------------------------------------------------
 # PGM
 

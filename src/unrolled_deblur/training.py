@@ -143,16 +143,30 @@ def adam_step(params, grads, adam, step, lr, config):
 # checkpoints
 
 
+def _check_config(config):
+    """Raise InvalidParameter unless every config field holds what a
+    checkpoint's config block may: an int field an int (not a bool), a
+    float field a finite float or an int."""
+    for f in fields(TrainConfig):
+        value = getattr(config, f.name)
+        if not (type(value) is int or f.type is float and isinstance(value, float)
+                and math.isfinite(value)):
+            raise InvalidParameter("config field %s is %r, expected %s"
+                                   % (f.name, value, f.type.__name__))
+
+
 def check_layout(params, config):
     """Raise unless params is a valid trainable model with config's layout.
 
-    A checkpoint stores the trainable arrays in the shapes that config's L
-    and C give, and reloads the kernel support from config. A fixed-bank
-    model or another L or C raises DimensionMismatch, another support
-    InvalidParameter, and a model that ModelParams.validate refuses (a
+    A checkpoint stores config and the trainable arrays in the shapes that
+    config's L and C give, and reloads the kernel support from config. A
+    config field that _check_config refuses (a NaN decay, say) or another
+    support raises InvalidParameter, a fixed-bank model or another L or C
+    DimensionMismatch, and a model that ModelParams.validate refuses (a
     NaN or Inf weight, say) that error, so no checkpoint is written that
     load_checkpoint would reject or misread.
     """
+    _check_config(config)
     if params.fixed_bank is not None:
         raise DimensionMismatch("a fixed-bank model has no trainable filters "
                                 "to checkpoint")
@@ -239,13 +253,10 @@ def load_checkpoint(path):
     missing = [f.name for f in fields(TrainConfig) if f.name not in block]
     if missing:  # no default may stand in for a value the model was trained with
         raise CorruptCheckpoint("%s: config block lacks %s" % (path, ", ".join(missing)))
-    for f in fields(TrainConfig):
-        # an int field takes an int (not a bool), a float field a finite number
-        value = getattr(config, f.name)
-        if not (type(value) is int or f.type is float and type(value) is float
-                and math.isfinite(value)):
-            raise CorruptCheckpoint("%s: config field %s is %r, expected %s"
-                                    % (path, f.name, value, f.type.__name__))
+    try:
+        _check_config(config)
+    except InvalidParameter as exc:
+        raise CorruptCheckpoint("%s: %s" % (path, exc)) from None
     pos += cfg_len
     epoch, step = take("<IQ")
     (lr,) = take("<d")

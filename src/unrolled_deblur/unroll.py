@@ -11,7 +11,7 @@ of terms (w, A, B) (_quotient), Q = sum w conj(A) B / (sum w |A|^2 + d):
 
 where Y_i is the spectrum of f_i * y for a per-layer filter bank f, and
 project clamps to nonnegative and normalizes to unit mass (k_project).
-Restricted to a support s, the kernel is its s x s window around the
+A fixed_bank model carries the kernel as its s x s window around the
 origin throughout (see Windows below). The weights b_i, lam_i
 (the penalty reparametrized so lam_i = 0 is well defined), the cascade's
 mixing weights and the reconstruction weights eta_i are trainable; eps is fixed.
@@ -45,15 +45,16 @@ spectra, never planes: forward transforms each kernel with ad.rfft2 in
 the call that reads it, each layer's g_update or the reconstruction, and
 reconstruct reuses the last F_l. Shared stacks are kept read-only.
 
-Windows: with restrict_support, each layer's kernel is its projected
-s x s window around the origin (spectral.wrap_window of a plane that is
-zero outside it). kernel_estimate inverts only the window's rows
-(spectral.irfft2 with a size) and projects the window; the next layer's
-kernel spectrum, or the reconstruction's, is spectral.window_rfft2 of it
-(ad.rfft2 with the image shape), which transforms only its rows. Only the
-last window is embedded into an (H, W) plane, once, for the loss
-(ad.embed). Each short form gives the plane form's bits. Without a
-support the kernel is the whole (H, W) plane.
+Windows: the model's kind picks the form the layers carry the kernel in
+(_window_support). A fixed_bank model carries its projected s x s window
+around the origin (spectral.wrap_window of a plane that is zero outside
+it): kernel_estimate inverts only the window's rows (spectral.irfft2 with
+a size) and projects the window; the next layer's kernel spectrum, or the
+reconstruction's, is spectral.window_rfft2 of it (ad.rfft2 with the image
+shape), which transforms only its rows. Only the last window is embedded
+into an (H, W) plane, once, for the loss (ad.embed). Each short form gives
+the plane form's bits. A trained layout carries the whole (H, W) plane,
+the form it is trained on.
 
 Half spectra: every plane the solver transforms is real, so each spectrum
 is its half (..., H, W//2+1) and every update takes the image shape
@@ -209,15 +210,16 @@ class ForwardState:
     kernel_plane (H, W) and x_hat (H, W) hold tape Vars when the pass was
     recorded and plain arrays otherwise; param_vars maps each TRAINABLE
     field the pass used to its leaf (or to the plain array). kernel_planes
-    holds each layer's post-projection kernel for invariant checks: the
-    (H, W) plane, or with restrict_support the (s, s) support window, so
-    that a restricted pass holds no plane per layer. They are the arrays
-    the layers made, not copies, so they are marked read-only (a dead
-    layer's is a fresh impulse, see the module docstring). The last
-    is kernel_plane's value, or restricted, its window; kernel_plane is
-    the only embedded plane. With track_kinks, kink_signature holds the
-    shrinkage's activation pattern, the packed |g| > b bits of every
-    layer's (C, H, W) features; the clamp's is each kernel_planes entry > 0.
+    holds each layer's post-projection kernel for invariant checks, in the
+    form the model carries it (_window_support): the (H, W) plane of a
+    trained layout, or the (s, s) support window of a fixed_bank model, so
+    that such a pass holds no plane per layer. They are the arrays the
+    layers made, not copies, so they are marked read-only (a dead layer's
+    is a fresh impulse, see the module docstring). The last is
+    kernel_plane's value, or its window; kernel_plane is the only embedded
+    plane. With track_kinks, kink_signature holds the shrinkage's
+    activation pattern, the packed |g| > b bits of every layer's (C, H, W)
+    features; the clamp's is each kernel_planes entry > 0.
     """
 
     x_hat: object
@@ -479,12 +481,12 @@ def k_project(kernel, support=None):
     """Project a kernel onto the nonnegative unit-mass kernels.
 
     kernel is a plane, or with a support the odd support x support window
-    around its origin (spectral.wrap_window of a plane, as the restricted
-    solver carries it). Clamps negatives to zero and normalizes once. A
-    kernel with no positive mass left degrades to the impulse at its
-    origin: [0, 0] of a plane, the centre of a window
-    (imaging.impulse_kernel). forward reads its kernel estimate off this
-    projection of the last kernel's window.
+    around its origin (spectral.wrap_window of a plane, as a fixed_bank
+    model's layers carry it). Clamps negatives to zero and normalizes once.
+    A kernel with no positive mass left degrades to the impulse at its
+    origin: [0, 0] of a plane, the centre of a window (_impulse). forward
+    reads its kernel estimate off this projection of the last kernel's
+    window.
     """
     if support is not None and np.shape(kernel) != (support, support):
         raise DimensionMismatch("kernel %s is not a %dx%d window"
@@ -580,15 +582,17 @@ def reconstruct(y_spec, k_spec, g, f_spec, eta, shape):
     return ad.record(out, (k_spec, g, f_spec, eta), pull)
 
 
-def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
+def forward(y, params, tape=None, track_kinks=False):
     """Run the unrolled solver on a blurred image.
 
     Returns (kernel, g, x_hat, state): the kernel estimate (k_project of
     the last kernel's support window), the final (C, H, W)
     feature planes and the full-precision reconstruction as plain arrays,
-    plus a ForwardState carrying the tape ends when recorded. With a tape,
-    each trainable array of params is one leaf. An overflow or invalid
-    value in the layers or the reconstruction raises NonFiniteInput.
+    plus a ForwardState carrying the tape ends when recorded. The layers
+    carry the kernel in the form the model's kind picks (_window_support).
+    With a tape, each trainable array of params is one leaf. An overflow
+    or invalid value in the layers or the reconstruction raises
+    NonFiniteInput.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
@@ -628,7 +632,7 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
     # transform per forward
     shape = (h, w)
     y_spec = np.ascontiguousarray(spectral.fft2(y)[:, :w // 2 + 1])
-    support = params.kernel_support if restrict_support else None
+    support = _window_support(params)
     # the layers carry the kernel plane, or its support window
     kshape, grid = (shape, None) if support is None else ((support, support), shape)
     k = _impulse(kshape, support)  # identity init
@@ -694,6 +698,16 @@ def forward(y, params, tape=None, restrict_support=False, track_kinks=False):
         x_hat=x_hat, kernel_plane=k_plane, kernel_planes=kernel_planes, tape=tape,
         param_vars=pv, kink_signature=None if kinks is None else b"".join(kinks))
     return kernel, np.array(ad.value(g)), np.array(ad.value(x_hat)), state
+
+
+def _window_support(params):
+    """The support s of the s x s window the layers carry the kernel as, or
+    None for the (H, W) plane; the one place the form is chosen. A
+    fixed_bank model is never trained, and the window gives it the better
+    image (the preset on the benchmark's deblur record: PSNR 14.63 against
+    6.28 dB); a trained layout is trained on the plane, and the window
+    worsens its kernel (the benchmark's eval model: RMSE +4.4%)."""
+    return params.kernel_support if params.fixed_bank is not None else None
 
 
 def _gain(b, lam):

@@ -6,13 +6,19 @@ its own node with the textbook adjoint, exactly as the solver was written
 before its updates were fused. The fused adjoints are tested against these
 chains, and the primitives themselves against central differences
 (test_autodiff.py). Nothing in src/ imports this module.
+
+kernel_form forces the form unroll.forward carries the kernel in, so that
+one model can be checked in both forms.
 """
 
+import contextlib
+
 import numpy as np
+import pytest
 import scipy.fft
 
 from unrolled_deblur import autodiff as ad
-from unrolled_deblur import spectral
+from unrolled_deblur import spectral, unroll
 from unrolled_deblur.errors import SingularDenominator
 from unrolled_deblur.unroll import DENOM_FLOOR, TRAINABLE, build_filters
 
@@ -175,8 +181,20 @@ def reconstruct(y_spec, k_plane, g, f_spec, eta):
     return ifft2(div(num, den))
 
 
-def forward(y, params, tape, restrict_support=False):
-    """unroll.forward of a trained-layout model, composed and recorded.
+@contextlib.contextmanager
+def kernel_form(window):
+    """Within the block, unroll.forward's layers carry the kernel as its
+    support window (window true) or as the whole plane, whatever the
+    model's kind: unroll._window_support is the one place forward picks."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(unroll, "_window_support",
+                  lambda params: params.kernel_support if window else None)
+        yield
+
+
+def forward(y, params, tape, window=False):
+    """unroll.forward of a trained-layout model, composed and recorded, with
+    the kernel projected on its support window in every layer if window.
 
     Returns (x_hat, kernel_plane, leaves) with one leaf per trainable array.
     """
@@ -187,7 +205,7 @@ def forward(y, params, tape, restrict_support=False):
     y_spec = spectral.fft2(y)
     k_plane = spectral.embed_kernel(np.array([[1.0]]), h, w)
     z_spec = np.zeros((C, h, w), dtype=np.complex128)
-    support = params.kernel_support if restrict_support else None
+    support = params.kernel_support if window else None
     for l in range(L):
         per_channel = (l, slice(None), None, None)
         b_l = ad.take(pv["b"], per_channel)

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from composed import kernel_form
 from unrolled_deblur import (gradcheck, imaging, kernelgen, metrics,
                              spectral, unroll)
 from unrolled_deblur.training import TrainConfig, load_checkpoint, train
@@ -240,8 +241,8 @@ def test_criterion_3_simplex_invariant():
         params.lam = rng.uniform(0.05, 0.5, params.lam.shape)
         params.eta = rng.uniform(5.0, 30.0, params.eta.shape)
         y = rng.random((size, size))
-        kernel, g, x_hat, state = unroll.forward(
-            y, params, restrict_support=(run % 2 == 0))
+        with kernel_form(run % 2 == 0):  # the window in every other run
+            kernel, g, x_hat, state = unroll.forward(y, params)
         for plane in state.kernel_planes:
             worst_min = min(worst_min, float(plane.min()))
             worst_drift = max(worst_drift, abs(float(plane.sum()) - 1.0))
@@ -319,8 +320,7 @@ def _run_classic_pipeline(out_dir):
     blurred = kernelgen.synthesize_blurred(sharp, k_true, 0.0, 0)
     params = unroll.tv_prewitt_params(layers=30, kernel_support=support)
     t0 = time.time()
-    k_est, _, x_hat, _ = unroll.forward(blurred, params,
-                                        restrict_support=True)
+    k_est, _, x_hat, _ = unroll.forward(blurred, params)
     seconds = time.time() - t0
     dy, dx = metrics.align_shift(x_hat, sharp, support // 2)
     aligned = np.clip(np.roll(x_hat, (dy, dx), axis=(0, 1)), 0.0, 1.0)
@@ -331,8 +331,7 @@ def _run_classic_pipeline(out_dir):
     return {
         "isnr": metrics.psnr(aligned, sharp) - metrics.psnr(blurred, sharp),
         "rmse_est": metrics.kernel_rmse(k_est, k_true),
-        "rmse_imp": metrics.kernel_rmse(imaging.impulse_kernel(support),
-                                        k_true),
+        "rmse_imp": metrics.kernel_rmse(np.pad([[1.0]], support // 2), k_true),
         "seconds": seconds,
         "files": _tree_bytes(out_dir),
     }
@@ -435,7 +434,7 @@ def _run_training_pipeline(out_dir):
 
     ckpt = os.path.join(out_dir, "checkpoint_epoch_%04d.ckpt" % cfg.epochs)
     params = load_checkpoint(ckpt).params
-    impulse = imaging.impulse_kernel(SUPPORT)
+    impulse = np.pad([[1.0]], SUPPORT // 2)
     isnrs, rmses, rmses_imp = [], [], []
     for j, (sharp, k_true) in enumerate(ho_truth):
         blurred = kernelgen.synthesize_blurred(sharp, k_true, 0.01,

@@ -298,8 +298,8 @@ def _loss(x_hat, k_plane, sharp, support):
 
 def fused_grads(blurred, sharp, params, restrict):
     """Gradients of the train loss through the fused forward."""
-    _, _, _, state = unroll.forward(blurred, params, tape=ad.Tape(),
-                                    restrict_support=restrict)
+    with composed.kernel_form(restrict):
+        _, _, _, state = unroll.forward(blurred, params, tape=ad.Tape())
     return unroll.collect_gradients(
         _loss(state.x_hat, state.kernel_plane, sharp, params.kernel_support),
         state)
@@ -329,8 +329,8 @@ def test_taped_forward_matches_composed_forward(rng, restrict, model):
         params = init_params(TrainConfig(layers=3, channels=4, kernel_support=5))
     for h, w in ((16, 18), (13, 10), (9, 9), (12, 12), (10, 13)):
         blurred, sharp = rng.random((h, w)), rng.random((h, w))
-        _, _, x_hat, state = unroll.forward(blurred, params,
-                                            restrict_support=restrict)
+        with composed.kernel_form(restrict):
+            _, _, x_hat, state = unroll.forward(blurred, params)
         want_x, want_k, _ = composed.forward(blurred, params, ad.Tape(), restrict)
         assert rel_err(x_hat, ad.value(want_x)) <= TOL
         assert rel_err(state.kernel_plane, ad.value(want_k)) <= TOL
@@ -356,8 +356,8 @@ def test_taped_forward_matches_composed_forward(rng, restrict, model):
 def test_backward_twice_is_bitwise_equal(rng):
     params = _model(3, 3)
     blurred, sharp = rng.random((16, 16)), rng.random((16, 16))
-    _, _, _, state = unroll.forward(blurred, params, tape=ad.Tape(),
-                                    restrict_support=True)
+    with composed.kernel_form(True):
+        _, _, _, state = unroll.forward(blurred, params, tape=ad.Tape())
     loss = _loss(state.x_hat, state.kernel_plane, sharp, 5)
     first = unroll.collect_gradients(loss, state)
     second = unroll.collect_gradients(loss, state)
@@ -437,8 +437,8 @@ def test_taped_forward_gradients_match_oracle_or_raise_typed(
         keep = ~exempt if name == "b" else Ellipsis
         assert rel_err(fused[name][keep], chain[name][keep]) <= 1e-10, name
     if rel_err(fused["b"][exempt], chain["b"][exempt]) > 1e-10:
-        features = unroll.forward(blurred, params, tape=ad.Tape(),
-                                  restrict_support=restrict)[1]
+        with composed.kernel_form(restrict):
+            features = unroll.forward(blurred, params, tape=ad.Tape())[1]
         aligned = aligned_composed_grads(blurred, sharp, params, restrict,
                                          features)
         assert rel_err(fused["b"], aligned["b"]) <= 1e-10

@@ -2,6 +2,8 @@
 
 import csv
 import os
+import re
+import shlex
 import struct
 
 import numpy as np
@@ -41,6 +43,34 @@ def test_help_documents_every_flag():
         for action in sub._actions:
             for opt in action.option_strings:
                 assert opt in text, (name, opt)
+
+
+def _readme_commands():
+    """Every `unrolled-deblur ...` line of README.md's sh blocks, as the
+    argument list after the program name, backslash continuations joined."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            if argv[:1] == ["unrolled-deblur"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # every subcommand has an example, and each one parses as written
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(SUBCOMMANDS)
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README command does not parse: unrolled-deblur %s"
+                        % " ".join(argv))
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -172,7 +202,7 @@ def test_gen_dataset_rejects_bad_sigma(tmp_path, capsys, sigma):
     # these used to write noise-free records labelled -1 and nan
     kernels = tmp_path / "kernels"
     kernels.mkdir()
-    imaging.save_kernel(imaging.impulse_kernel(3), str(kernels / "k.txt"))
+    imaging.save_kernel(np.pad([[1.0]], 1), str(kernels / "k.txt"))
     imgs = tmp_path / "imgs"
     imgs.mkdir()
     imaging.save_image(np.full((24, 24), 0.5), str(imgs / "a.pgm"))
@@ -191,7 +221,7 @@ def test_gen_dataset_bad_argument_creates_nothing(tmp_path, capsys, flag,
                                                   value):
     kernels = tmp_path / "kernels"
     kernels.mkdir()
-    imaging.save_kernel(imaging.impulse_kernel(3), str(kernels / "k.txt"))
+    imaging.save_kernel(np.pad([[1.0]], 1), str(kernels / "k.txt"))
     imgs = tmp_path / "imgs"
     imgs.mkdir()
     imaging.save_image(np.full((24, 24), 0.5), str(imgs / "a.pgm"))
@@ -320,6 +350,40 @@ def test_deblur_support_with_checkpoint_is_an_error(pipeline, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--support" in err
     assert not os.path.exists(out) and not os.path.exists(kout)
+
+
+def test_deblur_restrict_support_with_checkpoint_is_an_error(pipeline, tmp_path,
+                                                            capsys):
+    # a checkpoint's trained layout carries the whole plane it was trained on
+    with open(pipeline["manifest"]) as fh:
+        row = next(csv.DictReader(fh))
+    blurred = os.path.join(pipeline["data"], row["blurred"])
+    out, kout = str(tmp_path / "x.pgm"), str(tmp_path / "k.txt")
+    rc = cli.main(["deblur", "--in", blurred, "--ckpt", pipeline["ckpt"],
+                   "--restrict-support", "--out", out, "--kernel-out", kout])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --restrict-support ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_deblur_preset_restrict_support_changes_no_byte(pipeline, tmp_path,
+                                                       capsys):
+    # the preset always carries the support window, so the flag names the
+    # only behaviour
+    with open(pipeline["manifest"]) as fh:
+        row = next(csv.DictReader(fh))
+    blurred = os.path.join(pipeline["data"], row["blurred"])
+    written = []
+    for flags in ([], ["--restrict-support"]):
+        out, kout = (str(tmp_path / ("%s%d" % (name, len(flags))))
+                     for name in ("x.pgm", "k.txt"))
+        assert cli.main(["deblur", "--in", blurred, "--preset", "tv-prewitt",
+                         "--support", "7", *flags, "--out", out,
+                         "--kernel-out", kout]) == 0
+        with open(out, "rb") as fh, open(kout, "rb") as kh:
+            written.append((fh.read(), kh.read()))
+    assert written[0] == written[1]
 
 
 def test_deblur_preset_keeps_its_default_support(pipeline, tmp_path, capsys):
@@ -458,6 +522,22 @@ def test_train_resume_at_the_final_epoch_is_an_error(pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag, value", [("--decay", "nan"), ("--decay", "inf"),
+                                         ("--lr", "nan")])
+def test_train_rejects_non_finite_config_values(pipeline, capsys, flag, value):
+    # a NaN decay used to write a checkpoint that load_checkpoint refuses,
+    # and a NaN lr trained an epoch and wrote its log before failing
+    out = str(pipeline["root"] / ("run_%s_%s" % (flag[2:], value)))
+    assert cli.main(["train", "--manifest", pipeline["manifest"], "--out", out,
+                     "--layers", "1", "--channels", "1", "--support", "5",
+                     "--epochs", "1", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field %s is %s, expected float"
+                          % (flag[2:], value))
+    assert "Traceback" not in err
+    assert not os.path.exists(out)  # no checkpoint and no loss log
 
 
 @pytest.mark.parametrize("flag", ["--epochs", "--batch"])

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from composed import kernel_form
 from unrolled_deblur import autodiff as ad
 from unrolled_deblur import cli, imaging, unroll
 from unrolled_deblur.errors import DeblurError
@@ -61,8 +62,8 @@ def test_edge_image_gives_finite_output_or_typed_error(image, model):
     y, support = IMAGES[image]
     params = layout(model, support)
     for restrict in (False, True):
-        finite_or_typed(lambda: unroll.forward(
-            y, params, restrict_support=restrict)[:3])
+        with kernel_form(restrict):
+            finite_or_typed(lambda: unroll.forward(y, params)[:3])
     record = DatasetRecord(blurred_path=image, blurred=y, sharp=y,
                            kernel=np.ones((support, support)) / support ** 2)
 

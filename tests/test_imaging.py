@@ -233,7 +233,7 @@ def test_kernel_roundtrip_bitwise(tmp_path, rng, make_kernel):
 
 
 def test_kernel_file_layout(tmp_path):
-    k = imaging.impulse_kernel(3)
+    k = np.pad([[1.0]], 1)
     path = tmp_path / "k.txt"
     imaging.save_kernel(k, str(path))
     lines = path.read_text().splitlines()
@@ -347,7 +347,7 @@ def test_check_kernel_accepts_valid(make_kernel):
 
 
 def test_check_kernel_tolerance():
-    k = imaging.impulse_kernel(3)
+    k = np.pad([[1.0]], 1)
     k[1, 1] = 1.0 + 1e-9
     with pytest.raises(NotNormalized):
         imaging.check_kernel(k)
@@ -355,7 +355,7 @@ def test_check_kernel_tolerance():
 
 
 def test_check_kernel_negative():
-    k = imaging.impulse_kernel(3)
+    k = np.pad([[1.0]], 1)
     k[0, 0] = -0.1
     k[1, 1] = 1.1
     with pytest.raises(NegativeWeight):
@@ -364,7 +364,7 @@ def test_check_kernel_negative():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_check_kernel_non_finite(bad):
-    k = imaging.impulse_kernel(3)
+    k = np.pad([[1.0]], 1)
     k[0, 0] = bad
     with pytest.raises(NonFiniteInput):
         imaging.check_kernel(k)
@@ -375,11 +375,3 @@ def test_check_kernel_shape():
         imaging.check_kernel(np.ones((3, 5)) / 15)
     with pytest.raises(EvenSize):
         imaging.check_kernel(np.ones((4, 4)) / 16)
-
-
-def test_impulse_kernel():
-    k = imaging.impulse_kernel(5)
-    assert k[2, 2] == 1.0
-    assert k.sum() == 1.0
-    with pytest.raises(EvenSize):
-        imaging.impulse_kernel(4)

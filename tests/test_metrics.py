@@ -274,8 +274,8 @@ def test_kernel_rmse_shift_invariant(make_kernel):
 
 
 def test_kernel_rmse_pads_to_common_support():
-    small = imaging.impulse_kernel(3)
-    big = imaging.impulse_kernel(9)
+    small = np.pad([[1.0]], 1)
+    big = np.pad([[1.0]], 4)
     assert metrics.kernel_rmse(small, big) == 0.0
 
 
@@ -317,7 +317,7 @@ def test_kernel_rmse_matches_exhaustive_reference(rng):
 def make_manifest(tmp_path, rng, n=2, size=16):
     out = str(tmp_path / "data")
     os.makedirs(out, exist_ok=True)
-    k = imaging.impulse_kernel(5)
+    k = np.pad([[1.0]], 2)
     rows = []
     records = []
     for i in range(n):
@@ -343,7 +343,7 @@ def test_evaluate_with_oracle_forward(tmp_path, rng):
         for row in csv.DictReader(fh):
             sharp_by_blur[row["blurred"]] = imaging.load_image(
                 os.path.join(out, row["sharp"]))
-    truth = imaging.impulse_kernel(5)
+    truth = np.pad([[1.0]], 2)
     sharps = iter(sharp_by_blur.values())  # manifest order
 
     def oracle(blurred):
@@ -370,7 +370,7 @@ def test_evaluate_identity_forward_zero_isnr(tmp_path, rng):
     man, _ = make_manifest(tmp_path, rng)
 
     def identity(blurred):
-        return imaging.impulse_kernel(5), blurred
+        return np.pad([[1.0]], 2), blurred
 
     report = metrics.evaluate(man, None, None, forward_fn=identity)
     for row in report.rows:
@@ -383,7 +383,7 @@ def test_evaluate_baseline_is_never_shifted(tmp_path, rng):
     man, _ = make_manifest(tmp_path, rng)
 
     def rolled(blurred):
-        return imaging.impulse_kernel(5), np.roll(blurred, (1, 0), axis=(0, 1))
+        return np.pad([[1.0]], 2), np.roll(blurred, (1, 0), axis=(0, 1))
 
     report = metrics.evaluate(man, None, None, forward_fn=rolled)
     for row in report.rows:
@@ -395,7 +395,7 @@ def test_evaluate_mean_row_is_arithmetic_mean(tmp_path, rng):
     man, _ = make_manifest(tmp_path, rng, n=3)
 
     def identity(blurred):
-        return imaging.impulse_kernel(5), blurred
+        return np.pad([[1.0]], 2), blurred
 
     report = metrics.evaluate(man, None, None, forward_fn=identity)
     for field in ("psnr_db", "ssim", "kernel_rmse"):
@@ -407,7 +407,7 @@ def test_evaluate_rerun_is_byte_identical(tmp_path, rng):
     man, _ = make_manifest(tmp_path, rng)
 
     def identity(blurred):
-        return imaging.impulse_kernel(5), blurred
+        return np.pad([[1.0]], 2), blurred
 
     pa = str(tmp_path / "a.csv")
     pb = str(tmp_path / "b.csv")
@@ -424,7 +424,7 @@ def test_evaluate_threads_match_serial(tmp_path, rng):
     man, _ = make_manifest(tmp_path, rng, n=3)
 
     def identity(blurred):
-        return imaging.impulse_kernel(5), blurred
+        return np.pad([[1.0]], 2), blurred
 
     serial = metrics.evaluate(man, None, None, forward_fn=identity)
     threaded = metrics.evaluate(man, None, None, forward_fn=identity, threads=3)
@@ -438,7 +438,7 @@ def test_evaluate_rejects_non_finite_reconstruction(tmp_path, rng):
     def broken(blurred):
         x_hat = blurred.copy()
         x_hat[0, 0] = math.nan
-        return imaging.impulse_kernel(5), x_hat
+        return np.pad([[1.0]], 2), x_hat
 
     with pytest.raises(NonFiniteInput):
         metrics.evaluate(man, None, None, forward_fn=broken)

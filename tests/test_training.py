@@ -198,6 +198,29 @@ def test_checkpoint_write_refuses_non_finite_weights(tmp_path, bad):
     assert os.listdir(str(tmp_path)) == []
 
 
+@pytest.mark.parametrize("field, value", [
+    ("decay", float("nan")), ("lr", float("inf")), ("layers", True),
+    ("seed", np.int64(0)),  # json cannot write it
+])
+def test_checkpoint_write_refuses_config_values_load_refuses(tmp_path, field,
+                                                            value):
+    cfg = small_config()
+    p = init_params(cfg)
+    with pytest.raises(InvalidParameter, match="^config field %s " % field):
+        save_checkpoint(str(tmp_path / "a.ckpt"), p, AdamState.zeros(p), 0, 0,
+                        cfg.lr, small_config(**{field: value}))
+    assert os.listdir(str(tmp_path)) == []
+
+
+def test_checkpoint_write_takes_a_numpy_float_config_value(tmp_path):
+    # json writes a float64 as the float it is, and load reads it back
+    cfg = small_config(lr=np.float64(1e-3))
+    p = init_params(cfg)
+    path = str(tmp_path / "a.ckpt")
+    save_checkpoint(path, p, AdamState.zeros(p), 0, 0, cfg.lr, cfg)
+    assert load_checkpoint(path).config == small_config()
+
+
 def _bad_shape(adam):
     adam.m["b"] = np.zeros((2, 2))
 
@@ -527,7 +550,7 @@ def test_train_already_sharp_records_are_a_fixed_point(tmp_path):
     flat = np.full((16, 16), 0.5)
     imaging.save_image(flat, os.path.join(out, "r_blur.pgm"), maxval=65535)
     imaging.save_image(flat, os.path.join(out, "r_sharp.pgm"), maxval=65535)
-    imaging.save_kernel(imaging.impulse_kernel(5), os.path.join(out, "r_k.txt"))
+    imaging.save_kernel(np.pad([[1.0]], 2), os.path.join(out, "r_k.txt"))
     with open(os.path.join(out, "manifest.csv"), "w", newline="\n") as fh:
         fh.write("blurred,sharp,kernel,sigma\n")
         fh.write("r_blur.pgm,r_sharp.pgm,r_k.txt,0\n")

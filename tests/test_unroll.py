@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from unrolled_deblur import autodiff as ad
-from unrolled_deblur import imaging, kernelgen, spectral, unroll
+from unrolled_deblur import kernelgen, spectral, unroll
 from unrolled_deblur.errors import (DimensionMismatch, EvenSize,
                                     KernelTooLarge, NonFiniteInput,
                                     SingularDenominator)
 from unrolled_deblur.training import TrainConfig, init_params, loss_terms
 
+from composed import kernel_form
 from test_edge_images import IMAGES
 
 
@@ -436,10 +437,10 @@ def test_k_project_zero_plane_degrades_to_impulse(support):
     got = _as_plane(unroll.k_project(_support_window(np.zeros((8, 8)), support),
                                      support), support, (8, 8))
     assert np.array_equal(got, impulse)
-    assert np.array_equal(spectral.wrap_window(got, 3), imaging.impulse_kernel(3))
+    assert np.array_equal(spectral.wrap_window(got, 3), np.pad([[1.0]], 1))
     outside = np.zeros((8, 8))
     outside[4, 4] = 2.0  # all the positive mass lies outside the window
-    want = imaging.impulse_kernel(3) if support is not None else outside / 2.0
+    want = np.pad([[1.0]], 1) if support is not None else outside / 2.0
     assert np.array_equal(
         unroll.k_project(_support_window(outside, support), support), want)
 
@@ -604,13 +605,28 @@ def test_forward_restrict_support_zeroes_far_coefficients(rng):
     # last window embedded
     params = small_params(support=5)
     y = rng.random((16, 16))
-    kernel, _, _, state = unroll.forward(y, params, restrict_support=True)
+    with kernel_form(True):
+        kernel, _, _, state = unroll.forward(y, params)
     assert all(np.shape(window) == (5, 5) for window in state.kernel_planes)
     plane = state.kernel_plane
     inside = spectral.embed_kernel(spectral.wrap_window(plane, 5), 16, 16)
     assert np.max(np.abs(plane - inside)) == 0.0
     assert np.array_equal(spectral.wrap_window(plane, 5), state.kernel_planes[-1])
     assert np.array_equal(kernel, unroll.k_project(state.kernel_planes[-1], 5))
+
+
+@pytest.mark.parametrize("tape", [None, ad.Tape])
+def test_model_kind_picks_the_kernel_form(rng, tape):
+    # unforced, the preset's layers carry (s, s) windows and a trained
+    # layout's carry (H, W) planes; either way kernel_plane is the plane
+    y = rng.random((16, 18))
+    trained = small_params(layers=3, support=5)
+    trained.b, trained.lam = np.full((3, 2), 0.02), np.full((3, 2), 1e-3)
+    for params, form in ((unroll.tv_prewitt_params(layers=3, kernel_support=5),
+                          (5, 5)), (trained, (16, 18))):
+        state = unroll.forward(y, params, tape=tape and tape())[3]
+        assert [np.shape(k) for k in state.kernel_planes] == [form] * 3
+        assert np.shape(ad.value(state.kernel_plane)) == (16, 18)
 
 
 @pytest.mark.parametrize("w", [17, 18])
@@ -629,7 +645,8 @@ def test_restricted_forward_gives_the_plane_path_bitwise(rng, model, w):
         params.lam = np.full((3, 3), 1e-3)
         banks = unroll.build_filters(params.w_top, params.w_mix)
     y = rng.random((h, w))
-    kernel, g, x_hat, state = unroll.forward(y, params, restrict_support=True)
+    with kernel_form(True):  # the preset's own form
+        kernel, g, x_hat, state = unroll.forward(y, params)
 
     shape = (h, w)
     y_spec = spectral.fft2(y)[:, :w // 2 + 1]
@@ -662,13 +679,14 @@ def test_restricted_forward_falls_back_to_the_centred_impulse(rng):
     params = small_params(layers=L, channels=C, support=support)
     params.b = np.full((L, C), 1e6)
     y = rng.random((16, 17))
+    impulse = np.pad([[1.0]], support // 2)
     for tape in (None, ad.Tape()):
-        kernel, _, _, state = unroll.forward(y, params, tape=tape,
-                                             restrict_support=True)
-        assert np.array_equal(kernel, imaging.impulse_kernel(support))
+        with kernel_form(True):
+            kernel, _, _, state = unroll.forward(y, params, tape=tape)
+        assert np.array_equal(kernel, impulse)
         assert len(state.kernel_planes) == L
         for window in state.kernel_planes:
-            assert np.array_equal(window, imaging.impulse_kernel(support))
+            assert np.array_equal(window, impulse)
         assert np.array_equal(ad.value(state.kernel_plane),
                               spectral.embed_kernel(np.array([[1.0]]), 16, 17))
     # such layers record no kernel_estimate; one recorded on a window with
@@ -679,7 +697,7 @@ def test_restricted_forward_falls_back_to_the_centred_impulse(rng):
                                     shape, spectral.rfft2(y))
     z_spec = unroll.z_spectrum(ad.leaf(tape, rng.random((C, *shape))), 1.0)
     node = unroll.kernel_estimate(z_spec, y_specs, params.eps, support, shape)
-    assert np.array_equal(node.value, imaging.impulse_kernel(support))
+    assert np.array_equal(node.value, impulse)
     adjoints = node.pull(rng.standard_normal((support, support)))
     for parent, pos in zip(node.parents, node.routes):
         assert adjoints[pos].shape == parent.shape
@@ -695,7 +713,7 @@ def test_restricted_preset_forward_holds_no_plane_per_layer(rng):
     y = rng.random((n, n))
     tracemalloc.start()
     try:
-        state = unroll.forward(y, params, restrict_support=True)[3]
+        state = unroll.forward(y, params)[3]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -791,8 +809,9 @@ def test_forward_rejects_images_whose_spectra_would_overflow(rng, monkeypatch, n
         for params, tape, restrict in itertools.product(models, (None, ad.Tape()),
                                                         (False, True)):
             y = rng.random((n, n)) * (scale if tape is None else -scale)  # both signs
-            with pytest.raises(NonFiniteInput, match="spectra would not be finite"):
-                unroll.forward(y, params, tape=tape, restrict_support=restrict)
+            with pytest.raises(NonFiniteInput, match="spectra would not be finite"), \
+                    kernel_form(restrict):
+                unroll.forward(y, params, tape=tape)
         assert seen == []  # rejected before the first transform
         y = rng.random((n, n)) * (limit / 2)
         y[0, 0] = limit
@@ -817,8 +836,9 @@ def test_forward_types_an_overflow_past_the_image_bound(model):
         warnings.simplefilter("error", RuntimeWarning)
         for tape, restrict in itertools.product((None, ad.Tape()), (False, True)):
             with pytest.raises(NonFiniteInput, match=r"^the solver's arithmetic left "
-                                                     r"the float range \(overflow "):
-                unroll.forward(y, params, tape=tape, restrict_support=restrict)
+                                                     r"the float range \(overflow "), \
+                    kernel_form(restrict):
+                unroll.forward(y, params, tape=tape)
 
 
 def test_forward_rejects_a_bank_wider_than_the_image(rng, monkeypatch):
@@ -891,7 +911,8 @@ def test_solver_runs_on_half_spectra(rng, monkeypatch, model):
     monkeypatch.setattr(spectral, "ifft2", lambda a: seen.append(a) or ifft2(a))
     for tape in (None, ad.Tape()):
         seen.clear()
-        state = unroll.forward(y, params, tape=tape, restrict_support=True)[3]
+        with kernel_form(True):
+            state = unroll.forward(y, params, tape=tape)[3]
         if tape is not None:
             unroll.collect_gradients(ad.mse(state.x_hat, y), state)
         assert len(seen) == 1 and np.array_equal(seen[0], y)
@@ -929,7 +950,8 @@ def test_shared_bank_spectra_match_recomputed_ones(rng):
     L, n = 4, 16
     params = unroll.tv_prewitt_params(layers=L, kernel_support=7)
     y = rng.random((n, n))
-    kernel, g, x_hat, _ = unroll.forward(y, params)
+    with kernel_form(False):  # the plane's loop below; the window's is above
+        kernel, g, x_hat, _ = unroll.forward(y, params)
 
     # the solver's half spectra; the image's is cut from its full spectrum
     shape = (n, n)
@@ -966,8 +988,9 @@ def test_trained_layout_gives_the_preset_bitwise(rng, make_kernel, restrict):
         w_mix=w_mix, eps=preset.eps, kernel_support=support)
     k_plane = spectral.embed_kernel(make_kernel(support), n, n)
     y = spectral.circ_conv(k_plane, rng.random((n, n)))
-    want = unroll.forward(y, preset, restrict_support=restrict)[:3]
-    got = unroll.forward(y, trained, restrict_support=restrict)[:3]
+    with kernel_form(restrict):
+        want = unroll.forward(y, preset)[:3]
+        got = unroll.forward(y, trained)[:3]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -1031,8 +1054,9 @@ def counted_forward(monkeypatch, y, params, **kwargs):
 def assert_reference_bits(monkeypatch, y, params, restrict):
     """forward gives reference_forward's bytes: kernel, g, x_hat, every
     kernel_planes entry and the kink signature. Returns forward's calls."""
-    (kernel, g, x_hat, state), calls = counted_forward(
-        monkeypatch, y, params, restrict_support=restrict, track_kinks=True)
+    with kernel_form(restrict):
+        (kernel, g, x_hat, state), calls = counted_forward(
+            monkeypatch, y, params, track_kinks=True)
     *want, kernels, kinks = reference_forward(y, params, restrict)
     for name, got, ref in zip(("kernel", "g", "x_hat"), (kernel, g, x_hat), want):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
@@ -1112,15 +1136,15 @@ def test_recorded_and_plain_forwards_skip_the_same_layers(monkeypatch):
         w_mix=w_mix, eps=preset.eps, kernel_support=support)
     y = block_image(0, 128)
     for restrict in (False, True):
-        calls = counted_forward(monkeypatch, y, preset, restrict_support=restrict)[1]
-        assert calls["g_update"] <= L - 8
-        calls = counted_forward(monkeypatch, y, trained, restrict_support=restrict)[1]
-        assert calls["g_update"] == L and calls["kernel_estimate"] < L
-        for params in (preset, trained):
-            plain = counted_forward(monkeypatch, y, params, restrict_support=restrict)[1]
-            taped = counted_forward(monkeypatch, y, params, tape=ad.Tape(),
-                                    restrict_support=restrict)[1]
-            assert taped == plain
+        with kernel_form(restrict):
+            calls = counted_forward(monkeypatch, y, preset)[1]
+            assert calls["g_update"] <= L - 8
+            calls = counted_forward(monkeypatch, y, trained)[1]
+            assert calls["g_update"] == L and calls["kernel_estimate"] < L
+            for params in (preset, trained):
+                plain = counted_forward(monkeypatch, y, params)[1]
+                taped = counted_forward(monkeypatch, y, params, tape=ad.Tape())[1]
+                assert taped == plain
 
 
 def test_skipped_layer_still_raises_singular_denominator(monkeypatch):
@@ -1163,8 +1187,9 @@ def test_plain_and_taped_forwards_agree_bitwise(rng, model, restrict):
         params.b = np.full((3, 3), 0.02)
         params.lam = np.full((3, 3), 1e-3)
     y = rng.random((20, 18))
-    plain = unroll.forward(y, params, restrict_support=restrict)[:3]
-    taped = unroll.forward(y, params, tape=ad.Tape(), restrict_support=restrict)[:3]
+    with kernel_form(restrict):
+        plain = unroll.forward(y, params)[:3]
+        taped = unroll.forward(y, params, tape=ad.Tape())[:3]
     for name, a, b in zip(("kernel", "g", "x_hat"), plain, taped):
         assert np.array_equal(a, b), name
 
