@@ -7,14 +7,20 @@ plain value otherwise, so the same code serves inference and training.
 
 Each update of the solver (unroll) and the training loss is one node. A
 pull keeps only its node's inputs and recomputes what it needs (Chen, Xu,
-Zhang & Guestrin, arXiv 1604.06174): filter_spectra keeps y_spec; g_update
-Y_l, Z, K, b_l and lam_l; z_spectrum g and b_l; kernel_estimate Z and Y_l;
-reconstruct the kernel plane, g, the last F_l, eta and y_spec. g_update,
-kernel_estimate and reconstruct recompute one quotient (unroll._quotient)
-and take every adjoint from its terms' residual form. A pull may write
-only into buffers it made: the adjoint it is given may be another node's
-input or a sum that backward still holds, and forward shares its spectra
-read-only. Within its own buffers a pull works in place, so that it makes
+Zhang & Guestrin, arXiv 1604.06174), except for results its forward has
+summed over the channels into one plane or window: those cost the tape a
+plane each, and recomputing them a pass over the channel stacks, so they
+are kept. filter_spectra keeps y_spec; g_update Y_l, Z, K, b_l and lam_l,
+and recomputes its quotient (unroll._quotient); z_spectrum g and b_l;
+kernel_estimate Z and Y_l, and its quotient's channel sums Q and 1/D and
+the raw kernel; reconstruct the kernel's spectrum, g, the last F_l, eta and
+y_spec, and its Q and 1/D and, once per pass, the spectra G of g that the
+sums were made from. Every adjoint comes from the terms' residual form.
+A pull may write only into buffers it made: the adjoint it is given may
+be another node's input or a sum that backward still holds, and forward
+shares its spectra read-only. What a pull returns is backward's to keep,
+so backward adds a node's second adjoint into the first one's buffer
+(record). Within its own buffers a pull works in place, so that it makes
 few new stacks; a new stack costs page faults as well as a pass once glibc
 has handed the pages back. The generic primitives here
 are the few the program records besides: leaves, basic indexing, the half
@@ -122,48 +128,89 @@ def record(out, inputs, pull):
     """Return out as a node over the tracked inputs, or as is if none is.
 
     pull(g) maps the node's adjoint g to one adjoint per entry of inputs, in
-    order (those of untracked inputs are ignored); it should keep inputs,
-    never intermediates of the forward computation.
+    order (those of untracked inputs are ignored). It keeps the node's
+    inputs, and of the forward's intermediates only those summed over the
+    channels into a plane or window (see the module docstring). Each
+    adjoint it returns is backward's to keep and to sum into: an array the
+    pull made, or g itself, each returned for one input only.
     """
-    routes = tuple(pos for pos, x in enumerate(inputs) if isinstance(x, Var))
-    if not routes:
+    if not recorded(*inputs):
         return out
+    routes = tuple(pos for pos, x in enumerate(inputs) if isinstance(x, Var))
     parents = tuple(inputs[pos] for pos in routes)
     return Var(out, parents[0].tape, parents, pull, routes)
 
 
-def dft_adjoint(g, shape, size=None):
+def recorded(*inputs):
+    """Whether record would make a node over these inputs: any is a Var."""
+    return any(isinstance(x, Var) for x in inputs)
+
+
+def dft_adjoint(g, shape, size=None, overwrite=False):
     """Adjoint of the unnormalized forward DFT of real planes to half spectra.
 
     H*W irfft2 of the half spectra g of (H, W) = shape planes, weighted 1/2
     on the doubled columns, with no residue check: an adjoint's anti-Hermitian
-    part is what a real input drops. The weight is applied after the column
-    pass, in its new buffer: that pass acts on each column alone and 1/2 is
-    a power of two, so the planes are those of weighting a copy of g first,
-    bit for bit. With an odd size, only the size x size window of each plane
-    around the origin (spectral.wrap_window of the planes) is made, from the
-    window's rows alone (spectral.column_pass and real_pass).
+    part is what a real input drops. The weights are applied after the column
+    pass, in its buffer: that pass acts on each column alone and 1/2 is a
+    power of two, so the planes are those of weighting a copy of g first,
+    bit for bit. When H*W is a power of two it joins the weights there
+    (_exact_scale), and the real pass carries it through exactly. With an
+    odd size, only the size x size window of each plane around the origin
+    (spectral.wrap_window of the planes) is made, from the window's rows
+    alone (spectral.column_pass and real_pass). With overwrite the column
+    pass may take g's buffer, if g is complex128.
     """
     h, w = shape
-    columns = spectral.column_pass(np.asarray(g, dtype=np.complex128), size=size)
-    columns[..., spectral.doubled_columns(w)] *= 0.5
+    n = float(h * w)
+    exact = _exact_scale(h * w)
+    columns = spectral.column_pass(np.asarray(g, dtype=np.complex128), overwrite, size)
+    columns *= _column_weights(w, 0.5, n if exact else 1.0)
     out = spectral.real_pass(columns, w, size)
-    out *= float(h * w)
+    if not exact:
+        out *= n
     return out
 
 
-def idft_adjoint(g, shape, size=None):
+def idft_adjoint(g, shape, size=None, scale=None, overwrite=False):
     """Adjoint of the normalized inverse DFT of half spectra to real planes.
 
     rfft2(g) / (H*W) of the (H, W) = shape planes g, weighted 2 on the
-    doubled columns. With a size, g holds the size x size windows of
-    planes that are zero elsewhere, as irfft2(..., size=size) returns them
-    (spectral.window_rfft2).
+    doubled columns, then times scale, a real array that broadcasts
+    against it, if one is given. With a size, g holds the size x size
+    windows of planes that are zero elsewhere, as irfft2(..., size=size)
+    returns them (spectral.window_rfft2).
+
+    One pass applies the weights: 2 is a power of two, so 2 / (H*W) rounds
+    as the two steps do. When H*W is a power of two, the weights are folded
+    into scale too, and that one pass is exact (_exact_scale); with
+    overwrite the fold may take scale's buffer.
     """
     out = spectral.rfft2(g) if size is None else spectral.window_rfft2(g, shape)
-    out /= float(shape[0] * shape[1])
-    out[..., spectral.doubled_columns(shape[1])] *= 2.0
+    weights = _column_weights(shape[1], 2.0, 1.0 / (shape[0] * shape[1]))
+    if scale is not None:
+        if _exact_scale(shape[0] * shape[1]):
+            weights = np.multiply(scale, weights, out=scale if overwrite else None)
+        else:
+            out *= weights
+            weights = scale
+    out *= weights
     return out
+
+
+def _column_weights(width, doubled, scale):
+    """scale on each column of a half spectrum, times doubled on the columns
+    that stand for two (spectral.doubled_columns)."""
+    weights = np.full(width // 2 + 1, scale)
+    weights[spectral.doubled_columns(width)] *= doubled
+    return weights
+
+
+def _exact_scale(n):
+    """Whether n is a power of two: then scaling by n or 1/n rounds nothing,
+    so it moves between the steps of a linear pass bit for bit (barring
+    underflow)."""
+    return n & (n - 1) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +334,7 @@ def backward(loss, wrt):
             if np.iscomplexobj(pg) and not np.iscomplexobj(parent.value):
                 pg = pg.real
             acc = grads.get(parent.idx)
-            grads[parent.idx] = pg if acc is None else acc + pg
+            grads[parent.idx] = pg if acc is None else _sum_into(acc, pg)
 
     out = []
     for v in wrt:
@@ -296,3 +343,14 @@ def backward(loss, wrt):
             g = np.zeros_like(v.value)
         out.append(np.asarray(g, dtype=v.value.dtype).reshape(v.value.shape))
     return out
+
+
+def _sum_into(acc, pg):
+    """acc + pg, in acc's buffer when that can hold the sum: the adjoints a
+    pull returns are backward's (record), so a second one adds into the
+    first without a new stack. A read-only or smaller acc gets a new array."""
+    if (isinstance(acc, np.ndarray) and acc.flags.writeable
+            and np.broadcast_shapes(acc.shape, np.shape(pg)) == acc.shape
+            and np.can_cast(np.result_type(acc, pg), acc.dtype)):
+        return np.add(acc, pg, out=acc)
+    return acc + pg

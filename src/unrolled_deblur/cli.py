@@ -18,13 +18,17 @@ from .errors import DeblurError
 
 
 def _build_parser():
+    # no prefix matching: an abbreviated flag would bind to whichever flag it
+    # prefixes (--kernel to --kernel-out), and a flag added later could
+    # change what an old abbreviation means
     parser = argparse.ArgumentParser(
         prog="unrolled-deblur",
         description="Blind motion deblurring with an unrolled "
-                    "half-quadratic splitting solver.")
+                    "half-quadratic splitting solver.", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-kernels", help="write synthetic motion kernels")
+    p = sub.add_parser("gen-kernels", allow_abbrev=False,
+                       help="write synthetic motion kernels")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--angles", type=int, default=16,
                    help="linear kernel angle count over [0, pi)")
@@ -36,7 +40,8 @@ def _build_parser():
                    help="number of random-walk kernels to add")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("gen-dataset", help="blur images into training records")
+    p = sub.add_parser("gen-dataset", allow_abbrev=False,
+                       help="blur images into training records")
     p.add_argument("--images", required=True, help="directory of PGM images")
     p.add_argument("--kernels", required=True, help="directory of kernel files")
     p.add_argument("--sigma", type=float, default=0.01,
@@ -46,7 +51,8 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("train", help="train solver parameters on a manifest")
+    p = sub.add_parser("train", allow_abbrev=False,
+                       help="train solver parameters on a manifest")
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
     p.add_argument("--out", required=True, help="checkpoint/log directory")
     p.add_argument("--layers", type=int, default=10, help="unrolled layers")
@@ -65,7 +71,7 @@ def _build_parser():
     p.add_argument("--resume", default=None,
                    help="checkpoint to continue from")
 
-    p = sub.add_parser("deblur", help="restore one blurred image")
+    p = sub.add_parser("deblur", allow_abbrev=False, help="restore one blurred image")
     p.add_argument("--in", dest="input", required=True, help="blurred PGM")
     p.add_argument("--ckpt", default=None, help="trained checkpoint")
     p.add_argument("--preset", choices=["tv-prewitt"], default=None,
@@ -82,7 +88,7 @@ def _build_parser():
                         "checkpoint carries the whole plane it was trained "
                         "on, so with --ckpt it is an error")
 
-    p = sub.add_parser("eval", help="score a model over a manifest")
+    p = sub.add_parser("eval", allow_abbrev=False, help="score a model over a manifest")
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
     p.add_argument("--ckpt", required=True, help="trained checkpoint")
     p.add_argument("--out", required=True, help="report CSV path")
@@ -90,7 +96,7 @@ def _build_parser():
                    help="worker threads (default 1 keeps output "
                         "scheduler independent)")
 
-    p = sub.add_parser("check-grad",
+    p = sub.add_parser("check-grad", allow_abbrev=False,
                        help="verify tape gradients against central differences")
     p.add_argument("--size", type=int, default=8, help="image side")
     p.add_argument("--layers", type=int, default=2, help="unrolled layers")

@@ -24,9 +24,14 @@ sees kernels up to (2L+1) pixels wide. The final estimate x is F^-1 Q of
 
 Recording: each update computes its value with numpy and, when an input
 is a tape Var, records one node (see autodiff), so the same code runs plain
-or recorded. A pull recomputes its quotient from the node's inputs and
-takes each term's adjoint in residual form, through _term_adjoint or, in
-g_update's pull, in that pull's own buffers. A recorded layer makes
+or recorded. g_update's pull recomputes its quotient from the node's
+inputs. Recorded, kernel_estimate and reconstruct keep what their forward
+summed over the channels into planes, Q and 1/D, and the raw kernel or
+the feature spectra G the sums came from, and their inverse transforms
+leave Q's buffer alone; their pulls then make no quotient and no inverse
+transform. Plain, they keep nothing and invert in Q's buffer.
+Each term's adjoint is taken in residual form, through _term_adjoint or,
+in g_update's pull, in that pull's own buffers. A recorded layer makes
 five nodes (filter_spectra, the spectrum of the kernel it reads, g_update,
 z_spectrum and kernel_estimate; the first and dead ones fewer, see Dead
 layers), the reconstruction three (the last bank's filter_spectra, the
@@ -69,13 +74,18 @@ right as they are.
 Passes: the plain forward makes no pass or stack-sized temporary its
 arithmetic does not need, and each short form gives the same bits as the
 textbook one. _quotient returns Q = N (1/D) and 1/D, which the pulls
-multiply by; the inverse transform of a quotient that nothing reads again
-(in g_update, k_update and reconstruct) runs in the quotient's buffer;
-z_update is one clip and one subtraction; spectral embeds and windows a
-kernel by copying its four wrapped corners; and forward keeps each layer's
-own kernel plane or window, read-only. The pulls write only into buffers they made
-(see autodiff) and work in place there: g_update's takes both terms'
-adjoints in its quotient's, t's and one residual buffer; each weight's
+multiply by, and sums a term over the channels plane by plane
+(_channel_sums); the inverse transform of a quotient that nothing reads
+again (g_update's, and plain k_update's and reconstruct's) runs in the
+quotient's buffer; z_update is one clip and one subtraction; spectral
+embeds and windows a kernel by copying its four wrapped corners; and
+forward keeps each layer's own kernel plane or window, read-only. The
+pulls write only into buffers they made (see autodiff) and work in place
+there: g_update's takes both terms' adjoints in its quotient's, t's and
+one residual buffer; idft_adjoint weights t in one pass, folded into the
+pull's 1/D where H*W is a power of two, and dft_adjoint in the column
+pass, which runs in the product filter_spectra's and reconstruct's pulls
+made; _term_adjoint subtracts t A conj(Q) plane by plane; each weight's
 gradient is one reduction over float views (_re_inner); and the pulls
 of filter_spectra and of a window's spectrum invert only the window's
 rows (autodiff.dft_adjoint with a size).
@@ -284,9 +294,13 @@ def _quotient(terms, summed=(), ridge=0.0, update=None):
       B: w t A    A: w (conj(t) R - t A conj(Q))    w: Re(conj(t A) R).
     """
     num = den = None
-    for (w, a, b), summing in [(t, False) for t in terms] + [(t, True) for t in summed]:
-        den = _add(den, 1 if _unit(a) else (a * np.conj(a)).real, summing, w)
-        num = _add(num, b if _unit(a) else np.conj(a) * b, summing, w, not _unit(a))
+    for w, a, b in terms:
+        ca = None if _unit(a) else np.conj(a)
+        den = _add(den, 1 if _unit(a) else (a * ca).real, w)
+        num = _add(num, b if _unit(a) else ca * b, w, not _unit(a))
+    for w, a, b in summed:
+        d, n = _channel_sums(w, a, b)
+        den, num = _add(den, d), _add(num, n)
     if ridge:
         den += ridge
     if update is not None:
@@ -302,9 +316,9 @@ def _check_floor(den, update):
         raise SingularDenominator("%s denominator floor %.3e" % (update, np.min(den)))
 
 
-def _add(acc, part, summing, w=1, own=False):
-    """acc + w part (in part's buffer if own, then summed over its leading
-    axis if summing), in acc's buffer, so no term's stacks outlive the call."""
+def _add(acc, part, w=1, own=False):
+    """acc + w part (in part's buffer if own), in acc's buffer, so no term's
+    stacks outlive the call."""
     if not own and not _unit(w) and acc is not None and np.shape(part) == acc.shape:
         # plane by plane: a stack-sized temporary makes glibc re-fault pages
         for i in np.ndindex(acc.shape[:-2]):
@@ -312,9 +326,29 @@ def _add(acc, part, summing, w=1, own=False):
         return acc
     if not _unit(w):
         part = np.multiply(w, part, out=part if own else None)
-    if summing:
-        part = np.sum(part, axis=0)
     return part if acc is None else np.add(acc, part, out=acc)
+
+
+def _channel_sums(w, a, b):
+    """The sums over the leading (channel) axis of w |A|^2 and w conj(A) B,
+    for an array A, made plane by plane with no stack-sized temporary (see
+    _add), the first sum before the second. np.sum(..., axis=0) adds the
+    planes in the same order, so the sums have its bits."""
+    shape = np.broadcast_shapes(np.shape(w), np.shape(a), np.shape(b))
+    w, a, b = (x if _unit(x) else np.broadcast_to(x, shape) for x in (w, a, b))
+    sums = []
+    for part in (lambda i: (a[i] * np.conj(a[i])).real, lambda i: np.conj(a[i]) * b[i]):
+        total = None
+        for i in range(shape[0]):
+            p = part(i)
+            if not _unit(w):
+                np.multiply(w[i], p, out=p)
+            if total is None:  # a part of |A|^2 is a view of a product's reals
+                total = np.ascontiguousarray(p)
+            else:
+                total += p
+        sums.append(total)
+    return sums
 
 
 def _term_adjoint(t, q, w, a, b):
@@ -322,18 +356,21 @@ def _term_adjoint(t, q, w, a, b):
     reduced over the last two axes (_re_inner), and None for w = 1.
 
     It makes two new arrays the shape of t A: R, in whose buffer A's
-    adjoint is taken, and t A, scratch once B's adjoint w t A is made from
-    it (for w = 1, B's adjoint is t A itself, made again afterwards).
+    adjoint is taken, and t A, in whose buffer B's adjoint w t A is. The
+    product t A conj(Q) that A's adjoint subtracts is made plane by plane,
+    so it needs no third stack (see _add).
     """
     ta = t * a
     r = np.multiply(a, q)
     np.subtract(b, r, out=r)
-    gw, gb = (None, ta) if _unit(w) else (_re_inner(ta, r), w * ta)
+    gw = None if _unit(w) else _re_inner(ta, r)
     ga = np.multiply(np.conj(t), r, out=r)
-    ga -= np.multiply(ta, np.conj(q), out=ta)
+    tab, cq = (np.broadcast_to(x, ga.shape) for x in (ta, np.conj(q)))
+    for i in np.ndindex(ga.shape[:-2]):
+        ga[i] -= tab[i] * cq[i]
     if _unit(w):
-        return np.multiply(t, a, out=ta), ga, None
-    return gb, np.multiply(w, ga, out=ga), gw
+        return ta, ga, None
+    return np.multiply(w, ta, out=ta), np.multiply(w, ga, out=ga), gw
 
 
 def _re_inner(a, b):
@@ -378,8 +415,9 @@ def filter_spectra(bank, f_spec, shape, y_spec=None):
     size = np.shape(ad.value(bank))[-1]
 
     def pull(gs):
-        gs = gs if y_spec is None else gs * np.conj(y_spec)
-        return (ad.dft_adjoint(gs, shape, size),)
+        if y_spec is None:
+            return (ad.dft_adjoint(gs, shape, size),)
+        return (ad.dft_adjoint(gs * np.conj(y_spec), shape, size, overwrite=True),)
 
     return ad.record(out, (bank,), pull)
 
@@ -406,8 +444,8 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape):
 
     def pull(gg):
         q, inv = _quotient(terms, update="feature update")
-        t = ad.idft_adjoint(gg, shape)
-        t *= inv
+        t = ad.idft_adjoint(gg, shape, scale=inv, overwrite=True)
+        del inv  # folded into t: freeing it before the stacks below lowers the peak
         # the prior term (lam, 1, Z) with R = Z - Q, then the data term
         # (b, K, Y) with R = Y - KQ in the same buffer (see _quotient)
         gz = vl * t
@@ -463,18 +501,24 @@ def z_spectrum(g, b):
     return ad.record(out, (g, b), pull)
 
 
-def k_update(z_specs, y_specs, eps, shape, size=None):
+def k_update(z_specs, y_specs, eps, shape, size=None, keep=False):
     """Least-squares kernel plane from all channels, ridge eps > 0.
 
     z_specs and y_specs are (C, H, W//2+1) stacks (or sequences of C) of
     half spectra of (H, W) = shape planes; the term (1, Z_i, Y_i) is summed
     over the channels. With an odd size only the plane's size x size window
-    around the origin is made (spectral.irfft2).
+    around the origin is made (spectral.irfft2). With keep, returns
+    (plane, Q, 1/D), the quotient's channel sums, for kernel_estimate's
+    pull; the inverse then leaves Q's buffer alone.
     """
     z, y = np.asarray(z_specs), np.asarray(y_specs)
     _check_half(shape, "kernel update", z, y)
-    return spectral.irfft2(_quotient((), ((1, z, y),), eps)[0], shape, overwrite=True,
-                           size=size)
+    terms = ((1, z, y),)
+    if not keep:  # 1/D is dropped before the inverse
+        return spectral.irfft2(_quotient((), terms, eps)[0], shape, overwrite=True,
+                               size=size)
+    q, inv = _quotient((), terms, eps)
+    return spectral.irfft2(q, shape, size=size), q, inv
 
 
 def k_project(kernel, support=None):
@@ -529,18 +573,21 @@ def kernel_estimate(z_spec, y_specs, eps, support, shape):
     its projected support x support window, never made whole.
 
     The adjoint passes through the projection first (zero where it fell
-    back to the constant impulse), then through k_update's quotient.
+    back to the constant impulse), then through k_update's quotient, whose
+    channel sums and raw kernel a recorded node keeps (k_update with keep).
     """
     z, y = ad.value(z_spec), ad.value(y_specs)
-    out = k_project(k_update(z, y, eps, shape, support), support)
+    if not ad.recorded(z_spec, y_specs):
+        return k_project(k_update(z, y, eps, shape, support), support)
+    # the pull reads the channel sums Q and 1/D and the raw kernel
+    raw, q, inv = k_update(z, y, eps, shape, support, keep=True)
+    out = k_project(raw, support)
 
     def pull(gk):
-        q, inv = _quotient((), ((1, z, y),), eps)  # q is read again below
-        gp = _project_adjoint(spectral.irfft2(q, shape, size=support), gk)
+        gp = _project_adjoint(raw, gk)
         if gp is None:
             return np.zeros(np.shape(z), complex), np.zeros(np.shape(y), complex)
-        t = ad.idft_adjoint(gp, shape, support)
-        t *= inv
+        t = ad.idft_adjoint(gp, shape, support, scale=inv)
         gy, gz, _ = _term_adjoint(t, q, 1, z, y)
         return gz, gy
 
@@ -556,7 +603,8 @@ def reconstruct(y_spec, k_spec, g, f_spec, eta, shape):
     Returns one (H, W) plane: the quotient of the term (1, K, Y) and the
     channel sum of the terms (eta_i, F_i, G_i), with G the spectra of g.
     g has the image shape (H, W) = shape, and the spectra are half spectra
-    (..., H, W//2+1) of planes of that shape.
+    (..., H, W//2+1) of planes of that shape. A recorded node keeps G and
+    the planes Q and 1/D for its pull.
     """
     vk, vg, vf = ad.value(k_spec), np.asarray(ad.value(g)), np.asarray(ad.value(f_spec))
     if np.shape(vg)[-2:] != tuple(shape):  # a wider g's half spectrum may still fit
@@ -564,20 +612,19 @@ def reconstruct(y_spec, k_spec, g, f_spec, eta, shape):
                                 % (np.shape(vg), *shape))
     _check_half(shape, "reconstruction", y_spec, vk, vf)
     e = np.asarray(ad.value(eta))[:, None, None]
-
-    def terms():  # the data term and the channel-summed prior term
-        return ((1, vk, y_spec),), ((e, vf, spectral.rfft2(vg)),)
-
-    out = spectral.irfft2(_quotient(*terms(), update="reconstruction")[0], shape,
-                          overwrite=True)
+    # the data term and the channel-summed prior term (eta, F, G)
+    data, g_spec = (1, vk, y_spec), spectral.rfft2(vg)
+    q, inv = _quotient((data,), ((e, vf, g_spec),), update="reconstruction")
+    if not ad.recorded(k_spec, g, f_spec, eta):
+        del g_spec, inv  # a plain pass holds neither through the inverse
+        return spectral.irfft2(q, shape, overwrite=True)
+    out = spectral.irfft2(q, shape)
 
     def pull(gx):
-        data, prior = terms()
-        q, inv = _quotient(data, prior, update="reconstruction")
-        t = ad.idft_adjoint(gx, shape)
-        t *= inv
-        gg, gf, ge = _term_adjoint(t, q, *prior[0])
-        return (_term_adjoint(t, q, *data[0])[1], ad.dft_adjoint(gg, shape), gf, ge)
+        t = ad.idft_adjoint(gx, shape, scale=inv)
+        gg, gf, ge = _term_adjoint(t, q, e, vf, g_spec)
+        return (_term_adjoint(t, q, *data)[1], ad.dft_adjoint(gg, shape, overwrite=True),
+                gf, ge)
 
     return ad.record(out, (k_spec, g, f_spec, eta), pull)
 

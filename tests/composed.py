@@ -28,8 +28,10 @@ from unrolled_deblur.unroll import DENOM_FLOOR, TRAINABLE, build_filters
 
 def add(a, b):
     va, vb = ad.value(a), ad.value(b)
+    # backward keeps and sums into what a pull returns, so the two inputs
+    # get arrays of their own
     return ad.record(va + vb, (a, b), lambda g: (
-        ad.unbroadcast(g, np.shape(va)), ad.unbroadcast(g, np.shape(vb))))
+        ad.unbroadcast(g, np.shape(va)), ad.unbroadcast(np.array(g), np.shape(vb))))
 
 
 def mul(a, b):

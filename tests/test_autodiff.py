@@ -393,6 +393,27 @@ def test_fanout_accumulates(rng):
     check(loss, x)
 
 
+@pytest.mark.parametrize("writeable", [True, False])
+def test_backward_sums_into_the_first_adjoint(rng, writeable):
+    # the adjoints a pull returns are backward's: a second adjoint of the
+    # same node is added into the first one's buffer, unless that buffer is
+    # read-only, and the sum is the same either way
+    x = rng.standard_normal((3, 3))
+    first, second = rng.standard_normal((2, 3, 3))
+    kept = first.copy()
+    first.flags.writeable = writeable
+    tape = ad.Tape()
+    v = ad.leaf(tape, x)
+    early = ad.record(x, (v,), lambda g: (second.copy(),))
+    late = ad.record(x, (v,), lambda g: (first,))  # pulled first
+    loss = ad.record(np.asarray(0.0), (early, late),
+                     lambda g: (np.ones((3, 3)), np.ones((3, 3))))
+    got = ad.backward(loss, [v])[0]
+    assert np.array_equal(got, kept + second)
+    assert np.shares_memory(got, first) == writeable
+    assert np.array_equal(first, kept + second if writeable else kept)
+
+
 def test_untracked_inputs_compute_plain_arrays(rng):
     x = rng.standard_normal((4, 4))
     out = composed.ifft2(composed.mul(composed.fft2(x), 1.0))

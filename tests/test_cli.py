@@ -367,6 +367,26 @@ def test_deblur_restrict_support_with_checkpoint_is_an_error(pipeline, tmp_path,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("abbreviated, full", [
+    (["--kernel", "k.txt"], ["--kernel-out", "k.txt"]),
+    (["--restrict"], ["--restrict-support"])])
+def test_abbreviated_flags_are_usage_errors(pipeline, tmp_path, capsys,
+                                            abbreviated, full):
+    # prefix matching would bind --kernel to --kernel-out and --restrict to
+    # --restrict-support; only the full flags, as the benchmark passes
+    # them, parse
+    with open(pipeline["manifest"]) as fh:
+        row = next(csv.DictReader(fh))
+    blurred = os.path.join(pipeline["data"], row["blurred"])
+    argv = ["deblur", "--in", blurred, "--preset", "tv-prewitt", "--support",
+            "7", "--out", str(tmp_path / "o.pgm")]
+    paths = [str(tmp_path / a) if a.endswith(".txt") else a for a in abbreviated]
+    assert cli.main(argv + paths) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    cli._build_parser().parse_args(argv + full)
+
+
 def test_deblur_preset_restrict_support_changes_no_byte(pipeline, tmp_path,
                                                        capsys):
     # the preset always carries the support window, so the flag names the

@@ -21,6 +21,7 @@ from unrolled_deblur.errors import (DimensionMismatch, EvenSize,
                                     SingularDenominator)
 from unrolled_deblur.training import TrainConfig, init_params, loss_terms
 
+import composed
 from composed import kernel_form
 from test_edge_images import IMAGES
 
@@ -1319,8 +1320,9 @@ def _held_bytes(*outputs):
 
 
 def test_graph_holds_at_most_four_stacks_per_layer(rng):
-    # each node keeps its inputs and recomputes its quotients, so a layer
-    # holds Y_l, Z and g (2.5 complex stacks) plus plane-sized values
+    # each node keeps its inputs, and the kernel update its channel sums, so
+    # a layer holds Y_l, Z and g (2.5 complex stacks) plus plane-sized
+    # values; the reconstruction keeps one stack more, the spectra of g
     L, C, n = 3, 4, 64
     y = rng.random((n, n))
     state = _taped_forward(L, C, y)
@@ -1328,6 +1330,96 @@ def test_graph_holds_at_most_four_stacks_per_layer(rng):
                       spectral.embed_kernel(np.ones((5, 5)) / 25, n, n), 1e5)[0]
     stack = C * n * n * np.dtype(np.complex128).itemsize
     assert _held_bytes(loss) <= 4 * L * stack
+
+
+def _live_params(layers=3, channels=4):
+    params = small_params(layers=layers, channels=channels)
+    params.b = np.full((layers, channels), 0.02)
+    params.lam = np.full((layers, channels), 1e-3)
+    return params
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+def test_backward_reads_the_kept_channel_sums(rng, monkeypatch, restrict):
+    # recorded, kernel_estimate keeps Q, 1/D and the raw kernel, and
+    # reconstruct the spectra G and its Q and 1/D: their pulls make no
+    # quotient and no inverse transform, and the only quotients left are
+    # those the g_update pulls recompute, one each
+    L, n = 3, 32
+    y = rng.random((n, n))
+    with kernel_form(restrict):
+        state = unroll.forward(y, _live_params(L), tape=ad.Tape())[3]
+    loss = ad.mse(state.x_hat, rng.random((n, n)))
+    nodes = [node for node in _graph(loss) if node.parents]
+    names = [node.pull.__qualname__.split(".")[0] for node in nodes]
+    running = [None]
+    for node, name in zip(nodes, names):  # each call is named after its pull
+        def pull(g, _pull=node.pull, _name=name):
+            running[0] = _name
+            return _pull(g)
+        node.pull = pull
+    calls = collections.Counter()
+    for module, name in ((unroll, "_quotient"), (spectral, "irfft2")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[running[0], _name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    unroll.collect_gradients(loss, state)
+    computed = names.count("g_update")
+    assert computed == L
+    assert calls == {("g_update", "_quotient"): computed}
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+def test_plain_forward_holds_nothing_extra(rng, monkeypatch, restrict):
+    # a plain forward inverts every quotient in the quotient's own buffer
+    # and keeps nothing; a recorded one inverts the kernel updates' and the
+    # reconstruction's out of place, for their pulls, and gives the same
+    # values, which match the composed forward to 1e-12
+    L, n = 3, 32
+    params, y = _live_params(L), rng.random((n, n))
+    overwrites, irfft2 = [], spectral.irfft2
+
+    def noting(spec, shape, overwrite=False, size=None):
+        overwrites.append(overwrite)
+        return irfft2(spec, shape, overwrite, size)
+
+    monkeypatch.setattr(spectral, "irfft2", noting)
+    with kernel_form(restrict):
+        plain = unroll.forward(y, params)
+        assert overwrites and all(overwrites)
+        overwrites.clear()
+        taped = unroll.forward(y, params, tape=ad.Tape())
+    assert overwrites.count(False) == L + 1
+    for name, a, b in zip(("kernel", "g", "x_hat"), plain, taped):
+        assert np.array_equal(a, b), name
+    assert np.array_equal(plain[3].kernel_plane, ad.value(taped[3].kernel_plane))
+    want_x, want_k, _ = composed.forward(y, params, ad.Tape(), restrict)
+    for got, want in ((plain[2], want_x), (plain[3].kernel_plane, want_k)):
+        want = ad.value(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (13, 10), (128, 128)])
+def test_channel_sums_have_the_stacked_sums_bits(rng, shape):
+    # the summed terms of the kernel update and the reconstruction are
+    # made plane by plane; np.sum over the channel stack adds the planes in
+    # the same order, so the planes are those of the stacked sums
+    C, (h, w) = 4, shape
+    z, y = (spectral.rfft2(rng.standard_normal((C, h, w))) for _ in range(2))
+    den = np.sum((z * np.conj(z)).real, axis=0) + 0.5
+    want = spectral.irfft2(np.sum(np.conj(z) * y, axis=0) * np.reciprocal(den), shape)
+    assert np.array_equal(unroll.k_update(z, y, 0.5, shape), want)
+    k_spec, y_spec = (spectral.rfft2(rng.random((h, w))) for _ in range(2))
+    g, eta = rng.standard_normal((C, h, w)), rng.uniform(0.5, 20.0, C)
+    e = eta[:, None, None]
+    g_spec = spectral.rfft2(g)
+    den = (k_spec * np.conj(k_spec)).real
+    den += np.sum(np.multiply(e, (z * np.conj(z)).real), axis=0)
+    num = np.conj(k_spec) * y_spec
+    num += np.sum(np.multiply(e, np.conj(z) * g_spec), axis=0)
+    want = spectral.irfft2(num * np.reciprocal(den), shape)
+    assert np.array_equal(unroll.reconstruct(y_spec, k_spec, g, z, eta, shape), want)
 
 
 def test_collect_gradients_reads_filter_arrays_whole(rng):
