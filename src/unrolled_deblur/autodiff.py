@@ -132,7 +132,9 @@ def record(out, inputs, pull):
     inputs, and of the forward's intermediates only those summed over the
     channels into a plane or window (see the module docstring). Each
     adjoint it returns is backward's to keep and to sum into: an array the
-    pull made, or g itself, each returned for one input only.
+    pull made, or g itself, each returned for one input only. It shares
+    memory with no other adjoint and no kept value, or backward's in-place
+    sum (_sum_into) would write into them.
     """
     if not recorded(*inputs):
         return out
@@ -151,66 +153,39 @@ def dft_adjoint(g, shape, size=None, overwrite=False):
 
     H*W irfft2 of the half spectra g of (H, W) = shape planes, weighted 1/2
     on the doubled columns, with no residue check: an adjoint's anti-Hermitian
-    part is what a real input drops. The weights are applied after the column
+    part is what a real input drops. The weight is applied after the column
     pass, in its buffer: that pass acts on each column alone and 1/2 is a
     power of two, so the planes are those of weighting a copy of g first,
-    bit for bit. When H*W is a power of two it joins the weights there
-    (_exact_scale), and the real pass carries it through exactly. With an
-    odd size, only the size x size window of each plane around the origin
-    (spectral.wrap_window of the planes) is made, from the window's rows
-    alone (spectral.column_pass and real_pass). With overwrite the column
-    pass may take g's buffer, if g is complex128.
+    bit for bit. With an odd size, only the size x size window of each plane
+    around the origin (spectral.wrap_window of the planes) is made, from the
+    window's rows alone (spectral.column_pass and real_pass). With overwrite
+    the column pass may take g's buffer, if g is complex128.
     """
     h, w = shape
-    n = float(h * w)
-    exact = _exact_scale(h * w)
     columns = spectral.column_pass(np.asarray(g, dtype=np.complex128), overwrite, size)
-    columns *= _column_weights(w, 0.5, n if exact else 1.0)
+    columns[..., spectral.doubled_columns(w)] *= 0.5
     out = spectral.real_pass(columns, w, size)
-    if not exact:
-        out *= n
+    out *= float(h * w)
     return out
 
 
-def idft_adjoint(g, shape, size=None, scale=None, overwrite=False):
+def idft_adjoint(g, shape, size=None, scale=None):
     """Adjoint of the normalized inverse DFT of half spectra to real planes.
 
     rfft2(g) / (H*W) of the (H, W) = shape planes g, weighted 2 on the
     doubled columns, then times scale, a real array that broadcasts
     against it, if one is given. With a size, g holds the size x size
     windows of planes that are zero elsewhere, as irfft2(..., size=size)
-    returns them (spectral.window_rfft2).
-
-    One pass applies the weights: 2 is a power of two, so 2 / (H*W) rounds
-    as the two steps do. When H*W is a power of two, the weights are folded
-    into scale too, and that one pass is exact (_exact_scale); with
-    overwrite the fold may take scale's buffer.
+    returns them (spectral.window_rfft2). The weights 2 join scale in one
+    pass over the spectra: doubling rounds nothing, so the bits are those
+    of weighting first and scaling after.
     """
     out = spectral.rfft2(g) if size is None else spectral.window_rfft2(g, shape)
-    weights = _column_weights(shape[1], 2.0, 1.0 / (shape[0] * shape[1]))
-    if scale is not None:
-        if _exact_scale(shape[0] * shape[1]):
-            weights = np.multiply(scale, weights, out=scale if overwrite else None)
-        else:
-            out *= weights
-            weights = scale
-    out *= weights
+    out /= float(shape[0] * shape[1])
+    weights = np.ones(shape[1] // 2 + 1)
+    weights[spectral.doubled_columns(shape[1])] = 2.0
+    out *= weights if scale is None else scale * weights
     return out
-
-
-def _column_weights(width, doubled, scale):
-    """scale on each column of a half spectrum, times doubled on the columns
-    that stand for two (spectral.doubled_columns)."""
-    weights = np.full(width // 2 + 1, scale)
-    weights[spectral.doubled_columns(width)] *= doubled
-    return weights
-
-
-def _exact_scale(n):
-    """Whether n is a power of two: then scaling by n or 1/n rounds nothing,
-    so it moves between the steps of a linear pass bit for bit (barring
-    underflow)."""
-    return n & (n - 1) == 0
 
 
 # ---------------------------------------------------------------------------

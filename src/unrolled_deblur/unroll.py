@@ -82,10 +82,9 @@ embeds and windows a kernel by copying its four wrapped corners; and
 forward keeps each layer's own kernel plane or window, read-only. The
 pulls write only into buffers they made (see autodiff) and work in place
 there: g_update's takes both terms' adjoints in its quotient's, t's and
-one residual buffer; idft_adjoint weights t in one pass, folded into the
-pull's 1/D where H*W is a power of two, and dft_adjoint in the column
-pass, which runs in the product filter_spectra's and reconstruct's pulls
-made; _term_adjoint subtracts t A conj(Q) plane by plane; each weight's
+one residual buffer; idft_adjoint multiplies t by its column weights
+and the pull's 1/D in one pass, and dft_adjoint's column pass runs in the
+product filter_spectra's and reconstruct's pulls made; _term_adjoint subtracts t A conj(Q) plane by plane; each weight's
 gradient is one reduction over float views (_re_inner); and the pulls
 of filter_spectra and of a window's spectrum invert only the window's
 rows (autodiff.dft_adjoint with a size).
@@ -444,8 +443,8 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape):
 
     def pull(gg):
         q, inv = _quotient(terms, update="feature update")
-        t = ad.idft_adjoint(gg, shape, scale=inv, overwrite=True)
-        del inv  # folded into t: freeing it before the stacks below lowers the peak
+        t = ad.idft_adjoint(gg, shape, scale=inv)
+        del inv  # read once: freeing it before the stacks below lowers the peak
         # the prior term (lam, 1, Z) with R = Z - Q, then the data term
         # (b, K, Y) with R = Y - KQ in the same buffer (see _quotient)
         gz = vl * t

@@ -1370,6 +1370,53 @@ def test_backward_reads_the_kept_channel_sums(rng, monkeypatch, restrict):
     assert calls == {("g_update", "_quotient"): computed}
 
 
+def _kept_arrays(node):
+    """The node's value and every array its pull closes over."""
+    stack, kept = [node.value], []
+    stack += [cell.cell_contents for cell in getattr(node.pull, "__closure__", None) or ()]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, np.ndarray):
+            kept.append(x)
+        elif isinstance(x, (tuple, list)):
+            stack.extend(x)
+    return kept
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+def test_pulls_return_arrays_of_their_own(rng, restrict):
+    # backward adds a node's second adjoint into the first one's buffer
+    # (autodiff._sum_into), so an adjoint a pull returns must be backward's
+    # alone: it shares no memory with another adjoint returned in the sweep,
+    # by the same pull or another, nor with a value the graph keeps. Only
+    # the adjoint a pull was given may pass through, to one input.
+    L, n = 3, 32
+    with kernel_form(restrict):
+        state = unroll.forward(rng.random((n, n)), _live_params(L), tape=ad.Tape())[3]
+    target = spectral.embed_kernel(np.full((5, 5), 1 / 25), n, n)
+    total = loss_terms(state.x_hat, state.kernel_plane, rng.random((n, n)), target, 1e5)[0]
+    graph = _graph(total)
+    kept = [a for node in graph for a in _kept_arrays(node)]
+    returned = []
+    for node in graph:
+        if not node.parents:
+            continue
+
+        def pull(g, _pull=node.pull, _routes=node.routes):
+            adjoints = _pull(g)
+            mine = [adjoints[pos] for pos in _routes]
+            assert sum(a is g for a in mine) <= 1
+            for a in mine:
+                if a is not g:
+                    assert not any(np.shares_memory(a, b) for b in returned + kept)
+                    returned.append(a)
+            return adjoints
+
+        node.pull = pull
+    unroll.collect_gradients(total, state)
+    assert len(returned) > len(graph) // 2
+
+
 @pytest.mark.parametrize("restrict", [False, True])
 def test_plain_forward_holds_nothing_extra(rng, monkeypatch, restrict):
     # a plain forward inverts every quotient in the quotient's own buffer
