@@ -25,8 +25,9 @@ few new stacks; a new stack costs page faults as well as a pass once glibc
 has handed the pages back. The generic primitives here
 are the few the program records besides: leaves, basic indexing, the half
 spectrum of the kernel plane or window, embedding a window, one
-filter-cascade generation, full convolution of small filters and the
-mean-squared loss; `take` scatters into zeros of x's shape.
+filter-cascade generation and the mean-squared loss; `take` scatters into
+zeros of x's shape. conv_full (the full convolution of two small filters)
+is the cascade's per-pair reference; the solver never calls it.
 
 Creation order on the tape is topological, so backward() is one sweep over
 the nodes reachable from the loss in reverse creation order. Nodes point
@@ -58,7 +59,6 @@ never mutates the graph, so repeated sweeps agree bitwise.
 """
 
 import numpy as np
-from scipy import signal
 
 from . import spectral
 from .errors import DimensionMismatch, UnrecordedNode
@@ -226,11 +226,20 @@ def take(x, idx):
 
 
 def conv_full(a, b):
-    """Zero-padded full 2-D convolution of two small real filters."""
+    """Zero-padded full 2-D convolution of two small real filters: tap (u, v)
+    of a adds a[u, v] b at (u, v). The adjoints are g's valid correlations."""
     va, vb = value(a), value(b)
-    return record(signal.convolve2d(va, vb, mode="full"), (a, b), lambda g: (
-        signal.correlate2d(g, vb, mode="valid"),
-        signal.correlate2d(g, va, mode="valid")))
+    (m, n), (s, t) = va.shape, vb.shape
+    taps = [(u, v, np.s_[u:u + s, v:v + t]) for u in range(m) for v in range(n)]
+    out = np.zeros((m + s - 1, n + t - 1))
+    for u, v, win in taps:
+        out[win] += va[u, v] * vb
+
+    def pull(g):
+        ga = np.array([np.sum(g[win] * vb) for _, _, win in taps]).reshape(m, n)
+        return ga, sum(va[u, v] * g[win] for u, v, win in taps)
+
+    return record(out, (a, b), pull)
 
 
 def cascade(mix, above):

@@ -1,8 +1,9 @@
 """Synthetic motion kernels and blurred/sharp training records.
 
 Linear kernels rasterize a centered segment by dense point sampling with
-bilinear splatting; trajectory kernels integrate a damped random walk and
-splat its path the same way. The splat clips positions onto the grid.
+bilinear splatting; trajectory kernels sum the velocities of a damped
+random walk, v_t = TRAJ_DAMPING v_(t-1) + kick_t, and splat the path the
+same way. The splat clips positions onto the grid.
 Records pair a blurred observation (circular convolution plus unclamped
 gaussian noise) with its sharp source and true kernel, listed in a
 manifest CSV. write_records is the one record builder: it takes kernel
@@ -15,7 +16,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from . import imaging, spectral
 from .errors import (CorruptHeader, DeblurError, EmptyDirectory, EvenSize,
@@ -86,8 +86,9 @@ def trajectory_motion_kernel(seed, support):
         raise SupportTooSmall("support %d too small for a trajectory" % support)
     rng = np.random.default_rng(seed)
     steps = rng.normal(0.0, math.sqrt(TRAJ_STEP_VAR), size=(TRAJ_STEPS, 2))
-    path = np.cumsum(signal.lfilter([1.0], [1.0, -TRAJ_DAMPING], steps, axis=0),
-                     axis=0)
+    for t in range(1, TRAJ_STEPS):  # the kicks become the velocities
+        steps[t] += TRAJ_DAMPING * steps[t - 1]
+    path = np.cumsum(steps, axis=0)
     path = path - path.mean(axis=0)
     extent = float(np.abs(path).max())
     half = (support - 1) / 2.0

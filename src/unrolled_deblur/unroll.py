@@ -93,7 +93,8 @@ Dead layers: forward, plain or recorded, tracks the solver's initial
 state, Z = 0 and the impulse kernel, which lasts until a layer keeps a
 feature. A layer in that state whose shrinkage keeps nothing (max|g| <= b
 in every channel) skips its Z transform and kernel update, which could
-only give Z = 0 and the fallback impulse again. With one shared bank
+only give Z = 0 (the scalar, as for layer 1) and the fallback impulse
+again. With one shared bank
 (fixed_bank), K = 1 makes each such layer's features c_l = b_l / (b_l +
 lam_l) times one filtered image, so the first layer's features bound
 every later layer's: a layer l < L-1 with c_l max|g_0| / c_0 (1 + slack)
@@ -706,8 +707,6 @@ def forward(y, params, tape=None, track_kinks=False):
                         y_specs = filter_spectra(banks[l], f_spec, shape, y_spec)
                         for shared in (f_spec, y_specs):  # reused by later layers
                             ad.value(shared).flags.writeable = False
-                    if z_spec is None:  # what z_spectrum makes of a dead layer's g
-                        z_spec = spectral.rfft2(np.zeros((C, h, w)))
                     g = g_update(y_specs, z_spec, ad.rfft2(k, grid), b_l,
                                  ad.take(pv["lam"], per_channel), shape)
                     if initial:  # dead if nothing passes the shrinkage
@@ -719,7 +718,7 @@ def forward(y, params, tape=None, track_kinks=False):
                                 and np.all(_gain(vb, vl) > 0):
                             reach = peak * (1.0 + _dead_slack(h * w)) / _gain(vb, vl)
                 if initial:  # Z = 0: k_update's plane is 0 and projects to the impulse
-                    k, z_spec = _impulse(kshape, support), None
+                    k, z_spec = _impulse(kshape, support), 0.0
                 else:
                     z_spec = z_spectrum(g, b_l)
                     k = kernel_estimate(z_spec, y_specs, params.eps, support, shape)

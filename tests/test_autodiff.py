@@ -14,6 +14,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.fft
+from scipy import signal
 
 import composed
 from unrolled_deblur import autodiff as ad
@@ -268,13 +269,32 @@ def test_origin_window_gradient_on_plane(rng):
     check(lambda v: ad.mse(composed.origin_window(v, 5), t), plane)
 
 
-def test_conv_full_gradients(rng):
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3))
-    t = rng.standard_normal((5, 5))
+# square and non-square filter pairs
+CONV_SHAPES = (((3, 3), (3, 3)), ((2, 5), (3, 1)), ((4, 3), (2, 6)), ((1, 4), (5, 2)))
 
-    check(lambda v: ad.mse(ad.conv_full(v, b), t), a)
-    check(lambda v: ad.mse(ad.conv_full(a, v), t), b)
+
+def test_conv_full_gradients(rng):
+    for sa, sb in CONV_SHAPES:
+        a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+        t = rng.standard_normal((sa[0] + sb[0] - 1, sa[1] + sb[1] - 1))
+
+        check(lambda v: ad.mse(ad.conv_full(v, b), t), a)
+        check(lambda v: ad.mse(ad.conv_full(a, v), t), b)
+
+
+def test_conv_full_matches_scipy_signal(rng):
+    # scipy.signal stays the oracle for the value and both adjoints
+    for sa, sb in CONV_SHAPES:
+        a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+        want = signal.convolve2d(a, b, mode="full")
+        assert np.max(np.abs(ad.conv_full(a, b) - want)) < 1e-13
+        tape = ad.Tape()
+        node = ad.conv_full(ad.leaf(tape, a), ad.leaf(tape, b))
+        g = rng.standard_normal(want.shape)
+        ga, gb = node.pull(g)
+        assert ga.shape == sa and gb.shape == sb
+        assert np.max(np.abs(ga - signal.correlate2d(g, b, mode="valid"))) < 1e-13
+        assert np.max(np.abs(gb - signal.correlate2d(g, a, mode="valid"))) < 1e-13
 
 
 def test_cascade_matches_summed_conv_full(rng):

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from unrolled_deblur import imaging, kernelgen
 from unrolled_deblur.errors import (CorruptHeader, DeblurError,
@@ -188,6 +189,41 @@ def test_trajectory_matches_the_step_by_step_reference(support):
     for t in range(40):
         got = kernelgen.trajectory_motion_kernel((0, t), support)
         assert got.tobytes() == _loop_trajectory((0, t), support).tobytes()
+
+
+# the float64 bytes of seeds 0-7 at supports 5, 15 and 31, in that order
+TRAJ_PIN_SHA256 = "ab556b1d9d7a78a9779e5714a9fb2153ace72e493ad668d153a1454b95998d6e"
+
+
+def test_trajectory_kernel_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(8):
+        for support in (5, 15, 31):
+            k = kernelgen.trajectory_motion_kernel(seed, support)
+            digest.update(k.astype("<f8").tobytes())
+    assert digest.hexdigest() == TRAJ_PIN_SHA256
+
+
+def _lfilter_trajectory(seed, support):
+    """Reference: the walk as scipy.signal.lfilter's one-pole filter."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, math.sqrt(kernelgen.TRAJ_STEP_VAR),
+                       size=(kernelgen.TRAJ_STEPS, 2))
+    velocity = signal.lfilter([1.0], [1.0, -kernelgen.TRAJ_DAMPING], steps, axis=0)
+    path = np.cumsum(velocity, axis=0)
+    path = path - path.mean(axis=0)
+    half = (support - 1) / 2.0
+    extent = float(np.abs(path).max())
+    if extent > half:
+        path = path * (half / extent)
+    return kernelgen._splat(half + path[:, 0], half + path[:, 1], support)
+
+
+def test_trajectory_walk_matches_lfilter():
+    for seed in range(200):
+        for support in (5, 31):
+            got = kernelgen.trajectory_motion_kernel(seed, support)
+            assert got.tobytes() == _lfilter_trajectory(seed, support).tobytes()
 
 
 def test_trajectory_rejects_bad_support():

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from unrolled_deblur import imaging, metrics
 from unrolled_deblur.errors import (DimensionMismatch, ImageTooSmall,
@@ -124,27 +125,49 @@ def test_ssim_rejects_small_images(rng):
         metrics.ssim(rng.random((8, 8)), rng.random((8, 8)))
 
 
-def test_ssim_matches_windowed_oracle(rng):
-    a = rng.random((15, 14))
-    b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1)
+def _gaussian_window():
+    """The 11x11 window from its 2-D formula, normalized to unit mass."""
+    ax = np.arange(metrics.SSIM_WINDOW) - (metrics.SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2)
+               / (2.0 * metrics.SSIM_SIGMA ** 2))
+    return g / g.sum()
 
-    w = metrics._gaussian_window()
-    n = metrics.SSIM_WINDOW
+
+def _ssim_from_means(mu1, mu2, e11, e22, e12):
     c1 = metrics.SSIM_K1 ** 2
     c2 = metrics.SSIM_K2 ** 2
-    vals = []
-    for p in range(a.shape[0] - n + 1):
-        for q in range(a.shape[1] - n + 1):
-            pa = a[p:p + n, q:q + n]
-            pb = b[p:p + n, q:q + n]
-            mu1 = float((w * pa).sum())
-            mu2 = float((w * pb).sum())
-            s11 = float((w * pa * pa).sum()) - mu1 * mu1
-            s22 = float((w * pb * pb).sum()) - mu2 * mu2
-            s12 = float((w * pa * pb).sum()) - mu1 * mu2
-            vals.append(((2 * mu1 * mu2 + c1) * (2 * s12 + c2))
-                        / ((mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)))
-    assert abs(metrics.ssim(a, b) - float(np.mean(vals))) < 1e-8
+    s11, s22, s12 = e11 - mu1 * mu1, e22 - mu2 * mu2, e12 - mu1 * mu2
+    return (((2 * mu1 * mu2 + c1) * (2 * s12 + c2))
+            / ((mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)))
+
+
+def test_ssim_matches_windowed_oracle(rng):
+    w = _gaussian_window()
+    n = metrics.SSIM_WINDOW
+    for shape in ((15, 14), (40, 40)):
+        a = rng.random(shape)
+        b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1)
+        vals = []
+        for p in range(a.shape[0] - n + 1):
+            for q in range(a.shape[1] - n + 1):
+                pa = a[p:p + n, q:q + n]
+                pb = b[p:p + n, q:q + n]
+                vals.append(_ssim_from_means(
+                    float((w * pa).sum()), float((w * pb).sum()),
+                    float((w * pa * pa).sum()), float((w * pb * pb).sum()),
+                    float((w * pa * pb).sum())))
+        assert abs(metrics.ssim(a, b) - float(np.mean(vals))) < 1e-8
+
+    # scipy.signal stays the oracle at size: the 2-D window by FFT convolution
+    a = rng.random((128, 128))
+    b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1)
+
+    def filt(img):
+        return signal.fftconvolve(img, w, mode="valid")
+
+    want = float(np.mean(_ssim_from_means(filt(a), filt(b), filt(a * a),
+                                          filt(b * b), filt(a * b))))
+    assert abs(metrics.ssim(a, b) - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -537,3 +540,26 @@ def test_package_has_one_fft_library():
             if name != "spectral.py"}
     assert {name: lines for name, lines in uses.items() if lines} == {}
     assert _fft_uses(sources["spectral.py"], "scipy")  # the detector sees it
+
+
+def _scipy_modules(code):
+    """The scipy modules a fresh interpreter holds after running code."""
+    src = str(pathlib.Path(spectral.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    listing = ("\nimport sys\nprint(' '.join(m for m in sys.modules"
+               " if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code + listing], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_package_imports_no_scipy_beyond_fft():
+    # spectral's scipy.fft is the one library numerics the solver needs;
+    # another scipy subpackage (signal loads stats, optimize, sparse, ...)
+    # would cost every process its import time and memory
+    alone = _scipy_modules("import scipy.fft")
+    assert "scipy.fft" in alone
+    package = _scipy_modules("import unrolled_deblur, unrolled_deblur.cli, "
+                             "unrolled_deblur.gradcheck")
+    assert sorted(package - alone) == []
