@@ -15,7 +15,8 @@ cross-correlation, then re-scores with math.fsum, which is exact, only the
 candidates that rounding cannot separate from the best. The exact scores
 decide in the fixed candidate order, so the result is the one an exhaustive
 exact scan returns, and MSE ties resolve identically regardless of how the
-inputs were rolled. Every metric rejects non-finite pixels.
+inputs were rolled. Every metric rejects non-finite pixels (NonFiniteInput)
+and images with no pixels (ImageTooSmall) before any arithmetic.
 """
 
 import csv
@@ -26,8 +27,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import kernelgen, spectral, training, unroll
-from .errors import (DimensionMismatch, ImageTooSmall, InvalidParameter,
-                     NonFiniteInput)
+from .errors import (DimensionMismatch, EvenSize, ImageTooSmall,
+                     InvalidParameter, NonFiniteInput)
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -46,6 +47,8 @@ def _check_pair(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatch("images %s vs %s" % (a.shape, b.shape))
+    if a.size == 0:  # a mean over no pixels, or a search over no shifts
+        raise ImageTooSmall("images %s hold no pixels" % (a.shape,))
     _check_finite(a, b)
     return a, b
 
@@ -156,9 +159,18 @@ def align_shift(estimate, reference, max_shift):
 
 
 def kernel_rmse(estimate, truth):
-    """RMSE between kernels after centered padding and circular alignment."""
+    """RMSE between kernels after centered padding and circular alignment.
+
+    Both kernels must be odd and square, so that each pads onto the larger
+    one's centre: DimensionMismatch or EvenSize names the one that is not.
+    """
     estimate = np.asarray(estimate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
+    for name, k in (("estimate", estimate), ("truth", truth)):
+        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+            raise DimensionMismatch("%s kernel must be square, got %s" % (name, k.shape))
+        if k.shape[0] % 2 == 0:
+            raise EvenSize("%s kernel is %dx%d, an even size" % (name, *k.shape))
     _check_finite(estimate, truth)
     size = max(estimate.shape[0], truth.shape[0])
     a, b = (np.pad(k, (size - k.shape[0]) // 2) for k in (estimate, truth))

@@ -74,20 +74,30 @@ right as they are.
 Passes: the plain forward makes no pass or stack-sized temporary its
 arithmetic does not need, and each short form gives the same bits as the
 textbook one. _quotient returns Q = N (1/D) and 1/D, which the pulls
-multiply by, and sums a term over the channels plane by plane
-(_channel_sums); the inverse transform of a quotient that nothing reads
-again (g_update's, and plain k_update's and reconstruct's) runs in the
-quotient's buffer; z_update is one clip and one subtraction; spectral
-embeds and windows a kernel by copying its four wrapped corners; and
-forward keeps each layer's own kernel plane or window, read-only. The
-pulls write only into buffers they made (see autodiff) and work in place
-there: g_update's takes both terms' adjoints in its quotient's, t's and
-one residual buffer; idft_adjoint multiplies t by its column weights
-and the pull's 1/D in one pass, and dft_adjoint's column pass runs in the
-product filter_spectra's and reconstruct's pulls made; _term_adjoint subtracts t A conj(Q) plane by plane; each weight's
-gradient is one reduction over float views (_re_inner); and the pulls
-of filter_spectra and of a window's spectrum invert only the window's
-rows (autodiff.dft_adjoint with a size).
+multiply by. It works in row blocks across all channels (_row_blocks) of
+at most QUOTIENT_BLOCK_BYTES = 256 KiB of one plane's complex rows: a
+128 px half plane (133,120 bytes) is one block, a 512 px one (4,112 bytes
+a row) nine, eight of 63 rows and a last of 8. A block forms conj(A) and
+|A|^2 once for all channels, sums a term over the channels in place in
+its output rows (_channel_sums), writes N and D straight into Q's and
+1/D's rows, checks the floor and finishes both there. So the stacks it
+reads stay in a 2 MiB L2 at the preset's C = 2, no stack-sized temporary
+is made, and every block layout gives the same bits. g_update's term
+(lam, 1, Z) adds nothing to N while Z is the scalar 0. The inverse
+transform of a quotient that nothing reads again (g_update's, and plain
+k_update's and reconstruct's) runs in the quotient's buffer; z_update is
+one clip and one subtraction; spectral embeds and windows a kernel by
+copying its four wrapped corners; and forward keeps each layer's own
+kernel plane or window, read-only. The pulls write only into buffers
+they made (see autodiff) and work in place there: g_update's takes both
+terms' adjoints in its quotient's, t's and one residual buffer;
+idft_adjoint multiplies t by its column weights and the pull's 1/D in
+one pass, and dft_adjoint's column pass runs in the product
+filter_spectra's and reconstruct's pulls made; _term_adjoint subtracts
+t A conj(Q) plane by plane; each weight's gradient is one reduction over
+float views (_re_inner); and the pulls of filter_spectra and of a
+window's spectrum invert only the window's rows (autodiff.dft_adjoint
+with a size).
 
 Dead layers: forward, plain or recorded, tracks the solver's initial
 state, Z = 0 and the impulse kernel, which lasts until a layer keeps a
@@ -131,6 +141,12 @@ from .errors import (DimensionMismatch, EvenSize, InvalidParameter,
 # smallest magnitude a frequency-domain denominator may take; anything
 # below raises instead of producing Inf/NaN
 DENOM_FLOOR = 1e-15
+
+# _quotient's row blocks hold at most this many bytes of one plane's complex
+# rows, so that a block of every stack one solve reads and writes stays in a
+# 2 MiB L2 at the preset's C = 2; a plane within it is one block (a 128 px
+# half spectrum is 133,120 bytes), a 512 px one takes 9
+QUOTIENT_BLOCK_BYTES = 256 * 1024
 
 PREWITT_X = np.array([[-1.0, 0.0, 1.0],
                       [-1.0, 0.0, 1.0],
@@ -280,34 +296,68 @@ def _quotient(terms, summed=(), ridge=0.0, update=None):
     """The per-frequency least-squares solve Q = N / D; returns (Q, 1/D).
 
     Each term (w, A, B) adds w (conj(A) B) to N and w |A|^2 to D (w = 1 or
-    A = 1 skips a multiply); summed terms are summed over their leading
-    (channel) axis, and ridge is added to D. N accumulates in the first
-    term's product, so its A is an array. Given an update name, a D below
-    DENOM_FLOOR raises SingularDenominator. Q is N times 1/D, each in its
-    own buffer: numpy divides a complex by a real as a multiply by the
-    real's reciprocal, so this is N / D bit for bit (up to the sign of an
-    exact zero), and the pulls multiply by the same 1/D.
+    A = 1 skips a multiply, and after the first term B = the scalar 0 adds
+    nothing); summed terms are summed over their leading (channel) axis
+    (_channel_sums) and come first, and ridge is added to D last. Given an
+    update name, a D below DENOM_FLOOR raises SingularDenominator, naming
+    the smallest D of the first row block that holds one. Q is N times 1/D:
+    numpy divides a complex by a real as a multiply by the real's
+    reciprocal, so this is N / D bit for bit (up to the sign of an exact
+    zero), and the pulls multiply by the same 1/D.
+
+    It runs in row blocks across all channels (_row_blocks, and Passes in
+    the module docstring) and writes N and D straight into Q's and 1/D's
+    rows. Each entry takes the same operations in the same order whatever
+    the blocks, so every block layout gives the same bits.
 
     Adjoint (_term_adjoint): with t = qbar / D for the adjoint qbar of Q and
     R = B - A Q, N gets t and D gets -Re(t conj(Q)); since 2 A Re(t conj(Q))
     = t A conj(Q) + conj(t) A Q, each term pulls back to
       B: w t A    A: w (conj(t) R - t A conj(Q))    w: Re(conj(t A) R).
     """
-    num = den = None
-    for w, a, b in terms:
-        ca = None if _unit(a) else np.conj(a)
-        den = _add(den, 1 if _unit(a) else (a * ca).real, w)
-        num = _add(num, b if _unit(a) else ca * b, w, not _unit(a))
-    for w, a, b in summed:
-        d, n = _channel_sums(w, a, b)
-        den, num = _add(den, d), _add(num, n)
-    if ridge:
-        den += ridge
-    if update is not None:
-        _check_floor(den, update)
-    inv = np.reciprocal(den, out=den)
-    num *= inv
+    shape = np.broadcast_shapes(
+        *(np.shape(x) for term in terms for x in term),
+        *(np.broadcast_shapes(*map(np.shape, term))[1:] for term in summed))
+    num, inv = np.empty(shape, complex), np.empty(shape)
+    for rows in _row_blocks(shape):
+        n, d = num[..., rows, :], inv[..., rows, :]
+        fresh = True  # the first contribution is written, the others added
+        for term in summed:
+            _channel_sums(n, d, *(_rows(x, rows) for x in term), fresh)
+            fresh = False
+        for w, a, b in terms:
+            w, a, b = (_rows(x, rows) for x in (w, a, b))
+            if _unit(a):
+                _accumulate(d, 1, w, fresh)
+                if fresh or np.ndim(b) or b != 0:  # w * 0 would only clear -0.0
+                    _accumulate(n, b, w, fresh)
+            else:
+                ca = np.conj(a)
+                _accumulate(d, (a * ca).real, w, fresh)
+                _accumulate(n, np.multiply(ca, b, out=n if fresh else None), w, fresh)
+            fresh = False
+        if ridge:
+            d += ridge
+        if update is not None:
+            _check_floor(d, update)
+        np.reciprocal(d, out=d)
+        n *= d
     return num, inv
+
+
+def _row_blocks(shape):
+    """Row slices of the (..., H, W') planes of shape, each QUOTIENT_BLOCK_BYTES
+    of one plane's complex rows or less (one row at least); a plane within
+    that budget is one block."""
+    h, width = shape[-2:]
+    step = max(1, QUOTIENT_BLOCK_BYTES // (16 * width))
+    return [slice(r, r + step) for r in range(0, h, step)]
+
+
+def _rows(x, rows):
+    """The block rows of an array of (..., H, W') planes; a scalar or a weight
+    of one number per plane passes whole."""
+    return x[..., rows, :] if np.ndim(x) >= 2 and np.shape(x)[-2] > 1 else x
 
 
 def _check_floor(den, update):
@@ -316,39 +366,38 @@ def _check_floor(den, update):
         raise SingularDenominator("%s denominator floor %.3e" % (update, np.min(den)))
 
 
-def _add(acc, part, w=1, own=False):
-    """acc + w part (in part's buffer if own), in acc's buffer, so no term's
-    stacks outlive the call."""
-    if not own and not _unit(w) and acc is not None and np.shape(part) == acc.shape:
-        # plane by plane: a stack-sized temporary makes glibc re-fault pages
-        for i in np.ndindex(acc.shape[:-2]):
-            acc[i] += np.broadcast_to(w, acc.shape)[i] * part[i]
-        return acc
-    if not _unit(w):
-        part = np.multiply(w, part, out=part if own else None)
-    return part if acc is None else np.add(acc, part, out=acc)
+def _accumulate(out, part, w, fresh):
+    """out = w part if fresh, else out += w part, in out's buffer; w is the
+    product's first operand. A fresh part may already be out. A part the
+    shape of out is weighted and added plane by plane, so that a 128 px
+    stack, one block, makes no stack-sized temporary."""
+    if fresh:
+        if not _unit(w):
+            np.multiply(w, part, out=out)
+        elif part is not out:
+            np.copyto(out, part)
+    elif _unit(w):
+        out += part
+    elif np.shape(part) != out.shape:
+        out += np.multiply(w, part)
+    else:
+        w = np.broadcast_to(w, out.shape)
+        for i in np.ndindex(out.shape[:-2]):
+            out[i] += w[i] * part[i]
 
 
-def _channel_sums(w, a, b):
-    """The sums over the leading (channel) axis of w |A|^2 and w conj(A) B,
-    for an array A, made plane by plane with no stack-sized temporary (see
-    _add), the first sum before the second. np.sum(..., axis=0) adds the
-    planes in the same order, so the sums have its bits."""
+def _channel_sums(n, d, w, a, b, fresh):
+    """Add the sums over the leading (channel) axis of w conj(A) B and
+    w |A|^2, for an array A, to n and d, or with fresh write them there:
+    channel by channel, in place. np.sum(..., axis=0) adds the planes in
+    the same order, so the sums have its bits."""
     shape = np.broadcast_shapes(np.shape(w), np.shape(a), np.shape(b))
     w, a, b = (x if _unit(x) else np.broadcast_to(x, shape) for x in (w, a, b))
-    sums = []
-    for part in (lambda i: (a[i] * np.conj(a[i])).real, lambda i: np.conj(a[i]) * b[i]):
-        total = None
-        for i in range(shape[0]):
-            p = part(i)
-            if not _unit(w):
-                np.multiply(w[i], p, out=p)
-            if total is None:  # a part of |A|^2 is a view of a product's reals
-                total = np.ascontiguousarray(p)
-            else:
-                total += p
-        sums.append(total)
-    return sums
+    for i in range(shape[0]):
+        first, wi = fresh and i == 0, w if _unit(w) else w[i]
+        ca = np.conj(a[i])
+        _accumulate(d, (a[i] * ca).real, wi, first)
+        _accumulate(n, np.multiply(ca, b[i], out=n if first else None), wi, first)
 
 
 def _term_adjoint(t, q, w, a, b):
@@ -358,7 +407,8 @@ def _term_adjoint(t, q, w, a, b):
     It makes two new arrays the shape of t A: R, in whose buffer A's
     adjoint is taken, and t A, in whose buffer B's adjoint w t A is. The
     product t A conj(Q) that A's adjoint subtracts is made plane by plane,
-    so it needs no third stack (see _add).
+    so it needs no third stack: a stack-sized temporary makes glibc return
+    and re-fault heap pages.
     """
     ta = t * a
     r = np.multiply(a, q)

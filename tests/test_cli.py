@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from unrolled_deblur import cli, imaging
+from unrolled_deblur import cli, imaging, kernelgen, unroll
 from unrolled_deblur.training import load_checkpoint
 
 SUBCOMMANDS = ["gen-kernels", "gen-dataset", "train", "deblur", "eval",
@@ -401,6 +401,30 @@ def test_deblur_preset_restrict_support_changes_no_byte(pipeline, tmp_path,
         assert cli.main(["deblur", "--in", blurred, "--preset", "tv-prewitt",
                          "--support", "7", *flags, "--out", out,
                          "--kernel-out", kout]) == 0
+        with open(out, "rb") as fh, open(kout, "rb") as kh:
+            written.append((fh.read(), kh.read()))
+    assert written[0] == written[1]
+
+
+def test_deblur_preset_row_blocks_change_no_byte(tmp_path, monkeypatch, capsys):
+    # a 256 px image's half spectra (2,064 bytes a row) exceed the quotients'
+    # row-block budget, so the default run takes three blocks a plane; with
+    # the budget raised it takes one, and writes the same bytes
+    n = 256
+    rng = np.random.default_rng(5)
+    sharp = np.kron(rng.random((n // 16, n // 16)), np.ones((16, 16)))
+    kernel = kernelgen.linear_motion_kernel(0.4, 7.0, 9)
+    blurred = str(tmp_path / "blurred.pgm")
+    imaging.save_image(kernelgen.synthesize_blurred(sharp, kernel, 0.005, 3), blurred,
+                       maxval=65535)
+    assert len(unroll._row_blocks((n, n // 2 + 1))) == 3
+    written = []
+    for budget in (unroll.QUOTIENT_BLOCK_BYTES, 2 ** 62):
+        monkeypatch.setattr(unroll, "QUOTIENT_BLOCK_BYTES", budget)
+        out, kout = (str(tmp_path / ("%s%d" % (name, len(written))))
+                     for name in ("x.pgm", "k.txt"))
+        assert cli.main(["deblur", "--in", blurred, "--preset", "tv-prewitt",
+                         "--support", "9", "--out", out, "--kernel-out", kout]) == 0
         with open(out, "rb") as fh, open(kout, "rb") as kh:
             written.append((fh.read(), kh.read()))
     assert written[0] == written[1]

@@ -9,7 +9,7 @@ import pytest
 from scipy import signal
 
 from unrolled_deblur import imaging, metrics
-from unrolled_deblur.errors import (DimensionMismatch, ImageTooSmall,
+from unrolled_deblur.errors import (DimensionMismatch, EvenSize, ImageTooSmall,
                                     InvalidParameter, NonFiniteInput)
 
 
@@ -473,3 +473,28 @@ def test_evaluate_rejects_threads_below_one_before_reading(tmp_path, threads):
     with pytest.raises(InvalidParameter, match="threads"):
         metrics.evaluate(str(tmp_path / "none.csv"), None, None,
                          forward_fn=lambda b: None, threads=threads)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0)])
+def test_empty_images_are_too_small(shape):
+    # typed before any arithmetic: no mean over no pixels (psnr's nan and
+    # RuntimeWarnings) and no shift search over an empty plane
+    empty = np.zeros(shape)
+    for metric in (metrics.psnr, metrics.ssim, lambda a, b: metrics.align_shift(a, b, 1)):
+        with pytest.raises(ImageTooSmall, match="no pixels|smaller"):
+            metric(empty, empty)
+
+
+@pytest.mark.parametrize("size", [4, 2, 0])
+def test_kernel_rmse_rejects_even_kernels_by_name(make_kernel, size):
+    odd = make_kernel(3)
+    even = np.full((size, size), 1.0 / max(size * size, 1))
+    with pytest.raises(EvenSize, match=r"^estimate kernel is %dx%d" % (size, size)):
+        metrics.kernel_rmse(even, odd)
+    with pytest.raises(EvenSize, match=r"^truth kernel is %dx%d" % (size, size)):
+        metrics.kernel_rmse(odd, even)
+
+
+def test_kernel_rmse_rejects_non_square_kernels(make_kernel):
+    with pytest.raises(DimensionMismatch, match="^truth kernel must be square"):
+        metrics.kernel_rmse(make_kernel(3), np.full((3, 5), 1.0 / 15))

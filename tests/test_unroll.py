@@ -1480,3 +1480,128 @@ def test_collect_gradients_reads_filter_arrays_whole(rng):
     loss = ad.mse(state.x_hat, rng.random((12, 12)))
     grads = unroll.collect_gradients(loss, state)
     assert np.any(grads["w_top"] != 0.0) and np.any(grads["w_mix"] != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# row blocks of the quotients
+
+# odd-width planes whose height is no multiple of the block: half spectra
+# of 23 columns, 368 bytes a row, in 12 blocks of 5 rows and a last of 1
+RAGGED = (61, 45)
+RAGGED_ROWS = 5
+
+
+def _budget(monkeypatch, rows):
+    """Row blocks of `rows` rows of RAGGED's half planes; None: one block."""
+    row_bytes = 16 * (RAGGED[1] // 2 + 1)
+    monkeypatch.setattr(unroll, "QUOTIENT_BLOCK_BYTES",
+                        2 ** 62 if rows is None else rows * row_bytes)
+
+
+def _one_block_and_ragged(monkeypatch, run):
+    results = []
+    for rows in (None, RAGGED_ROWS):
+        _budget(monkeypatch, rows)
+        results.append(run())
+    return results
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: the sign of every zero counts too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_ragged_row_blocks_cover_every_row_once(monkeypatch):
+    h, w = RAGGED
+    _budget(monkeypatch, RAGGED_ROWS)
+    blocks = unroll._row_blocks((3, h, w // 2 + 1))
+    assert [len(range(h)[rows]) for rows in blocks] == [5] * 12 + [1]
+    _budget(monkeypatch, None)
+    assert len(unroll._row_blocks((3, h, w // 2 + 1))) == 1
+    monkeypatch.undo()  # the default budget: 128 px planes are one block
+    assert len(unroll._row_blocks((16, 128, 65))) == 1
+    assert len(unroll._row_blocks((2, 512, 257))) == 9
+
+
+def test_row_blocks_change_no_update_bits(rng, monkeypatch):
+    C, (h, w) = 3, RAGGED
+    y, z, f = (spectral.rfft2(rng.standard_normal((C, h, w))) for _ in range(3))
+    k = spectral.rfft2(rng.random((h, w)))
+    b, lam = rng.uniform(0.5, 2.0, (C, 1, 1)), rng.uniform(1e-3, 1e-2, (C, 1, 1))
+    g, eta = rng.standard_normal((C, h, w)), rng.uniform(0.5, 20.0, C)
+
+    def run():
+        return (unroll.g_update(y, z, k, b, lam, (h, w)),
+                unroll.g_update(y, 0.0, k, b, lam, (h, w)),
+                unroll.k_update(z, y, 0.5, (h, w)),
+                *unroll.k_update(z, y, 0.5, (h, w), size=7, keep=True),
+                unroll.reconstruct(y[0], k, g, f, eta, (h, w)),
+                *unroll._quotient(((b, k, y), (lam, 1, z)), update="feature update"))
+
+    one, ragged = _one_block_and_ragged(monkeypatch, run)
+    for i, (a, b) in enumerate(zip(one, ragged)):
+        assert same_bits(a, b), i
+
+
+@pytest.mark.parametrize("model", ["trained", "preset"])
+def test_row_blocks_change_no_forward_or_gradient_bits(rng, monkeypatch, model):
+    # the plain forward, and the recorded one with every pull, including
+    # g_update's recomputed quotient, on both kernel forms
+    y, target = rng.random(RAGGED), rng.random(RAGGED)
+
+    def run():
+        if model == "preset":
+            params = unroll.tv_prewitt_params(layers=4, kernel_support=7)
+            params.b[:], params.lam[:] = 0.05, 1e-3
+        else:
+            params = _live_params(layers=3, channels=3)
+        kernel, g, x_hat, _ = unroll.forward(y, params)
+        state = unroll.forward(y, params, tape=ad.Tape())[3]
+        grads = unroll.collect_gradients(ad.mse(state.x_hat, target), state)
+        assert np.all(grads["eta"] != 0.0) and np.any(grads["b"] != 0.0)
+        return [kernel, g, x_hat, *(grads[name] for name in sorted(grads))]
+
+    one, ragged = _one_block_and_ragged(monkeypatch, run)
+    for i, (a, b) in enumerate(zip(one, ragged)):
+        assert same_bits(a, b), i
+
+
+def test_floor_is_checked_in_the_last_row_block(rng, monkeypatch):
+    # a zero denominator in the 1-row last block only, in the feature
+    # update (b |K|^2 + lam) and the reconstruction (|K|^2 + sum eta |F|^2)
+    C, (h, w) = 2, RAGGED
+    _budget(monkeypatch, RAGGED_ROWS)
+    y = spectral.rfft2(rng.random((C, h, w)))
+    k = spectral.rfft2(spectral.embed_kernel(np.array([[1.0]]), h, w))
+    f = bank_spectra(np.stack([unroll.PREWITT_X, unroll.PREWITT_Y]), h, w)
+    g, eta = rng.standard_normal((C, h, w)), np.full(C, 2.0)
+    b, lam = np.ones((C, 1, 1)), np.zeros((C, 1, 1))
+    unroll.g_update(y, 0.0, k, b, lam, (h, w))  # runs with K = 1
+    unroll.reconstruct(y[0], k, g, f, eta, (h, w))
+    k[-1], f[:, -1] = 0.0, 0.0
+    with pytest.raises(SingularDenominator,
+                       match=r"^feature update denominator floor 0\.000e\+00$"):
+        unroll.g_update(y, 0.0, k, b, lam, (h, w))
+    with pytest.raises(SingularDenominator,
+                       match=r"^reconstruction denominator floor 0\.000e\+00$"):
+        unroll.reconstruct(y[0], k, g, f, eta, (h, w))
+
+
+def test_zero_z_term_is_skipped_with_the_bits_of_a_zero_stack(rng):
+    # while Z is the scalar 0, the term (lam, 1, Z) adds nothing to N; on a
+    # first layer's inputs that gives the bits, signs of zeros included, of
+    # adding lam times a stack of zeros, in the value and in every adjoint
+    # but Z's
+    C, (h, w) = 3, (16, 13)
+    y = spectral.rfft2(rng.random((C, h, w)))
+    k = spectral.rfft2(spectral.embed_kernel(np.array([[1.0]]), h, w))
+    b, lam = np.full((C, 1, 1), 0.3), np.full((C, 1, 1), 1e-3)
+    gg = rng.standard_normal((C, h, w))
+    got = []
+    for z in (0.0, np.zeros_like(y)):
+        out = unroll.g_update(y, z, k, ad.leaf(ad.Tape(), b), lam, (h, w))
+        adjoints = out.pull(gg)  # of y, z, k, b and lam
+        got.append([out.value, adjoints[0], *adjoints[2:]])
+    for a, b in zip(*got):
+        assert same_bits(a, b)
