@@ -128,13 +128,13 @@ def record(out, inputs, pull):
     """Return out as a node over the tracked inputs, or as is if none is.
 
     pull(g) maps the node's adjoint g to one adjoint per entry of inputs, in
-    order (those of untracked inputs are ignored). It keeps the node's
-    inputs, and of the forward's intermediates only those summed over the
-    channels into a plane or window (see the module docstring). Each
-    adjoint it returns is backward's to keep and to sum into: an array the
-    pull made, or g itself, each returned for one input only. It shares
-    memory with no other adjoint and no kept value, or backward's in-place
-    sum (_sum_into) would write into them.
+    order; those of untracked inputs are ignored, so a pull may give None
+    for one. It keeps the node's inputs, and of the forward's intermediates
+    only those summed over the channels into a plane or window (see the
+    module docstring). Each adjoint it returns is backward's to keep and to
+    sum into: an array the pull made, or g itself, each returned for one
+    input only. It shares memory with no other adjoint and no kept value,
+    or backward's in-place sum (_sum_into) would write into them.
     """
     if not recorded(*inputs):
         return out

@@ -113,8 +113,11 @@ def align_shift(estimate, reference, max_shift):
     """Circular shift (dy, dx) of the estimate minimizing exact MSE.
 
     Candidates run over [-max_shift, max_shift]^2; ties break toward the
-    smallest |dy| + |dx|, then lexicographically on (dy, dx).
+    smallest |dy| + |dx|, then lexicographically on (dy, dx). A negative
+    max_shift leaves no candidate and raises InvalidParameter first.
     """
+    if max_shift < 0:
+        raise InvalidParameter("max_shift must be >= 0, got %d" % max_shift)
     estimate, reference = _check_pair(estimate, reference)
     h, w = reference.shape
     n = reference.size

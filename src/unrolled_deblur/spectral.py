@@ -7,16 +7,21 @@ makes spatial circular convolution and per-frequency spectrum products
 interchangeable.
 
 Convention: the forward transform is unnormalized and the inverse carries
-the 1/(H*W) factor (the default of numpy and scipy.fft).
+the 1/(H*W) factor (numpy.fft's default).
 
 Every transform works on the last two axes, so a (..., H, W) stack is
-transformed plane by plane in one call; scipy.fft (pocketfft) computes
-them all. Two pairs:
+transformed plane by plane in one call; numpy.fft (pocketfft) computes
+them all, and this is the one module that calls it. The 2-D transforms of
+real planes are two 1-D passes, the second in the first one's buffer
+(numpy.fft's out=): the real row pass, then the complex column pass. Two
+pairs:
 
-* fft2/ifft2 take full (H, W) spectra, for real and complex input alike.
-  A real plane's spectrum is Hermitian to rounding, not bit for bit, and
-  ifft2 stays complex-to-complex so it sees the imaginary residue it
-  discards.
+* fft2/ifft2 take full (H, W) spectra. A real plane's spectrum is its half
+  spectrum (rfft2) completed by conjugate symmetry: column W - v is the
+  mirror of column v, bit for bit, and the self-mirrored columns 0 and
+  (even W) W/2 are Hermitian to rounding only. Complex input, and the
+  inverse, go through numpy.fft.fft2/ifft2; ifft2 stays
+  complex-to-complex so it sees the imaginary residue it discards.
 * rfft2/irfft2 take the half spectra (H, W//2+1) of real planes, which is
   all of a Hermitian spectrum: column v stands for itself and for its
   mirror W - v, except column 0 and, for even W, column W/2, which are
@@ -30,12 +35,11 @@ The plane of a kernel restricted to an odd size x size window around the
 origin is zero outside the window's rows, and only the window is wanted
 back from an inverse. window_rfft2 transforms windows and irfft2 with a
 size returns them; both skip the other rows, as a pruned FFT does (Markel
-1971; Sorensen & Burrus 1993), with the same bits: scipy transforms each
-row on its own, and a zero row to exact zeros.
+1971; Sorensen & Burrus 1993), with the same bits: pocketfft transforms
+each row on its own, and a zero row to exact zeros.
 """
 
 import numpy as np
-import scipy.fft
 
 from .errors import DimensionMismatch, EvenSize, ImaginaryResidue, KernelTooLarge
 
@@ -56,12 +60,23 @@ FFT_SLACK = 64.0
 def fft2(plane):
     """Unnormalized forward 2-D DFT over the last two axes, as complex128.
 
-    Real input is taken as float64 and complex input as complex128; both
-    go through scipy.fft.fft2.
+    Complex input is taken as complex128 and goes through numpy.fft.fft2.
+    Real input is taken as float64: columns 0..W//2 are its rfft2, made by
+    the same two passes, bit for bit, and column W - v is the conjugate of
+    column v at row -k mod H.
     """
     plane = np.asarray(plane)
-    dtype = np.complex128 if np.iscomplexobj(plane) else np.float64
-    return scipy.fft.fft2(plane.astype(dtype, copy=False))
+    if np.iscomplexobj(plane):
+        return np.fft.fft2(plane.astype(np.complex128, copy=False))
+    half = np.fft.rfft(plane.astype(np.float64, copy=False), axis=-1)
+    np.fft.fft(half, axis=-2, out=half)
+    h, w = plane.shape[-2:]
+    full = np.empty(half.shape[:-1] + (w,), dtype=np.complex128)
+    full[..., :w // 2 + 1] = half
+    mirror = half[..., (w - 1) // 2:0:-1]  # columns W//2+1.. mirror these
+    np.conjugate(mirror[..., :1, :], out=full[..., :1, w // 2 + 1:])
+    np.conjugate(mirror[..., :0:-1, :], out=full[..., 1:, w // 2 + 1:])
+    return full
 
 
 def ifft2(spectrum):
@@ -75,15 +90,17 @@ def ifft2(spectrum):
     Complex-to-complex by design (see the module docstring), so the check
     sees the imaginary part it discards.
     """
-    planes = scipy.fft.ifft2(np.asarray(spectrum, dtype=np.complex128))
+    planes = np.fft.ifft2(np.asarray(spectrum, dtype=np.complex128))
     imag = _energy(planes.imag)
     _check_residue(_energy(planes.real) + imag, imag)
     return np.ascontiguousarray(planes.real)
 
 
 def rfft2(plane):
-    """Half spectra (..., H, W//2+1) of real (..., H, W) planes, unnormalized."""
-    return scipy.fft.rfft2(np.asarray(plane, dtype=np.float64))
+    """Half spectra (..., H, W//2+1) of real (..., H, W) planes, unnormalized:
+    the real row pass, then the column pass in its buffer."""
+    rows = np.fft.rfft(np.asarray(plane, dtype=np.float64), axis=-1)
+    return np.fft.fft(rows, axis=-2, out=rows)
 
 
 def irfft2(spectrum, shape, overwrite=False, size=None):
@@ -114,8 +131,8 @@ def irfft2(spectrum, shape, overwrite=False, size=None):
     anti = own - np.conj(own[..., -np.arange(h), :])  # twice the part dropped
     total = (2.0 * _energy(np.ascontiguousarray(spectrum).view(np.float64))
              - _energy(own.real, own.imag))
-    # scipy's two passes, the real one in the column pass's buffer:
-    # scipy.fft.irfft2 would make one more stack-sized temporary
+    # the two passes, the column one in spectrum's buffer with overwrite;
+    # numpy.fft.irfft2 would always make the column pass a new stack
     planes = real_pass(column_pass(spectrum, overwrite, size), w, size)
     _check_residue(total / (h * w), _energy(anti.real, anti.imag) / (4.0 * h * w))
     return planes
@@ -133,22 +150,23 @@ def window_rfft2(windows, shape):
     h, w = shape
     windows = _check_square(windows)
     r = _radius(windows.shape[-1], h, w, "kernel")
-    rows = scipy.fft.rfft(embed_kernels(windows, 2 * r + 1, w), axis=-1)
+    rows = np.fft.rfft(embed_kernels(windows, 2 * r + 1, w), axis=-1)
     spectrum = np.zeros(rows.shape[:-2] + (h, w // 2 + 1), dtype=np.complex128)
     spectrum[..., :r + 1, :] = rows[..., :r + 1, :]
     spectrum[..., h - r:, :] = rows[..., r + 1:, :]
-    return scipy.fft.fft(spectrum, axis=-2, overwrite_x=True)
+    return np.fft.fft(spectrum, axis=-2, out=spectrum)
 
 
 def column_pass(spectrum, overwrite=False, size=None):
     """The first pass of irfft2: the inverse DFT of each column of half spectra.
 
     It acts on each column alone. The result is a new complex128 buffer,
-    unless overwrite lets it take spectrum's. With an odd size it keeps
+    or with overwrite spectrum's own, which must then be a writeable
+    complex128 array. With an odd size it keeps
     only rows 0..r and H-r..H-1 (r = size // 2), in that order: a size-row
     plane with the same wrapped size x size window.
     """
-    columns = scipy.fft.ifft(spectrum, axis=-2, overwrite_x=overwrite)
+    columns = np.fft.ifft(spectrum, axis=-2, out=spectrum if overwrite else None)
     if size is None:
         return columns
     r, h = size // 2, columns.shape[-2]
@@ -157,9 +175,9 @@ def column_pass(spectrum, overwrite=False, size=None):
 
 def real_pass(columns, width, size=None):
     """The second pass of irfft2: width-point real rows from the column
-    pass's output, computed in its buffer, row by row. With the size given
-    to column_pass, it returns the size x size windows (wrap_window)."""
-    planes = scipy.fft.irfft(columns, n=width, axis=-1, overwrite_x=True)
+    pass's output, row by row. With the size given to column_pass, it
+    returns the size x size windows (wrap_window)."""
+    planes = np.fft.irfft(columns, n=width, axis=-1)
     return planes if size is None else wrap_window(planes, size)
 
 

@@ -497,8 +497,10 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape):
         t = ad.idft_adjoint(gg, shape, scale=inv)
         del inv  # read once: freeing it before the stacks below lowers the peak
         # the prior term (lam, 1, Z) with R = Z - Q, then the data term
-        # (b, K, Y) with R = Y - KQ in the same buffer (see _quotient)
-        gz = vl * t
+        # (b, K, Y) with R = Y - KQ in the same buffer (see _quotient); Z's
+        # adjoint only when Z is recorded, not the scalar 0 of layer 1 and
+        # of the layers after a dead prefix
+        gz = vl * t if ad.recorded(z_spec) else None
         r = np.subtract(z, q)
         gl = _re_inner(t, r)
         np.multiply(k, q, out=r)
@@ -724,9 +726,9 @@ def forward(y, params, tape=None, track_kinks=False):
                              "%dx%d image" % (width, width, h, w))
 
     # every spectrum is the half spectrum of an (h, w) plane; the image's is
-    # cut from its full spectral.fft2, so that perfbench's spectral.fft2
-    # span, which its smoke test requires in every workload, sees one
-    # transform per forward
+    # cut from its full spectral.fft2 (whose half is spectral.rfft2's, bit
+    # for bit), so that perfbench's spectral.fft2 span, which its smoke test
+    # requires in every workload, sees one transform per forward
     shape = (h, w)
     y_spec = np.ascontiguousarray(spectral.fft2(y)[:, :w // 2 + 1])
     support = _window_support(params)

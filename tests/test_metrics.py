@@ -485,6 +485,15 @@ def test_empty_images_are_too_small(shape):
             metric(empty, empty)
 
 
+def test_align_shift_rejects_a_negative_radius(monkeypatch):
+    # no candidate shift: typed before the pair is read or transformed
+    monkeypatch.setattr(metrics, "_check_pair", None)
+    monkeypatch.setattr(metrics.spectral, "fft2", None)
+    for max_shift in (-1, -5):
+        with pytest.raises(InvalidParameter, match="max_shift must be >= 0"):
+            metrics.align_shift(np.ones((4, 4)), np.full((4, 4), 0.5), max_shift)
+
+
 @pytest.mark.parametrize("size", [4, 2, 0])
 def test_kernel_rmse_rejects_even_kernels_by_name(make_kernel, size):
     odd = make_kernel(3)

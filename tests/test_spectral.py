@@ -55,10 +55,15 @@ def test_fft2_real_input_matches_numpy(rng, h, w):
 
 @pytest.mark.parametrize("h, w", SIZES)
 def test_fft2_real_input_is_exactly_hermitian(rng, h, w):
-    # Hermitian to rounding only: at some sizes with an even H (6, 12, 36,
-    # ...) pocketfft's real transform misses the mirror by about eps*max|X|
-    spec = spectral.fft2(rng.standard_normal((h, w)))
+    # columns W//2+1.. are the conjugate mirrors of the half spectrum, bit
+    # for bit; the self-mirrored columns 0 and W/2 come from the complex
+    # column pass, which at some H (6, 9, 12, ...) misses the mirror by
+    # about eps*max|X|
+    a = rng.standard_normal((h, w))
+    spec = spectral.fft2(a)
     mirror = np.conj(spec[(-np.arange(h)) % h][:, (-np.arange(w)) % w])
+    assert np.array_equal(spec[:, :w // 2 + 1], spectral.rfft2(a))
+    assert np.array_equal(spec[:, w // 2 + 1:], mirror[:, w // 2 + 1:])
     eps = np.finfo(np.float64).eps
     assert np.abs(spec - mirror).max() <= 4 * eps * np.abs(spec).max()
 
@@ -73,8 +78,8 @@ def test_fft2_real_stack_equals_each_plane(rng):
 
 def test_fft2_complex_input_is_numpys(rng):
     z = rng.standard_normal((3, 9, 6)) + 1j * rng.standard_normal((3, 9, 6))
-    assert np.array_equal(spectral.fft2(z), scipy.fft.fft2(z))
-    assert np.array_equal(spectral.fft2(z[0]), scipy.fft.fft2(z[0]))
+    assert np.array_equal(spectral.fft2(z), np.fft.fft2(z))
+    assert np.array_equal(spectral.fft2(z[0]), np.fft.fft2(z[0]))
 
 
 def test_ifft2_flat_spectrum_is_impulse():
@@ -127,7 +132,7 @@ def test_ifft2_checks_residue_per_plane(rng):
     with pytest.raises(ImaginaryResidue):
         spectral.ifft2(spec)
     assert np.array_equal(spectral.ifft2(spec[1:]),
-                          scipy.fft.ifft2(spec[1:]).real)
+                          np.fft.ifft2(spec[1:]).real)
 
 
 def test_ifft2_names_a_bad_middle_plane(rng):
@@ -342,6 +347,49 @@ def _odd_sizes(h, w):
     return range(1, min(h, w) + 1, 2)
 
 
+def _layouts(rng, lead, h, w):
+    """Real (lead..., h, w) planes: C order, Fortran order, and a strided view."""
+    a = rng.standard_normal(lead + (h, w))
+    return a, np.asfortranarray(a), rng.standard_normal(lead + (h, 2 * w))[..., ::2]
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 2), (2, 1), (5, 3), (7, 7),
+                                  (8, 8), (9, 6), (12, 5), (15, 14), (33, 20),
+                                  (64, 36), (200, 301)])
+def test_half_spectrum_functions_are_scipys_composition_bitwise(rng, h, w):
+    # numpy.fft's 1-D passes are the pocketfft that scipy.fft runs, so
+    # every half-spectrum transform keeps the bits of scipy.fft's rfft2 and
+    # of its column-then-real inverse, whatever the stack and its layout
+    half = np.ones(w // 2 + 1)
+    half[spectral.doubled_columns(w)] = 2.0
+    for lead in ((), (3,), (2, 4)):
+        for a in _layouts(rng, lead, h, w):
+            spec = scipy.fft.rfft2(a)
+            assert np.array_equal(spectral.rfft2(a), spec)
+            planes = scipy.fft.irfft(scipy.fft.ifft(spec, axis=-2), n=w, axis=-1)
+            kept = spec.copy()
+            assert np.array_equal(spectral.irfft2(spec, (h, w)), planes)
+            assert np.array_equal(spec, kept)
+            assert np.array_equal(
+                spectral.irfft2(spec.copy(), (h, w), overwrite=True), planes)
+            assert np.array_equal(ad.dft_adjoint(spec, (h, w)),
+                                  weighted_inverse(spec, (h, w)))
+            assert np.array_equal(ad.idft_adjoint(a, (h, w)), spec / (h * w) * half)
+            sizes = _odd_sizes(h, w)
+            for size in sorted({*sizes[:2], sizes[-1]}):
+                window = roll_window(planes, size)
+                assert np.array_equal(spectral.irfft2(spec, (h, w), size=size), window)
+                assert np.array_equal(spectral.irfft2(
+                    spec.copy(), (h, w), overwrite=True, size=size), window)
+                assert np.array_equal(ad.dft_adjoint(spec, (h, w), size),
+                                      roll_window(weighted_inverse(spec, (h, w)), size))
+                windows = a[..., :size, :size]  # strided in two of the layouts
+                want = scipy.fft.rfft2(roll_embedding(windows, h, w))
+                assert np.array_equal(spectral.window_rfft2(windows, (h, w)), want)
+                assert np.array_equal(ad.idft_adjoint(windows, (h, w), size),
+                                      want / (h * w) * half)
+
+
 def _raised(fn, *args):
     """The type of the DeblurError fn raises, or None."""
     try:
@@ -528,18 +576,18 @@ def test_scipy_fft_use_is_detected():
 
 
 def test_package_has_one_fft_library():
-    # every transform goes through spectral (scipy.fft); numpy.fft would be
-    # a second library with its own rounding, and a scipy.fft call in
+    # every transform goes through spectral (numpy.fft); scipy.fft would be
+    # a second library with its own rounding, and a numpy.fft call in
     # another module a second place the transforms are made
     package = pathlib.Path(spectral.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(package.glob("*.py"))}
-    uses = {name: _fft_uses(text) for name, text in sources.items()}
+    uses = {name: _fft_uses(text, "scipy") for name, text in sources.items()}
     assert {name: lines for name, lines in uses.items() if lines} == {}
-    uses = {name: _fft_uses(text, "scipy") for name, text in sources.items()
+    uses = {name: _fft_uses(text) for name, text in sources.items()
             if name != "spectral.py"}
     assert {name: lines for name, lines in uses.items() if lines} == {}
-    assert _fft_uses(sources["spectral.py"], "scipy")  # the detector sees it
+    assert _fft_uses(sources["spectral.py"])  # the detector sees it
 
 
 def _scipy_modules(code):
@@ -554,12 +602,10 @@ def _scipy_modules(code):
     return set(run.stdout.split())
 
 
-def test_package_imports_no_scipy_beyond_fft():
-    # spectral's scipy.fft is the one library numerics the solver needs;
-    # another scipy subpackage (signal loads stats, optimize, sparse, ...)
-    # would cost every process its import time and memory
-    alone = _scipy_modules("import scipy.fft")
-    assert "scipy.fft" in alone
+def test_package_imports_no_scipy():
+    # scipy is a test oracle only: any scipy module would cost every
+    # process its import time and memory (scipy.fft alone about 26 MiB)
+    assert "scipy.fft" in _scipy_modules("import scipy.fft")  # the probe sees it
     package = _scipy_modules("import unrolled_deblur, unrolled_deblur.cli, "
                              "unrolled_deblur.gradcheck")
-    assert sorted(package - alone) == []
+    assert sorted(package) == []

@@ -919,6 +919,20 @@ def test_solver_runs_on_half_spectra(rng, monkeypatch, model):
         assert len(seen) == 1 and np.array_equal(seen[0], y)
 
 
+@pytest.mark.parametrize("model", ["trained", "preset"])
+def test_image_spectrum_is_its_rfft2_bitwise(rng, monkeypatch, model):
+    # the half forward cuts from the image's full spectral.fft2 is the
+    # spectrum every other plane gets, spectral.rfft2, to the last bit
+    params = (unroll.tv_prewitt_params(layers=3, kernel_support=7)
+              if model == "preset" else small_params(layers=3, channels=3))
+    y = rng.random((12, 10))
+    reconstruct, seen = unroll.reconstruct, []
+    monkeypatch.setattr(unroll, "reconstruct", lambda y_spec, *args: (
+        seen.append(y_spec) or reconstruct(y_spec, *args)))
+    unroll.forward(y, params)
+    assert len(seen) == 1 and np.array_equal(seen[0], spectral.rfft2(y))
+
+
 def test_repeated_bank_is_transformed_once(rng, monkeypatch):
     # the preset uses one Prewitt pair in all L layers: the first layer
     # transforms it, and the later layers and the reconstruction reuse it
@@ -1605,3 +1619,25 @@ def test_zero_z_term_is_skipped_with_the_bits_of_a_zero_stack(rng):
         got.append([out.value, adjoints[0], *adjoints[2:]])
     for a, b in zip(*got):
         assert same_bits(a, b)
+
+
+def test_g_update_pull_makes_z_adjoint_only_for_a_recorded_z(rng):
+    # Z's adjoint lam t is made only when Z is a node: for the scalar 0 or
+    # an untracked stack the pull gives None there, and every other adjoint
+    # keeps the bits it has with the same Z recorded
+    C, (h, w) = 3, (16, 13)
+    y = spectral.rfft2(rng.random((C, h, w)))
+    k = spectral.rfft2(rng.random((h, w)))
+    b, lam = np.full((C, 1, 1), 0.3), np.full((C, 1, 1), 1e-3)
+    gg = rng.standard_normal((C, h, w))
+    tape = ad.Tape()
+    for planes in (np.zeros((C, h, w)), rng.standard_normal((C, h, w))):
+        z = spectral.rfft2(planes) if planes.any() else 0.0
+        untracked = unroll.g_update(y, z, k, ad.leaf(tape, b), lam, (h, w))
+        tracked = unroll.g_update(y, ad.rfft2(ad.leaf(tape, planes)), k,
+                                  ad.leaf(tape, b), lam, (h, w))
+        assert same_bits(untracked.value, tracked.value)
+        got, want = untracked.pull(gg), tracked.pull(gg)
+        assert got[1] is None and want[1].shape == y.shape
+        for a, b_ in zip(got[:1] + got[2:], want[:1] + want[2:]):
+            assert same_bits(a, b_)
