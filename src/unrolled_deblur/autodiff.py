@@ -11,11 +11,16 @@ Zhang & Guestrin, arXiv 1604.06174), except for results its forward has
 summed over the channels into one plane or window: those cost the tape a
 plane each, and recomputing them a pass over the channel stacks, so they
 are kept. filter_spectra keeps y_spec; g_update Y_l, Z, K, b_l and lam_l,
-and recomputes its quotient (unroll._quotient); z_spectrum g and b_l;
+and recomputes its quotient (unroll._quotient); z_spectrum b_l and, of g,
+only its shrinkage code, one int8 per feature (unroll._shrink_code);
 kernel_estimate Z and Y_l, and its quotient's channel sums Q and 1/D and
-the raw kernel; reconstruct the kernel's spectrum, g, the last F_l, eta and
+the raw kernel; reconstruct the kernel's spectrum, the last F_l, eta and
 y_spec, and its Q and 1/D and, once per pass, the spectra G of g that the
 sums were made from. Every adjoint comes from the terms' residual form.
+So no pull reads a layer's features g, and forward releases each g once
+its last reader is done (release): the peak check, track_kinks and
+z_spectrum for a layer, reconstruct and forward's returned copy for the
+last. A recorded graph then holds no feature plane.
 A pull may write only into buffers it made: the adjoint it is given may
 be another node's input or a sum that backward still holds, and forward
 shares its spectra read-only. What a pull returns is backward's to keep,
@@ -61,7 +66,7 @@ never mutates the graph, so repeated sweeps agree bitwise.
 import numpy as np
 
 from . import spectral
-from .errors import DimensionMismatch, UnrecordedNode
+from .errors import DimensionMismatch, ReleasedValue, UnrecordedNode
 
 
 class Tape:
@@ -85,6 +90,7 @@ class Var:
     """A tracked array value on a tape; a leaf has no parents.
 
     routes holds, per parent, the position of its adjoint in pull's result.
+    value is the array, or a Released stub once release has dropped it.
     """
 
     __slots__ = ("value", "tape", "parents", "pull", "routes", "idx")
@@ -103,14 +109,39 @@ class Var:
         return "Var(shape=%s, idx=%s)" % (self.value.shape, self.idx)
 
 
+class Released:
+    """A released node's value (release): its dtype and shape, the only parts
+    of an inner node's value that backward reads, and no data. Reading it
+    as an array raises ReleasedValue."""
+
+    __slots__ = ("dtype", "shape", "idx")
+
+    def __init__(self, array, idx):
+        self.dtype, self.shape, self.idx = array.dtype, array.shape, idx
+
+    def __array__(self, dtype=None, copy=None):
+        raise ReleasedValue("node %d's value was released after its last reader"
+                            % self.idx)
+
+
+def release(x):
+    """Drop a node's value once nothing reads it again; a plain array is
+    left as it is. The node keeps its parents and pull, so backward runs
+    through it as before, and reading its value (value) raises
+    ReleasedValue."""
+    if isinstance(x, Var):
+        x.value = Released(x.value, x.idx)
+
+
 def leaf(tape, value):
     """Create a tracked input on the tape."""
     return Var(np.asarray(value, dtype=np.float64), tape)
 
 
 def value(x):
-    """Unwrap a Var (or pass a plain array through)."""
-    return x.value if isinstance(x, Var) else x
+    """Unwrap a Var (or pass a plain array through); a released Var's value
+    raises ReleasedValue."""
+    return np.asarray(x.value) if isinstance(x, Var) else x
 
 
 def unbroadcast(grad, shape):
@@ -215,14 +246,14 @@ def take(x, idx):
     """x[idx] for a basic index; the adjoint scatters into zeros of x's shape."""
     if not isinstance(x, Var):
         return x[idx]
-    shape = x.value.shape
+    shape = x.shape
 
     def pull(g):
         full = np.zeros(shape, dtype=np.result_type(g))
         full[idx] = g
         return (full,)
 
-    return record(x.value[idx], (x,), pull)
+    return record(value(x)[idx], (x,), pull)
 
 
 def conv_full(a, b):

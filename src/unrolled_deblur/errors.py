@@ -77,6 +77,10 @@ class UnrecordedNode(DeblurError):
     """backward() met a non-leaf node with no recorded adjoint rule."""
 
 
+class ReleasedValue(DeblurError):
+    """A tape node's value was read after the forward released it."""
+
+
 class NonFiniteLoss(DeblurError):
     """Training produced a NaN or Inf loss."""
 

@@ -29,7 +29,11 @@ inputs. Recorded, kernel_estimate and reconstruct keep what their forward
 summed over the channels into planes, Q and 1/D, and the raw kernel or
 the feature spectra G the sums came from, and their inverse transforms
 leave Q's buffer alone; their pulls then make no quotient and no inverse
-transform. Plain, they keep nothing and invert in Q's buffer.
+transform. Plain, they keep nothing and invert in Q's buffer. Recorded,
+z_spectrum keeps one int8 code per feature (_shrink_code) in place of g,
+so no pull reads a layer's features, and forward releases each layer's g
+(autodiff.release) once the peak check, track_kinks and z_spectrum have
+read it, and the last layer's once reconstruct and the returned copy have.
 Each term's adjoint is taken in residual form, through _term_adjoint or,
 in g_update's pull, in that pull's own buffers. A recorded layer makes
 five nodes (filter_spectra, the spectrum of the kernel it reads, g_update,
@@ -537,20 +541,40 @@ def z_spectrum(g, b):
     """The half spectrum Z of z_update(g, b), as one node.
 
     The shrinkage passes the adjoint where |g| > b (zero subgradient on the
-    kink) and sends -sign(g) times it to b, one threshold per plane.
+    kink) and sends -sign(g) times it to b, one threshold per plane. A
+    recorded node keeps of g only its shrinkage code (_shrink_code), so that
+    forward can release g.
     """
     vg, vb = ad.value(g), ad.value(b)
     _check_per_plane("shrinkage", vb)
+    shape = np.shape(vg)[-2:]
     out = spectral.rfft2(z_update(vg, vb))
+    if not ad.recorded(g, b):
+        return out
+    code = _shrink_code(vg, vb)
 
     def pull(gz):
-        gs = ad.dft_adjoint(gz, np.shape(vg)[-2:])
-        m = np.abs(vg)
-        gs *= m > vb
-        gb = _re_inner(gs, np.sign(vg, out=m))
+        gs = ad.dft_adjoint(gz, shape)
+        gs *= np.abs(code) > 1
+        gb = _re_inner(gs, np.sign(code, dtype=np.float64))
         return gs, ad.unbroadcast(-gb[..., None, None], np.shape(vb))
 
     return ad.record(out, (g, b), pull)
+
+
+def _shrink_code(g, b):
+    """One int8 per feature: sign(g), doubled where the shrinkage passes.
+
+    |code| > 1 is then the mask |g| > b for b >= 0, and sign(code) is
+    sign(g) everywhere, +0 for g = -0 as np.sign gives it, so a pull reading
+    the code forms the same operands as one reading g, bit for bit.
+    """
+    m = np.abs(g)
+    factor = np.greater(m, b).view(np.int8)
+    factor += 1  # 2 where the shrinkage passes, else 1
+    code = np.sign(g, out=m).astype(np.int8)
+    code *= factor
+    return code
 
 
 def k_update(z_specs, y_specs, eps, shape, size=None, keep=False):
@@ -779,6 +803,8 @@ def forward(y, params, tape=None, track_kinks=False):
                 if kinks is not None:  # the bytes of |g| > b, none set in a dead layer
                     kinks.append(bytes(-(-C * h * w // 8)) if initial
                                  else np.packbits(np.abs(ad.value(g)) > vb).tobytes())
+                if l < L - 1:  # its last reader was above (autodiff.release)
+                    ad.release(g)
 
             del y_specs, z_spec  # the reconstruction allocates stacks of its own
             x_hat = reconstruct(y_spec, ad.rfft2(k, grid), g,
@@ -787,6 +813,8 @@ def forward(y, params, tape=None, track_kinks=False):
     except FloatingPointError as err:
         raise NonFiniteInput("the solver's arithmetic left the float range (%s): "
                              "the image is too large for this model" % err) from None
+    features = np.array(ad.value(g))
+    ad.release(g)  # the reconstruction and the copy were its last readers
 
     k_plane = k if support is None else ad.embed(k, shape)  # the one embedding
     kernel = k_project(spectral.wrap_window(ad.value(k_plane), params.kernel_support),
@@ -794,7 +822,7 @@ def forward(y, params, tape=None, track_kinks=False):
     state = ForwardState(
         x_hat=x_hat, kernel_plane=k_plane, kernel_planes=kernel_planes, tape=tape,
         param_vars=pv, kink_signature=None if kinks is None else b"".join(kinks))
-    return kernel, np.array(ad.value(g)), np.array(ad.value(x_hat)), state
+    return kernel, features, np.array(ad.value(x_hat)), state
 
 
 def _window_support(params):

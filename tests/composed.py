@@ -102,6 +102,22 @@ def soft_threshold(x, thresh):
         g * mask, ad.unbroadcast(-g * np.sign(vx) * mask, np.shape(vt))))
 
 
+def shrink_from_g(x, thresh):
+    """soft_threshold whose adjoint reads x itself, as unroll.z_spectrum's did
+    before it kept a shrinkage code: x's adjoint is g times the mask
+    |x| > thresh, and thresh's is minus unroll._re_inner of that against
+    sign(x), the solver's own reduction, so a node that keeps less of x
+    must give these bits."""
+    vx, vt = ad.value(x), ad.value(thresh)
+
+    def pull(g):
+        gs = g * (np.abs(vx) > vt)
+        gt = unroll._re_inner(gs, np.sign(vx))
+        return gs, ad.unbroadcast(-gt[..., None, None], np.shape(vt))
+
+    return ad.record(unroll.z_update(vx, vt), (x, thresh), pull)
+
+
 def relu(x):
     vx = ad.value(x)
     return ad.record(np.maximum(vx, 0.0), (x,), lambda g: (g * (vx > 0),))

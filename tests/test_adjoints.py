@@ -133,6 +133,48 @@ def test_z_spectrum_adjoint(rng):
                                   spectra(rng, C, H, w), ())
 
 
+def same_signed_bits(got, want):
+    """Equal dtypes and values, and equal sign bits of every real and
+    imaginary part, so -0.0 differs from +0.0."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    parts = [x.view(np.float64) for x in (got, want)]
+    return (got.dtype == want.dtype and np.array_equal(*parts)
+            and np.array_equal(*map(np.signbit, parts)))
+
+
+@widths
+def test_z_spectrum_code_pulls_as_g_does_bitwise(rng, monkeypatch, w):
+    # recorded, z_spectrum keeps of g one int8 per feature, sign(g) doubled
+    # where the shrinkage passes: its pull must reduce the very operands the
+    # pull from g itself reduces (composed.shrink_from_g), sign(g) off the
+    # mask included, and give its bits at ties |g| = b, at g = +-0, at
+    # b = 0 and in a channel the shrinkage empties (channel 2), whose b
+    # adjoint is an exact zero
+    b = np.array([0.5, 0.0, 0.5, 0.3])[:, None, None]
+    g = rng.standard_normal((4, H, w))
+    g[2] = rng.uniform(-0.5, 0.5, (H, w))
+    for c in (0, 2):
+        g[c, 0, :4] = [0.5, -0.5, 0.0, -0.0]
+    g[1, 0, :4] = [0.0, -0.0, 1e-17, -1e-17]
+    seed = cplx(rng, 4, H, w // 2 + 1)
+    operands, re_inner = [], unroll._re_inner
+
+    def noting(a, x):
+        operands.append((a.copy(), x.copy()))
+        return re_inner(a, x)
+
+    monkeypatch.setattr(unroll, "_re_inner", noting)
+    got, got_adj = vjp(unroll.z_spectrum, [g, b], seed)
+    want, want_adj = vjp(lambda x, t: ad.rfft2(composed.shrink_from_g(x, t)),
+                         [g, b], seed)
+    assert same_signed_bits(got, want)
+    for a, x in zip(got_adj, want_adj):
+        assert same_signed_bits(a, x)
+    (gs, sign), (want_gs, want_sign) = operands
+    assert same_signed_bits(gs, want_gs) and same_signed_bits(sign, want_sign)
+    assert got_adj[1][2, 0, 0] == 0.0 and not np.any(np.abs(g[2]) > b[2])
+
+
 @widths
 def test_half_spectrum_g_update_adjoint(rng, w):
     inputs = [spectra(rng, C, H, w), spectra(rng, C, H, w), spectra(rng, H, w),

@@ -19,7 +19,7 @@ from scipy import signal
 import composed
 from unrolled_deblur import autodiff as ad
 from unrolled_deblur import spectral
-from unrolled_deblur.errors import DimensionMismatch, UnrecordedNode
+from unrolled_deblur.errors import DimensionMismatch, ReleasedValue, UnrecordedNode
 
 
 def fd_grad(fn, x, h=1e-5):
@@ -432,6 +432,36 @@ def test_backward_sums_into_the_first_adjoint(rng, writeable):
     assert np.array_equal(got, kept + second)
     assert np.shares_memory(got, first) == writeable
     assert np.array_equal(first, kept + second if writeable else kept)
+
+
+def test_released_node_keeps_its_place_but_not_its_value(rng):
+    # release drops a node's value: reading it raises the typed error,
+    # while backward, which reads only its dtype and shape (here to drop the
+    # imaginary part of a real node's adjoint), gives the bits of the graph
+    # that kept it, sweep after sweep; a plain array is left as it is
+    x = rng.standard_normal((3, 4))
+
+    def graph(released):
+        tape = ad.Tape()
+        v = ad.leaf(tape, x)
+        real = composed.mul(v, 2.0)
+        loss = ad.mse(composed.abs2(composed.mul(real, 1.0 + 2.0j)), np.zeros((3, 4)))
+        if released:
+            ad.release(real)
+        return real, loss, v
+
+    real, loss, v = graph(released=True)
+    for read in (lambda: ad.value(real), lambda: np.asarray(real.value)):
+        with pytest.raises(ReleasedValue):
+            read()
+    assert real.shape == (3, 4)
+    kept = graph(released=False)
+    want = ad.backward(kept[1], [kept[2]])[0]
+    for _ in range(2):
+        assert np.array_equal(ad.backward(loss, [v])[0], want)
+    plain = rng.standard_normal(3)
+    ad.release(plain)
+    assert ad.value(plain) is plain
 
 
 def test_untracked_inputs_compute_plain_arrays(rng):

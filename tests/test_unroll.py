@@ -18,7 +18,7 @@ from unrolled_deblur import autodiff as ad
 from unrolled_deblur import kernelgen, spectral, unroll
 from unrolled_deblur.errors import (DimensionMismatch, EvenSize,
                                     KernelTooLarge, NonFiniteInput,
-                                    SingularDenominator)
+                                    ReleasedValue, SingularDenominator)
 from unrolled_deblur.training import TrainConfig, init_params, loss_terms
 
 import composed
@@ -1305,18 +1305,16 @@ def test_tape_nodes_per_layer_do_not_depend_on_channels(rng):
     assert len(per_layer) == 1
 
 
-def _held_bytes(*outputs):
-    """Bytes of the distinct buffers a graph holds.
-
-    Node values and the arrays their pulls capture, each buffer once.
-    """
+def _held_buffers(*outputs):
+    """The distinct buffers a graph holds: node values and the arrays their
+    pulls capture, each as the array that owns its memory."""
     buffers, seen = {}, set()
 
     def hold(obj):
         if isinstance(obj, np.ndarray):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
-            buffers[id(obj)] = obj.nbytes
+            buffers[id(obj)] = obj
         elif isinstance(obj, ad.Var):
             hold(obj.value)
         elif isinstance(obj, (tuple, list)):
@@ -1330,20 +1328,56 @@ def _held_bytes(*outputs):
     for node in _graph(*outputs):
         hold(node.value)
         hold(node.pull)
-    return sum(buffers.values())
+    return list(buffers.values())
 
 
-def test_graph_holds_at_most_four_stacks_per_layer(rng):
-    # each node keeps its inputs, and the kernel update its channel sums, so
-    # a layer holds Y_l, Z and g (2.5 complex stacks) plus plane-sized
-    # values; the reconstruction keeps one stack more, the spectra of g
+def _training_loss(state, y, n):
+    return loss_terms(state.x_hat, state.kernel_plane, y,
+                      spectral.embed_kernel(np.ones((5, 5)) / 25, n, n), 1e5)[0]
+
+
+def test_graph_holds_two_half_stacks_a_code_and_five_planes_per_layer(rng):
+    # each node keeps its inputs, the kernel update its channel sums and the
+    # shrinkage a one-byte code of g, so a layer holds the half spectra Y_l
+    # and Z, the code and five plane-sized values (K, Q, 1/D, the raw and
+    # the projected kernel); the reconstruction keeps the spectra G of the
+    # last g and the last F, and the loss a few planes. g is released
     L, C, n = 3, 4, 64
     y = rng.random((n, n))
+    loss = _training_loss(_taped_forward(L, C, y), y, n)
+    half = C * n * (n // 2 + 1) * np.dtype(np.complex128).itemsize
+    plane = half // C  # no plane-sized value is larger
+    code = C * n * n
+    held = sum(a.nbytes for a in _held_buffers(loss))
+    assert held <= L * (2 * half + code + 5 * plane) + 2 * half + 8 * plane
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+def test_training_graph_holds_no_feature_plane(rng, restrict):
+    # no pull reads g, so forward releases every layer's features once
+    # their last reader is done: no buffer the loss reaches, node value or
+    # pull capture, is a (C, H, W) float64 stack
+    L, C, n = 3, 4, 32
+    y = rng.random((n, n))
+    with kernel_form(restrict):
+        loss = _training_loss(_taped_forward(L, C, y), y, n)
+    assert not [a.shape for a in _held_buffers(loss)
+                if a.shape == (C, n, n) and a.dtype == np.float64]
+
+
+def test_backward_sweeps_over_released_features_agree(rng):
+    # every layer's g node is in the graph with its value released; two
+    # sweeps read the same graph and give the same gradients, bit for bit
+    L, C, n = 3, 4, 32
+    y = rng.random((n, n))
     state = _taped_forward(L, C, y)
-    loss = loss_terms(state.x_hat, state.kernel_plane, y,
-                      spectral.embed_kernel(np.ones((5, 5)) / 25, n, n), 1e5)[0]
-    stack = C * n * n * np.dtype(np.complex128).itemsize
-    assert _held_bytes(loss) <= 4 * L * stack
+    loss = _training_loss(state, y, n)
+    released = [node for node in _graph(loss) if isinstance(node.value, ad.Released)]
+    assert len(released) == L
+    with pytest.raises(ReleasedValue):
+        ad.value(released[0])
+    first, second = (unroll.collect_gradients(loss, state) for _ in range(2))
+    assert all(same_bits(first[name], second[name]) for name in first)
 
 
 def _live_params(layers=3, channels=4):
