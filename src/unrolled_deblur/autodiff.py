@@ -17,10 +17,20 @@ kernel_estimate Z and Y_l, and its quotient's channel sums Q and 1/D and
 the raw kernel; reconstruct the kernel's spectrum, the last F_l, eta and
 y_spec, and its Q and 1/D and, once per pass, the spectra G of g that the
 sums were made from. Every adjoint comes from the terms' residual form.
-So no pull reads a layer's features g, and forward releases each g once
-its last reader is done (release): the peak check, track_kinks and
-z_spectrum for a layer, reconstruct and forward's returned copy for the
-last. A recorded graph then holds no feature plane.
+
+Keep or remake: a value no pull reads is dropped, and so is one that is
+cheap to rebuild from small values the graph holds. release drops a
+node's value after its last forward reader; given a remake, a function
+that rebuilds the value bit for bit from what the graph holds, a pull
+reads it through read, which remakes it at most once per sweep and holds
+it until backward reaches the node, after every reader has pulled. So
+forward releases each layer's features g, which no pull reads, after the
+peak check, track_kinks and z_spectrum (the last layer's after
+reconstruct and forward's returned copy), and with remakes each Y_l after
+the last layer that reads it and the last F_l after reconstruct: the
+window transform of the bank's (C, s, s) taps, times y_spec for Y_l. A
+recorded graph then holds one half stack per layer, Z, and no feature
+plane; a sweep pays L + 1 window transforms and L products for it.
 A pull may write only into buffers it made: the adjoint it is given may
 be another node's input or a sum that backward still holds, and forward
 shares its spectra read-only. What a pull returns is backward's to keep,
@@ -59,8 +69,10 @@ Adjoint conventions, for a real-valued loss L:
 * kinks (the shrinkage threshold, the clamp, the l1 norm) take the zero
   subgradient exactly at the kink.
 
-Values and adjoints are kept in float64/complex128 throughout; backward()
-never mutates the graph, so repeated sweeps agree bitwise.
+Values and adjoints are kept in float64/complex128 throughout. backward()
+writes into the graph only the remade values its pulls read, and drops
+each when it reaches its node, so a sweep leaves the graph as it found it
+and repeated sweeps agree bitwise.
 """
 
 import numpy as np
@@ -112,25 +124,29 @@ class Var:
 class Released:
     """A released node's value (release): its dtype and shape, the only parts
     of an inner node's value that backward reads, and no data. Reading it
-    as an array raises ReleasedValue."""
+    as an array raises ReleasedValue. With a remake, read gives the pulls
+    the value again, remade once and held until backward reaches the
+    node's own pull."""
 
-    __slots__ = ("dtype", "shape", "idx")
+    __slots__ = ("dtype", "shape", "idx", "remake", "remade")
 
-    def __init__(self, array, idx):
+    def __init__(self, array, idx, remake=None):
         self.dtype, self.shape, self.idx = array.dtype, array.shape, idx
+        self.remake, self.remade = remake, None
 
     def __array__(self, dtype=None, copy=None):
         raise ReleasedValue("node %d's value was released after its last reader"
                             % self.idx)
 
 
-def release(x):
-    """Drop a node's value once nothing reads it again; a plain array is
-    left as it is. The node keeps its parents and pull, so backward runs
-    through it as before, and reading its value (value) raises
-    ReleasedValue."""
+def release(x, remake=None):
+    """Drop a node's value once nothing in the forward reads it again; a
+    plain array is left as it is. The node keeps its parents and pull, so
+    backward runs through it as before, and reading its value (value)
+    raises ReleasedValue. remake(), if given, rebuilds the value bit for
+    bit from what the graph holds, for the pulls that read it (read)."""
     if isinstance(x, Var):
-        x.value = Released(x.value, x.idx)
+        x.value = Released(x.value, x.idx, remake)
 
 
 def leaf(tape, value):
@@ -142,6 +158,19 @@ def value(x):
     """Unwrap a Var (or pass a plain array through); a released Var's value
     raises ReleasedValue."""
     return np.asarray(x.value) if isinstance(x, Var) else x
+
+
+def read(x):
+    """A pull's read of an input's value: value(x), or for a node released
+    with a remake, the remade value, made by the first pull that reads it
+    in a sweep and held until backward reaches the node (backward). A
+    node released without one raises ReleasedValue."""
+    if not (isinstance(x, Var) and isinstance(x.value, Released)
+            and x.value.remake is not None):
+        return value(x)
+    if x.value.remade is None:
+        x.value.remade = x.value.remake()
+    return x.value.remade
 
 
 def unbroadcast(grad, shape):
@@ -165,7 +194,8 @@ def record(out, inputs, pull):
     module docstring). Each adjoint it returns is backward's to keep and to
     sum into: an array the pull made, or g itself, each returned for one
     input only. It shares memory with no other adjoint and no kept value,
-    or backward's in-place sum (_sum_into) would write into them.
+    or backward's in-place sum (_sum_into) would write into them. It reads
+    an input that forward may release (release) through read.
     """
     if not recorded(*inputs):
         return out
@@ -322,8 +352,10 @@ def backward(loss, wrt):
     """Adjoints of a scalar real loss with respect to the listed leaf Vars.
 
     Returns one gradient array per entry of `wrt`, in the leaf's dtype
-    (zeros when the loss does not depend on it). The graph is read, never
-    written, so repeated calls agree bitwise.
+    (zeros when the loss does not depend on it). The only state a sweep
+    writes is a released node's remade value (read), and it drops that
+    when it reaches the node, after every reader has pulled, so a sweep
+    leaves the graph as it found it and repeated calls agree bitwise.
     """
     if not isinstance(loss, Var):
         raise UnrecordedNode("loss is not a tape node")
@@ -341,6 +373,8 @@ def backward(loss, wrt):
     # index reaches each node only after all of its consumers
     for idx in sorted(reachable, reverse=True):
         node = reachable[idx]
+        if isinstance(node.value, Released):  # its readers were created later
+            node.value.remade = None
         if not node.parents:
             continue  # leaf: keep its accumulated adjoint
         adjoints = node.pull(grads.pop(idx))

@@ -34,13 +34,21 @@ z_spectrum keeps one int8 code per feature (_shrink_code) in place of g,
 so no pull reads a layer's features, and forward releases each layer's g
 (autodiff.release) once the peak check, track_kinks and z_spectrum have
 read it, and the last layer's once reconstruct and the returned copy have.
-Each term's adjoint is taken in residual form, through _term_adjoint or,
-in g_update's pull, in that pull's own buffers. A recorded layer makes
-five nodes (filter_spectra, the spectrum of the kernel it reads, g_update,
-z_spectrum and kernel_estimate; the first and dead ones fewer, see Dead
-layers), the reconstruction three (the last bank's filter_spectra, the
-last kernel's spectrum and reconstruct), and each slice b[l], lam[l],
-w_mix[l] one autodiff.take node.
+It also releases each layer's filtered spectra Y_l after the last layer
+that reads them (the next has another bank) and the last F_l after
+reconstruct, each with a remake from its bank's taps (_spectra_remake):
+the pulls of g_update, kernel_estimate and reconstruct read them through
+autodiff.read, which remakes each once per backward sweep. A recorded
+layer then holds one half stack, Z, for L + 1 window transforms and L
+products per sweep. Plain, forward drops each layer's g after its last
+reader and the previous Z once g_update has read it, so a plain layer
+holds one feature stack. Each term's adjoint is taken in residual form,
+through _term_adjoint or, in g_update's pull, in that pull's own buffers.
+A recorded layer makes five nodes (filter_spectra, the spectrum of the
+kernel it reads, g_update, z_spectrum and kernel_estimate; the first and
+dead ones fewer, see Dead layers), the reconstruction three (the last
+bank's filter_spectra, the last kernel's spectrum and reconstruct), and
+each slice b[l], lam[l], w_mix[l] one autodiff.take node.
 
 Layout: the C channels travel as one (C, H, W) stack and a filter bank is
 one (C, s, s) array, so each update is one call per layer whatever C is.
@@ -49,10 +57,12 @@ recorded, each of b, lam, eta, w_top and w_mix is one tape leaf.
 
 Filter spectra: forward alone transforms a bank, with
 spectral.window_rfft2, and only when it is not layer l-1's very bank
-object, so the preset's fixed_bank is transformed once. The updates take
-spectra, never planes: forward transforms each kernel with ad.rfft2 in
-the call that reads it, each layer's g_update or the reconstruction, and
-reconstruct reuses the last F_l. Shared stacks are kept read-only.
+object, so the preset's fixed_bank is transformed once (a backward
+sweep transforms a trained bank once more, to remake its spectra). The
+updates take spectra, never planes: forward transforms each kernel with
+ad.rfft2 in the call that reads it, each layer's g_update or the
+reconstruction, and reconstruct reuses the last F_l. Shared stacks are
+kept read-only.
 
 Windows: the model's kind picks the form the layers carry the kernel in
 (_window_support). A fixed_bank model carries its projected s x s window
@@ -476,6 +486,20 @@ def filter_spectra(bank, f_spec, shape, y_spec=None):
     return ad.record(out, (bank,), pull)
 
 
+def _spectra_remake(bank, shape, y_spec=None):
+    """The remake of a released filter_spectra node (autodiff.release): its
+    value again from the bank's taps, bit for bit. The product runs in the
+    transform's buffer, which gives f_spec * y_spec's bits at every shape
+    the tests check."""
+    taps = ad.value(bank)
+
+    def remake():
+        f_spec = spectral.window_rfft2(taps, shape)
+        return f_spec if y_spec is None else np.multiply(f_spec, y_spec, out=f_spec)
+
+    return remake
+
+
 def g_update(y_spec, z_spec, k_spec, b, lam, shape):
     """Closed-form feature update in the frequency domain, as one node.
 
@@ -497,7 +521,8 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape):
                           overwrite=True)
 
     def pull(gg):
-        q, inv = _quotient(terms, update="feature update")
+        y = ad.read(y_spec)  # not the forward's y: forward may release Y
+        q, inv = _quotient(((vb, k, y), (vl, 1, z)), update="feature update")
         t = ad.idft_adjoint(gg, shape, scale=inv)
         del inv  # read once: freeing it before the stacks below lowers the peak
         # the prior term (lam, 1, Z) with R = Z - Q, then the data term
@@ -661,10 +686,11 @@ def kernel_estimate(z_spec, y_specs, eps, support, shape):
 
     def pull(gk):
         gp = _project_adjoint(raw, gk)
-        if gp is None:
-            return np.zeros(np.shape(z), complex), np.zeros(np.shape(y), complex)
+        if gp is None:  # the shapes only: a released Y is not remade
+            return (np.zeros(np.shape(z), complex),
+                    np.zeros(np.shape(y_specs), complex))
         t = ad.idft_adjoint(gp, shape, support, scale=inv)
-        gy, gz, _ = _term_adjoint(t, q, 1, z, y)
+        gy, gz, _ = _term_adjoint(t, q, 1, z, ad.read(y_specs))
         return gz, gy
 
     return ad.record(out, (z_spec, y_specs), pull)
@@ -680,7 +706,8 @@ def reconstruct(y_spec, k_spec, g, f_spec, eta, shape):
     channel sum of the terms (eta_i, F_i, G_i), with G the spectra of g.
     g has the image shape (H, W) = shape, and the spectra are half spectra
     (..., H, W//2+1) of planes of that shape. A recorded node keeps G and
-    the planes Q and 1/D for its pull.
+    the planes Q and 1/D for its pull, which reads F through autodiff.read,
+    so that forward may release it.
     """
     vk, vg, vf = ad.value(k_spec), np.asarray(ad.value(g)), np.asarray(ad.value(f_spec))
     if np.shape(vg)[-2:] != tuple(shape):  # a wider g's half spectrum may still fit
@@ -698,7 +725,7 @@ def reconstruct(y_spec, k_spec, g, f_spec, eta, shape):
 
     def pull(gx):
         t = ad.idft_adjoint(gx, shape, scale=inv)
-        gg, gf, ge = _term_adjoint(t, q, e, vf, g_spec)
+        gg, gf, ge = _term_adjoint(t, q, e, ad.read(f_spec), g_spec)
         return (_term_adjoint(t, q, *data)[1], ad.dft_adjoint(gg, shape, overwrite=True),
                 gf, ge)
 
@@ -785,6 +812,7 @@ def forward(y, params, tape=None, track_kinks=False):
                             ad.value(shared).flags.writeable = False
                     g = g_update(y_specs, z_spec, ad.rfft2(k, grid), b_l,
                                  ad.take(pv["lam"], per_channel), shape)
+                    z_spec = None  # read: a plain pass frees it before the next Z
                     if initial:  # dead if nothing passes the shrinkage
                         peak = np.maximum(
                             np.max(ad.value(g), axis=(-2, -1), keepdims=True),
@@ -805,11 +833,15 @@ def forward(y, params, tape=None, track_kinks=False):
                                  else np.packbits(np.abs(ad.value(g)) > vb).tobytes())
                 if l < L - 1:  # its last reader was above (autodiff.release)
                     ad.release(g)
+                    g = None  # a plain pass holds one layer's features
+                if l == L - 1 or banks[l + 1] is not banks[l]:  # Y's last layer
+                    ad.release(y_specs, _spectra_remake(banks[l], shape, y_spec))
 
             del y_specs, z_spec  # the reconstruction allocates stacks of its own
-            x_hat = reconstruct(y_spec, ad.rfft2(k, grid), g,
-                                filter_spectra(banks[-1], f_spec, shape), pv["eta"],
-                                shape)
+            k_spec, f_last = ad.rfft2(k, grid), filter_spectra(banks[-1], f_spec, shape)
+            x_hat = reconstruct(y_spec, k_spec, g, f_last, pv["eta"], shape)
+            ad.release(f_last, _spectra_remake(banks[-1], shape))
+            del k_spec  # a plain pass holds no spectrum through the copies below
     except FloatingPointError as err:
         raise NonFiniteInput("the solver's arithmetic left the float range (%s): "
                              "the image is too large for this model" % err) from None

@@ -464,6 +464,52 @@ def test_released_node_keeps_its_place_but_not_its_value(rng):
     assert ad.value(plain) is plain
 
 
+def test_released_node_is_remade_once_per_sweep_for_its_readers(rng):
+    # a node released with a remake gives its readers' pulls (ad.read) its
+    # value again: remade by the first pull that reads it in a sweep, held
+    # for the second, and dropped when backward reaches the node itself, so
+    # each sweep remakes it once, gives the kept graph's bits and leaves no
+    # remade value behind; one released without a remake raises
+    # ReleasedValue when a pull reads it
+    x, w = rng.standard_normal((2, 3, 4))
+    made, at_own_pull = [], []
+
+    def graph(release, remake=None):
+        tape = ad.Tape()
+        v = ad.leaf(tape, x)
+        u = ad.record(w * x, (v,), lambda g: (
+            at_own_pull.append(getattr(u.value, "remade", None)) or g * w,))
+        square = ad.record(u.value * u.value, (u,),
+                           lambda g: (2.0 * g * ad.read(u),))
+        cube = ad.record(u.value ** 3, (u,),
+                         lambda g: (3.0 * g * ad.read(u) ** 2,))
+        loss = ad.record(np.sum(square.value + cube.value), (square, cube),
+                         lambda g: (np.full((3, 4), g), np.full((3, 4), g)))
+        if release:
+            ad.release(u, remake)
+        return u, loss, v
+
+    kept = graph(release=False)
+    want = ad.backward(kept[1], [kept[2]])[0]
+
+    def remake():
+        made.append(1)
+        return w * x
+
+    u, loss, v = graph(release=True, remake=remake)
+    for sweep in (1, 2):
+        assert np.array_equal(ad.backward(loss, [v])[0], want)
+        assert len(made) == sweep and u.value.remade is None
+    assert len(at_own_pull) == 3 and all(r is None for r in at_own_pull)
+    with pytest.raises(ReleasedValue):
+        ad.value(u)
+    u, loss, v = graph(release=True)
+    with pytest.raises(ReleasedValue):
+        ad.read(u)
+    with pytest.raises(ReleasedValue):
+        ad.backward(loss, [v])
+
+
 def test_untracked_inputs_compute_plain_arrays(rng):
     x = rng.standard_normal((4, 4))
     out = composed.ifft2(composed.mul(composed.fft2(x), 1.0))

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -691,7 +692,8 @@ def test_restricted_forward_falls_back_to_the_centred_impulse(rng):
         assert np.array_equal(ad.value(state.kernel_plane),
                               spectral.embed_kernel(np.array([[1.0]]), 16, 17))
     # such layers record no kernel_estimate; one recorded on a window with
-    # Z = 0 falls back too, and its pull returns zero adjoints
+    # Z = 0 falls back too, and its pull returns zero adjoints, taking the
+    # shape of a released Y from its stub without remaking it
     shape, tape = (16, 17), ad.Tape()
     bank = ad.leaf(tape, params.w_top)
     y_specs = unroll.filter_spectra(bank, spectral.window_rfft2(params.w_top, shape),
@@ -699,6 +701,7 @@ def test_restricted_forward_falls_back_to_the_centred_impulse(rng):
     z_spec = unroll.z_spectrum(ad.leaf(tape, rng.random((C, *shape))), 1.0)
     node = unroll.kernel_estimate(z_spec, y_specs, params.eps, support, shape)
     assert np.array_equal(node.value, impulse)
+    ad.release(y_specs, remake=lambda: pytest.fail("the fallback remade Y"))
     adjoints = node.pull(rng.standard_normal((support, support)))
     for parent, pos in zip(node.parents, node.routes):
         assert adjoints[pos].shape == parent.shape
@@ -1336,12 +1339,13 @@ def _training_loss(state, y, n):
                       spectral.embed_kernel(np.ones((5, 5)) / 25, n, n), 1e5)[0]
 
 
-def test_graph_holds_two_half_stacks_a_code_and_five_planes_per_layer(rng):
+def test_graph_holds_one_half_stack_a_code_and_five_planes_per_layer(rng):
     # each node keeps its inputs, the kernel update its channel sums and the
-    # shrinkage a one-byte code of g, so a layer holds the half spectra Y_l
-    # and Z, the code and five plane-sized values (K, Q, 1/D, the raw and
-    # the projected kernel); the reconstruction keeps the spectra G of the
-    # last g and the last F, and the loss a few planes. g is released
+    # shrinkage a one-byte code of g, so a layer holds the half spectra Z,
+    # the code and five plane-sized values (K, Q, 1/D, the raw and the
+    # projected kernel); the reconstruction keeps the spectra G of the last
+    # g, and the loss a few planes. g is released, and so are the filtered
+    # spectra Y_l and the last F, which the pulls remake from the bank
     L, C, n = 3, 4, 64
     y = rng.random((n, n))
     loss = _training_loss(_taped_forward(L, C, y), y, n)
@@ -1349,7 +1353,7 @@ def test_graph_holds_two_half_stacks_a_code_and_five_planes_per_layer(rng):
     plane = half // C  # no plane-sized value is larger
     code = C * n * n
     held = sum(a.nbytes for a in _held_buffers(loss))
-    assert held <= L * (2 * half + code + 5 * plane) + 2 * half + 8 * plane
+    assert held <= L * (half + code + 5 * plane) + half + 8 * plane
 
 
 @pytest.mark.parametrize("restrict", [False, True])
@@ -1366,18 +1370,85 @@ def test_training_graph_holds_no_feature_plane(rng, restrict):
 
 
 def test_backward_sweeps_over_released_features_agree(rng):
-    # every layer's g node is in the graph with its value released; two
-    # sweeps read the same graph and give the same gradients, bit for bit
+    # every layer's g node is in the graph with its value released, and so
+    # are its filtered spectra Y_l and the reconstruction's F, which the
+    # pulls remake (ad.read); two sweeps read the same graph and give the
+    # same gradients, bit for bit, and neither leaves a remade value on it
     L, C, n = 3, 4, 32
     y = rng.random((n, n))
     state = _taped_forward(L, C, y)
     loss = _training_loss(state, y, n)
     released = [node for node in _graph(loss) if isinstance(node.value, ad.Released)]
-    assert len(released) == L
-    with pytest.raises(ReleasedValue):
-        ad.value(released[0])
-    first, second = (unroll.collect_gradients(loss, state) for _ in range(2))
+    made_by = collections.Counter(
+        (node.pull.__qualname__.split(".")[0], node.value.remake is None)
+        for node in released)
+    assert made_by == {("g_update", True): L, ("filter_spectra", False): L + 1}
+    for node in released:
+        with pytest.raises(ReleasedValue):
+            ad.value(node)
+    grads = []
+    for _ in range(2):
+        grads.append(unroll.collect_gradients(loss, state))
+        assert all(node.value.remade is None for node in released)
+    first, second = grads
     assert all(same_bits(first[name], second[name]) for name in first)
+
+
+@pytest.mark.parametrize("C, shape", [(16, (128, 128)), (3, (24, 35))])
+def test_remade_spectra_are_the_forwards_bitwise(rng, monkeypatch, C, shape):
+    # each layer's Y_l and the reconstruction's F, remade from the bank
+    # (product in the transform's buffer), have the forward's bytes, at the
+    # benchmark's 128 px with C = 16 and at an odd, non-square width
+    L = 2
+    kept, release = [], ad.release
+
+    def keeping(x, remake=None):  # each node released with a remake, and its value
+        if remake is not None:
+            kept.append((x, np.array(x.value)))
+        release(x, remake)
+
+    monkeypatch.setattr(ad, "release", keeping)
+    unroll.forward(rng.random(shape), _live_params(L, C), tape=ad.Tape())
+    assert len(kept) == L + 1
+    for node, value in kept:
+        assert same_bits(ad.read(node), value)
+
+
+@pytest.mark.parametrize("model", ["trained", "preset"])
+def test_sweep_remakes_each_released_spectrum_once(rng, monkeypatch, model):
+    # a trained layout's sweep transforms each layer's bank once, for Y_l,
+    # and the last bank once more, for F: L + 1 window transforms, where
+    # its pulls make none of their own. The preset's shared bank is a plain
+    # array, so its spectra are no node and nothing is remade: its two
+    # window transforms are its two kernel windows' (kernel_estimate's pull)
+    L, n = 2, 32
+    y = rng.random((n, n))
+    params = (unroll.tv_prewitt_params(layers=L, kernel_support=7)
+              if model == "preset" else _live_params(L))
+    state = unroll.forward(y, params, tape=ad.Tape())[3]
+    loss = ad.mse(state.x_hat, rng.random((n, n)))
+    calls, window_rfft2 = [], spectral.window_rfft2
+    monkeypatch.setattr(spectral, "window_rfft2", lambda *args: (
+        calls.append(args) or window_rfft2(*args)))
+    unroll.collect_gradients(loss, state)
+    assert len(calls) == (L + 1 if model == "trained" else 2)
+
+
+def test_plain_forward_drops_features_and_z_after_their_last_reader(rng, monkeypatch):
+    # plain, a layer holds one feature stack: no earlier layer's g is alive
+    # when g_update runs, and no earlier Z when z_spectrum makes the next
+    made = {}
+    for name in ("g_update", "z_spectrum"):
+        def checked(*args, _fn=getattr(unroll, name), _refs=made.setdefault(name, [])):
+            assert all(ref() is None for ref in _refs)
+            out = _fn(*args)
+            _refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(unroll, name, checked)
+    L = 3
+    unroll.forward(rng.random((16, 16)), _live_params(L))
+    assert [len(refs) for refs in made.values()] == [L, L]
 
 
 def _live_params(layers=3, channels=4):
