@@ -19,18 +19,19 @@ y_spec, and its Q and 1/D and, once per pass, the spectra G of g that the
 sums were made from. Every adjoint comes from the terms' residual form.
 
 Keep or remake: a value no pull reads is dropped, and so is one that is
-cheap to rebuild from small values the graph holds. release drops a
-node's value after its last forward reader; given a remake, a function
-that rebuilds the value bit for bit from what the graph holds, a pull
-reads it through read, which remakes it at most once per sweep and holds
-it until backward reaches the node, after every reader has pulled. So
-forward releases each layer's features g, which no pull reads, after the
-peak check, track_kinks and z_spectrum (the last layer's after
-reconstruct and forward's returned copy), and with remakes each Y_l after
-the last layer that reads it and the last F_l after reconstruct: the
-window transform of the bank's (C, s, s) taps, times y_spec for Y_l. A
-recorded graph then holds one half stack per layer, Z, and no feature
-plane; a sweep pays L + 1 window transforms and L products for it.
+cheap to rebuild from small values the graph holds. A node that can be
+rebuilt is given its remake at record: the function that made its value,
+so a remade value is the forward's, bit for bit. release drops a node's
+value after its last forward reader; a pull reads it through read, which
+remakes it at most once per sweep and holds it until backward reaches
+the node, after every reader has pulled. So forward releases each
+layer's features g, which no pull reads, after the peak check,
+track_kinks and z_spectrum (the last layer's after reconstruct), and
+each filter_spectra node, remade as the window transform of the bank's
+(C, s, s) taps, times y_spec for Y_l: Y_l after the last layer that
+reads it, the last F_l after reconstruct. A recorded graph then holds
+one half stack per layer, Z, and no feature plane; a sweep pays L + 1
+window transforms and L products for it.
 A pull may write only into buffers it made: the adjoint it is given may
 be another node's input or a sum that backward still holds, and forward
 shares its spectra read-only. What a pull returns is backward's to keep,
@@ -102,14 +103,15 @@ class Var:
     """A tracked array value on a tape; a leaf has no parents.
 
     routes holds, per parent, the position of its adjoint in pull's result.
-    value is the array, or a Released stub once release has dropped it.
+    value is the array, or a Released stub once release has dropped it;
+    remake, if the node has one (record), makes the value again.
     """
 
-    __slots__ = ("value", "tape", "parents", "pull", "routes", "idx")
+    __slots__ = ("value", "tape", "parents", "pull", "routes", "remake", "idx")
 
-    def __init__(self, value, tape, parents=(), pull=None, routes=()):
+    def __init__(self, value, tape, parents=(), pull=None, routes=(), remake=None):
         self.value, self.tape = np.asarray(value), tape
-        self.parents, self.pull, self.routes = parents, pull, routes
+        self.parents, self.pull, self.routes, self.remake = parents, pull, routes, remake
         self.idx = tape.count
         tape.count += 1
 
@@ -124,29 +126,28 @@ class Var:
 class Released:
     """A released node's value (release): its dtype and shape, the only parts
     of an inner node's value that backward reads, and no data. Reading it
-    as an array raises ReleasedValue. With a remake, read gives the pulls
-    the value again, remade once and held until backward reaches the
-    node's own pull."""
+    as an array raises ReleasedValue. For a node with a remake, read gives
+    the pulls the value again, remade once and held in remade until
+    backward reaches the node's own pull."""
 
-    __slots__ = ("dtype", "shape", "idx", "remake", "remade")
+    __slots__ = ("dtype", "shape", "idx", "remade")
 
-    def __init__(self, array, idx, remake=None):
+    def __init__(self, array, idx):
         self.dtype, self.shape, self.idx = array.dtype, array.shape, idx
-        self.remake, self.remade = remake, None
+        self.remade = None
 
     def __array__(self, dtype=None, copy=None):
         raise ReleasedValue("node %d's value was released after its last reader"
                             % self.idx)
 
 
-def release(x, remake=None):
+def release(x):
     """Drop a node's value once nothing in the forward reads it again; a
-    plain array is left as it is. The node keeps its parents and pull, so
-    backward runs through it as before, and reading its value (value)
-    raises ReleasedValue. remake(), if given, rebuilds the value bit for
-    bit from what the graph holds, for the pulls that read it (read)."""
+    plain array is left as it is. The node keeps its parents, pull and
+    remake, so backward runs through it as before, and reading its value
+    (value) raises ReleasedValue; a pull reads it through read."""
     if isinstance(x, Var):
-        x.value = Released(x.value, x.idx, remake)
+        x.value = Released(x.value, x.idx)
 
 
 def leaf(tape, value):
@@ -161,15 +162,15 @@ def value(x):
 
 
 def read(x):
-    """A pull's read of an input's value: value(x), or for a node released
-    with a remake, the remade value, made by the first pull that reads it
-    in a sweep and held until backward reaches the node (backward). A
-    node released without one raises ReleasedValue."""
+    """A pull's read of an input's value: value(x), or for a released node
+    with a remake (record), the remade value, made by the first pull that
+    reads it in a sweep and held until backward reaches the node
+    (backward). A released node without one raises ReleasedValue."""
     if not (isinstance(x, Var) and isinstance(x.value, Released)
-            and x.value.remake is not None):
+            and x.remake is not None):
         return value(x)
     if x.value.remade is None:
-        x.value.remade = x.value.remake()
+        x.value.remade = x.remake()
     return x.value.remade
 
 
@@ -184,7 +185,7 @@ def unbroadcast(grad, shape):
     return grad
 
 
-def record(out, inputs, pull):
+def record(out, inputs, pull, remake=None):
     """Return out as a node over the tracked inputs, or as is if none is.
 
     pull(g) maps the node's adjoint g to one adjoint per entry of inputs, in
@@ -195,13 +196,14 @@ def record(out, inputs, pull):
     sum into: an array the pull made, or g itself, each returned for one
     input only. It shares memory with no other adjoint and no kept value,
     or backward's in-place sum (_sum_into) would write into them. It reads
-    an input that forward may release (release) through read.
+    an input that forward may release (release) through read. remake, if
+    given, is the function that made out, for read to call again.
     """
     if not recorded(*inputs):
         return out
     routes = tuple(pos for pos, x in enumerate(inputs) if isinstance(x, Var))
     parents = tuple(inputs[pos] for pos in routes)
-    return Var(out, parents[0].tape, parents, pull, routes)
+    return Var(out, parents[0].tape, parents, pull, routes, remake)
 
 
 def recorded(*inputs):

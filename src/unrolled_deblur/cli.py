@@ -55,19 +55,23 @@ def _build_parser():
                        help="train solver parameters on a manifest")
     p.add_argument("--manifest", required=True, help="dataset manifest CSV")
     p.add_argument("--out", required=True, help="checkpoint/log directory")
-    p.add_argument("--layers", type=int, default=10, help="unrolled layers")
-    p.add_argument("--channels", type=int, default=16, help="filter channels")
-    p.add_argument("--support", type=int, default=31,
+    defaults = training.TrainConfig  # its fields state the defaults once
+    p.add_argument("--layers", type=int, default=defaults.layers,
+                   help="unrolled layers")
+    p.add_argument("--channels", type=int, default=defaults.channels,
+                   help="filter channels")
+    p.add_argument("--support", type=int, default=defaults.kernel_support,
                    help="odd kernel support of the deliverable estimate")
-    p.add_argument("--kappa", type=float, default=1e5,
+    p.add_argument("--kappa", type=float, default=defaults.kappa,
                    help="kernel loss weight")
-    p.add_argument("--lr", type=float, default=1e-3, help="Adam step size")
-    p.add_argument("--decay", type=float, default=0.9,
+    p.add_argument("--lr", type=float, default=defaults.lr, help="Adam step size")
+    p.add_argument("--decay", type=float, default=defaults.decay,
                    help="per-epoch learning rate decay")
-    p.add_argument("--epochs", type=int, default=20, help="training epochs")
-    p.add_argument("--batch", type=int, default=1,
+    p.add_argument("--epochs", type=int, default=defaults.epochs,
+                   help="training epochs")
+    p.add_argument("--batch", type=int, default=defaults.batch_size,
                    help="records per optimizer step")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=int, default=defaults.seed, help="random seed")
     p.add_argument("--resume", default=None,
                    help="checkpoint to continue from")
 

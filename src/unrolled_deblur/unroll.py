@@ -33,16 +33,17 @@ transform. Plain, they keep nothing and invert in Q's buffer. Recorded,
 z_spectrum keeps one int8 code per feature (_shrink_code) in place of g,
 so no pull reads a layer's features, and forward releases each layer's g
 (autodiff.release) once the peak check, track_kinks and z_spectrum have
-read it, and the last layer's once reconstruct and the returned copy have.
-It also releases each layer's filtered spectra Y_l after the last layer
-that reads them (the next has another bank) and the last F_l after
-reconstruct, each with a remake from its bank's taps (_spectra_remake):
-the pulls of g_update, kernel_estimate and reconstruct read them through
-autodiff.read, which remakes each once per backward sweep. A recorded
-layer then holds one half stack, Z, for L + 1 window transforms and L
-products per sweep. Plain, forward drops each layer's g after its last
-reader and the previous Z once g_update has read it, so a plain layer
-holds one feature stack. Each term's adjoint is taken in residual form,
+read it, and the last layer's once reconstruct has. It also releases
+each layer's filtered spectra Y_l after the last layer that reads them
+(the next has another bank) and the last F_l after reconstruct; the
+pulls of g_update, kernel_estimate and reconstruct read them through
+autodiff.read, which remakes each once per backward sweep with the
+function filter_spectra made it with. A recorded layer then holds one
+half stack, Z, for L + 1 window transforms and L products per sweep.
+Plain, forward drops each layer's g after its last reader and the
+previous Z once g_update has read it, so a plain layer holds one feature
+stack, and returns the arrays the solver made (a recorded x_hat, the
+loss node's input, as a copy). Each term's adjoint is taken in residual form,
 through _term_adjoint or, in g_update's pull, in that pull's own buffers.
 A recorded layer makes five nodes (filter_spectra, the spectrum of the
 kernel it reads, g_update, z_spectrum and kernel_estimate; the first and
@@ -55,14 +56,15 @@ one (C, s, s) array, so each update is one call per layer whatever C is.
 Layer l reads the (C, 1, 1) slices b[l], lam[l] of the (L, C) arrays; when
 recorded, each of b, lam, eta, w_top and w_mix is one tape leaf.
 
-Filter spectra: forward alone transforms a bank, with
-spectral.window_rfft2, and only when it is not layer l-1's very bank
-object, so the preset's fixed_bank is transformed once (a backward
-sweep transforms a trained bank once more, to remake its spectra). The
+Filter spectra: filter_spectra alone transforms a bank, with
+spectral.window_rfft2, and forward calls it only for a bank that is not
+layer l-1's very object, so the preset's fixed_bank is transformed once
+for all L layers; the reconstruction transforms the last bank again
+rather than hold its spectra through every layer. Y_l is F_l times Y in
+F_l's buffer, with the bits of the fresh product F_l * Y (tested). The
 updates take spectra, never planes: forward transforms each kernel with
 ad.rfft2 in the call that reads it, each layer's g_update or the
-reconstruction, and reconstruct reuses the last F_l. Shared stacks are
-kept read-only.
+reconstruction. Shared stacks are kept read-only.
 
 Windows: the model's kind picks the form the layers carry the kernel in
 (_window_support). A fixed_bank model carries its projected s x s window
@@ -468,36 +470,26 @@ def _check_per_plane(update, *weights):
                                     % (update, np.shape(w)))
 
 
-def filter_spectra(bank, f_spec, shape, y_spec=None):
+def filter_spectra(bank, shape, y_spec=None):
     """The filtered spectra F_l Y, or F_l itself without y_spec, as one node.
 
-    f_spec is the bank's half spectrum on the (H, W) = shape image grid,
-    which forward computes once per bank; the adjoint returns to the
-    (C, s, s) filter taps.
+    F_l is the bank's half spectrum on the (H, W) = shape image grid, and
+    Y is multiplied into its buffer; the node's remake (autodiff.record) is
+    the same function. The adjoint returns to the (C, s, s) filter taps.
     """
-    out = f_spec if y_spec is None else f_spec * y_spec
-    size = np.shape(ad.value(bank))[-1]
+    taps = ad.value(bank)
+    size = np.shape(taps)[-1]
+
+    def make():
+        f_spec = spectral.window_rfft2(taps, shape)
+        return f_spec if y_spec is None else np.multiply(f_spec, y_spec, out=f_spec)
 
     def pull(gs):
         if y_spec is None:
             return (ad.dft_adjoint(gs, shape, size),)
         return (ad.dft_adjoint(gs * np.conj(y_spec), shape, size, overwrite=True),)
 
-    return ad.record(out, (bank,), pull)
-
-
-def _spectra_remake(bank, shape, y_spec=None):
-    """The remake of a released filter_spectra node (autodiff.release): its
-    value again from the bank's taps, bit for bit. The product runs in the
-    transform's buffer, which gives f_spec * y_spec's bits at every shape
-    the tests check."""
-    taps = ad.value(bank)
-
-    def remake():
-        f_spec = spectral.window_rfft2(taps, shape)
-        return f_spec if y_spec is None else np.multiply(f_spec, y_spec, out=f_spec)
-
-    return remake
+    return ad.record(make(), (bank,), pull, remake=make)
 
 
 def g_update(y_spec, z_spec, k_spec, b, lam, shape):
@@ -806,10 +798,8 @@ def forward(y, params, tape=None, track_kinks=False):
                 if not certified:  # computed up to its g update
                     reach = None  # this layer and every later one run
                     if l == 0 or banks[l] is not banks[l - 1]:
-                        f_spec = spectral.window_rfft2(ad.value(banks[l]), shape)
-                        y_specs = filter_spectra(banks[l], f_spec, shape, y_spec)
-                        for shared in (f_spec, y_specs):  # reused by later layers
-                            ad.value(shared).flags.writeable = False
+                        y_specs = filter_spectra(banks[l], shape, y_spec)
+                        ad.value(y_specs).flags.writeable = False  # shared
                     g = g_update(y_specs, z_spec, ad.rfft2(k, grid), b_l,
                                  ad.take(pv["lam"], per_channel), shape)
                     z_spec = None  # read: a plain pass frees it before the next Z
@@ -835,18 +825,18 @@ def forward(y, params, tape=None, track_kinks=False):
                     ad.release(g)
                     g = None  # a plain pass holds one layer's features
                 if l == L - 1 or banks[l + 1] is not banks[l]:  # Y's last layer
-                    ad.release(y_specs, _spectra_remake(banks[l], shape, y_spec))
+                    ad.release(y_specs)
 
             del y_specs, z_spec  # the reconstruction allocates stacks of its own
-            k_spec, f_last = ad.rfft2(k, grid), filter_spectra(banks[-1], f_spec, shape)
+            k_spec, f_last = ad.rfft2(k, grid), filter_spectra(banks[-1], shape)
             x_hat = reconstruct(y_spec, k_spec, g, f_last, pv["eta"], shape)
-            ad.release(f_last, _spectra_remake(banks[-1], shape))
-            del k_spec  # a plain pass holds no spectrum through the copies below
+            ad.release(f_last)
+            del k_spec, f_last  # a plain pass holds no spectrum past the reconstruction
     except FloatingPointError as err:
         raise NonFiniteInput("the solver's arithmetic left the float range (%s): "
                              "the image is too large for this model" % err) from None
-    features = np.array(ad.value(g))
-    ad.release(g)  # the reconstruction and the copy were its last readers
+    features = ad.value(g)  # after release, nothing else holds the array
+    ad.release(g)  # the reconstruction was its last reader
 
     k_plane = k if support is None else ad.embed(k, shape)  # the one embedding
     kernel = k_project(spectral.wrap_window(ad.value(k_plane), params.kernel_support),
@@ -854,7 +844,9 @@ def forward(y, params, tape=None, track_kinks=False):
     state = ForwardState(
         x_hat=x_hat, kernel_plane=k_plane, kernel_planes=kernel_planes, tape=tape,
         param_vars=pv, kink_signature=None if kinks is None else b"".join(kinks))
-    return kernel, features, np.array(ad.value(x_hat)), state
+    # a recorded x_hat's array is the loss node's input: the caller gets a copy
+    image = np.array(x_hat.value) if ad.recorded(x_hat) else x_hat
+    return kernel, features, image, state
 
 
 def _window_support(params):

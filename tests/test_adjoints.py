@@ -112,14 +112,10 @@ def test_filter_spectra_adjoint(rng):
     for w in (W, W - 1):
         bank = rng.standard_normal((C, 5, 5))
         y_spec = spectra(rng, H, w)
-
-        def f_spec(b):
-            return spectral.rfft2(spectral.embed_kernels(ad.value(b), H, w))
-
         for y, which in ((y_spec, 1), (None, 0)):
             assert_half_matches_chain(
                 lambda b: unroll.filter_spectra(
-                    b, f_spec(b), (H, w), None if y is None else halve(y)),
+                    b, (H, w), None if y is None else halve(y)),
                 lambda b: composed.filter_spectra(b, y_spec, H, w)[which],
                 [bank], spectra(rng, C, H, w), ())
 
@@ -275,10 +271,8 @@ def _pull_cases(rng, w):
     k_spec = halve(spectra(rng, H, w))
     b, lam = rng.uniform(0.1, 2.0, (C, 1, 1)), rng.uniform(0.05, 1.0, (C, 1, 1))
     return [
-        ("filter_spectra", lambda f: unroll.filter_spectra(f, f_spec, shape, y_spec),
-         [bank]),
-        ("filter_spectra without y", lambda f: unroll.filter_spectra(f, f_spec, shape),
-         [bank]),
+        ("filter_spectra", lambda f: unroll.filter_spectra(f, shape, y_spec), [bank]),
+        ("filter_spectra without y", lambda f: unroll.filter_spectra(f, shape), [bank]),
         ("g_update", lambda *a: unroll.g_update(*a, shape=shape),
          [stack[0], stack[1], k_spec, b, lam]),
         ("g_update at Z = 0", lambda y, k, bb, ll: unroll.g_update(y, 0.0, k, bb, ll, shape),

@@ -465,12 +465,12 @@ def test_released_node_keeps_its_place_but_not_its_value(rng):
 
 
 def test_released_node_is_remade_once_per_sweep_for_its_readers(rng):
-    # a node released with a remake gives its readers' pulls (ad.read) its
-    # value again: remade by the first pull that reads it in a sweep, held
-    # for the second, and dropped when backward reaches the node itself, so
-    # each sweep remakes it once, gives the kept graph's bits and leaves no
-    # remade value behind; one released without a remake raises
-    # ReleasedValue when a pull reads it
+    # a released node recorded with a remake gives its readers' pulls
+    # (ad.read) its value again: remade by the first pull that reads it in
+    # a sweep, held for the second, and dropped when backward reaches the
+    # node itself, so each sweep remakes it once, gives the kept graph's
+    # bits and leaves no remade value behind; a released node recorded
+    # without a remake raises ReleasedValue when a pull reads it
     x, w = rng.standard_normal((2, 3, 4))
     made, at_own_pull = [], []
 
@@ -478,7 +478,7 @@ def test_released_node_is_remade_once_per_sweep_for_its_readers(rng):
         tape = ad.Tape()
         v = ad.leaf(tape, x)
         u = ad.record(w * x, (v,), lambda g: (
-            at_own_pull.append(getattr(u.value, "remade", None)) or g * w,))
+            at_own_pull.append(getattr(u.value, "remade", None)) or g * w,), remake)
         square = ad.record(u.value * u.value, (u,),
                            lambda g: (2.0 * g * ad.read(u),))
         cube = ad.record(u.value ** 3, (u,),
@@ -486,7 +486,7 @@ def test_released_node_is_remade_once_per_sweep_for_its_readers(rng):
         loss = ad.record(np.sum(square.value + cube.value), (square, cube),
                          lambda g: (np.full((3, 4), g), np.full((3, 4), g)))
         if release:
-            ad.release(u, remake)
+            ad.release(u)
         return u, loss, v
 
     kept = graph(release=False)

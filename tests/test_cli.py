@@ -5,11 +5,12 @@ import os
 import re
 import shlex
 import struct
+import types
 
 import numpy as np
 import pytest
 
-from unrolled_deblur import cli, imaging, kernelgen, unroll
+from unrolled_deblur import cli, imaging, kernelgen, training, unroll
 from unrolled_deblur.training import load_checkpoint
 
 SUBCOMMANDS = ["gen-kernels", "gen-dataset", "train", "deblur", "eval",
@@ -71,6 +72,16 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail("README command does not parse: unrolled-deblur %s"
                         % " ".join(argv))
+
+
+def test_train_flag_defaults_build_the_default_config(monkeypatch, capsys):
+    # the train flags take their defaults from TrainConfig's fields, so a
+    # run without them trains with exactly TrainConfig()
+    seen = []
+    monkeypatch.setattr(training, "train", lambda manifest, config, out, resume: (
+        seen.append(config) or types.SimpleNamespace(epoch=0)))
+    assert cli.main(["train", "--manifest", "m", "--out", "o"]) == 0
+    assert seen == [training.TrainConfig()]
 
 
 def test_unknown_flag_is_usage_error(capsys):

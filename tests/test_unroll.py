@@ -696,12 +696,12 @@ def test_restricted_forward_falls_back_to_the_centred_impulse(rng):
     # shape of a released Y from its stub without remaking it
     shape, tape = (16, 17), ad.Tape()
     bank = ad.leaf(tape, params.w_top)
-    y_specs = unroll.filter_spectra(bank, spectral.window_rfft2(params.w_top, shape),
-                                    shape, spectral.rfft2(y))
+    y_specs = unroll.filter_spectra(bank, shape, spectral.rfft2(y))
     z_spec = unroll.z_spectrum(ad.leaf(tape, rng.random((C, *shape))), 1.0)
     node = unroll.kernel_estimate(z_spec, y_specs, params.eps, support, shape)
     assert np.array_equal(node.value, impulse)
-    ad.release(y_specs, remake=lambda: pytest.fail("the fallback remade Y"))
+    y_specs.remake = lambda: pytest.fail("the fallback remade Y")
+    ad.release(y_specs)
     adjoints = node.pull(rng.standard_normal((support, support)))
     for parent, pos in zip(node.parents, node.routes):
         assert adjoints[pos].shape == parent.shape
@@ -938,28 +938,29 @@ def test_image_spectrum_is_its_rfft2_bitwise(rng, monkeypatch, model):
 
 def test_repeated_bank_is_transformed_once(rng, monkeypatch):
     # the preset uses one Prewitt pair in all L layers: the first layer
-    # transforms it, and the later layers and the reconstruction reuse it
+    # transforms it and the later layers reuse it; the reconstruction
+    # transforms it once more rather than hold its spectra through the layers
     L, n = 4, 16
     params = unroll.tv_prewitt_params(layers=L, kernel_support=7)
     bank_planes = spectral.embed_kernels(params.fixed_bank, n, n)
     seen = _counting_transforms(monkeypatch)
     unroll.forward(rng.random((n, n)), params)
-    assert sum(np.array_equal(p, bank_planes) for p in seen) == 1
+    assert sum(np.array_equal(p, bank_planes) for p in seen) == 2
     planes = sum(int(np.prod(p.shape[:-2])) for p in seen)
-    assert planes == 1 + 2 + L * (1 + 2) + (1 + 2)  # y, bank, layers, x
+    assert planes == 1 + 2 + L * (1 + 2) + (2 + 1 + 2)  # y, bank, layers, x
 
 
 def test_trained_banks_are_embedded_once_per_layer(rng, monkeypatch):
-    # every trained layer has its own bank; the reconstruction reuses the
-    # last layer's spectra instead of embedding w_top again
-    calls = []
+    # every trained layer has its own bank, and the reconstruction embeds
+    # w_top again for its own F: L + 1 embeddings
+    L, calls = 3, []
     embed_kernels = spectral.embed_kernels
     monkeypatch.setattr(spectral, "embed_kernels", lambda k, *args: (
         calls.append(np.ndim(k) == 3) or embed_kernels(k, *args)))
     for tape in (None, ad.Tape()):
         calls.clear()
-        unroll.forward(rng.random((16, 16)), small_params(layers=3), tape=tape)
-        assert sum(calls) == 3  # (C, s, s) banks; the rest is the identity init
+        unroll.forward(rng.random((16, 16)), small_params(layers=L), tape=tape)
+        assert sum(calls) == L + 1  # (C, s, s) banks; the rest is the identity init
 
 
 def test_shared_bank_spectra_match_recomputed_ones(rng):
@@ -1380,7 +1381,7 @@ def test_backward_sweeps_over_released_features_agree(rng):
     loss = _training_loss(state, y, n)
     released = [node for node in _graph(loss) if isinstance(node.value, ad.Released)]
     made_by = collections.Counter(
-        (node.pull.__qualname__.split(".")[0], node.value.remake is None)
+        (node.pull.__qualname__.split(".")[0], node.remake is None)
         for node in released)
     assert made_by == {("g_update", True): L, ("filter_spectra", False): L + 1}
     for node in released:
@@ -1394,24 +1395,22 @@ def test_backward_sweeps_over_released_features_agree(rng):
     assert all(same_bits(first[name], second[name]) for name in first)
 
 
-@pytest.mark.parametrize("C, shape", [(16, (128, 128)), (3, (24, 35))])
-def test_remade_spectra_are_the_forwards_bitwise(rng, monkeypatch, C, shape):
-    # each layer's Y_l and the reconstruction's F, remade from the bank
-    # (product in the transform's buffer), have the forward's bytes, at the
-    # benchmark's 128 px with C = 16 and at an odd, non-square width
-    L = 2
-    kept, release = [], ad.release
-
-    def keeping(x, remake=None):  # each node released with a remake, and its value
-        if remake is not None:
-            kept.append((x, np.array(x.value)))
-        release(x, remake)
-
-    monkeypatch.setattr(ad, "release", keeping)
-    unroll.forward(rng.random(shape), _live_params(L, C), tape=ad.Tape())
-    assert len(kept) == L + 1
-    for node, value in kept:
-        assert same_bits(ad.read(node), value)
+@pytest.mark.parametrize("C, shape", [(16, (128, 128)), (3, (24, 35)), (2, (512, 512))])
+def test_remade_spectra_are_the_forwards_bitwise(rng, C, shape):
+    # filter_spectra multiplies Y into F's buffer, for its value and its
+    # remake alike: plain, recorded and remade, Y_l has the bits of the
+    # fresh product F * Y, which numpy does not promise for an in-place
+    # complex product. At the benchmark's 128 px with C = 16, at an odd,
+    # non-square width, and with the preset's Prewitt pair at 512 px
+    taps = (unroll.tv_prewitt_params().fixed_bank if C == 2
+            else rng.standard_normal((C, 5, 5)))
+    y_spec = spectral.rfft2(rng.random(shape))
+    want = spectral.window_rfft2(taps, shape) * y_spec
+    assert same_bits(unroll.filter_spectra(taps, shape, y_spec), want)
+    node = unroll.filter_spectra(ad.leaf(ad.Tape(), taps), shape, y_spec)
+    assert same_bits(node.value, want)
+    ad.release(node)
+    assert same_bits(ad.read(node), want)
 
 
 @pytest.mark.parametrize("model", ["trained", "preset"])
@@ -1449,6 +1448,24 @@ def test_plain_forward_drops_features_and_z_after_their_last_reader(rng, monkeyp
     L = 3
     unroll.forward(rng.random((16, 16)), _live_params(L))
     assert [len(refs) for refs in made.values()] == [L, L]
+
+
+def test_forward_returns_the_solvers_arrays(rng, monkeypatch):
+    # a plain forward returns the last layer's features and the image as the
+    # arrays the last g_update and reconstruct made, not copies; a recorded
+    # one copies x_hat, whose array the loss node reads
+    made = {}
+    for name in ("g_update", "reconstruct"):
+        def keeping(*args, _fn=getattr(unroll, name), _name=name):
+            made[_name] = _fn(*args)
+            return made[_name]
+
+        monkeypatch.setattr(unroll, name, keeping)
+    y = rng.random((16, 16))
+    _, g, x_hat, _ = unroll.forward(y, _live_params())
+    assert g is made["g_update"] and x_hat is made["reconstruct"]
+    _, _, x_hat, state = unroll.forward(y, _live_params(), tape=ad.Tape())
+    assert not np.shares_memory(x_hat, state.x_hat.value)
 
 
 def _live_params(layers=3, channels=4):
