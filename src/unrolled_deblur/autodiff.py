@@ -24,14 +24,19 @@ rebuilt is given its remake at record: the function that made its value,
 so a remade value is the forward's, bit for bit. release drops a node's
 value after its last forward reader; a pull reads it through read, which
 remakes it at most once per sweep and holds it until backward reaches
-the node, after every reader has pulled. So forward releases each
+the node, after every reader has pulled. backward drops the rest behind
+it: once a node's pull has run, no later pull reads the node, so the
+sweep releases its value and drops its pull (with what the pull kept)
+and its remake, and the graph's memory falls layer by layer as the
+sweep descends; leaves keep their values. So forward releases each
 layer's features g, which no pull reads, after the peak check,
 track_kinks and z_spectrum (the last layer's after reconstruct), and
 each filter_spectra node, remade as the window transform of the bank's
 (C, s, s) taps, times y_spec for Y_l: Y_l after the last layer that
 reads it, the last F_l after reconstruct. A recorded graph then holds
-one half stack per layer, Z, and no feature plane; a sweep pays L + 1
-window transforms and L products for it.
+one half stack per layer, Z, and no feature plane, until the sweep
+passes the layer; a sweep pays L + 1 window transforms and L products
+for it.
 A pull may write only into buffers it made: the adjoint it is given may
 be another node's input or a sum that backward still holds, and forward
 shares its spectra read-only. What a pull returns is backward's to keep,
@@ -71,15 +76,16 @@ Adjoint conventions, for a real-valued loss L:
   subgradient exactly at the kink.
 
 Values and adjoints are kept in float64/complex128 throughout. backward()
-writes into the graph only the remade values its pulls read, and drops
-each when it reaches its node, so a sweep leaves the graph as it found it
-and repeated sweeps agree bitwise.
+consumes the graph it sweeps: every inner node it reaches keeps its dtype,
+shape and parents but no value, pull or remake, so a second sweep of it
+raises UnrecordedNode before any pull runs. Two recordings of one loss
+sweep to the same gradients, bit for bit.
 """
 
 import numpy as np
 
 from . import spectral
-from .errors import DimensionMismatch, ReleasedValue, UnrecordedNode
+from .errors import DimensionMismatch, InvalidParameter, ReleasedValue, UnrecordedNode
 
 
 class Tape:
@@ -103,8 +109,10 @@ class Var:
     """A tracked array value on a tape; a leaf has no parents.
 
     routes holds, per parent, the position of its adjoint in pull's result.
-    value is the array, or a Released stub once release has dropped it;
-    remake, if the node has one (record), makes the value again.
+    value is the array, or a Released stub once release or a backward sweep
+    has dropped it; remake, if the node has one (record), makes the value
+    again. A sweep sets an inner node's pull and remake to None once the
+    pull has run.
     """
 
     __slots__ = ("value", "tape", "parents", "pull", "routes", "remake", "idx")
@@ -124,11 +132,12 @@ class Var:
 
 
 class Released:
-    """A released node's value (release): its dtype and shape, the only parts
-    of an inner node's value that backward reads, and no data. Reading it
-    as an array raises ReleasedValue. For a node with a remake, read gives
-    the pulls the value again, remade once and held in remade until
-    backward reaches the node's own pull."""
+    """A released node's value (release, or backward once the node's pull
+    has run): its dtype and shape, the only parts of an inner node's value
+    that backward reads, and no data. Reading it as an array raises
+    ReleasedValue. For a node with a remake, read gives the pulls the value
+    again, remade once and held in remade until backward reaches the
+    node's own pull."""
 
     __slots__ = ("dtype", "shape", "idx", "remade")
 
@@ -245,10 +254,17 @@ def idft_adjoint(g, shape, size=None, scale=None):
     """
     out = spectral.rfft2(g) if size is None else spectral.window_rfft2(g, shape)
     out /= float(shape[0] * shape[1])
-    weights = np.ones(shape[1] // 2 + 1)
-    weights[spectral.doubled_columns(shape[1])] = 2.0
+    weights = idft_weights(shape[1])
     out *= weights if scale is None else scale * weights
     return out
+
+
+def idft_weights(width):
+    """idft_adjoint's column weights for the half spectra of planes of this
+    width: 2 on the doubled columns (spectral.doubled_columns), 1 elsewhere."""
+    weights = np.ones(width // 2 + 1)
+    weights[spectral.doubled_columns(width)] = 2.0
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +369,34 @@ def mse(a, target):
 def backward(loss, wrt):
     """Adjoints of a scalar real loss with respect to the listed leaf Vars.
 
-    Returns one gradient array per entry of `wrt`, in the leaf's dtype
-    (zeros when the loss does not depend on it). The only state a sweep
-    writes is a released node's remade value (read), and it drops that
-    when it reaches the node, after every reader has pulled, so a sweep
-    leaves the graph as it found it and repeated calls agree bitwise.
+    Returns one gradient array per entry of `wrt`, in the leaf's dtype:
+    zeros when the loss does not depend on it, and for a leaf of another
+    graph (wrt is matched by identity). A wrt entry that is not a leaf Var
+    raises InvalidParameter before any pull runs.
+
+    The sweep consumes the graph: once a node's pull has run, the node keeps
+    its place (dtype, shape and parents) but drops its value (a Released
+    stub), its pull and its remake, so the memory the graph held falls as
+    the sweep descends. Leaves keep their values. A remade value (read) is
+    dropped when the sweep reaches its node, after every reader has pulled.
+    Sweeping a swept graph again raises UnrecordedNode before any pull runs;
+    a second sweep needs the graph recorded again.
     """
     if not isinstance(loss, Var):
         raise UnrecordedNode("loss is not a tape node")
     if loss.value.shape != ():
         raise DimensionMismatch("loss must be scalar, got %s" % (loss.value.shape,))
+    for pos, v in enumerate(wrt):
+        if not isinstance(v, Var) or v.parents:
+            raise InvalidParameter("wrt entry %d is not a leaf Var" % pos)
     reachable = {}
     stack = [loss]
     while stack:
         node = stack.pop()
         if node.idx not in reachable:
+            if node.parents and node.pull is None:
+                raise UnrecordedNode("node %d was swept by an earlier backward"
+                                     % node.idx)
             reachable[node.idx] = node
             stack.extend(node.parents)
     grads = {loss.idx: np.ones((), dtype=np.float64)}
@@ -378,7 +407,7 @@ def backward(loss, wrt):
         if isinstance(node.value, Released):  # its readers were created later
             node.value.remade = None
         if not node.parents:
-            continue  # leaf: keep its accumulated adjoint
+            continue  # leaf: keep its value and its accumulated adjoint
         adjoints = node.pull(grads.pop(idx))
         for parent, pos in zip(node.parents, node.routes):
             pg = adjoints[pos]
@@ -386,10 +415,15 @@ def backward(loss, wrt):
                 pg = pg.real
             acc = grads.get(parent.idx)
             grads[parent.idx] = pg if acc is None else _sum_into(acc, pg)
+        # no later pull reads the node: drop what it holds, and the loop's
+        # references to this pull's adjoints before the next pull runs
+        node.value = Released(node.value, idx)
+        node.pull = node.remake = None
+        del reachable[idx], adjoints, pg, acc
 
     out = []
-    for v in wrt:
-        g = grads.get(v.idx)
+    for v in wrt:  # by identity: a leaf of another graph may share an idx
+        g = grads.get(v.idx) if reachable.get(v.idx) is v else None
         if g is None:
             g = np.zeros_like(v.value)
         out.append(np.asarray(g, dtype=v.value.dtype).reshape(v.value.shape))

@@ -316,8 +316,8 @@ def _record_loss(record, params, kappa):
     """Forward and backward on one record; (total, image mse, kernel mse, grads)."""
     total, image_mse, kernel_mse, state = objective(record, params, kappa,
                                                     tape=ad.Tape())
-    return (float(ad.value(total)), image_mse, kernel_mse,
-            collect_gradients(total, state))
+    loss = float(ad.value(total))  # the sweep releases the total's value
+    return loss, image_mse, kernel_mse, collect_gradients(total, state)
 
 
 def train(manifest_path, config, out_dir, resume=None, initial_params=None,

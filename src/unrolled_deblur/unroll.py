@@ -40,7 +40,11 @@ pulls of g_update, kernel_estimate and reconstruct read them through
 autodiff.read, which remakes each once per backward sweep with the
 function filter_spectra made it with. A recorded layer then holds one
 half stack, Z, for L + 1 window transforms and L products per sweep.
-Plain, forward drops each layer's g after its last reader and the
+The sweep (autodiff.backward) releases each node, Z, x_hat and the kernel
+plane among them, and drops its pull with what the pull kept once the
+pull has run, so the graph shrinks layer by layer from the loss down and
+is gone when collect_gradients returns; g_update's pull holds two stacks
+and works in channel chunks (Passes). Plain, forward drops each layer's g after its last reader and the
 previous Z once g_update has read it, so a plain layer holds one feature
 stack, and returns the arrays the solver made (a recorded x_hat, the
 loss node's input, as a copy). Each term's adjoint is taken in residual form,
@@ -105,11 +109,14 @@ k_update's and reconstruct's) runs in the quotient's buffer; z_update is
 one clip and one subtraction; spectral embeds and windows a kernel by
 copying its four wrapped corners; and forward keeps each layer's own
 kernel plane or window, read-only. The pulls write only into buffers
-they made (see autodiff) and work in place there: g_update's takes both
-terms' adjoints in its quotient's, t's and one residual buffer;
+they made (see autodiff) and work in place there: g_update's holds two
+stacks, t (Y's adjoint) and Z's, and takes everything else in chunks of
+two channels (_channel_chunks), each chunk's quotient, 1/D and residual
+its own buffers, with the bits of the same pull on whole stacks (tested);
 idft_adjoint multiplies t by its column weights and the pull's 1/D in
-one pass, and dft_adjoint's column pass runs in the product
-filter_spectra's and reconstruct's pulls made; _term_adjoint subtracts
+one pass (g_update's pull, per chunk), and dft_adjoint's column pass runs
+in the product filter_spectra's and reconstruct's pulls made;
+_term_adjoint subtracts
 t A conj(Q) plane by plane; each weight's gradient is one reduction over
 float views (_re_inner); and the pulls of filter_spectra and of a
 window's spectrum invert only the window's rows (autodiff.dft_adjoint
@@ -261,7 +268,10 @@ class ForwardState:
     kernel_plane's value, or its window; kernel_plane is the only embedded
     plane. With track_kinks, kink_signature holds the shrinkage's
     activation pattern, the packed |g| > b bits of every layer's (C, H, W)
-    features; the clamp's is each kernel_planes entry > 0.
+    features; the clamp's is each kernel_planes entry > 0. A backward sweep
+    (collect_gradients) releases a recorded x_hat and kernel_plane, so
+    read their values before it; kernel_planes and kink_signature are
+    plain and stay.
     """
 
     x_hat: object
@@ -503,7 +513,9 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape):
     the image shape (H, W) = shape: y_spec has the output's, e.g. a
     (C, H, W//2+1) stack with z_spec (or the scalar 0) broadcast to it;
     k_spec is shared by all channels, and b and lam are one weight per
-    plane, e.g. (C, 1, 1).
+    plane, e.g. (C, 1, 1). The pull drops its adjoint once it has
+    transformed it and recomputes the quotient in channel chunks
+    (_channel_chunks), so it holds two stacks, Y's adjoint and Z's.
     """
     y, z, k, vb, vl = (ad.value(a) for a in (y_spec, z_spec, k_spec, b, lam))
     _check_half(shape, "feature update", y, z, k)
@@ -513,34 +525,59 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape):
                           overwrite=True)
 
     def pull(gg):
+        # ad.idft_adjoint's transform; its weights and 1/D follow per chunk
+        t = spectral.rfft2(gg)
+        del gg  # the pull holds two stacks, t and Z's adjoint, and chunks
+        t /= float(shape[0] * shape[1])
+        weights = ad.idft_weights(shape[1])
         y = ad.read(y_spec)  # not the forward's y: forward may release Y
-        q, inv = _quotient(((vb, k, y), (vl, 1, z)), update="feature update")
-        t = ad.idft_adjoint(gg, shape, scale=inv)
-        del inv  # read once: freeing it before the stacks below lowers the peak
-        # the prior term (lam, 1, Z) with R = Z - Q, then the data term
-        # (b, K, Y) with R = Y - KQ in the same buffer (see _quotient); Z's
-        # adjoint only when Z is recorded, not the scalar 0 of layer 1 and
-        # of the layers after a dead prefix
-        gz = vl * t if ad.recorded(z_spec) else None
-        r = np.subtract(z, q)
-        gl = _re_inner(t, r)
-        np.multiply(k, q, out=r)
-        np.subtract(y, r, out=r)
-        np.conjugate(t, out=t)  # conj conj t is t again, bit for bit
-        np.multiply(t, r, out=r)  # conj(t) R
-        gb = _re_inner(k, r)  # Re sum conj(tK) R
-        np.conjugate(t, out=t)
-        t *= k
-        np.conjugate(q, out=q)
-        q *= t
-        r -= q  # conj(t) R - tK conj(Q)
-        r *= vb
-        t *= vb
-        return (t, gz, ad.unbroadcast(r, np.shape(k)),
-                ad.unbroadcast(gb[..., None, None], np.shape(vb)),
+        # Z's adjoint only when Z is recorded, not the scalar 0 of layer 1
+        # and of the layers after a dead prefix
+        gz = np.empty_like(t) if ad.recorded(z_spec) else None
+        gk, gb, gl = None, [], []
+        for c in _channel_chunks(len(t)):
+            yc, zc, tc, bc, lc = (x[c] if np.ndim(x) == 3 else x
+                                  for x in (y, z, t, vb, vl))
+            q, inv = _quotient(((bc, k, yc), (lc, 1, zc)), update="feature update")
+            tc *= np.multiply(inv, weights, out=inv)
+            del inv  # read once: freeing it before R lowers the peak
+            if gz is not None:
+                np.multiply(lc, tc, out=gz[c])
+            # the prior term (lam, 1, Z) with R = Z - Q, then the data term
+            # (b, K, Y) with R = Y - KQ in the same buffer (see _quotient)
+            r = np.subtract(zc, q)
+            gl.append(_re_inner(tc, r))
+            np.multiply(k, q, out=r)
+            np.subtract(yc, r, out=r)
+            np.conjugate(tc, out=tc)  # conj conj t is t again, bit for bit
+            np.multiply(tc, r, out=r)  # conj(t) R
+            gb.append(_re_inner(k, r))  # Re sum conj(tK) R
+            np.conjugate(tc, out=tc)
+            tc *= k
+            np.conjugate(q, out=q)
+            q *= tc
+            r -= q  # conj(t) R - tK conj(Q)
+            r *= bc
+            tc *= bc
+            # K's adjoint sums the planes in channel order, as ad.unbroadcast's
+            # sum over the channel axis does
+            for plane in r:
+                gk = plane.copy() if gk is None else np.add(gk, plane, out=gk)
+        gb, gl = np.concatenate(gb), np.concatenate(gl)
+        return (t, gz, gk, ad.unbroadcast(gb[..., None, None], np.shape(vb)),
                 ad.unbroadcast(gl[..., None, None], np.shape(vl)))
 
     return ad.record(out, (y_spec, z_spec, k_spec, b, lam), pull)
+
+
+def _channel_chunks(n):
+    """Slices of n channels in pairs, the last of three for an odd n > 1
+    (of one for n = 1), in which g_update's pull works. No chunk holds one
+    channel of several: on planes of 96 px and more, _re_inner's einsum
+    sums a single plane with other rounding than a stack of planes, so such
+    a chunk would change the bits."""
+    stops = [*range(2, n - 1, 2), n]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
 def z_update(g, b):
@@ -895,7 +932,12 @@ def _dead_slack(n):
 
 
 def collect_gradients(loss_var, state):
-    """Run backward; returns {field: gradient} for each trainable array."""
+    """Run backward; returns {field: gradient} for each trainable array.
+
+    The sweep consumes the graph (autodiff.backward): it releases every
+    node it passes, the loss, a recorded x_hat and kernel_plane among them,
+    and leaves only the leaves' values, so a graph gives its gradients once.
+    """
     names = list(state.param_vars)
     grads = ad.backward(loss_var, [state.param_vars[n] for n in names])
     return dict(zip(names, grads))

@@ -174,6 +174,35 @@ def g_update(y_spec, z_spec, k_spec, b, lam):
     return ifft2(div(num, den))
 
 
+def stacked_g_update_pull(y, z, k, vb, vl, shape, gg, z_recorded=True):
+    """The adjoints (Y, Z, K, b, lam) of unroll.g_update's pull, taken on
+    whole (C, H, W//2+1) stacks: the quotient, t, R and K's adjoint, one
+    stack each. unroll.g_update's pull takes them in channel chunks, and
+    must give these bits; Z's is None unless z_recorded.
+    """
+    q, inv = unroll._quotient(((vb, k, y), (vl, 1, z)), update="feature update")
+    t = ad.idft_adjoint(gg, shape, scale=inv)
+    del inv
+    gz = vl * t if z_recorded else None
+    r = np.subtract(z, q)
+    gl = unroll._re_inner(t, r)
+    np.multiply(k, q, out=r)
+    np.subtract(y, r, out=r)
+    np.conjugate(t, out=t)
+    np.multiply(t, r, out=r)
+    gb = unroll._re_inner(k, r)
+    np.conjugate(t, out=t)
+    t *= k
+    np.conjugate(q, out=q)
+    q *= t
+    r -= q
+    r *= vb
+    t *= vb
+    return (t, gz, ad.unbroadcast(r, np.shape(k)),
+            ad.unbroadcast(gb[..., None, None], np.shape(vb)),
+            ad.unbroadcast(gl[..., None, None], np.shape(vl)))
+
+
 def z_spectrum(g, b):
     return fft2(soft_threshold(g, b))
 

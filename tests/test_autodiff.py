@@ -19,7 +19,8 @@ from scipy import signal
 import composed
 from unrolled_deblur import autodiff as ad
 from unrolled_deblur import spectral
-from unrolled_deblur.errors import DimensionMismatch, ReleasedValue, UnrecordedNode
+from unrolled_deblur.errors import (DimensionMismatch, InvalidParameter, ReleasedValue,
+                                   UnrecordedNode)
 
 
 def fd_grad(fn, x, h=1e-5):
@@ -371,13 +372,66 @@ def test_mse_against_self_gives_zero_gradient(rng):
 
 
 def test_backward_is_idempotent(rng):
+    # a sweep consumes its graph, so each sweep gets a graph recorded anew:
+    # two recordings of one loss give the same gradient, bit for bit
     x = rng.standard_normal((4, 4))
+    grads = []
+    for _ in range(2):
+        v = ad.leaf(ad.Tape(), x)
+        loss = ad.mse(composed.abs2(composed.fft2(v)), np.ones((4, 4)))
+        grads.append(ad.backward(loss, [v])[0])
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_backward_consumes_the_graph_it_sweeps(rng):
+    # once a node's pull has run, the sweep drops its value, pull and remake
+    # but keeps its dtype, shape and parents; a leaf keeps its value. A
+    # second sweep of the graph raises UnrecordedNode before any pull runs
+    x = rng.standard_normal((3, 4))
+    pulls = []
     tape = ad.Tape()
     v = ad.leaf(tape, x)
-    loss = ad.mse(composed.abs2(composed.fft2(v)), np.ones((4, 4)))
-    g1 = ad.backward(loss, [v])[0]
-    g2 = ad.backward(loss, [v])[0]
-    assert np.array_equal(g1, g2)
+    mid = ad.record(2.0 * x, (v,), lambda g: pulls.append("mid") or (2.0 * g,),
+                    remake=lambda: 2.0 * x)
+    loss = ad.mse(mid, np.zeros((3, 4)))
+    ad.backward(loss, [v])
+    assert pulls == ["mid"]
+    for node in (mid, loss):
+        assert isinstance(node.value, ad.Released)
+        assert node.pull is None and node.remake is None
+    assert mid.shape == (3, 4) and mid.parents == (v,)
+    assert np.array_equal(ad.value(v), x)
+    with pytest.raises(ReleasedValue):
+        ad.value(mid)
+    with pytest.raises(UnrecordedNode):
+        ad.backward(loss, [v])
+    assert pulls == ["mid"]
+
+
+def test_backward_matches_wrt_by_identity(rng):
+    # a leaf of another tape shares this tape's leaf indices but not its
+    # graph: it gets zeros, as an unused leaf does, not v's gradient
+    x = np.array([1.0, 1.0, 0.0])
+    v = ad.leaf(ad.Tape(), x)
+    w = ad.leaf(ad.Tape(), rng.standard_normal(3))
+    assert v.idx == w.idx
+    loss = ad.record(np.asarray(0.5 * x @ x), (v,), lambda g: (g * x,))
+    gv, gw = ad.backward(loss, [v, w])
+    assert np.array_equal(gv, x) and np.array_equal(gw, np.zeros(3))
+
+
+def test_backward_rejects_a_non_leaf_in_wrt(rng):
+    # an inner node's own pull takes its adjoint, so asking for it would
+    # give zeros: it raises before any pull runs, and the graph stays whole
+    pulls = []
+    v = ad.leaf(ad.Tape(), rng.standard_normal(3))
+    mid = ad.record(2.0 * v.value, (v,), lambda g: pulls.append(1) or (2.0 * g,))
+    loss = ad.mse(mid, np.zeros(3))
+    for wrt in ([mid], [v, mid], [v.value]):
+        with pytest.raises(InvalidParameter):
+            ad.backward(loss, wrt)
+    assert not pulls and mid.pull is not None
+    assert ad.backward(loss, [v])[0].shape == (3,)
 
 
 def test_backward_unused_leaf_gets_zeros(rng):
@@ -438,7 +492,7 @@ def test_released_node_keeps_its_place_but_not_its_value(rng):
     # release drops a node's value: reading it raises the typed error,
     # while backward, which reads only its dtype and shape (here to drop the
     # imaginary part of a real node's adjoint), gives the bits of the graph
-    # that kept it, sweep after sweep; a plain array is left as it is
+    # that kept it, recording after recording; a plain array is left as it is
     x = rng.standard_normal((3, 4))
 
     def graph(released):
@@ -458,6 +512,7 @@ def test_released_node_keeps_its_place_but_not_its_value(rng):
     kept = graph(released=False)
     want = ad.backward(kept[1], [kept[2]])[0]
     for _ in range(2):
+        _, loss, v = graph(released=True)
         assert np.array_equal(ad.backward(loss, [v])[0], want)
     plain = rng.standard_normal(3)
     ad.release(plain)
@@ -468,9 +523,10 @@ def test_released_node_is_remade_once_per_sweep_for_its_readers(rng):
     # a released node recorded with a remake gives its readers' pulls
     # (ad.read) its value again: remade by the first pull that reads it in
     # a sweep, held for the second, and dropped when backward reaches the
-    # node itself, so each sweep remakes it once, gives the kept graph's
-    # bits and leaves no remade value behind; a released node recorded
-    # without a remake raises ReleasedValue when a pull reads it
+    # node itself, so each sweep (of its own recording) remakes it once,
+    # gives the kept graph's bits and leaves no remade value behind; a
+    # released node recorded without a remake raises ReleasedValue when a
+    # pull reads it
     x, w = rng.standard_normal((2, 3, 4))
     made, at_own_pull = [], []
 
@@ -496,8 +552,8 @@ def test_released_node_is_remade_once_per_sweep_for_its_readers(rng):
         made.append(1)
         return w * x
 
-    u, loss, v = graph(release=True, remake=remake)
     for sweep in (1, 2):
+        u, loss, v = graph(release=True, remake=remake)
         assert np.array_equal(ad.backward(loss, [v])[0], want)
         assert len(made) == sweep and u.value.remade is None
     assert len(at_own_pull) == 3 and all(r is None for r in at_own_pull)
@@ -524,8 +580,8 @@ def test_recorded_graph_is_freed_without_the_cycle_collector(rng):
         x = ad.leaf(tape, rng.standard_normal((4, 4)))
         spec = composed.fft2(x)
         loss = ad.mse(composed.abs2(composed.mul(spec, 2.0)), np.zeros((4, 4)))
+        probe = weakref.ref(spec.value)  # the sweep drops the node's value
         ad.backward(loss, [x])
-        probe = weakref.ref(spec.value)
         del tape, x, spec, loss
         assert probe() is None
     finally:

@@ -1,9 +1,11 @@
 """Optimizer, checkpoints, and the training loop."""
 
 import csv
+import gc
 import hashlib
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -376,11 +378,11 @@ def test_checkpoint_config_needs_exactly_the_train_config_fields(
 # training loop
 
 
-def tiny_dataset(tmp_path, rng, n_images=2, patch=16):
+def tiny_dataset(tmp_path, rng, n_images=2, patch=16, size=24):
     src = str(tmp_path / "src")
     os.makedirs(src, exist_ok=True)
     for i in range(n_images):
-        imaging.save_image(rng.random((24, 24)),
+        imaging.save_image(rng.random((size, size)),
                            os.path.join(src, "s%d.pgm" % i), maxval=65535)
     kernels = [kernelgen.linear_motion_kernel(0.4, 2.5, 5)]
     out = str(tmp_path / "data")
@@ -409,6 +411,31 @@ def test_train_writes_log_and_checkpoints(tmp_path, rng):
     # per-epoch geometric decay shows up in the logged rate
     assert float(rows[0]["lr"]) == cfg.lr
     assert float(rows[2]["lr"]) == cfg.lr * cfg.decay
+
+
+def test_train_leaves_no_feature_spectra_alive(tmp_path, rng, monkeypatch):
+    # each backward sweep drops the graph behind it, and the graph holds no
+    # reference cycle: with the cycle collector off, no layer's Z (the
+    # spectra z_spectrum made) is left alive once train returns
+    made = []
+
+    def z_spectrum(g, b, _fn=unroll.z_spectrum):
+        out = _fn(g, b)
+        made.append(weakref.ref(out.value))
+        return out
+
+    monkeypatch.setattr(unroll, "z_spectrum", z_spectrum)
+    man = tiny_dataset(tmp_path, rng, n_images=1, patch=64, size=80)
+    cfg = small_config(layers=3, channels=4, epochs=1)
+    params = init_params(cfg)
+    params.b, params.lam = np.full((3, 4), 0.02), np.full((3, 4), 1e-3)  # live
+    gc.disable()
+    try:
+        train(man, cfg, str(tmp_path / "run"), initial_params=params,
+              log=open(os.devnull, "w"))
+        assert len(made) == 3 and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 def test_train_resume_reproduces_run_bitwise(tmp_path, rng):

@@ -1373,26 +1373,60 @@ def test_training_graph_holds_no_feature_plane(rng, restrict):
 def test_backward_sweeps_over_released_features_agree(rng):
     # every layer's g node is in the graph with its value released, and so
     # are its filtered spectra Y_l and the reconstruction's F, which the
-    # pulls remake (ad.read); two sweeps read the same graph and give the
-    # same gradients, bit for bit, and neither leaves a remade value on it
+    # pulls remake (ad.read); sweeps of two recordings give the same
+    # gradients, bit for bit, and neither leaves a remade value behind
     L, C, n = 3, 4, 32
     y = rng.random((n, n))
-    state = _taped_forward(L, C, y)
-    loss = _training_loss(state, y, n)
-    released = [node for node in _graph(loss) if isinstance(node.value, ad.Released)]
-    made_by = collections.Counter(
-        (node.pull.__qualname__.split(".")[0], node.remake is None)
-        for node in released)
-    assert made_by == {("g_update", True): L, ("filter_spectra", False): L + 1}
-    for node in released:
-        with pytest.raises(ReleasedValue):
-            ad.value(node)
     grads = []
     for _ in range(2):
+        state = _taped_forward(L, C, y)
+        loss = _training_loss(state, y, n)
+        released = [node for node in _graph(loss)
+                    if isinstance(node.value, ad.Released)]
+        made_by = collections.Counter(
+            (node.pull.__qualname__.split(".")[0], node.remake is None)
+            for node in released)
+        assert made_by == {("g_update", True): L, ("filter_spectra", False): L + 1}
+        for node in released:
+            with pytest.raises(ReleasedValue):
+                ad.value(node)
         grads.append(unroll.collect_gradients(loss, state))
         assert all(node.value.remade is None for node in released)
     first, second = grads
     assert all(same_bits(first[name], second[name]) for name in first)
+
+
+def test_backward_frees_the_graph_as_it_sweeps(rng):
+    # the sweep drops each node's value, pull and remake once its pull has
+    # run: its traced working set stays within 7 half stacks above the
+    # graph it was given (5.4 here), where holding every node to the end
+    # took 8.75; and from one layer's g_update pull to the next, the traced
+    # memory falls by at least the half stack Z that the layer's nodes held
+    L, C, n = 3, 4, 64
+    half = C * n * (n // 2 + 1) * np.dtype(np.complex128).itemsize
+    y = rng.random((n, n))
+    tracemalloc.start()
+    try:
+        state = _taped_forward(L, C, y)
+        loss = _training_loss(state, y, n)
+        after = []  # traced bytes after each g_update pull, in sweep order
+        for node in _graph(loss):
+            if node.parents and node.pull.__qualname__.startswith("g_update"):
+                def pull(g, _pull=node.pull):
+                    out = _pull(g)
+                    after.append(tracemalloc.get_traced_memory()[0])
+                    return out
+                node.pull = pull
+        del node
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        unroll.collect_gradients(loss, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 7 * half
+    assert len(after) == L
+    assert all(later <= earlier - half for earlier, later in zip(after, after[1:]))
 
 
 @pytest.mark.parametrize("C, shape", [(16, (128, 128)), (3, (24, 35)), (2, (512, 512))])
@@ -1480,7 +1514,7 @@ def test_backward_reads_the_kept_channel_sums(rng, monkeypatch, restrict):
     # recorded, kernel_estimate keeps Q, 1/D and the raw kernel, and
     # reconstruct the spectra G and its Q and 1/D: their pulls make no
     # quotient and no inverse transform, and the only quotients left are
-    # those the g_update pulls recompute, one each
+    # those the g_update pulls recompute, one per channel chunk each
     L, n = 3, 32
     y = rng.random((n, n))
     with kernel_form(restrict):
@@ -1503,7 +1537,9 @@ def test_backward_reads_the_kept_channel_sums(rng, monkeypatch, restrict):
     unroll.collect_gradients(loss, state)
     computed = names.count("g_update")
     assert computed == L
-    assert calls == {("g_update", "_quotient"): computed}
+    chunks = len(unroll._channel_chunks(len(state.param_vars["eta"].value)))
+    assert chunks == 2
+    assert calls == {("g_update", "_quotient"): computed * chunks}
 
 
 def _kept_arrays(node):
@@ -1763,3 +1799,28 @@ def test_g_update_pull_makes_z_adjoint_only_for_a_recorded_z(rng):
         assert got[1] is None and want[1].shape == y.shape
         for a, b_ in zip(got[:1] + got[2:], want[:1] + want[2:]):
             assert same_bits(a, b_)
+
+
+@pytest.mark.parametrize("C, shape", [(16, (128, 128)), (3, (128, 128)), (5, (24, 35)),
+                                      (3, (24, 35)), (1, (24, 35))])
+def test_g_update_pull_in_channel_chunks_has_the_stacked_bits(rng, C, shape):
+    # the pull works in chunks of two channels, the last of three for an odd
+    # C (unroll._channel_chunks); every adjoint has the bits, the sign of
+    # every zero included, of the same pull on whole stacks
+    # (composed.stacked_g_update_pull), with Z recorded or the scalar 0. A
+    # chunk of one channel would change b's and lam's gradients at 128 px,
+    # where _re_inner's einsum sums one plane with other rounding than two
+    h, w = shape
+    y = spectral.rfft2(rng.random((C, h, w)))
+    k = spectral.rfft2(spectral.embed_kernel(rng.random((5, 5)) / 12.5, h, w))
+    b, lam = rng.uniform(0.1, 2.0, (C, 1, 1)), rng.uniform(0.05, 1.0, (C, 1, 1))
+    gg = rng.standard_normal((C, h, w))
+    tape = ad.Tape()
+    for z in (ad.rfft2(ad.leaf(tape, rng.standard_normal((C, h, w)))), 0.0):
+        node = unroll.g_update(y, z, k, ad.leaf(tape, b), lam, shape)
+        got = node.pull(gg)
+        want = composed.stacked_g_update_pull(y, ad.value(z), k, b, lam, shape, gg,
+                                              z_recorded=ad.recorded(z))
+        assert (got[1] is None) == (want[1] is None) == (not ad.recorded(z))
+        for a, b_ in zip(got, want):
+            assert b_ is None or same_bits(a, b_)
