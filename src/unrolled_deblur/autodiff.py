@@ -16,7 +16,10 @@ only its shrinkage code, one int8 per feature (unroll._shrink_code);
 kernel_estimate Z and Y_l, and its quotient's channel sums Q and 1/D and
 the raw kernel; reconstruct the kernel's spectrum, the last F_l, eta and
 y_spec, and its Q and 1/D and, once per pass, the spectra G of g that the
-sums were made from. Every adjoint comes from the terms' residual form.
+sums were made from. The three updates solve through one quotient whose
+single loop accumulates every term, a channel sum given term by term
+(unroll._quotient), and every term with an array factor is pulled back
+by one function in residual form (unroll._term_adjoint).
 
 Keep or remake: a value no pull reads is dropped, and so is one that is
 cheap to rebuild from small values the graph holds. A node that can be

@@ -14,6 +14,7 @@ floored at 1e-3 so that parameters with near-zero gradients are judged by
 the absolute criterion |a - n| < 1e-7 instead of a meaningless ratio.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,6 +90,8 @@ def finite_diff_check(inst, h=1e-5, samples=200, seed=0):
     """Check up to `samples` distinct scalar parameters of the instance."""
     if samples < 0:
         raise InvalidParameter("samples must be >= 0, got %d" % samples)
+    if not 0 < h < math.inf:  # NaN fails the comparison too
+        raise InvalidParameter("h must be finite and positive, got %r" % h)
     params = inst.params
     total, _, _, state = training.objective(inst.record, params, inst.kappa,
                                             tape=ad.Tape(), track_kinks=True)

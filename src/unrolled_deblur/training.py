@@ -119,8 +119,11 @@ def loss_terms(x_hat, kernel_plane, x_target, kernel_target_plane, kappa):
 def adam_step(params, grads, adam, step, lr, config):
     """One in-place Adam update (step counts from 1) plus projection.
 
-    grads maps each trainable field name to its gradient array.
+    grads maps each trainable field name to its gradient array. A step
+    below 1 raises InvalidParameter: its bias corrections divide by zero.
     """
+    if step < 1:
+        raise InvalidParameter("Adam step counts from 1, got %r" % step)
     b1, b2, eps = config.beta1, config.beta2, config.adam_eps
     for name in TRAINABLE:
         p = getattr(params, name)
@@ -146,13 +149,24 @@ def adam_step(params, grads, adam, step, lr, config):
 def _check_config(config):
     """Raise InvalidParameter unless every config field holds what a
     checkpoint's config block may: an int field an int (not a bool), a
-    float field a finite float or an int."""
+    float field a finite float or an int, and the optimizer's numbers in
+    their range (beta1 = 1, beta2 = 1 or adam_eps = 0 would make adam_step
+    divide 0 by 0)."""
     for f in fields(TrainConfig):
         value = getattr(config, f.name)
         if not (type(value) is int or f.type is float and isinstance(value, float)
                 and math.isfinite(value)):
             raise InvalidParameter("config field %s is %r, expected %s"
                                    % (f.name, value, f.type.__name__))
+    c = config
+    for name, ok, want in (("lr", c.lr > 0, "> 0"), ("decay", c.decay > 0, "> 0"),
+                           ("beta1", 0 <= c.beta1 < 1, "in [0, 1)"),
+                           ("beta2", 0 <= c.beta2 < 1, "in [0, 1)"),
+                           ("adam_eps", c.adam_eps > 0, "> 0"),
+                           ("kappa", c.kappa >= 0, ">= 0")):
+        if not ok:
+            raise InvalidParameter("config field %s is %r, expected %s"
+                                   % (name, getattr(c, name), want))
 
 
 def check_layout(params, config):

@@ -44,11 +44,13 @@ The sweep (autodiff.backward) releases each node, Z, x_hat and the kernel
 plane among them, and drops its pull with what the pull kept once the
 pull has run, so the graph shrinks layer by layer from the loss down and
 is gone when collect_gradients returns; g_update's pull holds two stacks
-and works in channel chunks (Passes). Plain, forward drops each layer's g after its last reader and the
-previous Z once g_update has read it, so a plain layer holds one feature
-stack, and returns the arrays the solver made (a recorded x_hat, the
-loss node's input, as a copy). Each term's adjoint is taken in residual form,
-through _term_adjoint or, in g_update's pull, in that pull's own buffers.
+and works in channel chunks (Passes). Plain, forward drops each layer's g
+after its last reader and the previous Z once g_update has read it, so a
+plain layer holds one feature stack, and returns the arrays the solver
+made (a recorded x_hat, the loss node's input, as a copy). Every term
+with an array A is pulled back in residual form by one function,
+_term_adjoint, in all three updates' pulls; g_update's pull adds only
+its prior term (lam, 1, Z), whose adjoints are lam t and Re<t, Z - Q>.
 A recorded layer makes five nodes (filter_spectra, the spectrum of the
 kernel it reads, g_update, z_spectrum and kernel_estimate; the first and
 dead ones fewer, see Dead layers), the reconstruction three (the last
@@ -97,13 +99,15 @@ textbook one. _quotient returns Q = N (1/D) and 1/D, which the pulls
 multiply by. It works in row blocks across all channels (_row_blocks) of
 at most QUOTIENT_BLOCK_BYTES = 256 KiB of one plane's complex rows: a
 128 px half plane (133,120 bytes) is one block, a 512 px one (4,112 bytes
-a row) nine, eight of 63 rows and a last of 8. A block forms conj(A) and
-|A|^2 once for all channels, sums a term over the channels in place in
-its output rows (_channel_sums), writes N and D straight into Q's and
-1/D's rows, checks the floor and finishes both there. So the stacks it
-reads stay in a 2 MiB L2 at the preset's C = 2, no stack-sized temporary
-is made, and every block layout gives the same bits. g_update's term
-(lam, 1, Z) adds nothing to N while Z is the scalar 0. The inverse
+a row) nine, eight of 63 rows and a last of 8. One loop over the terms
+accumulates each into the block's rows of N and D in place; a channel
+sum (k_update's terms, reconstruct's (eta, F, G)) is given as its
+per-channel terms in channel order, so it adds the planes as np.sum over
+the channel axis does. The block's N and D are written straight into Q's
+and 1/D's rows, where the floor is checked and both are finished. So the
+stacks it reads stay in a 2 MiB L2 at the preset's C = 2, no stack-sized
+temporary is made, and every block layout gives the same bits. g_update's
+term (lam, 1, Z) adds nothing to N while Z is the scalar 0. The inverse
 transform of a quotient that nothing reads again (g_update's, and plain
 k_update's and reconstruct's) runs in the quotient's buffer; z_update is
 one clip and one subtraction; spectral embeds and windows a kernel by
@@ -115,12 +119,13 @@ two channels (_channel_chunks), each chunk's quotient, 1/D and residual
 its own buffers, with the bits of the same pull on whole stacks (tested);
 idft_adjoint multiplies t by its column weights and the pull's 1/D in
 one pass (g_update's pull, per chunk), and dft_adjoint's column pass runs
-in the product filter_spectra's and reconstruct's pulls made;
-_term_adjoint subtracts
-t A conj(Q) plane by plane; each weight's gradient is one reduction over
-float views (_re_inner); and the pulls of filter_spectra and of a
-window's spectrum invert only the window's rows (autodiff.dft_adjoint
-with a size).
+in the product filter_spectra's and reconstruct's pulls made.
+_term_adjoint takes t's and Q's buffers where they have t A's shape (a
+g_update chunk, or reconstruct's data term, which is given a copy of its
+kept Q) and otherwise subtracts t A conj(Q) plane by plane; each
+weight's gradient is one reduction over float views (_re_inner); and the
+pulls of filter_spectra and of a window's spectrum invert only the
+window's rows (autodiff.dft_adjoint with a size).
 
 Dead layers: forward, plain or recorded, tracks the solver's initial
 state, Z = 0 and the impulse kernel, which lasts until a layer keeps a
@@ -318,13 +323,14 @@ def _unit(x):  # the literal 1 marks a term without that factor
     return isinstance(x, int) and x == 1
 
 
-def _quotient(terms, summed=(), ridge=0.0, update=None):
+def _quotient(terms, ridge=0.0, update=None):
     """The per-frequency least-squares solve Q = N / D; returns (Q, 1/D).
 
-    Each term (w, A, B) adds w (conj(A) B) to N and w |A|^2 to D (w = 1 or
-    A = 1 skips a multiply, and after the first term B = the scalar 0 adds
-    nothing); summed terms are summed over their leading (channel) axis
-    (_channel_sums) and come first, and ridge is added to D last. Given an
+    Each term (w, A, B) adds w (conj(A) B) to N and w |A|^2 to D, in the
+    order given (w = 1 or A = 1 skips a multiply, and after the first term
+    B = the scalar 0 adds nothing); a term summed over the channels is
+    given as its per-channel terms, in channel order, so that the sums have
+    the bits of np.sum(..., axis=0). ridge is added to D last. Given an
     update name, a D below DENOM_FLOOR raises SingularDenominator, naming
     the smallest D of the first row block that holds one. Q is N times 1/D:
     numpy divides a complex by a real as a multiply by the real's
@@ -333,26 +339,22 @@ def _quotient(terms, summed=(), ridge=0.0, update=None):
 
     It runs in row blocks across all channels (_row_blocks, and Passes in
     the module docstring) and writes N and D straight into Q's and 1/D's
-    rows. Each entry takes the same operations in the same order whatever
-    the blocks, so every block layout gives the same bits.
+    rows, one term after the other. Each entry takes the same operations
+    in the same order whatever the blocks, so every block layout gives the
+    same bits.
 
     Adjoint (_term_adjoint): with t = qbar / D for the adjoint qbar of Q and
     R = B - A Q, N gets t and D gets -Re(t conj(Q)); since 2 A Re(t conj(Q))
     = t A conj(Q) + conj(t) A Q, each term pulls back to
       B: w t A    A: w (conj(t) R - t A conj(Q))    w: Re(conj(t A) R).
     """
-    shape = np.broadcast_shapes(
-        *(np.shape(x) for term in terms for x in term),
-        *(np.broadcast_shapes(*map(np.shape, term))[1:] for term in summed))
+    shape = np.broadcast_shapes(*{getattr(x, "shape", ()) for term in terms for x in term})
     num, inv = np.empty(shape, complex), np.empty(shape)
     for rows in _row_blocks(shape):
         n, d = num[..., rows, :], inv[..., rows, :]
-        fresh = True  # the first contribution is written, the others added
-        for term in summed:
-            _channel_sums(n, d, *(_rows(x, rows) for x in term), fresh)
-            fresh = False
+        fresh = True  # the first term is written, the others added
         for w, a, b in terms:
-            w, a, b = (_rows(x, rows) for x in (w, a, b))
+            w, a, b = _rows(w, rows), _rows(a, rows), _rows(b, rows)
             if _unit(a):
                 _accumulate(d, 1, w, fresh)
                 if fresh or np.ndim(b) or b != 0:  # w * 0 would only clear -0.0
@@ -381,9 +383,11 @@ def _row_blocks(shape):
 
 
 def _rows(x, rows):
-    """The block rows of an array of (..., H, W') planes; a scalar or a weight
-    of one number per plane passes whole."""
-    return x[..., rows, :] if np.ndim(x) >= 2 and np.shape(x)[-2] > 1 else x
+    """The block rows of an array of (..., H, W') planes; a Python number or a
+    weight of one number per plane passes whole. It runs for every term of
+    every block, so it reads attributes: with np.ndim and np.shape here and
+    in _quotient's shape, a 16-channel k_update at 128 px ran 13% slower."""
+    return x[..., rows, :] if getattr(x, "ndim", 0) >= 2 and x.shape[-2] > 1 else x
 
 
 def _check_floor(den, update):
@@ -412,41 +416,40 @@ def _accumulate(out, part, w, fresh):
             out[i] += w[i] * part[i]
 
 
-def _channel_sums(n, d, w, a, b, fresh):
-    """Add the sums over the leading (channel) axis of w conj(A) B and
-    w |A|^2, for an array A, to n and d, or with fresh write them there:
-    channel by channel, in place. np.sum(..., axis=0) adds the planes in
-    the same order, so the sums have its bits."""
-    shape = np.broadcast_shapes(np.shape(w), np.shape(a), np.shape(b))
-    w, a, b = (x if _unit(x) else np.broadcast_to(x, shape) for x in (w, a, b))
-    for i in range(shape[0]):
-        first, wi = fresh and i == 0, w if _unit(w) else w[i]
-        ca = np.conj(a[i])
-        _accumulate(d, (a[i] * ca).real, wi, first)
-        _accumulate(n, np.multiply(ca, b[i], out=n if first else None), wi, first)
-
-
 def _term_adjoint(t, q, w, a, b):
-    """Adjoints (B, A, w) of one _quotient term with an array A; w's is
-    reduced over the last two axes (_re_inner), and None for w = 1.
+    """Adjoints (B, A, w) of one _quotient term (w, A, B) with an array A,
+    the one place such a term is pulled back; t is qbar / D (see
+    _quotient), and w's adjoint is reduced over the last two axes
+    (_re_inner), None for w = 1.
 
-    It makes two new arrays the shape of t A: R, in whose buffer A's
-    adjoint is taken, and t A, in whose buffer B's adjoint w t A is. The
-    product t A conj(Q) that A's adjoint subtracts is made plane by plane,
-    so it needs no third stack: a stack-sized temporary makes glibc return
-    and re-fault heap pages.
+    R = B - A Q is made, then conj(t) R in its buffer, w's adjoint as
+    Re<A, conj(t) R>, and A's as conj(t) R - t A conj(Q) there. Where t and
+    Q have t A's shape (a g_update channel chunk), B's adjoint w t A is made
+    in t's buffer and conj(Q) t A in Q's, so a caller that reads either
+    again passes a copy. Otherwise t keeps its bits (conj is undone in
+    place), Q is left alone, and t A conj(Q) is made plane by plane: a
+    stack-sized temporary makes glibc return and re-fault heap pages.
     """
-    ta = t * a
     r = np.multiply(a, q)
     np.subtract(b, r, out=r)
-    gw = None if _unit(w) else _re_inner(ta, r)
-    ga = np.multiply(np.conj(t), r, out=r)
-    tab, cq = (np.broadcast_to(x, ga.shape) for x in (ta, np.conj(q)))
-    for i in np.ndindex(ga.shape[:-2]):
-        ga[i] -= tab[i] * cq[i]
-    if _unit(w):
-        return ta, ga, None
-    return np.multiply(w, ta, out=ta), np.multiply(w, ga, out=ga), gw
+    np.conjugate(t, out=t)  # conj conj t is t again, bit for bit
+    np.multiply(t, r, out=r)  # conj(t) R
+    gw = None if _unit(w) else _re_inner(a, r)  # Re sum conj(tA) R
+    np.conjugate(t, out=t)
+    whole = np.shape(t) == np.shape(q) == r.shape
+    ta = np.multiply(t, a, out=t if whole else None)
+    if whole:
+        np.conjugate(q, out=q)
+        q *= ta
+        r -= q
+    else:
+        tab, cq = (np.broadcast_to(x, r.shape) for x in (ta, np.conj(q)))
+        for i in np.ndindex(r.shape[:-2]):
+            r[i] -= cq[i] * tab[i]
+    if not _unit(w):
+        r *= w
+        ta *= w
+    return ta, r, gw
 
 
 def _re_inner(a, b):
@@ -543,25 +546,14 @@ def g_update(y_spec, z_spec, k_spec, b, lam, shape):
             del inv  # read once: freeing it before R lowers the peak
             if gz is not None:
                 np.multiply(lc, tc, out=gz[c])
-            # the prior term (lam, 1, Z) with R = Z - Q, then the data term
-            # (b, K, Y) with R = Y - KQ in the same buffer (see _quotient)
-            r = np.subtract(zc, q)
-            gl.append(_re_inner(tc, r))
-            np.multiply(k, q, out=r)
-            np.subtract(yc, r, out=r)
-            np.conjugate(tc, out=tc)  # conj conj t is t again, bit for bit
-            np.multiply(tc, r, out=r)  # conj(t) R
-            gb.append(_re_inner(k, r))  # Re sum conj(tK) R
-            np.conjugate(tc, out=tc)
-            tc *= k
-            np.conjugate(q, out=q)
-            q *= tc
-            r -= q  # conj(t) R - tK conj(Q)
-            r *= bc
-            tc *= bc
+            # the prior term (lam, 1, Z), R = Z - Q; then the data term
+            # (b, K, Y), whose B adjoint is made in tc (_term_adjoint)
+            gl.append(_re_inner(tc, np.subtract(zc, q)))
+            _, ga, gw = _term_adjoint(tc, q, bc, k, yc)
+            gb.append(gw)
             # K's adjoint sums the planes in channel order, as ad.unbroadcast's
             # sum over the channel axis does
-            for plane in r:
+            for plane in ga:
                 gk = plane.copy() if gk is None else np.add(gk, plane, out=gk)
         gb, gl = np.concatenate(gb), np.concatenate(gl)
         return (t, gz, gk, ad.unbroadcast(gb[..., None, None], np.shape(vb)),
@@ -643,11 +635,11 @@ def k_update(z_specs, y_specs, eps, shape, size=None, keep=False):
     """
     z, y = np.asarray(z_specs), np.asarray(y_specs)
     _check_half(shape, "kernel update", z, y)
-    terms = ((1, z, y),)
+    terms = [(1, zi, yi) for zi, yi in zip(z, y, strict=True)]
     if not keep:  # 1/D is dropped before the inverse
-        return spectral.irfft2(_quotient((), terms, eps)[0], shape, overwrite=True,
+        return spectral.irfft2(_quotient(terms, eps)[0], shape, overwrite=True,
                                size=size)
-    q, inv = _quotient((), terms, eps)
+    q, inv = _quotient(terms, eps)
     return spectral.irfft2(q, shape, size=size), q, inv
 
 
@@ -744,9 +736,9 @@ def reconstruct(y_spec, k_spec, g, f_spec, eta, shape):
                                 % (np.shape(vg), *shape))
     _check_half(shape, "reconstruction", y_spec, vk, vf)
     e = np.asarray(ad.value(eta))[:, None, None]
-    # the data term and the channel-summed prior term (eta, F, G)
+    # the prior term (eta, F, G) summed over the channels, then the data term
     data, g_spec = (1, vk, y_spec), spectral.rfft2(vg)
-    q, inv = _quotient((data,), ((e, vf, g_spec),), update="reconstruction")
+    q, inv = _quotient([*zip(e, vf, g_spec, strict=True), data], update="reconstruction")
     if not ad.recorded(k_spec, g, f_spec, eta):
         del g_spec, inv  # a plain pass holds neither through the inverse
         return spectral.irfft2(q, shape, overwrite=True)
@@ -755,8 +747,8 @@ def reconstruct(y_spec, k_spec, g, f_spec, eta, shape):
     def pull(gx):
         t = ad.idft_adjoint(gx, shape, scale=inv)
         gg, gf, ge = _term_adjoint(t, q, e, ad.read(f_spec), g_spec)
-        return (_term_adjoint(t, q, *data)[1], ad.dft_adjoint(gg, shape, overwrite=True),
-                gf, ge)
+        gk = _term_adjoint(t, q.copy(), *data)[1]  # it takes t's and Q's buffers
+        return gk, ad.dft_adjoint(gg, shape, overwrite=True), gf, ge
 
     return ad.record(out, (k_spec, g, f_spec, eta), pull)
 

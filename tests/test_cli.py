@@ -299,7 +299,8 @@ def test_deblur_with_checkpoint_writes_outputs(pipeline, tmp_path, capsys):
     with open(pipeline["manifest"]) as fh:
         row = next(csv.DictReader(fh))
     blurred = os.path.join(pipeline["data"], row["blurred"])
-    before = open(blurred, "rb").read()
+    with open(blurred, "rb") as fh:
+        before = fh.read()
 
     out = str(tmp_path / "restored.pgm")
     kout = str(tmp_path / "kernel.txt")
@@ -310,7 +311,8 @@ def test_deblur_with_checkpoint_writes_outputs(pipeline, tmp_path, capsys):
     assert lines == [out, kout]
     assert imaging.load_image(out).shape == (16, 16)
     imaging.check_kernel(imaging.load_kernel(kout), tol=1e-6)
-    assert open(blurred, "rb").read() == before  # input untouched
+    with open(blurred, "rb") as fh:
+        assert fh.read() == before  # input untouched
 
 
 def test_deblur_with_preset(pipeline, tmp_path, capsys):
@@ -593,6 +595,19 @@ def test_train_rejects_non_finite_config_values(pipeline, capsys, flag, value):
                           % (flag[2:], value))
     assert "Traceback" not in err
     assert not os.path.exists(out)  # no checkpoint and no loss log
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "0"), ("--decay", "-0.5"),
+                                         ("--kappa", "-1")])
+def test_train_rejects_out_of_range_config_values(pipeline, capsys, flag, value):
+    out = str(pipeline["root"] / ("run_%s_%s" % (flag[2:], value)))
+    assert cli.main(["train", "--manifest", pipeline["manifest"], "--out", out,
+                     "--layers", "1", "--channels", "1", "--support", "5",
+                     "--epochs", "1", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field %s is " % flag[2:])
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("flag", ["--epochs", "--batch"])

@@ -3,6 +3,7 @@
 import csv
 import gc
 import hashlib
+import io
 import os
 import struct
 import weakref
@@ -96,6 +97,18 @@ def test_adam_first_step_is_signed_lr(rng):
     # bias-corrected first step: lr * g / (|g| + eps) = lr up to 5e-9
     expect = w0 - 1e-3 * (2.0 / (2.0 + 1e-8))
     assert np.max(np.abs(p.w_top - expect)) < 1e-15
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_adam_refuses_a_step_below_one(step):
+    # the bias corrections 1 - beta^step would divide by zero
+    cfg = small_config()
+    p = init_params(cfg)
+    w0 = p.w_top.copy()
+    with pytest.raises(InvalidParameter, match="step"):
+        adam_step(p, frozen_grads(p, 1.0), AdamState.zeros(p), step=step,
+                  lr=1e-3, config=cfg)
+    assert np.array_equal(p.w_top, w0)
 
 
 def test_adam_projects_rate_parameters_only(rng):
@@ -203,15 +216,26 @@ def test_checkpoint_write_refuses_non_finite_weights(tmp_path, bad):
 @pytest.mark.parametrize("field, value", [
     ("decay", float("nan")), ("lr", float("inf")), ("layers", True),
     ("seed", np.int64(0)),  # json cannot write it
+    # out of range: beta = 1 and adam_eps = 0 make adam_step divide 0 by 0,
+    # and the others used to train silently
+    ("lr", 0.0), ("lr", -1e-3), ("decay", 0.0), ("decay", -0.9),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -0.5),
+    ("adam_eps", 0.0), ("kappa", -1.0),
 ])
-def test_checkpoint_write_refuses_config_values_load_refuses(tmp_path, field,
-                                                            value):
+def test_checkpoint_write_refuses_config_values_load_refuses(
+        tmp_path, rewrite_config, field, value):
     cfg = small_config()
     p = init_params(cfg)
     with pytest.raises(InvalidParameter, match="^config field %s " % field):
         save_checkpoint(str(tmp_path / "a.ckpt"), p, AdamState.zeros(p), 0, 0,
                         cfg.lr, small_config(**{field: value}))
     assert os.listdir(str(tmp_path)) == []
+    if type(value) is float:  # json writes it: a file holding it is refused
+        path = str(tmp_path / "a.ckpt")
+        save_checkpoint(path, p, AdamState.zeros(p), 0, 0, cfg.lr, cfg)
+        bad = rewrite_config(path, tmp_path / "b.ckpt", **{field: value})
+        with pytest.raises(CorruptCheckpoint, match="config field %s " % field):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_write_takes_a_numpy_float_config_value(tmp_path):
@@ -394,7 +418,7 @@ def test_train_writes_log_and_checkpoints(tmp_path, rng):
     man = tiny_dataset(tmp_path, rng)
     cfg = small_config()
     out = str(tmp_path / "run")
-    final = train(man, cfg, out, log=open(os.devnull, "w"))
+    final = train(man, cfg, out, log=io.StringIO())
     assert final.epoch == 2
     assert final.step == 4  # 2 records x 2 epochs, batch size 1
 
@@ -432,7 +456,7 @@ def test_train_leaves_no_feature_spectra_alive(tmp_path, rng, monkeypatch):
     gc.disable()
     try:
         train(man, cfg, str(tmp_path / "run"), initial_params=params,
-              log=open(os.devnull, "w"))
+              log=io.StringIO())
         assert len(made) == 3 and all(ref() is None for ref in made)
     finally:
         gc.enable()
@@ -442,10 +466,10 @@ def test_train_resume_reproduces_run_bitwise(tmp_path, rng):
     man = tiny_dataset(tmp_path, rng)
     cfg = small_config()
     full = str(tmp_path / "full")
-    train(man, cfg, full, log=open(os.devnull, "w"))
+    train(man, cfg, full, log=io.StringIO())
 
     resumed = str(tmp_path / "resumed")
-    train(man, cfg, resumed, log=open(os.devnull, "w"),
+    train(man, cfg, resumed, log=io.StringIO(),
           resume=os.path.join(full, "checkpoint_epoch_0001.ckpt"))
 
     name = "checkpoint_epoch_0002.ckpt"
@@ -461,12 +485,12 @@ def test_train_resume_extends_epochs_bitwise(tmp_path, rng):
     # raising epochs on resume continues the uninterrupted run
     man = tiny_dataset(tmp_path, rng)
     full = str(tmp_path / "full")
-    train(man, small_config(epochs=2), full, log=open(os.devnull, "w"))
+    train(man, small_config(epochs=2), full, log=io.StringIO())
 
     extended = str(tmp_path / "extended")
-    train(man, small_config(epochs=1), extended, log=open(os.devnull, "w"))
+    train(man, small_config(epochs=1), extended, log=io.StringIO())
     final = train(man, small_config(epochs=2), extended,
-                  log=open(os.devnull, "w"),
+                  log=io.StringIO(),
                   resume=training.checkpoint_path(extended, 1))
     assert final.epoch == 2
     for name in ("checkpoint_epoch_0002.ckpt", "loss_log.csv"):
@@ -483,11 +507,11 @@ def test_train_resume_refuses_a_finished_run(tmp_path, rng, epochs):
     # used to write a header-only loss log and return an unwritten epoch
     man = tiny_dataset(tmp_path, rng)
     run = str(tmp_path / "run")
-    train(man, small_config(epochs=2), run, log=open(os.devnull, "w"))
+    train(man, small_config(epochs=2), run, log=io.StringIO())
     out = tmp_path / "r2"
     with pytest.raises(InvalidParameter, match="nothing left to run"):
         train(str(tmp_path / "none.csv"), small_config(epochs=epochs),
-              str(out), log=open(os.devnull, "w"),
+              str(out), log=io.StringIO(),
               resume=training.checkpoint_path(run, 2))
     assert not out.exists()
 
@@ -499,7 +523,7 @@ def test_train_refuses_resume_with_initial_params(tmp_path):
     cfg = small_config()
     out = tmp_path / "run"
     with pytest.raises(InvalidParameter, match="initial_params would be ignored"):
-        train(str(tmp_path / "none.csv"), cfg, str(out), log=open(os.devnull, "w"),
+        train(str(tmp_path / "none.csv"), cfg, str(out), log=io.StringIO(),
               resume=str(tmp_path / "none.ckpt"), initial_params=init_params(cfg))
     assert os.listdir(str(tmp_path)) == []
 
@@ -510,7 +534,7 @@ def test_train_rerun_identical(tmp_path, rng):
     outs = []
     for sub in ("a", "b"):
         out = str(tmp_path / sub)
-        train(man, cfg, out, log=open(os.devnull, "w"))
+        train(man, cfg, out, log=io.StringIO())
         outs.append(out)
     for name in sorted(os.listdir(outs[0])):
         with open(os.path.join(outs[0], name), "rb") as fh:
@@ -524,10 +548,10 @@ def test_train_resume_rejects_other_config(tmp_path, rng):
     man = tiny_dataset(tmp_path, rng)
     cfg = small_config()
     out = str(tmp_path / "run")
-    train(man, cfg, out, log=open(os.devnull, "w"))
+    train(man, cfg, out, log=io.StringIO())
     other = small_config(lr=5e-3)
     with pytest.raises(ConfigMismatch):
-        train(man, other, str(tmp_path / "r2"), log=open(os.devnull, "w"),
+        train(man, other, str(tmp_path / "r2"), log=io.StringIO(),
               resume=os.path.join(out, "checkpoint_epoch_0001.ckpt"))
 
 
@@ -538,7 +562,7 @@ def test_train_rejects_zero_epochs_or_batch(tmp_path, rng, field):
     out = tmp_path / "run"
     with pytest.raises(InvalidParameter,
                        match="^%s must be" % field.replace("_", " ")):
-        train(man, small_config(**{field: 0}), str(out), log=open(os.devnull, "w"))
+        train(man, small_config(**{field: 0}), str(out), log=io.StringIO())
     assert not out.exists()
 
 
@@ -560,7 +584,7 @@ def test_train_rejects_a_model_its_checkpoints_cannot_hold(tmp_path, case):
     out = tmp_path / "run"
     with pytest.raises(error):  # before the (missing) manifest is read
         train(str(tmp_path / "none.csv"), cfg, str(out), initial_params=model,
-              log=open(os.devnull, "w"))
+              log=io.StringIO())
     assert not out.exists()
     path = tmp_path / "a.ckpt"
     with pytest.raises(error):
@@ -585,7 +609,7 @@ def test_train_already_sharp_records_are_a_fixed_point(tmp_path):
     cfg = small_config(kappa=0.0, epochs=2)
     init = init_params(cfg)
     final = train(os.path.join(out, "manifest.csv"), cfg,
-                  str(tmp_path / "run"), log=open(os.devnull, "w"))
+                  str(tmp_path / "run"), log=io.StringIO())
     assert np.array_equal(final.params.w_top, init.w_top)
     assert np.array_equal(final.params.b, init.b)
     assert np.array_equal(final.params.lam, init.lam)
@@ -637,11 +661,19 @@ def test_gradcheck_rejects_negative_samples():
         gradcheck.finite_diff_check(inst, samples=-1)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-5, float("nan"), float("inf")])
+def test_gradcheck_rejects_a_step_that_is_not_finite_and_positive(h):
+    # h = 0 used to raise ZeroDivisionError
+    inst = gradcheck.make_check_instance(size=6, layers=1, channels=1)
+    with pytest.raises(InvalidParameter, match="h must"):
+        gradcheck.finite_diff_check(inst, h=h)
+
+
 def test_train_batch_size_groups_steps(tmp_path, rng):
     man = tiny_dataset(tmp_path, rng)
     cfg = small_config(batch_size=2, epochs=1)
     out = str(tmp_path / "run")
-    final = train(man, cfg, out, log=open(os.devnull, "w"))
+    final = train(man, cfg, out, log=io.StringIO())
     assert final.step == 1  # both records folded into one update
     with open(os.path.join(out, "loss_log.csv")) as fh:
         rows = list(csv.DictReader(fh))

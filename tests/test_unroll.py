@@ -279,7 +279,8 @@ def test_quotient_equals_the_complex_by_real_division(rng):
         t = spectral.rfft2(rng.standard_normal((3, h, w)))
         assert np.array_equal(t * inv, t / den)  # the pulls' form
         z, y = terms[1][2], terms[0][2]
-        q, inv = unroll._quotient((), ((1, z, y),), 0.7)
+        # a channel-summed term is given as its per-channel terms
+        q, inv = unroll._quotient([(1, zi, yi) for zi, yi in zip(z, y)], 0.7)
         summed = np.sum((z * np.conj(z)).real, axis=0) + 0.7
         assert np.array_equal(q, np.sum(np.conj(z) * y, axis=0) / summed)
 
@@ -1824,3 +1825,35 @@ def test_g_update_pull_in_channel_chunks_has_the_stacked_bits(rng, C, shape):
         assert (got[1] is None) == (want[1] is None) == (not ad.recorded(z))
         for a, b_ in zip(got, want):
             assert b_ is None or same_bits(a, b_)
+
+
+@pytest.mark.parametrize("shape", [(24, 35), (32, 32)])
+def test_pulls_keep_what_their_node_holds(rng, shape):
+    # _term_adjoint takes t's and Q's buffers when they have t A's shape, so
+    # a pull whose node keeps Q passes a copy: each pull called twice on one
+    # node gives the same bits, and every array the node holds (Q, 1/D, G,
+    # the raw kernel, the spectra) keeps its bytes
+    C, (h, w) = 3, shape
+    tape = ad.Tape()
+    y = spectral.rfft2(rng.random((C, h, w)))
+    k = spectral.rfft2(spectral.embed_kernel(rng.random((5, 5)) / 12.5, h, w))
+    b, lam = rng.uniform(0.1, 2.0, (C, 1, 1)), rng.uniform(0.05, 1.0, (C, 1, 1))
+    z = ad.rfft2(ad.leaf(tape, rng.standard_normal((C, h, w))))
+    eta = ad.leaf(tape, rng.uniform(0.5, 20.0, C))
+    nodes = {
+        "g_update": (unroll.g_update(y, z, k, ad.leaf(tape, b), lam, shape),
+                     rng.standard_normal((C, h, w))),
+        "kernel_estimate": (unroll.kernel_estimate(z, y, 0.5, None, shape),
+                            rng.standard_normal((h, w))),
+        "reconstruct": (unroll.reconstruct(y[0], k, rng.standard_normal((C, h, w)),
+                                           y, eta, shape),
+                        rng.standard_normal((h, w))),
+    }
+    for name, (node, adjoint) in nodes.items():
+        held = _kept_arrays(node)
+        before = [a.tobytes() for a in held]
+        first, second = node.pull(adjoint.copy()), node.pull(adjoint.copy())
+        for a, b_ in zip(first, second):
+            same = a is None and b_ is None or same_bits(a, b_)
+            assert same, name
+        assert [a.tobytes() for a in held] == before, name
